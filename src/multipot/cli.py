@@ -39,24 +39,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
-
-
 def _emit(obj) -> None:
-    print(json.dumps(_jsonify(obj), indent=2))
+    print(json.dumps(scenarios._jsonify(obj), indent=2))
 
 
 def _load_measure(spec: str, d: int | None, seed: int) -> DiscreteMeasure:
@@ -93,7 +77,8 @@ def _cmd_potential(args):
     if len(measures) == 1 and args.order > 1:
         measures = measures * args.order
     if len(measures) != args.order:
-        raise SystemExit(USAGE_ERROR)
+        raise ValueError(f"--order {args.order} needs one --measure or {args.order} of them, "
+                         f"got {len(measures)}")
     config = read_points_csv(args.at)
     free = kernel.arity - args.order
     pts = config.points
@@ -192,12 +177,12 @@ def _cmd_minimize(args):
 def _read_config_file(path: str) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise SystemExit(USAGE_ERROR)
+                raise ValueError(f"{path}:{number}: expected key=value, got '{line}'")
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
@@ -264,7 +249,7 @@ def _cmd_verify(args):
 
     payload = reports[0] if settings["scenario"] else {
         "reports": reports, "passed": all(r["passed"] for r in reports)}
-    text = json.dumps(_jsonify(payload), indent=2) + "\n"
+    text = json.dumps(scenarios._jsonify(payload), indent=2) + "\n"
     sys.stdout.write(text)
     if settings["out"]:
         with open(settings["out"], "w", encoding="utf-8") as fh:

@@ -1,26 +1,37 @@
 """Discrete energies, mutual energies, potentials and mixture polynomials.
 
 Exact energies of atomic measures are weighted sums of kernel values over
-all atom tuples.  Two evaluation routes exist:
+all atom tuples.  Two routes compute them:
 
-* a dense route that enumerates tuples (chunked to bound memory), and
-* a moment-contraction route for pair-polynomial kernels of arity <= 3,
-  which factors each monomial through per-measure moment matrices and
-  turns an O(N1*N2*N3) sum into O(N * d^p) work.
+* the dense route enumerates the tuples (chunked to bound memory).  It
+  serves every kernel and is the reference for the other route;
+* the power-moment route serves pair-polynomial kernels.  A monomial
+  prod <x_a, x_b>^e factors through tensor powers: an integrated slot
+  becomes the moment tensor M_E = sum_i w_i x_i^{(x)E} (anchor factors
+  folded into the weights), a free slot the tensor power of its query
+  point, and one einsum with a letter per unit exponent contracts them.
+  The gradient of a discrete energy contracts all slots but one and
+  differentiates the result against x^{(x)E}, in O(N d^E) work.
 
-Both routes compute the same finite sum (up to floating-point reordering);
-the dense route is used for small inputs, the contraction route for large
-atomic measures such as sampled stand-ins for the uniform measure.
+One rule, :func:`_use_moments`, picks the route for every energy,
+potential and gradient: the moment route runs when the arrays it builds
+hold no more entries than the dense route reads (per tuple: the points,
+their pair products and one value per monomial).  Neither route takes on
+more than ``_WORK_LIMIT`` tuples or entries.  Both compute the same finite
+sum up to floating-point reordering.
 """
 from __future__ import annotations
 
+import functools
 import math
+import string
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import DiscreteMeasure, PointConfiguration
-from .kernels import Kernel, _pin_unchecked
+from .kernels import Kernel
 
 __all__ = [
     "EnergyEstimate",
@@ -34,9 +45,12 @@ __all__ = [
 ]
 
 _MAX_EXACT_ARITY = 4
-_DENSE_LIMIT = 20_000_000      # hard cap on enumerated tuples
-_FAST_SWITCH = 65_536          # beyond this many tuples, prefer contraction
-_MAX_FEATURE_DIM = 4096        # d**power cap for the contraction route
+_WORK_LIMIT = 20_000_000               # dense tuples, or moment-route array entries
+_LETTERS = string.ascii_letters[:-1]   # one per unit exponent
+_QUERY = string.ascii_letters[-1]      # the query index of free slots
+
+# The atoms and weights of one slot; a DiscreteMeasure has the same fields.
+_Atoms = namedtuple("_Atoms", "atoms weights")
 
 
 @dataclass(frozen=True)
@@ -61,145 +75,259 @@ class EnergyEstimate:
 # --- dense tuple enumeration ---------------------------------------------------
 
 
-def _tuple_grid_values(kernel: Kernel, arrays: list[np.ndarray]) -> np.ndarray:
-    """Kernel values on the full product grid of the given point arrays."""
+def _tuple_blocks(arrays: list[np.ndarray]):
+    """The product grid of the point arrays in blocks along the first one:
+    yields (start, stop, pts) with pts of shape (stop-start, n_2, ..., k, d)."""
     sizes = [a.shape[0] for a in arrays]
     n, d = len(arrays), arrays[0].shape[1]
-    rest = int(np.prod(sizes[1:])) if n > 1 else 1
-    chunk = max(1, 4_000_000 // max(rest, 1))
-    vals = np.empty(sizes)
+    chunk = max(1, 2_000_000 // max(math.prod(sizes[1:]), 1))
     for start in range(0, sizes[0], chunk):
         stop = min(sizes[0], start + chunk)
-        block = (stop - start,) + tuple(sizes[1:])
-        pts = np.empty(block + (n, d))
+        pts = np.empty((stop - start, *sizes[1:], n, d))
         for s, arr in enumerate(arrays):
             seg = arr[start:stop] if s == 0 else arr
             shape = [1] * n
             shape[s] = seg.shape[0]
             pts[..., s, :] = seg.reshape(tuple(shape) + (d,))
+        yield start, stop, pts
+
+
+def _dense_mutual(kernel: Kernel, measures) -> float:
+    """Weighted sum of the kernel over every atom tuple, one measure per slot."""
+    vals = np.empty([m.atoms.shape[0] for m in measures])
+    for start, stop, pts in _tuple_blocks([m.atoms for m in measures]):
         vals[start:stop] = kernel.evaluate_batch(pts)
-    return vals
-
-
-def _dense_mutual(kernel: Kernel, measures: list[DiscreteMeasure]) -> float:
-    vals = _tuple_grid_values(kernel, [m.atoms for m in measures])
-    letters = "abcd"[: len(measures)]
+    letters = _LETTERS[: len(measures)]
     spec = letters + "," + ",".join(letters) + "->"
     return float(np.einsum(spec, vals, *[m.weights for m in measures]))
 
 
-# --- moment-contraction route ---------------------------------------------------
+def _dense_potential(kernel: Kernel, measures, queries: np.ndarray) -> np.ndarray:
+    """Potential by a dense sum per query tuple (queries fill the last slots)."""
+    one = np.ones(1)
+    return np.array([
+        _dense_mutual(kernel, list(measures) + [_Atoms(p[None, :], one) for p in q])
+        for q in queries
+    ])
 
 
-def _features(pts: np.ndarray, power: int) -> np.ndarray:
-    """Tensor-power feature map: (N, d) -> (N, d**power), power 0 -> ones."""
-    n = pts.shape[0]
-    if power == 0:
-        return np.ones((n, 1))
-    feat = pts
-    for _ in range(power - 1):
-        feat = np.einsum("na,nb->nab", feat, pts).reshape(n, -1)
-    return feat
+# --- power-moment route --------------------------------------------------------
+
+_Plan = namedtuple("_Plan", "monomials slot_keys letter_counts pairs")
 
 
-def _mono_exponent(mono, pair) -> int:
-    for p, e in mono:
-        if p == pair:
-            return e
-    return 0
+@functools.lru_cache(maxsize=64)
+def _plan(poly) -> _Plan | None:
+    """Einsum layout of a pair polynomial; None if einsum lacks letters.
 
-
-def _poly_partial(poly, measures: list[DiscreteMeasure], queries: np.ndarray | None):
-    """Contract the first len(measures) slots of a pair polynomial against
-    atomic measures; remaining slots are filled by query tuples.
-
-    queries has shape (Q, r, d) with r = poly.nslots - len(measures);
-    returns a scalar when r == 0, else an array of Q values.
+    A slot pair with exponent e shares e letters.  Each monomial is
+    (coefficient, letters of each slot, (degree, anchor powers) key of each
+    slot, environments), where an environment (s, spec, others) contracts
+    the other slots' tensors onto slot s's letters for gradients.
+    ``slot_keys[s]`` lists the distinct keys of slot s, ``letter_counts``
+    each monomial's letter count and ``pairs`` the number of distinct pairs.
     """
-    j = len(measures)
-    r = poly.nslots - j
-    if queries is None:
-        queries = np.zeros((1, 0, 0))
-    if queries.shape[1] != r:
-        raise ValueError(f"queries must supply {r} points per tuple")
-    nq = queries.shape[0]
-    ns = poly.nslots
-    anchors = poly.anchors
-    total = 0.0 if r == 0 else np.zeros(nq)
-
+    n = poly.nslots
+    monomials, slot_keys = [], [[] for _ in range(n)]
     for mono, coeff in poly.terms.items():
-        # weights absorbing anchor factors of integrated slots
-        wt = []
-        for s in range(j):
-            w = measures[s].weights
-            for (a, b), e in mono:
-                if a == s and b >= ns:
-                    w = w * (measures[s].atoms @ anchors[b - ns]) ** e
-                elif b == s and a >= ns:
-                    w = w * (measures[s].atoms @ anchors[a - ns]) ** e
-            wt.append(w)
-        # per-query factor from anchor pairs and query-query pairs
-        if r == 0:
-            qf = 1.0
+        letters, anchored = [""] * n, [()] * n
+        used = 0
+        for (a, b), e in mono:
+            if b >= n:
+                anchored[a] += ((b - n, e),)
+            elif used + e > len(_LETTERS):
+                return None
+            else:
+                letters[a] += _LETTERS[used:used + e]
+                letters[b] += _LETTERS[used:used + e]
+                used += e
+        keys = tuple(zip(map(len, letters), anchored))
+        envs = []
+        for s, key in enumerate(keys):
+            if key not in slot_keys[s]:
+                slot_keys[s].append(key)
+            if key != (0, ()):
+                others = tuple(i for i in range(n) if i != s)
+                envs.append((s, ",".join(letters[i] for i in others) + "->" + letters[s], others))
+        monomials.append((coeff, tuple(letters), keys, tuple(envs)))
+    counts = tuple(sum(map(len, m[1])) // 2 for m in monomials)
+    pairs = len({pair for mono in poly.terms for pair, _ in mono})
+    return _Plan(tuple(monomials), tuple(map(tuple, slot_keys)), counts, pairs)
+
+
+def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
+    """The routing rule for every exact sum, potential and gradient.
+
+    ``slots`` carry the atoms of the integrated (leading) slots; each
+    remaining slot takes one of ``queries`` points or tuples.  The moment
+    route runs for a pair polynomial when the entries it builds (tensor
+    powers of each slot and one contraction per monomial) are no more than
+    the dense route reads: per tuple, the points, their pair products and
+    one value per monomial.  Raises when the dense route would exceed the
+    work limit.
+    """
+    d = slots[0].atoms.shape[1]
+    rows = [s.atoms.shape[0] for s in slots]
+    tuples = math.prod(rows)
+    plan = None if kernel.pair_poly is None else _plan(kernel.pair_poly)
+    if plan is not None:
+        rows += [queries] * (kernel.arity - len(slots))
+        size = queries * sum(d**c for c in plan.letter_counts)
+        size += sum(n * sum(d**e for e, _ in keys) for n, keys in zip(rows, plan.slot_keys))
+        per_tuple = (kernel.arity + plan.pairs) * d + len(plan.monomials)
+        if size <= min(tuples * queries * per_tuple, _WORK_LIMIT):
+            return True
+    if tuples > _WORK_LIMIT:
+        raise ValueError(
+            f"{tuples} atom tuples exceed the dense limit and no moment route "
+            f"fits kernel '{kernel.name}'"
+        )
+    return False
+
+
+class _Powers(dict):
+    """Tensor powers x^{(x)e} of the rows of x, as (d**e, N) arrays."""
+
+    def __init__(self, x: np.ndarray):
+        super().__init__({1: np.ascontiguousarray(x.T)})
+
+    def __missing__(self, e: int) -> np.ndarray:
+        xt = self[1]
+        if e == 0:
+            self[e] = np.ones((1, xt.shape[1]))
         else:
-            qf = np.full(nq, 1.0)
-            for (a, b), e in mono:
-                if j <= a < ns and b >= ns:
-                    qf = qf * (queries[:, a - j, :] @ anchors[b - ns]) ** e
-                elif j <= a < ns and j <= b < ns:
-                    qf = qf * np.einsum("qd,qd->q", queries[:, a - j, :], queries[:, b - j, :]) ** e
-
-        if j == 1 and r == 0:
-            total += coeff * float(np.sum(wt[0]))
-        elif j == 2 and r == 0:
-            a = _mono_exponent(mono, (0, 1))
-            s1 = wt[0] @ _features(measures[0].atoms, a)
-            s2 = wt[1] @ _features(measures[1].atoms, a)
-            total += coeff * float(s1 @ s2)
-        elif j == 3 and r == 0:
-            ea = _mono_exponent(mono, (0, 1))
-            eb = _mono_exponent(mono, (1, 2))
-            ec = _mono_exponent(mono, (0, 2))
-            m1 = np.einsum("i,ix,iy->xy", wt[0], _features(measures[0].atoms, ec),
-                           _features(measures[0].atoms, ea))
-            m2 = np.einsum("i,ix,iy->xy", wt[1], _features(measures[1].atoms, ea),
-                           _features(measures[1].atoms, eb))
-            m3 = np.einsum("i,ix,iy->xy", wt[2], _features(measures[2].atoms, eb),
-                           _features(measures[2].atoms, ec))
-            total += coeff * float(np.trace(m1 @ m2 @ m3))
-        elif j == 1 and r == 1:
-            a = _mono_exponent(mono, (0, 1))
-            s = wt[0] @ _features(measures[0].atoms, a)
-            total = total + coeff * qf * (_features(queries[:, 0, :], a) @ s)
-        elif j == 2 and r == 1:
-            ea = _mono_exponent(mono, (0, 1))
-            eb = _mono_exponent(mono, (1, 2))
-            ec = _mono_exponent(mono, (0, 2))
-            b_mat = np.einsum("i,ix,iy->xy", wt[1], _features(measures[1].atoms, ea),
-                              _features(measures[1].atoms, eb))
-            m = np.einsum("i,ix,iy->xy", wt[0], _features(measures[0].atoms, ec),
-                          _features(measures[0].atoms, ea) @ b_mat)
-            vals = np.einsum("qx,xy,qy->q", _features(queries[:, 0, :], ec), m,
-                             _features(queries[:, 0, :], eb))
-            total = total + coeff * qf * vals
-        elif j == 1 and r == 2:
-            ea = _mono_exponent(mono, (0, 1))
-            ec = _mono_exponent(mono, (0, 2))
-            s = np.einsum("i,ix,iy->xy", wt[0], _features(measures[0].atoms, ea),
-                          _features(measures[0].atoms, ec))
-            vals = np.einsum("qx,xy,qy->q", _features(queries[:, 0, :], ea), s,
-                             _features(queries[:, 1, :], ec))
-            total = total + coeff * qf * vals
-        else:
-            raise NotImplementedError(f"contraction not available for j={j}, r={r}")
-    return total
+            self[e] = (self[e - 1][:, None, :] * xt[None, :, :]).reshape(-1, xt.shape[1])
+        return self[e]
 
 
-def _contraction_available(kernel: Kernel, d: int) -> bool:
-    poly = kernel.pair_poly
-    if poly is None or poly.nslots > 3:
-        return False
-    return d ** max(poly.max_power(), 1) <= _MAX_FEATURE_DIM
+def _anchor_factor(x: np.ndarray, anchors: np.ndarray, anchored) -> np.ndarray:
+    """prod_k <x, anchor_k>^e_k for each row of x."""
+    f = np.ones(x.shape[0])
+    for k, e in anchored:
+        f *= (x @ anchors[k]) ** e
+    return f
+
+
+def _anchor_gradient(x: np.ndarray, anchors: np.ndarray, anchored) -> np.ndarray:
+    """Gradient of the anchor factor at each row of x, as a (d, N) array."""
+    g = np.zeros((x.shape[1], x.shape[0]))
+    for i, (k, e) in enumerate(anchored):
+        rest = _anchor_factor(x, anchors, anchored[:i] + anchored[i + 1:])
+        g += anchors[k][:, None] * (e * (x @ anchors[k]) ** (e - 1) * rest)
+    return g
+
+
+def _moment(x, w, powers: _Powers, anchors, key) -> np.ndarray:
+    """The moment tensor sum_i w_i a(x_i) x_i^{(x)e}, shape (d,)*e, for
+    key = (e, anchor powers) and a the anchor factor."""
+    e, anchored = key
+    if anchored:
+        w = w * _anchor_factor(x, anchors, anchored)
+    return (powers[e] @ w).reshape((x.shape[1],) * e)
+
+
+def _moment_sum(poly, slots, queries: np.ndarray | None = None):
+    """A pair polynomial summed over the weighted atoms of its leading
+    len(slots) slots, the remaining slots at each query tuple (Q, r, d).
+    Returns a float without queries, else Q values."""
+    plan = _plan(poly)
+    j = len(slots)
+    free = [] if queries is None else list(queries.transpose(1, 0, 2))
+    powers, moments, ops = {}, {}, []
+    for s, keys in enumerate(plan.slot_keys):
+        x = slots[s].atoms if s < j else free[s - j]
+        if id(x) not in powers:
+            powers[id(x)] = _Powers(x)
+        p = powers[id(x)]
+        tensors = {}
+        for key in keys:
+            if s < j:
+                cached = (id(x), id(slots[s].weights), key)
+                if cached not in moments:
+                    moments[cached] = _moment(x, slots[s].weights, p, poly.anchors, key)
+                tensors[key] = moments[cached]
+            else:
+                t = p[key[0]] * _anchor_factor(x, poly.anchors, key[1]) if key[1] else p[key[0]]
+                tensors[key] = t.reshape((x.shape[1],) * key[0] + (x.shape[0],))
+        ops.append(tensors)
+    out = _QUERY if free else ""
+    total = 0.0
+    for coeff, letters, keys, _ in plan.monomials:
+        subs = [lets if s < j else lets + _QUERY for s, lets in enumerate(letters)]
+        total = total + coeff * np.einsum(",".join(subs) + "->" + out,
+                                          *[ops[s][key] for s, key in enumerate(keys)])
+    return total if free else float(total)
+
+
+def _moment_gradient(poly, slot) -> np.ndarray:
+    """Gradient of the polynomial summed over ``slot`` in every slot, with
+    respect to each atom of ``slot``: (N, d).
+
+    Slot s of a monomial contributes w(x) d/dx [a(x) <env, x^{(x)E}>], where
+    env contracts the moment tensors of the other slots.  Environments with
+    equal (E, anchor powers) keys are summed before they meet the atoms.
+    """
+    plan = _plan(poly)
+    x, w = slot.atoms, slot.weights
+    d = x.shape[1]
+    powers = _Powers(x)
+    moments = {key: _moment(x, w, powers, poly.anchors, key)
+               for key in {key for keys in plan.slot_keys for key in keys}}
+    envs: dict = {}
+    for coeff, _, keys, environments in plan.monomials:
+        for s, spec, others in environments:
+            env = coeff * np.einsum(spec, *[moments[keys[i]] for i in others])
+            envs[keys[s]] = envs[keys[s]] + env if keys[s] in envs else env
+    grad = np.zeros((d, x.shape[0]))
+    for (e, anchored), env in envs.items():
+        # d/dx <env, x^{(x)e}> contracts x into every position but one
+        axes = list(range(e))
+        dvalue = sum(env.transpose([k] + axes[:k] + axes[k + 1:]).reshape(d, -1) @ powers[e - 1]
+                     for k in range(e))
+        if anchored:
+            value = env.reshape(-1) @ powers[e]
+            dvalue = (_anchor_factor(x, poly.anchors, anchored) * dvalue
+                      + value * _anchor_gradient(x, poly.anchors, anchored))
+        grad += dvalue
+    return (w * grad).T
+
+
+# --- exact sums ------------------------------------------------------------------
+
+
+def _exact(kernel: Kernel, slots) -> float:
+    """Exact weighted sum of the kernel over the atom tuples of the slots;
+    a potential kernel unfolds into its base kernel's sum."""
+    if isinstance(kernel, PotentialKernel):
+        return _exact(kernel.base, kernel.measures + list(slots))
+    if _use_moments(kernel, slots):
+        return _moment_sum(kernel.pair_poly, slots)
+    return _dense_mutual(kernel, slots)
+
+
+def _points_energy(kernel: Kernel, pts: np.ndarray) -> float:
+    """Discrete energy of the rows of ``pts`` (not validated)."""
+    n = pts.shape[0]
+    return _exact(kernel, [_Atoms(pts, np.full(n, 1.0 / n))] * kernel.arity)
+
+
+def _points_gradient(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of the discrete energy with respect to every row
+    of ``pts``: (N, d)."""
+    n, arity = pts.shape[0], kernel.arity
+    slot = _Atoms(pts, np.full(n, 1.0 / n))
+    if _use_moments(kernel, [slot] * arity):
+        return _moment_gradient(kernel.pair_poly, slot)
+    grad = np.zeros_like(pts)
+    for start, stop, grid in _tuple_blocks([pts] * arity):
+        g = kernel.gradient_batch(grid)
+        for s in range(arity):
+            part = g[..., s, :].sum(axis=tuple(a for a in range(arity) if a != s))
+            if s == 0:
+                grad[start:stop] += part
+            else:
+                grad += part
+    return grad / n**arity
 
 
 # --- public operations -----------------------------------------------------------
@@ -217,7 +345,7 @@ def _validate_measures(kernel: Kernel, measures) -> list[DiscreteMeasure]:
     return measures
 
 
-def mutual_energy(kernel: Kernel, measures, *, force_dense: bool = False) -> EnergyEstimate:
+def mutual_energy(kernel: Kernel, measures) -> EnergyEstimate:
     """Exact mutual energy of a tuple of atomic measures.
 
     Computes the full weighted sum of kernel values over all atom tuples,
@@ -226,27 +354,8 @@ def mutual_energy(kernel: Kernel, measures, *, force_dense: bool = False) -> Ene
     measures = _validate_measures(kernel, measures)
     if kernel.arity > _MAX_EXACT_ARITY:
         raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
-    n_tuples = math.prod(m.n_atoms for m in measures)
-    d = measures[0].dimension
-    if isinstance(kernel, PotentialKernel):
-        # large potential-kernel energies unfold into the base kernel's
-        # mutual energy (same finite sum); small ones keep the genuine
-        # pointwise route so the two paths stay independently testable
-        inner = math.prod(m.n_atoms for m in kernel.measures)
-        if inner * n_tuples > _FAST_SWITCH:
-            return mutual_energy(kernel.base, kernel.measures + measures,
-                                 force_dense=force_dense)
-    use_fast = (not force_dense) and _contraction_available(kernel, d) and n_tuples > _FAST_SWITCH
-    if use_fast:
-        value = float(_poly_partial(kernel.pair_poly, measures, None))
-    else:
-        if n_tuples > _DENSE_LIMIT:
-            raise ValueError(
-                f"{n_tuples} atom tuples exceed the dense limit and no "
-                "contraction route applies to this kernel"
-            )
-        value = _dense_mutual(kernel, measures)
-    return EnergyEstimate(value, 0.0, n_tuples)
+    return EnergyEstimate(_exact(kernel, measures), 0.0,
+                          math.prod(m.n_atoms for m in measures))
 
 
 def discrete_energy(kernel: Kernel, config: PointConfiguration) -> EnergyEstimate:
@@ -254,17 +363,8 @@ def discrete_energy(kernel: Kernel, config: PointConfiguration) -> EnergyEstimat
     over all N^n ordered tuples, repeats included."""
     if kernel.arity > _MAX_EXACT_ARITY:
         raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
-    n = config.n_points
-    n_tuples = n ** kernel.arity
-    if n_tuples <= _DENSE_LIMIT:
-        vals = _tuple_grid_values(kernel, [config.points] * kernel.arity)
-        value = float(vals.sum()) / n_tuples
-    else:
-        empirical = DiscreteMeasure.from_configuration(config)
-        if not _contraction_available(kernel, config.dimension):
-            raise ValueError(f"{n_tuples} tuples exceed the dense limit for this kernel")
-        value = float(_poly_partial(kernel.pair_poly, [empirical] * kernel.arity, None))
-    return EnergyEstimate(value, 0.0, n_tuples)
+    return EnergyEstimate(_points_energy(kernel, config.points), 0.0,
+                          config.n_points ** kernel.arity)
 
 
 def _coerce_queries(r: int, at) -> np.ndarray:
@@ -303,21 +403,9 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
     queries = _coerce_queries(n - j, at)
     if queries.shape[2] != d:
         raise ValueError("query dimension does not match the measures")
-
-    n_tuples = math.prod(m.n_atoms for m in measures)
-    if _contraction_available(kernel, d) and n_tuples * queries.shape[0] > _FAST_SWITCH:
-        return np.asarray(_poly_partial(kernel.pair_poly, measures, queries))
-
-    if n_tuples > _DENSE_LIMIT:
-        raise ValueError("too many atom tuples for the dense potential route")
-    out = np.empty(queries.shape[0])
-    letters = "abcd"[:j]
-    spec = letters + "," + ",".join(letters) + "->"
-    for qi in range(queries.shape[0]):
-        pinned = _pin_unchecked(kernel, queries[qi])
-        vals = _tuple_grid_values(pinned, [m.atoms for m in measures])
-        out[qi] = np.einsum(spec, vals, *[m.weights for m in measures])
-    return out
+    if _use_moments(kernel, measures, queries.shape[0]):
+        return np.asarray(_moment_sum(kernel.pair_poly, measures, queries))
+    return _dense_potential(kernel, measures, queries)
 
 
 def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyEstimate:
@@ -325,7 +413,9 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
 
     Averages the kernel over independent n-tuples of i.i.d. uniform points,
     which makes the estimator unbiased with an honest standard error
-    (sample standard deviation / sqrt(tuples)).
+    (sample standard deviation / sqrt(tuples)).  Each chunk's squared
+    deviations are taken about its own mean and merged by Chan, Golub &
+    LeVeque (1979), so a large constant offset cannot cancel the variance.
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -336,7 +426,7 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     chunk = max(1, 1_500_000 // n)
     done = 0
     acc = 0.0
-    acc_sq = 0.0
+    m2 = 0.0        # sum of squared deviations from the running mean
     while done < tuples:
         count = min(chunk, tuples - done)
         pts = rng.standard_normal((count, n, d))
@@ -346,12 +436,15 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
             pts[bad] = rng.standard_normal((int(bad.sum()), d))
             norms = np.linalg.norm(pts, axis=-1, keepdims=True)
         vals = kernel.evaluate_batch(pts / norms)
-        acc += float(vals.sum())
-        acc_sq += float((vals * vals).sum())
+        total = float(vals.sum())
+        m2 += float(np.sum((vals - total / count) ** 2))
+        if done:
+            delta = total / count - acc / done
+            m2 += delta * delta * done * count / (done + count)
+        acc += total
         done += count
-    mean = acc / tuples
-    var = max(acc_sq / tuples - mean * mean, 0.0) * tuples / max(tuples - 1, 1)
-    return EnergyEstimate(mean, math.sqrt(var / tuples), tuples)
+    var = m2 / max(tuples - 1, 1)
+    return EnergyEstimate(acc / tuples, math.sqrt(var / tuples), tuples)
 
 
 # --- mixtures and potentials-as-kernels ------------------------------------------

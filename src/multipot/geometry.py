@@ -56,6 +56,8 @@ def _as_points(points, *, min_dim: int = 2) -> np.ndarray:
         raise ValueError(f"expected a (N, d) point array, got shape {pts.shape}")
     if pts.shape[1] < min_dim:
         raise ValueError(f"ambient dimension must be >= {min_dim}, got {pts.shape[1]}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point coordinates must be finite")
     return pts
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import DiscreteMeasure, PointConfiguration, sample_sphere
 from .kernels import Kernel, RieszKernel
-from .energy import MixturePolynomial, _tuple_grid_values, mixture_polynomial
+from .energy import MixturePolynomial, _points_energy, _points_gradient, mixture_polynomial
 
 __all__ = [
     "OptimizerConfig",
@@ -64,121 +64,8 @@ class OptimizationTrace:
         return self.energies[-1]
 
 
-_LETTERS = "abcdef"
-
-
-def _gram_fast_applicable(kernel: Kernel) -> bool:
-    poly = kernel.pair_poly
-    return poly is not None and poly.n_anchors == 0 and poly.nslots <= 4
-
-
-def _gram_powers(gram: np.ndarray):
-    cache = {0: np.ones_like(gram), 1: gram}
-
-    def power(e: int) -> np.ndarray:
-        top = max(cache)
-        while top < e:
-            top += 1
-            cache[top] = cache[top - 1] * gram
-        return cache[e]
-
-    return power
-
-
-def _poly_energy_gram(kernel: Kernel, pts: np.ndarray) -> float:
-    """Discrete energy of a pair polynomial straight from the Gram matrix."""
-    poly = kernel.pair_poly
-    n_pts = pts.shape[0]
-    n = poly.nslots
-    power = _gram_powers(pts @ pts.T)
-    total = 0.0
-    for mono, coeff in poly.terms.items():
-        if not mono:
-            total += coeff * n_pts**n
-            continue
-        subs, ops, used = [], [], set()
-        for (i, j), e in mono:
-            subs.append(_LETTERS[i] + _LETTERS[j])
-            ops.append(power(e))
-            used.update((i, j))
-        val = float(np.einsum(",".join(subs) + "->", *ops))
-        total += coeff * val * n_pts ** (n - len(used))
-    return total / n_pts**n
-
-
-def _poly_gradient_gram(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the discrete energy via d/dGram chain rule."""
-    poly = kernel.pair_poly
-    n_pts = pts.shape[0]
-    n = poly.nslots
-    gram = pts @ pts.T
-    power = _gram_powers(gram)
-    dedg = np.zeros_like(gram)
-    ones = np.ones(n_pts)
-    for mono, coeff in poly.terms.items():
-        for k, ((i, j), e) in enumerate(mono):
-            out = _LETTERS[i] + _LETTERS[j]
-            subs, ops = [], []
-            covered = {i, j}
-            for kk, ((a, b), ee) in enumerate(mono):
-                if kk == k:
-                    continue
-                subs.append(_LETTERS[a] + _LETTERS[b])
-                ops.append(power(ee))
-                covered.update((a, b))
-            for s in (i, j):
-                if not any(s in (a, b) for kk, ((a, b), _) in enumerate(mono) if kk != k):
-                    subs.append(_LETTERS[s])
-                    ops.append(ones)
-            if ops:
-                rest = np.einsum(",".join(subs) + "->" + out, *ops)
-            else:
-                rest = np.ones_like(gram)
-            scale = n_pts ** (n - len(covered))
-            dedg += (coeff * e * scale) * power(e - 1) * rest
-    return (dedg + dedg.T) @ pts / n_pts**n
-
-
-def _raw_energy(kernel: Kernel, pts: np.ndarray) -> float:
-    if _gram_fast_applicable(kernel):
-        return _poly_energy_gram(kernel, pts)
-    n = pts.shape[0]
-    vals = _tuple_grid_values(kernel, [pts] * kernel.arity)
-    return float(vals.sum()) / n**kernel.arity
-
-
-def _raw_gradient(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the discrete energy with respect to every
-    point, shape (N, d)."""
-    if _gram_fast_applicable(kernel):
-        return _poly_gradient_gram(kernel, pts)
-    n_arity = kernel.arity
-    n, d = pts.shape
-    grad = np.zeros((n, d))
-    rest = n ** (n_arity - 1)
-    chunk = max(1, 2_000_000 // max(rest, 1))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        block = (stop - start,) + (n,) * (n_arity - 1)
-        grid = np.empty(block + (n_arity, d))
-        for s in range(n_arity):
-            seg = pts[start:stop] if s == 0 else pts
-            shape = [1] * n_arity
-            shape[s] = seg.shape[0]
-            grid[..., s, :] = seg.reshape(tuple(shape) + (d,))
-        g = kernel.gradient_batch(grid)
-        for s in range(n_arity):
-            axes = tuple(a for a in range(n_arity) if a != s)
-            contribution = g[..., s, :].sum(axis=axes)
-            if s == 0:
-                grad[start:stop] += contribution
-            else:
-                grad += contribution
-    return grad / n**n_arity
-
-
 def _tangent(pts: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    radial = np.einsum("nd,nd->n", grad, pts)
+    radial = np.sum(grad * pts, axis=1)
     return grad - radial[:, None] * pts
 
 
@@ -199,7 +86,7 @@ def _fd_point_gradient(kernel: Kernel, pts: np.ndarray, i: int, eps: float) -> n
         plus[i, c] += eps
         minus = pts.copy()
         minus[i, c] -= eps
-        grad[c] = (_raw_energy(kernel, plus) - _raw_energy(kernel, minus)) / (2 * eps)
+        grad[c] = (_points_energy(kernel, plus) - _points_energy(kernel, minus)) / (2 * eps)
     return grad
 
 
@@ -208,7 +95,7 @@ def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
     """Tangent-space gradient of the discrete energy with respect to the
     i-th point.
 
-    Analytic mode differentiates through the pairwise inner products;
+    Analytic mode takes the exact gradient from the energy module;
     finite-difference mode uses central differences in ambient
     coordinates.  Both are projected onto the tangent space at the point.
     """
@@ -220,7 +107,7 @@ def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
                       "falling back to finite differences", stacklevel=2)
         mode = "finite_difference"
     if mode == "analytic":
-        grad = _raw_gradient(kernel, pts)[i]
+        grad = _points_gradient(kernel, pts)[i]
     elif mode == "finite_difference":
         grad = _fd_point_gradient(kernel, pts, i, fd_epsilon)
     else:
@@ -235,7 +122,7 @@ def _full_tangent_gradient(kernel: Kernel, pts: np.ndarray, cfg: OptimizerConfig
             warnings.warn("coincident points with a singular gradient; "
                           "falling back to finite differences", stacklevel=2)
         else:
-            return _tangent(pts, _raw_gradient(kernel, pts))
+            return _tangent(pts, _points_gradient(kernel, pts))
     grad = np.stack([
         _fd_point_gradient(kernel, pts, i, cfg.fd_epsilon) for i in range(pts.shape[0])
     ])
@@ -266,7 +153,7 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
         pts = _renormalize(pts)
 
     sign = -1.0 if cfg.maximize else 1.0   # descend on sign * E
-    energy = _raw_energy(kernel, pts)
+    energy = _points_energy(kernel, pts)
     energies = [energy]
     step = cfg.step_size
     iterations = 0
@@ -283,7 +170,7 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
         accepted = False
         for _ in range(60):
             cand = _renormalize(pts + t * direction)
-            cand_energy = _raw_energy(kernel, cand)
+            cand_energy = _points_energy(kernel, cand)
             if sign * (cand_energy - energy) <= -_ARMIJO * t * gnorm2:
                 accepted = True
                 break

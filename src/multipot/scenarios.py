@@ -23,6 +23,7 @@ import warnings
 import numpy as np
 
 from . import certify, energy, kernels, optimize
+from .config import DEFAULT_TOLERANCES
 from .geometry import (
     DiscreteMeasure,
     basis_vector,
@@ -41,14 +42,22 @@ class UnknownScenario(KeyError):
     """Raised for scenario names not present in the registry."""
 
 
-def _plain(value):
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+def _jsonify(obj):
+    """numpy scalars and arrays (also inside dicts and lists) as plain
+    JSON-serializable Python values."""
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonify(v) for v in obj.tolist()]
+    return obj
 
 
 def _assertion(description, observed, expected, tolerance, source, formula=None):
@@ -56,7 +65,7 @@ def _assertion(description, observed, expected, tolerance, source, formula=None)
         raise ValueError(f"unknown assertion source '{source}'")
     if source == "closed-form" and formula is None:
         raise ValueError("closed-form assertions must carry a formula")
-    observed, expected, tolerance = _plain(observed), _plain(expected), _plain(tolerance)
+    observed, expected, tolerance = _jsonify(observed), _jsonify(expected), _jsonify(tolerance)
     if isinstance(observed, bool) or isinstance(expected, bool):
         passed = bool(observed) == bool(expected)
     elif tolerance is None:
@@ -100,7 +109,8 @@ def _mc_scenario(name, kernel_factory, dims, target, formula, seed, tuples, tol_
         est = energy.mc_energy_uniform(kernel_factory(), d, tuples, seed + 101 * i)
         assertions.append(_assertion(
             f"MC energy of the uniform measure, d={d}",
-            est.value, target(d), 4.0 * est.stderr * tol_scale, source, formula,
+            est.value, target(d), DEFAULT_TOLERANCES.mc_sigma * est.stderr * tol_scale,
+            source, formula,
         ))
         stderr_cap = 5e-4 * math.sqrt(max(DEFAULT_TUPLES / tuples, 1.0))
         assertions.append(_assertion(
@@ -232,7 +242,8 @@ def _scenario_s011_potential(seed, tuples, tol_scale, d=3, surrogate_size=100_00
         rows = kernel.evaluate_batch(triples)
         stderr = float(rows.std(ddof=1) / math.sqrt(surrogate_size))
         ref = float(x @ y) / d
-        worst = max(worst, abs(values[q] - ref) / max(4.0 * stderr * tol_scale, 1e-300))
+        band = DEFAULT_TOLERANCES.mc_sigma * stderr * tol_scale
+        worst = max(worst, abs(values[q] - ref) / max(band, 1e-300))
         if q == 0:
             assertions.append(_assertion(
                 "potential matches the direct row average", float(rows.mean()),
@@ -330,14 +341,6 @@ def _scenario_s100_nonconvex(seed, tuples, tol_scale, d=3, surrogate_size=20000)
                    assertions)
 
 
-def _random_probability_measure(rng, d, max_atoms=5):
-    k = int(rng.integers(2, max_atoms + 1))
-    atoms = rng.standard_normal((k, d))
-    atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
-    w = rng.random(k) + 1e-3
-    return DiscreteMeasure(atoms, w / w.sum())
-
-
 def _scenario_derivative_identities(seed, tuples, tol_scale, setups_per_arity=25):
     rng = np.random.default_rng(seed + 11)
     with warnings.catch_warnings():
@@ -358,8 +361,8 @@ def _scenario_derivative_identities(seed, tuples, tol_scale, setups_per_arity=25
     for n, bank in kernels_by_arity.items():
         for i in range(setups_per_arity):
             kernel = bank[i % len(bank)]
-            mu = _random_probability_measure(rng, 3)
-            nu = _random_probability_measure(rng, 3)
+            mu = certify._random_probability_measure(rng, 3)
+            nu = certify._random_probability_measure(rng, 3)
             probe = certify.convexity_probe(kernel, mu, nu, grid=5)
             lhs1, rhs1 = probe.h_prime_0, (2.0 / n) * probe.g_prime_0
             lhs2, rhs2 = probe.h_double_prime_0, (2.0 / (n * (n - 1))) * probe.g_double_prime_0

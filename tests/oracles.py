@@ -68,3 +68,18 @@ def moment_mc(d, samples, seed):
 def measure_as_pairs(measure):
     """DiscreteMeasure -> [(w, atom), ...] for the brute-force oracles."""
     return [(float(w), np.array(a)) for w, a in zip(measure.weights, measure.atoms)]
+
+
+def pair_poly_fn(terms, anchors):
+    """Plain evaluator of a pair polynomial {(((i, j), e), ...): coeff};
+    indices past the kernel's inputs address the rows of ``anchors``."""
+    def fn(*points):
+        vecs = list(points) + list(anchors)
+        total = 0.0
+        for mono, coeff in terms.items():
+            term = coeff
+            for (a, b), e in mono:
+                term *= float(np.dot(vecs[a], vecs[b])) ** e
+            total += term
+        return total
+    return fn

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import multipot.energy as energy_mod
+from multipot.kernels import PolynomialKernel
 from multipot import (
     DiscreteMeasure,
     PointConfiguration,
@@ -27,6 +28,7 @@ from multipot import (
     pin,
     potential,
     prod_f_uvt,
+    prod_lift,
     quad_a,
     s011,
     s100,
@@ -154,14 +156,14 @@ def test_mutual_validation_errors():
 
 
 def test_contraction_route_matches_dense_route():
-    # 41^3 = 68921 atom tuples crosses the dispatch threshold
     kernels_under_test = [uvt(), vol2(), area2(), s011(), s100(),
                           quad_a(0.5, shift=True), prod_f_uvt(coeffs=[0.5, 0.0, 2.0]),
                           pin(sum_lift(inner(), 4), E1)]
     measures = [_random_measure(41, 3, s, probability=False) for s in (7, 8, 9)]
     for kernel in kernels_under_test:
+        assert energy_mod._use_moments(kernel, measures)
         fast = mutual_energy(kernel, measures).value
-        dense = mutual_energy(kernel, measures, force_dense=True).value
+        dense = energy_mod._dense_mutual(kernel, measures)
         assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
 
@@ -169,9 +171,34 @@ def test_contraction_route_two_input_with_anchor():
     pinned = pin(neg_vol2(), E1)
     m1 = _random_measure(300, 3, 10, probability=False)
     m2 = _random_measure(300, 3, 11, probability=False)
+    assert energy_mod._use_moments(pinned, [m1, m2])
     fast = mutual_energy(pinned, [m1, m2]).value
-    dense = mutual_energy(pinned, [m1, m2], force_dense=True).value
+    dense = energy_mod._dense_mutual(pinned, [m1, m2])
     assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+
+def test_arity_four_lifts_take_moment_route():
+    measures = [_random_measure(41, 3, s, probability=False) for s in (12, 13, 14, 15)]
+    with pytest.warns(UserWarning):
+        product = prod_lift(inner(), 4)
+    for kernel in (sum_lift(inner(), 4), product):
+        assert energy_mod._use_moments(kernel, measures)
+        fast = mutual_energy(kernel, measures).value
+        dense = energy_mod._dense_mutual(kernel, measures)
+        assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+
+def test_discrete_energy_beyond_dense_limit_matches_gram():
+    # 300^3 = 27M triples exceed the dense limit; the moment route needs
+    # tensors of d^2 = 10^4 entries per atom
+    pts = sample_sphere(100, 300, 41).points
+    n = pts.shape[0]
+    g = pts @ pts.T
+    rows = g.sum(axis=1)
+    expected = (0.75 - 1.5 * g.sum() / n**2 + 1.5 * (rows @ rows) / n**3
+                - 0.75 * (g * g).sum() / n**2)
+    value = discrete_energy(area2(), PointConfiguration(pts)).value
+    assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # --- potentials --------------------------------------------------------------------
@@ -205,19 +232,18 @@ def test_potential_then_integrate_equals_mutual():
             assert float(weights @ values) == pytest.approx(full, abs=1e-12)
 
 
-def test_potential_fast_route_matches_dense_route(monkeypatch):
+def test_potential_fast_route_matches_dense_route():
     mu = uniform_surrogate(3, 120, 3)
-    queries = sample_sphere(3, 5, 31)
-    dense = potential(area2(), [mu, mu], queries.points)
-    monkeypatch.setattr(energy_mod, "_FAST_SWITCH", 1)
-    fast = potential(area2(), [mu, mu], queries.points)
+    queries = sample_sphere(3, 5, 31).points[:, None, :]
+    assert energy_mod._use_moments(area2(), [mu, mu], len(queries))
+    fast = potential(area2(), [mu, mu], queries)
+    dense = energy_mod._dense_potential(area2(), [mu, mu], queries)
     assert np.max(np.abs(fast - dense)) <= 1e-12
 
     pair_queries = sample_sphere(3, 8, 33).points.reshape(4, 2, 3)
-    monkeypatch.setattr(energy_mod, "_FAST_SWITCH", 65536)
-    dense1 = potential(s011(), [mu], pair_queries)
-    monkeypatch.setattr(energy_mod, "_FAST_SWITCH", 1)
+    assert energy_mod._use_moments(s011(), [mu], len(pair_queries))
     fast1 = potential(s011(), [mu], pair_queries)
+    dense1 = energy_mod._dense_potential(s011(), [mu], pair_queries)
     assert np.max(np.abs(fast1 - dense1)) <= 1e-12
 
 
@@ -285,6 +311,17 @@ def test_mc_deterministic_given_seed():
     a = mc_energy_uniform(area2(), 3, 50_000, 99)
     b = mc_energy_uniform(area2(), 3, 50_000, 99)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+def test_mc_stderr_survives_constant_offset():
+    # a one-pass E[X^2] - E[X]^2 variance cancels to 0 under a 1e9 offset
+    base = quad_a(0.5)
+    offset = PolynomialKernel("offset", base.pair_poly.shifted_constant(1e9),
+                              rotation_invariant=True)
+    plain = mc_energy_uniform(base, 3, 20_000, 1)
+    shifted = mc_energy_uniform(offset, 3, 20_000, 1)
+    assert not shifted.is_exact
+    assert shifted.stderr == pytest.approx(plain.stderr, rel=1e-3)
 
 
 # --- mixture polynomials -----------------------------------------------------------
@@ -357,7 +394,7 @@ def test_potential_kernel_pointwise_vs_expanded():
     nu1 = _random_measure(3, 3, 96)
     nu2 = _random_measure(2, 3, 97)
     u = PotentialKernel(area2(), [mu])
-    small = mutual_energy(u, [nu1, nu2]).value          # genuine pointwise route
+    small = energy_mod._dense_mutual(u, [nu1, nu2])     # genuine pointwise route
     expanded = mutual_energy(area2(), [mu, nu1, nu2]).value
     assert small == pytest.approx(expanded, abs=1e-12)
 

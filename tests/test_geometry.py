@@ -189,3 +189,13 @@ def test_configuration_immutable():
     config = sample_sphere(3, 4, 0)
     with pytest.raises(ValueError):
         config.points[0, 0] = 2.0
+
+
+def test_nonfinite_coordinates_rejected():
+    e1 = basis_vector(0, 3)
+    for bad in (np.nan, np.inf):
+        pts = np.stack([e1, np.array([bad, 0.0, 0.0])])
+        with pytest.raises(ValueError, match="finite"):
+            PointConfiguration(pts)
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(pts, np.array([0.5, 0.5]))

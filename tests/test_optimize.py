@@ -59,11 +59,11 @@ def test_gradient_analytic_matches_finite_difference():
         assert np.linalg.norm(ga - gf) / denom <= 1e-6
 
 
-def test_gram_fast_path_matches_tuple_grid():
-    # the Gram-matrix evaluation used inside the optimizer must agree
-    # with the direct tuple-grid sum for every polynomial kernel
-    from multipot.energy import _tuple_grid_values
-    from multipot.optimize import _poly_energy_gram, _poly_gradient_gram
+def test_moment_route_matches_tuple_grid():
+    # the moment route's energies and gradients (which the optimizer uses)
+    # must agree with the dense tuple-grid sum and with finite differences
+    # for every polynomial kernel, arity-4 lifts included
+    from multipot import energy as energy_mod
     from multipot import sum_lift as slift, prod_lift as plift, inner as inr
     import warnings
 
@@ -75,17 +75,22 @@ def test_gram_fast_path_matches_tuple_grid():
         bank = [area2(), uvt(), vol2(), s011(), quad_a(0.7, shift=True),
                 slift(inr(), 4), plift(inr(), 4),
                 prod_f_uvt([0.0, 0.0, 0.0, 1.0])]   # cubed pair powers
+    weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
+
+    def moment_energy(kernel, p):
+        slots = [energy_mod._Atoms(p, weights)] * kernel.arity
+        return energy_mod._moment_sum(kernel.pair_poly, slots)
+
     for kernel in bank:
-        n = pts.shape[0]
-        grid = float(_tuple_grid_values(kernel, [pts] * kernel.arity).sum()) / n**kernel.arity
-        assert _poly_energy_gram(kernel, pts) == pytest.approx(grid, rel=1e-12, abs=1e-12)
-        grad = _poly_gradient_gram(kernel, pts)
+        grid = energy_mod._dense_mutual(kernel, [energy_mod._Atoms(pts, weights)] * kernel.arity)
+        assert moment_energy(kernel, pts) == pytest.approx(grid, rel=1e-12, abs=1e-12)
+        grad = energy_mod._moment_gradient(kernel.pair_poly, energy_mod._Atoms(pts, weights))
         eps = 1e-6
         for (i, c) in ((0, 0), (4, 2), (8, 1)):
             plus, minus = pts.copy(), pts.copy()
             plus[i, c] += eps
             minus[i, c] -= eps
-            fd = (_poly_energy_gram(kernel, plus) - _poly_energy_gram(kernel, minus)) / (2 * eps)
+            fd = (moment_energy(kernel, plus) - moment_energy(kernel, minus)) / (2 * eps)
             assert grad[i, c] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 

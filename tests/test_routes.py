@@ -1,0 +1,96 @@
+"""Cross-route agreement on random pair polynomials.
+
+Seeded random polynomials -- arity 2-4, random monomials and exponents,
+anchor points, signed coefficients -- are summed by the power-moment
+route, the dense tuple grid and the plain-Python oracles, for mutual
+energies and for potentials with one and two free slots.  Analytic
+gradients are checked against central differences of the oracle.
+"""
+import numpy as np
+import pytest
+
+from multipot import DiscreteMeasure, mutual_energy, potential
+from multipot import energy as energy_mod
+from multipot.kernels import PairPolynomial, PolynomialKernel
+from oracles import brute_mutual, measure_as_pairs, pair_poly_fn
+
+SEEDS = range(24)
+
+
+def _unit_rows(rng, n, d):
+    x = rng.standard_normal((n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _random_case(seed, min_arity=2):
+    """A random pair-polynomial kernel, its oracle and signed measures."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    nslots = int(rng.integers(min_arity, 5))
+    anchors = _unit_rows(rng, int(rng.integers(0, 3)), d)
+    terms = {}
+    for _ in range(int(rng.integers(1, 6))):
+        mono = {}
+        for _ in range(int(rng.integers(0, 4))):
+            a, b = sorted(int(i) for i in rng.choice(nslots + len(anchors), 2, replace=False))
+            if a < nslots:          # anchor-anchor pairs are never stored
+                mono[(a, b)] = mono.get((a, b), 0) + int(rng.integers(1, 3))
+        terms[tuple(sorted(mono.items()))] = float(rng.normal())
+    kernel = PolynomialKernel("random", PairPolynomial(terms, nslots, anchors),
+                              rotation_invariant=False)
+    sizes = rng.integers(1, 4, nslots)
+    measures = [DiscreteMeasure(_unit_rows(rng, k, d), rng.normal(size=k)) for k in sizes]
+    return kernel, pair_poly_fn(terms, anchors), measures, rng
+
+
+def _close(value, ref):
+    return value == pytest.approx(ref, rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mutual_energy_routes_agree(seed):
+    kernel, fn, measures, _ = _random_case(seed)
+    ref = brute_mutual(fn, [measure_as_pairs(m) for m in measures])
+    assert _close(energy_mod._moment_sum(kernel.pair_poly, measures), ref)
+    assert _close(energy_mod._dense_mutual(kernel, measures), ref)
+    assert _close(mutual_energy(kernel, measures).value, ref)
+
+
+@pytest.mark.parametrize("free", [1, 2])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_potential_routes_agree(seed, free):
+    kernel, fn, measures, rng = _random_case(seed, min_arity=free + 1)
+    j = kernel.arity - free
+    d = measures[0].dimension
+    queries = _unit_rows(rng, 3 * free, d).reshape(3, free, d)
+    ref = [brute_mutual(lambda *xs, q=q: fn(*xs, *q), [measure_as_pairs(m) for m in measures[:j]])
+           for q in queries]
+    moment = energy_mod._moment_sum(kernel.pair_poly, measures[:j], queries)
+    dense = energy_mod._dense_potential(kernel, measures[:j], queries)
+    routed = potential(kernel, measures[:j], queries)
+    for values in (moment, dense, routed):
+        assert all(_close(v, r) for v, r in zip(values, ref))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gradients_match_finite_differences(seed):
+    kernel, fn, measures, rng = _random_case(seed)
+    pts, weights = measures[0].atoms, measures[0].weights
+    n, d = pts.shape
+
+    def oracle(p, w):
+        return brute_mutual(fn, [list(zip(w, p))] * kernel.arity)
+
+    uniform = np.full(n, 1.0 / n)
+    analytic = [
+        (energy_mod._moment_gradient(kernel.pair_poly, energy_mod._Atoms(pts, weights)), weights),
+        (energy_mod._points_gradient(kernel, pts), uniform),
+    ]
+    eps = 1e-6
+    for i, c in zip(rng.integers(0, n, 3), rng.integers(0, d, 3)):
+        plus, minus = pts.copy(), pts.copy()
+        plus[i, c] += eps
+        minus[i, c] -= eps
+        for grad, w in analytic:
+            fd = (oracle(plus, w) - oracle(minus, w)) / (2 * eps)
+            assert grad[i, c] == pytest.approx(fd, rel=1e-5, abs=1e-7)

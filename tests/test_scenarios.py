@@ -178,3 +178,25 @@ def test_cli_scenarios_listing():
 def test_cli_usage_error_codes():
     assert _run_cli("energy", "--kernel", "vol2").returncode == 64
     assert _run_cli("energy-int", "--kernel", "nope", "--d", "3").returncode == 64
+
+
+def test_cli_usage_errors_say_why(tmp_path, capsys):
+    from multipot.cli import main
+
+    measure = tmp_path / "mu.csv"
+    write_measure_csv(measure, DiscreteMeasure.dirac(basis_vector(0, 3)))
+    points = tmp_path / "at.csv"
+    write_points_csv(points, sample_sphere(3, 2, 1))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["potential", "--kernel", "uvt", "--measure", str(measure),
+              "--measure", str(measure), "--order", "1", "--at", str(points)])
+    assert exit_info.value.code == 64
+    assert "multipot: error: --order 1" in capsys.readouterr().err
+
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("seed=3\nscenario bcr-shift\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--config", str(cfg)])
+    assert exit_info.value.code == 64
+    err = capsys.readouterr().err
+    assert "multipot: error:" in err and ":2: expected key=value" in err
