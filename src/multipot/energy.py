@@ -160,11 +160,12 @@ def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
 
     ``slots`` carry the atoms of the integrated (leading) slots; each
     remaining slot takes one of ``queries`` points or tuples.  The moment
-    route runs for a pair polynomial when the entries it builds (tensor
-    powers of each slot and one contraction per monomial) are no more than
-    the dense route reads: per tuple, the points, their pair products and
-    one value per monomial.  Raises when the dense route would exceed the
-    work limit.
+    route runs for a pair polynomial when the entries it builds and reads
+    (tensor powers of each slot, one d-vector pass over a slot's rows per
+    anchor factor of each of its keys, and one contraction per monomial)
+    are no more than the dense route reads: per tuple, the points, their
+    pair products and one value per monomial.  Raises when the dense route
+    would exceed the work limit.
     """
     d = slots[0].atoms.shape[1]
     rows = [s.atoms.shape[0] for s in slots]
@@ -173,7 +174,8 @@ def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
     if plan is not None:
         rows += [queries] * (kernel.arity - len(slots))
         size = queries * sum(d**c for c in plan.letter_counts)
-        size += sum(n * sum(d**e for e, _ in keys) for n, keys in zip(rows, plan.slot_keys))
+        size += sum(n * sum(d**e + d * len(anchored) for e, anchored in keys)
+                    for n, keys in zip(rows, plan.slot_keys))
         per_tuple = (kernel.arity + plan.pairs) * d + len(plan.monomials)
         if size <= min(tuples * queries * per_tuple, _WORK_LIMIT):
             return True
@@ -423,7 +425,7 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
         raise ValueError(f"need at least 100 tuples, got {tuples}")
     n = kernel.arity
     rng = np.random.default_rng(seed)
-    chunk = max(1, 1_500_000 // n)
+    chunk = max(1, 200_000 // n)     # points per chunk: a few MiB per array at small d
     done = 0
     acc = 0.0
     m2 = 0.0        # sum of squared deviations from the running mean

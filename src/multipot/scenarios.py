@@ -361,8 +361,8 @@ def _scenario_derivative_identities(seed, tuples, tol_scale, setups_per_arity=25
     for n, bank in kernels_by_arity.items():
         for i in range(setups_per_arity):
             kernel = bank[i % len(bank)]
-            mu = certify._random_probability_measure(rng, 3)
-            nu = certify._random_probability_measure(rng, 3)
+            mu = DiscreteMeasure(*certify._random_atoms(rng, 3))
+            nu = DiscreteMeasure(*certify._random_atoms(rng, 3))
             probe = certify.convexity_probe(kernel, mu, nu, grid=5)
             lhs1, rhs1 = probe.h_prime_0, (2.0 / n) * probe.g_prime_0
             lhs2, rhs2 = probe.h_double_prime_0, (2.0 / (n * (n - 1))) * probe.g_double_prime_0

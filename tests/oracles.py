@@ -83,3 +83,56 @@ def pair_poly_fn(terms, anchors):
             total += term
         return total
     return fn
+
+
+def inequality_suite_loop(kernel, d, trials, seed, violation_tol=1e-10):
+    """The inequality suite one trial at a time, as a dict of report fields.
+
+    Draws from ``certify._random_atoms`` in the suite's order (the draw
+    order is part of the suite's contract) and computes every energy with
+    ``mutual_energy`` on validated measures and every kernel value with
+    ``kernel.evaluate``, so it shares no batching code with the suite.
+    """
+    from multipot import DiscreteMeasure, basis_vector, mutual_energy
+    from multipot.certify import _random_atoms
+
+    n = kernel.arity
+    rng = np.random.default_rng(seed)
+    am_worst = lower_worst = diag_worst = -np.inf
+    gm_worst = None
+    am_bad = gm_bad = lower_bad = diag_bad = gm_trials = 0
+    for _ in range(trials):
+        measures = [DiscreteMeasure(*_random_atoms(rng, d)) for _ in range(n)]
+        singles = [mutual_energy(kernel, [m] * n).value for m in measures]
+        mixed = mutual_energy(kernel, measures).value
+        am_res = mixed - float(np.mean(singles))
+        am_worst = max(am_worst, am_res)
+        am_bad += am_res > violation_tol
+        lower_res = -float(np.mean(singles)) - mixed
+        lower_worst = max(lower_worst, lower_res)
+        lower_bad += lower_res > violation_tol
+        if all(s >= 0.0 for s in singles):
+            gm_trials += 1
+            gm_res = mixed - float(np.prod([s ** (1.0 / n) for s in singles]))
+            gm_worst = gm_res if gm_worst is None else max(gm_worst, gm_res)
+            gm_bad += gm_res > violation_tol
+
+        zs = rng.standard_normal((n, d))
+        zs /= np.linalg.norm(zs, axis=1, keepdims=True)
+        probes = np.vstack([zs, basis_vector(0, d)[None, :]])
+        diag_vals = [kernel.evaluate(np.repeat(z[None, :], n, axis=0)) for z in probes]
+        diag_res = kernel.evaluate(zs) - max(diag_vals)
+        diag_worst = max(diag_worst, diag_res)
+        diag_bad += diag_res > violation_tol
+    return {
+        "trials": trials,
+        "am_worst": float(am_worst),
+        "gm_worst": None if gm_worst is None else float(gm_worst),
+        "lower_worst": float(lower_worst),
+        "diagonal_worst": float(diag_worst),
+        "am_violations": int(am_bad),
+        "gm_violations": int(gm_bad),
+        "lower_violations": int(lower_bad),
+        "diagonal_violations": int(diag_bad),
+        "gm_trials": gm_trials,
+    }

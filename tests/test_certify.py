@@ -18,6 +18,7 @@ from multipot import (
     pd_test_2input,
     pin,
     potential_constancy_check,
+    prod_f_uvt,
     prod_lift,
     quad_a,
     riesz,
@@ -28,8 +29,10 @@ from multipot import (
     sum_lift,
     uniform_surrogate,
     uvt,
+    vol2,
 )
-from multipot.certify import _balanced_basis, _kernel_matrix, _matrix_min_eig
+from multipot.certify import _balanced_basis, _kernel_matrix, _matrix_min_eig, _trials_per_chunk
+from oracles import inequality_suite_loop
 
 E1, E2, E3 = (basis_vector(i, 3) for i in range(3))
 
@@ -334,6 +337,35 @@ def test_inequality_suite_s100_violates_am():
     assert report.am_violations > 0
 
 
+_SUITE_KERNELS = {
+    "inner": inner, "uvt": uvt, "quad_a(0.5,shift)": lambda: quad_a(0.5, shift=True),
+    "s100": s100, "sum_lift(inner,4)": lambda: sum_lift(inner(), 4),
+    "prod_f_uvt(exp)": lambda: prod_f_uvt(f="exp"), "pin(vol2,e1)": lambda: pin(vol2(), E1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUITE_KERNELS))
+def test_inequality_suite_matches_trial_loop(name):
+    # the batched suite against the one-trial-at-a-time oracle, across
+    # chunk boundaries: counts exactly, residuals up to summation order
+    kernel = _SUITE_KERNELS[name]()
+    chunk = _trials_per_chunk(kernel.arity)
+    for trials in sorted({1, max(chunk - 1, 1), chunk + 1, 200}):
+        seed = 300 + trials
+        got = inequality_suite(kernel, 3, trials=trials, seed=seed).as_dict()
+        want = inequality_suite_loop(kernel, 3, trials, seed)
+        for key in ("trials", "am_violations", "gm_violations", "lower_violations",
+                    "diagonal_violations", "gm_trials"):
+            assert got[key] == want[key], (trials, key)
+        for key in ("am_worst", "gm_worst", "lower_worst", "diagonal_worst"):
+            if want[key] is None:
+                assert got[key] is None, (trials, key)
+            else:
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12), (trials, key)
+
+
 def test_inequality_suite_validation():
     with pytest.raises(ValueError):
         inequality_suite(uvt(), 3, trials=0)
+    with pytest.raises(ValueError):
+        inequality_suite(sum_lift(inner(), 5), 3, trials=1)

@@ -177,6 +177,21 @@ def test_contraction_route_two_input_with_anchor():
     assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
 
+def test_anchored_kernels_route_by_size():
+    # the anchor-factor passes count against the moment route: pinned
+    # 2-atom measures, where it measured slower, take the dense route,
+    # while large measures keep the moment route
+    for kernel in (pin(vol2(), E1), pin(neg_area2(), E1)):
+        small = [_random_measure(2, 3, s) for s in (16, 17)]
+        assert not energy_mod._use_moments(kernel, small)
+        assert mutual_energy(kernel, small).value == pytest.approx(
+            energy_mod._moment_sum(kernel.pair_poly, small), rel=1e-12, abs=1e-12)
+    large = [_random_measure(1000, 3, s) for s in (18, 19, 20)]
+    for kernel in (pin(vol2(), E1), pin(neg_area2(), E1), pin(s011(), E1),
+                   pin(uvt(), E1), pin(sum_lift(inner(), 4), E1)):
+        assert energy_mod._use_moments(kernel, large[:kernel.arity])
+
+
 def test_arity_four_lifts_take_moment_route():
     measures = [_random_measure(41, 3, s, probability=False) for s in (12, 13, 14, 15)]
     with pytest.warns(UserWarning):

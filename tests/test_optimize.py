@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import multipot.energy as energy_mod
+
 from multipot import (
     DiscreteMeasure,
     OptimizerConfig,
@@ -228,3 +230,14 @@ def test_local_min_probe_requires_probability():
         local_min_probe(area2(), signed, [mu])
     with pytest.raises(ValueError):
         local_min_probe(area2(), mu, [signed])
+
+
+@pytest.mark.parametrize("kernel", [area2(), vol2()], ids=["area2", "vol2"])
+def test_descent_final_energy_matches_dense_sum(kernel):
+    # the optimizer's energies come from the moment engine; the dense tuple
+    # sum is an independent route to the same value
+    cfg = OptimizerConfig(steps=20, step_size=1.0, seed=5, maximize=True, stop_tol=1e-12)
+    trace = optimize_discrete(kernel, 40, 3, cfg)
+    measure = DiscreteMeasure(trace.final_config.points)
+    dense = energy_mod._dense_mutual(kernel, [measure] * 3)
+    assert trace.final_energy == pytest.approx(dense, rel=1e-12)
