@@ -16,13 +16,11 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .geometry import DiscreteMeasure, basis_vector
-from .kernels import Kernel, cpd_shift, pin, _pin_unchecked
+from .kernels import Kernel, cpd_shift, pin
 from .energy import (
     _MAX_EXACT_ARITY,
     MixturePolynomial,
-    PotentialKernel,
     mixture_polynomial,
-    mutual_energy,
     potential,
 )
 
@@ -183,8 +181,8 @@ def npd_test(kernel: Kernel, d: int, *, conditional: bool = False,
     Pins n-2 slots and delegates to :func:`pd_test_2input`.  The canonical
     pin (e_1, ..., e_{n-2}) is always tried first; for rotationally
     invariant kernels it is the only pin that matters in principle, but
-    random pins are mixed in regardless in case the invariance flag is
-    wrong.  The canonical pin's point sets include a small deterministic
+    random pins are mixed in regardless, since invariance is not checked
+    here.  The canonical pin's point sets include a small deterministic
     probe set (basis vectors and -e_1) so that standard counterexamples
     are found reproducibly.
     """
@@ -226,7 +224,8 @@ class ConvexityReport:
     """Convexity diagnostics of the mixture t -> I_K((1-t) mu + t nu).
 
     g is the full n-input mixture polynomial; h is the two-input mixture
-    through the (n-2)-fold potential of the kernel with respect to mu.
+    through the (n-2)-fold potential of the kernel with respect to mu, whose
+    Bernstein coefficients are g's first three (the same exact sums).
     """
 
     g_prime_0: float
@@ -244,16 +243,8 @@ def convexity_probe(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure,
     """Probe convexity of the energy along the segment from mu to nu."""
     if not (mu.is_probability and nu.is_probability):
         raise ValueError("convexity probes are defined for probability measures")
-    n = kernel.arity
     g = mixture_polynomial(kernel, mu, nu)
-
-    if n == 2:
-        two_input = kernel
-    else:
-        two_input = PotentialKernel(kernel, [mu] * (n - 2))
-    h0 = mutual_energy(two_input, [mu, mu]).value
-    h1 = mutual_energy(two_input, [mu, nu]).value
-    h2 = mutual_energy(two_input, [nu, nu]).value
+    h0, h1, h2 = (float(c) for c in g.coefficients[:3])
 
     ts = np.linspace(0.0, 1.0, grid)
     second = g.derivative(ts, order=2)
@@ -299,7 +290,7 @@ def _potential_stderr(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarr
     w2 = float(np.sum(mu.weights**2))
     acc = 0.0
     for x in test_points:
-        pinned = _pin_unchecked(kernel, x[None, :])
+        pinned = pin(kernel, x)
         rows = potential(pinned, [mu], mu.atoms)
         mean = float(mu.weights @ rows)
         zeta = float(mu.weights @ (rows - mean) ** 2)

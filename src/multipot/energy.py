@@ -46,6 +46,7 @@ __all__ = [
 
 _MAX_EXACT_ARITY = 4
 _WORK_LIMIT = 20_000_000               # dense tuples, or moment-route array entries
+_BLOCK_TUPLES = 2_000_000              # tuples per dense grid, which bounds its memory
 _LETTERS = string.ascii_letters[:-1]   # one per unit exponent
 _QUERY = string.ascii_letters[-1]      # the query index of free slots
 
@@ -80,7 +81,7 @@ def _tuple_blocks(arrays: list[np.ndarray]):
     yields (start, stop, pts) with pts of shape (stop-start, n_2, ..., k, d)."""
     sizes = [a.shape[0] for a in arrays]
     n, d = len(arrays), arrays[0].shape[1]
-    chunk = max(1, 2_000_000 // max(math.prod(sizes[1:]), 1))
+    chunk = max(1, _BLOCK_TUPLES // max(math.prod(sizes[1:]), 1))
     for start in range(0, sizes[0], chunk):
         stop = min(sizes[0], start + chunk)
         pts = np.empty((stop - start, *sizes[1:], n, d))
@@ -103,12 +104,22 @@ def _dense_mutual(kernel: Kernel, measures) -> float:
 
 
 def _dense_potential(kernel: Kernel, measures, queries: np.ndarray) -> np.ndarray:
-    """Potential by a dense sum per query tuple (queries fill the last slots)."""
-    one = np.ones(1)
-    return np.array([
-        _dense_mutual(kernel, list(measures) + [_Atoms(p[None, :], one) for p in q])
-        for q in queries
-    ])
+    """Potential by a dense sum over the atom tuples (queries fill the last
+    slots), one tuple grid per block of queries."""
+    j, (count, r, d) = len(measures), queries.shape
+    sizes = [m.atoms.shape[0] for m in measures]
+    block = max(1, _BLOCK_TUPLES // max(math.prod(sizes), 1))
+    spec = _QUERY + _LETTERS[:j] + "," + ",".join(_LETTERS[:j]) + "->" + _QUERY
+    out = np.empty(count)
+    for start in range(0, count, block):
+        q = queries[start:start + block]
+        grid = np.empty((q.shape[0], *sizes, j + r, d))
+        for s, m in enumerate(measures):
+            grid[..., s, :] = m.atoms.reshape((sizes[s],) + (1,) * (j - s - 1) + (d,))
+        grid[..., j:, :] = q.reshape((q.shape[0],) + (1,) * j + (r, d))
+        vals = kernel.evaluate_batch(grid)
+        out[start:start + block] = np.einsum(spec, vals, *[m.weights for m in measures])
+    return out
 
 
 # --- power-moment route --------------------------------------------------------
@@ -526,8 +537,7 @@ class PotentialKernel(Kernel):
         j = len(measures)
         if not 1 <= j <= base.arity - 2:
             raise ValueError("potential kernels need 1 <= j <= arity - 2 integrated slots")
-        super().__init__(f"potential({base.name},j={j})", base.arity - j,
-                         rotation_invariant=False)
+        super().__init__(f"potential({base.name},j={j})", base.arity - j)
         self._base = base
         self._measures = measures
 

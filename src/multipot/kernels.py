@@ -7,6 +7,13 @@ supports exact evaluation on batches, analytic gradients, pinning of slots,
 and the sum/product algebra needed to build higher-arity kernels out of
 lower-arity ones.
 
+A derived kernel that is not a pair polynomial (sums, products and
+multiples of other kernels, pins, subset lifts, the anchor shift) is one
+private combination class: the sum or the product of terms c * base(view),
+where a view feeds each base slot an input slot or a fixed point.  Its
+gradient follows from the product rule, so every kernel built here has an
+analytic gradient.
+
 Gram-variable naming for three inputs (x, y, z):
 
     u = <x, y>,   v = <y, z>,   t = <z, x>.
@@ -17,6 +24,7 @@ area) assume unit vectors.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 
@@ -27,8 +35,6 @@ __all__ = [
     "PolynomialKernel",
     "RieszKernel",
     "ExpUvtKernel",
-    "PinnedKernel",
-    "ShiftedKernel",
     "inner",
     "riesz",
     "frame2",
@@ -49,8 +55,8 @@ __all__ = [
     "KERNEL_REGISTRY",
 ]
 
-# Hard cap on polynomial size when merging; beyond this, constructions fall
-# back to generic (loop-over-subsets) evaluation.
+# Hard cap on the terms of a polynomial product; beyond it, products and
+# product lifts evaluate their factors separately.
 _MAX_TERMS = 600
 
 
@@ -87,13 +93,6 @@ class PairPolynomial:
     @property
     def n_anchors(self) -> int:
         return self.anchors.shape[0]
-
-    def max_power(self) -> int:
-        best = 0
-        for mono in self.terms:
-            for _, e in mono:
-                best = max(best, e)
-        return best
 
     def _vector(self, idx: int, pts: np.ndarray):
         if idx < self.nslots:
@@ -150,11 +149,6 @@ class PairPolynomial:
 
     def scaled(self, c: float) -> "PairPolynomial":
         return PairPolynomial({m: c * v for m, v in self.terms.items()}, self.nslots, self.anchors)
-
-    def shifted_constant(self, c: float) -> "PairPolynomial":
-        terms = dict(self.terms)
-        terms[()] = terms.get((), 0.0) + c
-        return PairPolynomial(terms, self.nslots, self.anchors)
 
     def _merge_anchor_space(self, other: "PairPolynomial"):
         """Index remappings for combining two polynomials on shared slots."""
@@ -254,18 +248,17 @@ class PairPolynomial:
 class Kernel:
     """A symmetric continuous kernel of fixed arity.
 
-    Subclasses implement :meth:`evaluate_batch`; everything else (scalar
-    convenience calls, arithmetic, permutation helpers) lives here.
-    ``pair_poly`` is set when the kernel is an explicit pair-inner-product
-    polynomial, which unlocks analytic gradients and fast exact energies.
+    Subclasses implement :meth:`evaluate_batch` and :meth:`gradient_batch`
+    (every kernel this module builds has an analytic gradient); scalar
+    convenience calls and the arithmetic live here.  ``pair_poly`` is set
+    when the kernel is an explicit pair-inner-product polynomial, which
+    unlocks fast exact energies.
     """
 
-    def __init__(self, name: str, arity: int, *, rotation_invariant: bool,
-                 params: dict | None = None, nonnegative: bool = False,
-                 pair_poly: PairPolynomial | None = None):
+    def __init__(self, name: str, arity: int, *, params: dict | None = None,
+                 nonnegative: bool = False, pair_poly: PairPolynomial | None = None):
         self.name = name
         self.arity = int(arity)
-        self.rotation_invariant = bool(rotation_invariant)
         self.params = dict(params or {})
         self.nonnegative = bool(nonnegative)
         self.pair_poly = pair_poly
@@ -304,12 +297,11 @@ class Kernel:
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("can only add kernels of equal arity")
+        name = f"({self.name}+{other.name})"
         if self.pair_poly is not None and other.pair_poly is not None:
-            return PolynomialKernel(
-                f"({self.name}+{other.name})", self.pair_poly.plus(other.pair_poly),
-                rotation_invariant=self.rotation_invariant and other.rotation_invariant,
-            )
-        return _SumKernel(self, other)
+            return PolynomialKernel(name, self.pair_poly.plus(other.pair_poly))
+        same = range(self.arity)
+        return _Combination(name, self.arity, "sum", [(1.0, self, same), (1.0, other, same)])
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -318,17 +310,18 @@ class Kernel:
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("can only multiply kernels of equal arity")
+        name = f"({self.name}*{other.name})"
+        nonnegative = self.nonnegative and other.nonnegative
         if self.pair_poly is not None and other.pair_poly is not None:
             try:
                 poly = self.pair_poly.times(other.pair_poly)
             except OverflowError:
-                return _ProductKernel(self, other)
-            return PolynomialKernel(
-                f"({self.name}*{other.name})", poly,
-                rotation_invariant=self.rotation_invariant and other.rotation_invariant,
-                nonnegative=self.nonnegative and other.nonnegative,
-            )
-        return _ProductKernel(self, other)
+                pass
+            else:
+                return PolynomialKernel(name, poly, nonnegative=nonnegative)
+        same = range(self.arity)
+        return _Combination(name, self.arity, "prod", [(1.0, self, same), (1.0, other, same)],
+                            nonnegative=nonnegative)
 
     __rmul__ = __mul__
 
@@ -336,13 +329,12 @@ class Kernel:
         return self._scaled(-1.0)
 
     def _scaled(self, c: float) -> "Kernel":
+        name = f"({c:g}*{self.name})"
+        nonnegative = self.nonnegative and c >= 0
         if self.pair_poly is not None:
-            return PolynomialKernel(
-                f"({c:g}*{self.name})", self.pair_poly.scaled(c),
-                rotation_invariant=self.rotation_invariant,
-                nonnegative=self.nonnegative and c >= 0,
-            )
-        return _ScaledKernel(self, c)
+            return PolynomialKernel(name, self.pair_poly.scaled(c), nonnegative=nonnegative)
+        return _Combination(name, self.arity, "prod", [(c, self, range(self.arity))],
+                            nonnegative=nonnegative)
 
     def spec_string(self) -> str:
         """Canonical ``name[:key=value,...]`` rendering for reports."""
@@ -366,10 +358,9 @@ class Kernel:
 class PolynomialKernel(Kernel):
     """Kernel backed by an explicit :class:`PairPolynomial`."""
 
-    def __init__(self, name, poly: PairPolynomial, *, rotation_invariant,
-                 params=None, nonnegative=False):
-        super().__init__(name, poly.nslots, rotation_invariant=rotation_invariant,
-                         params=params, nonnegative=nonnegative, pair_poly=poly)
+    def __init__(self, name, poly: PairPolynomial, *, params=None, nonnegative=False):
+        super().__init__(name, poly.nslots, params=params, nonnegative=nonnegative,
+                         pair_poly=poly)
 
     def evaluate_batch(self, pts):
         return self.pair_poly.evaluate(self._check_points(pts))
@@ -378,47 +369,75 @@ class PolynomialKernel(Kernel):
         return self.pair_poly.gradient(self._check_points(pts))
 
 
-class _SumKernel(Kernel):
-    def __init__(self, a: Kernel, b: Kernel):
-        super().__init__(f"({a.name}+{b.name})", a.arity,
-                         rotation_invariant=a.rotation_invariant and b.rotation_invariant)
-        self._a, self._b = a, b
+class _Combination(Kernel):
+    """The sum or the product of terms ``c * base(view)``; a sum may add a
+    constant.
+
+    A view lists, for each slot of ``base``, either the index of one of
+    the ``arity`` input slots or a fixed point, and names each input slot
+    at most once.  K + L, K * L, c * K, pins, subset lifts and the anchor
+    shift are all built this way when they are not pair polynomials.  A
+    value is the constant (if any) plus the terms, or their product, taken
+    left to right.
+    """
+
+    def __init__(self, name: str, arity: int, mode: str, terms, *,
+                 const: float | None = None, params: dict | None = None,
+                 nonnegative: bool = False):
+        super().__init__(name, arity, params=params, nonnegative=nonnegative)
+        self._op = np.add if mode == "sum" else np.multiply
+        self._const = const
+        self._terms = [(float(c), base, self._layout(view)) for c, base, view in terms]
+
+    def _layout(self, view):
+        """None for the identity view; else the (base slot, input slot) and
+        the (base slot, fixed point) pairs, worked out once here."""
+        inputs = [(k, v) for k, v in enumerate(view) if isinstance(v, int)]
+        if len(inputs) == len(view) and [v for _, v in inputs] == list(range(self.arity)):
+            return None
+        fixed = [(k, np.asarray(v, dtype=float)) for k, v in enumerate(view)
+                 if not isinstance(v, int)]
+        return inputs, fixed
+
+    @staticmethod
+    def _view(layout, pts):
+        if layout is None:
+            return pts
+        inputs, fixed = layout
+        out = np.empty(pts.shape[:-2] + (len(inputs) + len(fixed), pts.shape[-1]))
+        for k, s in inputs:
+            out[..., k, :] = pts[..., s, :]
+        for k, point in fixed:
+            out[..., k, :] = point
+        return out
+
+    def _values(self, pts):
+        return [c * base.evaluate_batch(self._view(layout, pts))
+                for c, base, layout in self._terms]
 
     def evaluate_batch(self, pts):
-        return self._a.evaluate_batch(pts) + self._b.evaluate_batch(pts)
+        vals = self._values(self._check_points(pts))
+        out = vals[0] if self._const is None else self._const + vals[0]
+        for v in vals[1:]:
+            out = self._op(out, v)
+        return out
 
     def gradient_batch(self, pts):
-        return self._a.gradient_batch(pts) + self._b.gradient_batch(pts)
-
-
-class _ProductKernel(Kernel):
-    def __init__(self, a: Kernel, b: Kernel):
-        super().__init__(f"({a.name}*{b.name})", a.arity,
-                         rotation_invariant=a.rotation_invariant and b.rotation_invariant,
-                         nonnegative=a.nonnegative and b.nonnegative)
-        self._a, self._b = a, b
-
-    def evaluate_batch(self, pts):
-        return self._a.evaluate_batch(pts) * self._b.evaluate_batch(pts)
-
-    def gradient_batch(self, pts):
-        fa = self._a.evaluate_batch(pts)[..., None, None]
-        fb = self._b.evaluate_batch(pts)[..., None, None]
-        return fa * self._b.gradient_batch(pts) + fb * self._a.gradient_batch(pts)
-
-
-class _ScaledKernel(Kernel):
-    def __init__(self, base: Kernel, c: float):
-        super().__init__(f"({c:g}*{base.name})", base.arity,
-                         rotation_invariant=base.rotation_invariant,
-                         nonnegative=base.nonnegative and c >= 0)
-        self._base, self._c = base, c
-
-    def evaluate_batch(self, pts):
-        return self._c * self._base.evaluate_batch(pts)
-
-    def gradient_batch(self, pts):
-        return self._c * self._base.gradient_batch(pts)
+        pts = self._check_points(pts)
+        grads = []
+        for c, base, layout in self._terms:
+            part = c * base.gradient_batch(self._view(layout, pts))
+            if layout is None:
+                grads.append(part)
+            else:   # fixed points are constants: only the input slots get gradient
+                grads.append(np.zeros_like(pts))
+                for k, s in layout[0]:
+                    grads[-1][..., s, :] = part[..., k, :]
+        if self._op is np.add:
+            return sum(grads)
+        vals = self._values(pts)    # product rule: sum_i (prod_{j != i} v_j) grad v_i
+        return sum(np.prod(vals[:i] + vals[i + 1:], axis=0)[..., None, None] * g
+                   for i, g in enumerate(grads))
 
 
 class RieszKernel(Kernel):
@@ -427,8 +446,7 @@ class RieszKernel(Kernel):
     def __init__(self, s: float):
         if s <= 0:
             raise ValueError("riesz exponent must be positive")
-        super().__init__("riesz", 2, rotation_invariant=True, params={"s": s},
-                         nonnegative=True)
+        super().__init__("riesz", 2, params={"s": s}, nonnegative=True)
         self.s = float(s)
 
     def evaluate_batch(self, pts):
@@ -451,17 +469,12 @@ class RieszKernel(Kernel):
         return g
 
 
-def _uvt_poly() -> PairPolynomial:
-    return PairPolynomial({(((0, 1), 1), ((0, 2), 1), ((1, 2), 1)): 1.0}, 3)
-
-
 class ExpUvtKernel(Kernel):
     """Three-input kernel exp(uvt)."""
 
     def __init__(self):
-        super().__init__("prod_f_uvt", 3, rotation_invariant=True,
-                         params={"f": "exp"}, nonnegative=True)
-        self._uvt = _uvt_poly()
+        super().__init__("prod_f_uvt", 3, params={"f": "exp"}, nonnegative=True)
+        self._uvt = uvt().pair_poly
 
     def evaluate_batch(self, pts):
         return np.exp(self._uvt.evaluate(self._check_points(pts)))
@@ -470,62 +483,6 @@ class ExpUvtKernel(Kernel):
         pts = self._check_points(pts)
         val = np.exp(self._uvt.evaluate(pts))
         return val[..., None, None] * self._uvt.gradient(pts)
-
-
-class PinnedKernel(Kernel):
-    """Generic lower-arity view of a kernel with leading slots fixed."""
-
-    def __init__(self, base: Kernel, pins: np.ndarray):
-        pins = np.atleast_2d(np.asarray(pins, dtype=float))
-        super().__init__(f"pin({base.name})", base.arity - pins.shape[0],
-                         rotation_invariant=False,
-                         params=dict(base.params, pins=pins.shape[0]))
-        self._base, self._pins = base, pins
-
-    def evaluate_batch(self, pts):
-        pts = self._check_points(pts)
-        batch = pts.shape[:-2]
-        pinned = np.broadcast_to(self._pins, batch + self._pins.shape)
-        return self._base.evaluate_batch(np.concatenate([pinned, pts], axis=-2))
-
-    def gradient_batch(self, pts):
-        pts = self._check_points(pts)
-        batch = pts.shape[:-2]
-        pinned = np.broadcast_to(self._pins, batch + self._pins.shape)
-        full = self._base.gradient_batch(np.concatenate([pinned, pts], axis=-2))
-        return full[..., self._pins.shape[0]:, :]
-
-
-class ShiftedKernel(Kernel):
-    """Anchor-shifted two-input kernel.
-
-    standard: phi(x, y)  = G(x, y) + G(x0, x0) - G(x, x0) - G(x0, y)
-    zero:     phi0(x, y) = G(x, y) - G(x, x0) - G(x0, y)
-    """
-
-    def __init__(self, base: Kernel, x0: np.ndarray, variant: str = "standard"):
-        if base.arity != 2:
-            raise ValueError("cpd_shift applies to two-input kernels")
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        diag = base(x0, x0)
-        if variant == "zero" and diag > 0:
-            raise ValueError("zero-variant shift requires G(x0, x0) <= 0")
-        if variant not in ("standard", "zero"):
-            raise ValueError(f"unknown shift variant '{variant}'")
-        super().__init__(f"shift({base.name})", 2, rotation_invariant=False,
-                         params={"variant": variant})
-        self._base, self._x0 = base, x0
-        self._diag = diag if variant == "standard" else 0.0
-
-    def evaluate_batch(self, pts):
-        pts = self._check_points(pts)
-        batch = pts.shape[:-2]
-        x, y = pts[..., 0, :], pts[..., 1, :]
-        x0 = np.broadcast_to(self._x0, x.shape)
-        main = self._base.evaluate_batch(pts)
-        cross_x = self._base.evaluate_batch(np.stack([x, x0], axis=-2))
-        cross_y = self._base.evaluate_batch(np.stack([x0, y], axis=-2))
-        return main + np.full(batch, self._diag) - cross_x - cross_y
 
 
 # --- catalog -----------------------------------------------------------------
@@ -540,7 +497,7 @@ _T2 = ((0, 2), 2)
 
 def inner() -> Kernel:
     """<x, y>."""
-    return PolynomialKernel("inner", PairPolynomial({(_U,): 1.0}, 2), rotation_invariant=True)
+    return PolynomialKernel("inner", PairPolynomial({(_U,): 1.0}, 2))
 
 
 def riesz(s: float) -> Kernel:
@@ -550,8 +507,7 @@ def riesz(s: float) -> Kernel:
 
 def frame2() -> Kernel:
     """<x, y>^2 (the frame energy kernel)."""
-    return PolynomialKernel("frame2", PairPolynomial({(_U2,): 1.0}, 2),
-                            rotation_invariant=True, nonnegative=True)
+    return PolynomialKernel("frame2", PairPolynomial({(_U2,): 1.0}, 2), nonnegative=True)
 
 
 def prod_f_uvt(coeffs=None, f: str | None = None) -> Kernel:
@@ -571,28 +527,24 @@ def prod_f_uvt(coeffs=None, f: str | None = None) -> Kernel:
         terms[mono] = c
     if not terms:
         terms = {(): 0.0}
-    return PolynomialKernel("prod_f_uvt", PairPolynomial(terms, 3),
-                            rotation_invariant=True, params={"coeffs": coeffs})
+    return PolynomialKernel("prod_f_uvt", PairPolynomial(terms, 3), params={"coeffs": coeffs})
 
 
 def uvt() -> Kernel:
     """u v t = <x,y> <y,z> <z,x>."""
-    return PolynomialKernel("uvt", PairPolynomial({(_U, _V, _T): 1.0}, 3),
-                            rotation_invariant=True)
+    return PolynomialKernel("uvt", PairPolynomial({(_U, _V, _T): 1.0}, 3))
 
 
 def vol2() -> Kernel:
     """Squared volume of the parallelepiped spanned by x, y, z:
     1 - u^2 - v^2 - t^2 + 2 u v t (the Gram determinant)."""
     terms = {(): 1.0, (_U2,): -1.0, (_V2,): -1.0, (_T2,): -1.0, (_U, _V, _T): 2.0}
-    return PolynomialKernel("vol2", PairPolynomial(terms, 3),
-                            rotation_invariant=True, nonnegative=True)
+    return PolynomialKernel("vol2", PairPolynomial(terms, 3), nonnegative=True)
 
 
 def neg_vol2() -> Kernel:
     """Negated squared parallelepiped volume."""
-    return PolynomialKernel("neg_vol2", vol2().pair_poly.scaled(-1.0),
-                            rotation_invariant=True)
+    return PolynomialKernel("neg_vol2", vol2().pair_poly.scaled(-1.0))
 
 
 def area2() -> Kernel:
@@ -604,27 +556,25 @@ def area2() -> Kernel:
         (_U, _V): 0.5, (_V, _T): 0.5, (_U, _T): 0.5,
         (_U2,): -0.25, (_V2,): -0.25, (_T2,): -0.25,
     }
-    return PolynomialKernel("area2", PairPolynomial(terms, 3),
-                            rotation_invariant=True, nonnegative=True)
+    return PolynomialKernel("area2", PairPolynomial(terms, 3), nonnegative=True)
 
 
 def neg_area2() -> Kernel:
     """Negated squared triangle area."""
-    return PolynomialKernel("neg_area2", area2().pair_poly.scaled(-1.0),
-                            rotation_invariant=True)
+    return PolynomialKernel("neg_area2", area2().pair_poly.scaled(-1.0))
 
 
 def s011() -> Kernel:
     """u v + v t + t u."""
     terms = {(_U, _V): 1.0, (_V, _T): 1.0, (_U, _T): 1.0}
-    return PolynomialKernel("s011", PairPolynomial(terms, 3), rotation_invariant=True)
+    return PolynomialKernel("s011", PairPolynomial(terms, 3))
 
 
 def s100() -> Kernel:
     """(t - uv) + (u - vt) + (v - tu)."""
     terms = {(_U,): 1.0, (_V,): 1.0, (_T,): 1.0,
              (_U, _V): -1.0, (_V, _T): -1.0, (_U, _T): -1.0}
-    return PolynomialKernel("s100", PairPolynomial(terms, 3), rotation_invariant=True)
+    return PolynomialKernel("s100", PairPolynomial(terms, 3))
 
 
 def quad_a(a: float, shift: bool = False) -> Kernel:
@@ -639,83 +589,49 @@ def quad_a(a: float, shift: bool = False) -> Kernel:
     terms = {(_U2,): 1.0, (_V2,): 1.0, (_T2,): 1.0, (_U, _V, _T): -a}
     if shift:
         terms[()] = 1.0 / (1.0 - a)
-    return PolynomialKernel("quad_a", PairPolynomial(terms, 3),
-                            rotation_invariant=True, params={"a": a, "shift": shift})
+    return PolynomialKernel("quad_a", PairPolynomial(terms, 3), params={"a": a, "shift": shift})
 
 
 # --- lifting constructions ----------------------------------------------------
 
 
-class _SubsetLiftKernel(Kernel):
-    """Generic sum/product of a base kernel over all m-subsets of n slots."""
-
-    def __init__(self, base: Kernel, n: int, mode: str):
-        name = f"{'sum' if mode == 'sum' else 'prod'}_lift({base.name},n={n})"
-        super().__init__(name, n, rotation_invariant=base.rotation_invariant,
-                         params={"base": base.name, "n": n},
-                         nonnegative=base.nonnegative)
-        self._base, self._mode = base, mode
-        self._subsets = list(itertools.combinations(range(n), base.arity))
-
-    def evaluate_batch(self, pts):
-        pts = self._check_points(pts)
-        out = None
-        for subset in self._subsets:
-            val = self._base.evaluate_batch(pts[..., list(subset), :])
-            if out is None:
-                out = val.copy()
-            elif self._mode == "sum":
-                out = out + val
-            else:
-                out = out * val
-        return out
-
-
-def _lift_common(base: Kernel, n: int):
+def _lift(base: Kernel, n: int, mode: str) -> Kernel:
+    """The sum or the product of ``base`` over all arity(base)-subsets of
+    n inputs: one pair polynomial when the base is one and the product
+    stays within ``_MAX_TERMS``, else a combination of subset views."""
     m = base.arity
     if not 2 <= m <= n - 1:
         raise ValueError(f"lift requires 2 <= arity(base) <= n-1, got arity {m}, n {n}")
-    return list(itertools.combinations(range(n), m))
+    subsets = list(itertools.combinations(range(n), m))
+    name, params = f"{mode}_lift({base.name},n={n})", {"base": base.name, "n": n}
+    if base.pair_poly is not None:
+        parts = [base.pair_poly.relabeled(dict(enumerate(s)), n) for s in subsets]
+        merge = PairPolynomial.plus if mode == "sum" else PairPolynomial.times
+        try:
+            poly = functools.reduce(merge, parts)
+        except OverflowError:
+            pass
+        else:
+            return PolynomialKernel(name, poly, params=params,
+                                    nonnegative=mode == "prod" and base.nonnegative)
+    return _Combination(name, n, mode, [(1.0, base, s) for s in subsets], params=params,
+                        nonnegative=base.nonnegative)
 
 
 def sum_lift(base: Kernel, n: int) -> Kernel:
     """Sum of ``base`` over all arity(base)-subsets of n inputs."""
-    subsets = _lift_common(base, n)
-    if base.pair_poly is not None:
-        poly = None
-        for subset in subsets:
-            part = base.pair_poly.relabeled({i: s for i, s in enumerate(subset)}, n)
-            poly = part if poly is None else poly.plus(part)
-        k = PolynomialKernel(f"sum_lift({base.name},n={n})", poly,
-                             rotation_invariant=base.rotation_invariant,
-                             params={"base": base.name, "n": n})
-        return k
-    return _SubsetLiftKernel(base, n, "sum")
+    return _lift(base, n, "sum")
 
 
 def prod_lift(base: Kernel, n: int) -> Kernel:
     """Product of ``base`` over all arity(base)-subsets of n inputs."""
-    subsets = _lift_common(base, n)
     if not base.nonnegative and base.arity < n - 1:
         warnings.warn(
             "product lift of a possibly-negative kernel with arity < n-1 "
             "need not preserve positive definiteness",
             stacklevel=2,
         )
-    if base.pair_poly is not None:
-        poly = None
-        try:
-            for subset in subsets:
-                part = base.pair_poly.relabeled({i: s for i, s in enumerate(subset)}, n)
-                poly = part if poly is None else poly.times(part)
-        except OverflowError:
-            poly = None
-        if poly is not None:
-            return PolynomialKernel(f"prod_lift({base.name},n={n})", poly,
-                                    rotation_invariant=base.rotation_invariant,
-                                    params={"base": base.name, "n": n},
-                                    nonnegative=base.nonnegative)
-    return _SubsetLiftKernel(base, n, "prod")
+    return _lift(base, n, "prod")
 
 
 def pin(kernel: Kernel, pins) -> Kernel:
@@ -729,21 +645,14 @@ def pin(kernel: Kernel, pins) -> Kernel:
     m, n = pins.shape[0], kernel.arity
     if not 1 <= m <= n - 2:
         raise ValueError(f"pin count must satisfy 1 <= m <= arity-2, got {m} for arity {n}")
-    return _pin_unchecked(kernel, pins)
-
-
-def _pin_unchecked(kernel: Kernel, pins: np.ndarray) -> Kernel:
-    """Pinning without the arity >= 2 floor (internal use by potentials)."""
-    pins = np.atleast_2d(np.asarray(pins, dtype=float))
-    if pins.shape[0] >= kernel.arity:
-        raise ValueError("cannot pin all slots")
+    name, params = f"pin({kernel.name})", dict(kernel.params, pins=m)
     if kernel.pair_poly is not None:
         poly = kernel.pair_poly
         for p in pins:
             poly = poly.pinned(p)
-        return PolynomialKernel(f"pin({kernel.name})", poly, rotation_invariant=False,
-                                params=dict(kernel.params, pins=pins.shape[0]))
-    return PinnedKernel(kernel, pins)
+        return PolynomialKernel(name, poly, params=params)
+    view = [*pins, *range(n - m)]
+    return _Combination(name, n - m, "prod", [(1.0, kernel, view)], params=params)
 
 
 def cpd_shift(kernel: Kernel, x0, variant: str = "standard") -> Kernel:
@@ -752,7 +661,18 @@ def cpd_shift(kernel: Kernel, x0, variant: str = "standard") -> Kernel:
     standard: G(x,y) + G(x0,x0) - G(x,x0) - G(x0,y); the 'zero' variant
     drops the diagonal constant and requires G(x0,x0) <= 0.
     """
-    return ShiftedKernel(kernel, np.asarray(x0, dtype=float), variant)
+    if kernel.arity != 2:
+        raise ValueError("cpd_shift applies to two-input kernels")
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    diag = kernel(x0, x0)
+    if variant == "zero" and diag > 0:
+        raise ValueError("zero-variant shift requires G(x0, x0) <= 0")
+    if variant not in ("standard", "zero"):
+        raise ValueError(f"unknown shift variant '{variant}'")
+    terms = [(1.0, kernel, [0, 1]), (-1.0, kernel, [0, x0]), (-1.0, kernel, [x0, 1])]
+    return _Combination(f"shift({kernel.name})", 2, "sum", terms,
+                        const=diag if variant == "standard" else 0.0,
+                        params={"variant": variant})
 
 
 # --- CLI kernel grammar -------------------------------------------------------
@@ -823,6 +743,7 @@ def parse_kernel(spec: str) -> Kernel:
                 kwargs[last_list_key].append(float(_parse_value(token)))
             else:
                 raise ValueError(f"cannot parse kernel token '{token}' in '{spec}'")
+    lift = None
     if name in _LIFTS:
         base_name = kwargs.pop("base", None)
         n = kwargs.pop("n", None)
@@ -832,11 +753,12 @@ def parse_kernel(spec: str) -> Kernel:
             raise ValueError(f"unknown parameters for {name}: {sorted(kwargs)}")
         if base_name not in KERNEL_REGISTRY:
             raise ValueError(f"unknown base kernel '{base_name}'")
-        return _LIFTS[name](KERNEL_REGISTRY[base_name](), int(n))
-    if name not in KERNEL_REGISTRY:
+        lift, name = _LIFTS[name], base_name
+    elif name not in KERNEL_REGISTRY:
         known = ", ".join(sorted(KERNEL_REGISTRY) + sorted(_LIFTS))
         raise ValueError(f"unknown kernel '{name}' (known: {known})")
     try:
-        return KERNEL_REGISTRY[name](**kwargs)
+        kernel = KERNEL_REGISTRY[name](**kwargs)
     except TypeError as exc:
         raise ValueError(f"bad parameters for kernel '{name}': {exc}") from None
+    return kernel if lift is None else lift(kernel, int(n))

@@ -9,7 +9,7 @@ along an accepted trajectory never get worse (up to 1e-12).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,11 +64,6 @@ class OptimizationTrace:
         return self.energies[-1]
 
 
-def _tangent(pts: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    radial = np.sum(grad * pts, axis=1)
-    return grad - radial[:, None] * pts
-
-
 def _needs_fd_fallback(kernel: Kernel, pts: np.ndarray) -> bool:
     if not (isinstance(kernel, RieszKernel) and kernel.s < 1.0):
         return False
@@ -90,6 +85,26 @@ def _fd_point_gradient(kernel: Kernel, pts: np.ndarray, i: int, eps: float) -> n
     return grad
 
 
+def _tangent_gradient(kernel: Kernel, pts: np.ndarray, mode: str, fd_epsilon: float,
+                      rows: slice) -> np.ndarray:
+    """Tangent-space gradient of the discrete energy at the rows of ``pts``
+    that ``rows`` selects.  Analytic mode falls back to finite
+    differences, with a warning, where the kernel's gradient is singular."""
+    if mode == "analytic" and _needs_fd_fallback(kernel, pts):
+        warnings.warn("coincident points with a singular gradient; "
+                      "falling back to finite differences", stacklevel=3)
+        mode = "finite_difference"
+    if mode == "analytic":
+        grad = _points_gradient(kernel, pts)[rows]
+    elif mode == "finite_difference":
+        grad = np.stack([_fd_point_gradient(kernel, pts, i, fd_epsilon)
+                         for i in range(pts.shape[0])[rows]])
+    else:
+        raise ValueError(f"unknown gradient mode '{mode}'")
+    x = pts[rows]
+    return grad - np.sum(grad * x, axis=1)[:, None] * x
+
+
 def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
                     mode: str = "analytic", fd_epsilon: float = 1e-6) -> np.ndarray:
     """Tangent-space gradient of the discrete energy with respect to the
@@ -102,31 +117,7 @@ def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
     pts = np.array(config.points)
     if not 0 <= i < pts.shape[0]:
         raise ValueError(f"point index {i} out of range")
-    if mode == "analytic" and _needs_fd_fallback(kernel, pts):
-        warnings.warn("coincident points with a singular gradient; "
-                      "falling back to finite differences", stacklevel=2)
-        mode = "finite_difference"
-    if mode == "analytic":
-        grad = _points_gradient(kernel, pts)[i]
-    elif mode == "finite_difference":
-        grad = _fd_point_gradient(kernel, pts, i, fd_epsilon)
-    else:
-        raise ValueError(f"unknown gradient mode '{mode}'")
-    x = pts[i]
-    return grad - np.dot(grad, x) * x
-
-
-def _full_tangent_gradient(kernel: Kernel, pts: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    if cfg.grad_mode == "analytic":
-        if _needs_fd_fallback(kernel, pts):
-            warnings.warn("coincident points with a singular gradient; "
-                          "falling back to finite differences", stacklevel=2)
-        else:
-            return _tangent(pts, _points_gradient(kernel, pts))
-    grad = np.stack([
-        _fd_point_gradient(kernel, pts, i, cfg.fd_epsilon) for i in range(pts.shape[0])
-    ])
-    return _tangent(pts, grad)
+    return _tangent_gradient(kernel, pts, mode, fd_epsilon, slice(i, i + 1))[0]
 
 
 def _renormalize(pts: np.ndarray) -> np.ndarray:
@@ -160,7 +151,7 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
     converged = False
 
     for _ in range(cfg.steps):
-        grad = _full_tangent_gradient(kernel, pts, cfg)
+        grad = _tangent_gradient(kernel, pts, cfg.grad_mode, cfg.fd_epsilon, slice(None))
         gnorm2 = float(np.sum(grad * grad))
         if np.sqrt(gnorm2) <= cfg.stop_tol:
             converged = True
@@ -183,7 +174,7 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
         step = min(t / _BACKTRACK, cfg.step_size)
 
     if not converged:
-        final_grad = _full_tangent_gradient(kernel, pts, cfg)
+        final_grad = _tangent_gradient(kernel, pts, cfg.grad_mode, cfg.fd_epsilon, slice(None))
         converged = float(np.linalg.norm(final_grad)) <= cfg.stop_tol
     return OptimizationTrace(energies, PointConfiguration(pts), converged, iterations)
 
@@ -195,12 +186,7 @@ def multistart(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfig,
         raise ValueError("need at least one start")
     best = None
     for k in range(starts):
-        run_cfg = OptimizerConfig(
-            steps=cfg.steps, step_size=cfg.step_size, seed=cfg.seed + k,
-            maximize=cfg.maximize, grad_mode=cfg.grad_mode,
-            fd_epsilon=cfg.fd_epsilon, stop_tol=cfg.stop_tol,
-        )
-        trace = optimize_discrete(kernel, n_points, d, run_cfg)
+        trace = optimize_discrete(kernel, n_points, d, replace(cfg, seed=cfg.seed + k))
         if best is None:
             best = trace
         elif cfg.maximize and trace.final_energy > best.final_energy:

@@ -102,7 +102,7 @@ def report_to_json(report: dict) -> str:
 # --- Monte-Carlo estimates against closed forms --------------------------------
 
 
-def _mc_scenario(name, kernel_factory, dims, target, formula, seed, tuples, tol_scale,
+def _mc_scenario(kernel_factory, dims, target, formula, seed, tuples, tol_scale,
                  source="closed-form"):
     assertions = []
     for i, d in enumerate(dims):
@@ -122,7 +122,7 @@ def _mc_scenario(name, kernel_factory, dims, target, formula, seed, tuples, tol_
 
 def _scenario_area2_sigma(seed, tuples, tol_scale, dims=(2, 3, 5), surrogate_size=20000):
     assertions = _mc_scenario(
-        "area2-sigma", kernels.area2, dims,
+        kernels.area2, dims,
         lambda d: 0.75 * (d - 1) / d, "3*(d-1)/(4*d)", seed, tuples, tol_scale,
     )
     for i, d in enumerate(dims):
@@ -141,7 +141,7 @@ def _scenario_area2_sigma(seed, tuples, tol_scale, dims=(2, 3, 5), surrogate_siz
 def _scenario_vol2_sigma(seed, tuples, tol_scale, dims=(3, 4)):
     # target precomputed from the moment oracle E[u^2] = 1/d, E[uvt] = 1/d^2
     assertions = _mc_scenario(
-        "vol2-sigma", kernels.vol2, dims,
+        kernels.vol2, dims,
         lambda d: (d - 1) * (d - 2) / d**2, None, seed, tuples, tol_scale,
         source="oracle",
     )
@@ -151,7 +151,7 @@ def _scenario_vol2_sigma(seed, tuples, tol_scale, dims=(3, 4)):
 
 def _scenario_frame_bound(seed, tuples, tol_scale, dims=(2, 3, 4, 5, 6)):
     assertions = _mc_scenario(
-        "frame-bound", kernels.frame2, dims,
+        kernels.frame2, dims,
         lambda d: 1.0 / d, "1/d", seed, tuples, tol_scale,
     )
     return _report("frame-bound", seed,
@@ -341,6 +341,18 @@ def _scenario_s100_nonconvex(seed, tuples, tol_scale, d=3, surrogate_size=20000)
                    assertions)
 
 
+def _potential_mixture(kernel, mu, nu):
+    """I(mu, mu), I(mu, nu), I(nu, nu) of the (n-2)-fold potential of mu, from
+    its values on the atom pairs (not from the mixture's exact sums)."""
+    two_input = energy.PotentialKernel(kernel, [mu] * (kernel.arity - 2))
+    atoms, k = np.vstack([mu.atoms, nu.atoms]), mu.n_atoms
+    vals = two_input.evaluate_batch(
+        np.stack(np.broadcast_arrays(atoms[:, None, :], atoms[None, :, :]), axis=-2))
+    return (float(mu.weights @ vals[:k, :k] @ mu.weights),
+            float(mu.weights @ vals[:k, k:] @ nu.weights),
+            float(nu.weights @ vals[k:, k:] @ nu.weights))
+
+
 def _scenario_derivative_identities(seed, tuples, tol_scale, setups_per_arity=25):
     rng = np.random.default_rng(seed + 11)
     with warnings.catch_warnings():
@@ -364,8 +376,9 @@ def _scenario_derivative_identities(seed, tuples, tol_scale, setups_per_arity=25
             mu = DiscreteMeasure(*certify._random_atoms(rng, 3))
             nu = DiscreteMeasure(*certify._random_atoms(rng, 3))
             probe = certify.convexity_probe(kernel, mu, nu, grid=5)
-            lhs1, rhs1 = probe.h_prime_0, (2.0 / n) * probe.g_prime_0
-            lhs2, rhs2 = probe.h_double_prime_0, (2.0 / (n * (n - 1))) * probe.g_double_prime_0
+            h0, h1, h2 = _potential_mixture(kernel, mu, nu)
+            lhs1, rhs1 = 2.0 * (h1 - h0), (2.0 / n) * probe.g_prime_0
+            lhs2, rhs2 = 2.0 * (h0 - 2.0 * h1 + h2), (2.0 / (n * (n - 1))) * probe.g_double_prime_0
             rel1 = abs(lhs1 - rhs1) / max(abs(lhs1), abs(rhs1), 1e-3)
             rel2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-3)
             worst = max(worst, rel1, rel2)

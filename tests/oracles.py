@@ -136,3 +136,55 @@ def inequality_suite_loop(kernel, d, trials, seed, violation_tol=1e-10):
         "diagonal_violations": int(diag_bad),
         "gm_trials": gm_trials,
     }
+
+
+# --- derived kernels, from the base kernels' own single-tuple values ----------
+
+
+def _at(kernel, *points):
+    return kernel.evaluate(np.stack(points))
+
+
+def sum_fn(a, b):
+    return lambda *points: _at(a, *points) + _at(b, *points)
+
+
+def product_fn(a, b):
+    return lambda *points: _at(a, *points) * _at(b, *points)
+
+
+def scaled_fn(c, a):
+    return lambda *points: c * _at(a, *points)
+
+
+def pin_fn(base, pins):
+    """K(z_1, ..., z_m, x_1, ...) with the pins z in the leading slots."""
+    return lambda *points: _at(base, *pins, *points)
+
+
+def lift_fn(base, n, combine):
+    """combine (sum or math.prod) of base over every arity(base)-subset of
+    the n inputs, in lexicographic subset order."""
+    subsets = list(itertools.combinations(range(n), base.arity))
+    return lambda *points: combine([_at(base, *(points[i] for i in s)) for s in subsets])
+
+
+def shift_fn(base, x0, variant):
+    """G(x,y) + G(x0,x0) - G(x,x0) - G(x0,y); 'zero' drops G(x0,x0)."""
+    diag = _at(base, x0, x0) if variant == "standard" else 0.0
+    return lambda x, y: _at(base, x, y) + diag - _at(base, x, x0) - _at(base, x0, y)
+
+
+def potential_mixture(kernel, mu, nu):
+    """I(mu, mu), I(mu, nu), I(nu, nu) of the (n-2)-fold potential of mu,
+    weight-contracted from ``PotentialKernel.evaluate_batch`` on the atom
+    pairs: the free-slot potential route, not the mixture's exact sums."""
+    from multipot import PotentialKernel
+
+    two_input = PotentialKernel(kernel, [mu] * (kernel.arity - 2))
+
+    def pair_energy(a, b):
+        pairs = np.array([[[x, y] for y in b.atoms] for x in a.atoms])
+        return float(a.weights @ two_input.evaluate_batch(pairs) @ b.weights)
+
+    return pair_energy(mu, mu), pair_energy(mu, nu), pair_energy(nu, nu)

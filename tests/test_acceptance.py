@@ -41,7 +41,7 @@ from multipot import (
     uvt,
 )
 from multipot.certify import convexity_probe
-from oracles import moment_mc
+from oracles import moment_mc, potential_mixture
 
 E1, E2, E3 = (basis_vector(i, 3) for i in range(3))
 SEED = 20240
@@ -186,12 +186,15 @@ def test_criterion_6_derivative_identities():
     for n, bank in banks.items():
         for i in range(25):
             kernel = bank[i % len(bank)]
-            rep = convexity_probe(kernel, random_prob(int(rng.integers(2, 6))),
-                                  random_prob(int(rng.integers(2, 6))), grid=3)
-            r1 = abs(rep.h_prime_0 - (2.0 / n) * rep.g_prime_0) / max(
-                abs(rep.h_prime_0), abs((2.0 / n) * rep.g_prime_0), 1e-3)
-            r2 = abs(rep.h_double_prime_0 - (2.0 / (n * (n - 1))) * rep.g_double_prime_0) / max(
-                abs(rep.h_double_prime_0), abs((2.0 / (n * (n - 1))) * rep.g_double_prime_0), 1e-3)
+            mu = random_prob(int(rng.integers(2, 6)))
+            nu = random_prob(int(rng.integers(2, 6)))
+            rep = convexity_probe(kernel, mu, nu, grid=3)
+            h0, h1, h2 = potential_mixture(kernel, mu, nu)
+            h_prime, h_second = 2.0 * (h1 - h0), 2.0 * (h0 - 2.0 * h1 + h2)
+            r1 = abs(h_prime - (2.0 / n) * rep.g_prime_0) / max(
+                abs(h_prime), abs((2.0 / n) * rep.g_prime_0), 1e-3)
+            r2 = abs(h_second - (2.0 / (n * (n - 1))) * rep.g_double_prime_0) / max(
+                abs(h_second), abs((2.0 / (n * (n - 1))) * rep.g_double_prime_0), 1e-3)
             worst = max(worst, r1, r2)
             setups += 1
     assert setups == 50

@@ -32,7 +32,7 @@ from multipot import (
     vol2,
 )
 from multipot.certify import _balanced_basis, _kernel_matrix, _matrix_min_eig, _trials_per_chunk
-from oracles import inequality_suite_loop
+from oracles import inequality_suite_loop, potential_mixture
 
 E1, E2, E3 = (basis_vector(i, 3) for i in range(3))
 
@@ -209,10 +209,12 @@ def test_derivative_identities_random_setups():
             mu = _random_probability(3, 3, int(rng.integers(1 << 30)))
             nu = _random_probability(4, 3, int(rng.integers(1 << 30)))
             rep = convexity_probe(kernel, mu, nu, grid=3)
-            assert rep.h_prime_0 == pytest.approx((2.0 / n) * rep.g_prime_0,
-                                                  rel=1e-8, abs=1e-10)
-            assert rep.h_double_prime_0 == pytest.approx(
+            h0, h1, h2 = potential_mixture(kernel, mu, nu)
+            assert 2.0 * (h1 - h0) == pytest.approx((2.0 / n) * rep.g_prime_0,
+                                                    rel=1e-8, abs=1e-10)
+            assert 2.0 * (h0 - 2.0 * h1 + h2) == pytest.approx(
                 (2.0 / (n * (n - 1))) * rep.g_double_prime_0, rel=1e-8, abs=1e-10)
+            assert rep.h_prime_0 == pytest.approx(2.0 * (h1 - h0), rel=1e-8, abs=1e-10)
 
 
 def test_s100_not_convex_at_uniform_surrogate():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import multipot.energy as energy_mod
-from multipot.kernels import PolynomialKernel
+from multipot.kernels import PairPolynomial, PolynomialKernel
 from multipot import (
     DiscreteMeasure,
     PointConfiguration,
@@ -331,8 +331,7 @@ def test_mc_deterministic_given_seed():
 def test_mc_stderr_survives_constant_offset():
     # a one-pass E[X^2] - E[X]^2 variance cancels to 0 under a 1e9 offset
     base = quad_a(0.5)
-    offset = PolynomialKernel("offset", base.pair_poly.shifted_constant(1e9),
-                              rotation_invariant=True)
+    offset = PolynomialKernel("offset", PairPolynomial({**base.pair_poly.terms, (): 1e9}, 3))
     plain = mc_energy_uniform(base, 3, 20_000, 1)
     shifted = mc_energy_uniform(offset, 3, 20_000, 1)
     assert not shifted.is_exact

@@ -1,5 +1,6 @@
 """Kernel catalog, lifting constructions, pinning and the CLI grammar."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from multipot import (
     uvt,
     vol2,
 )
+from oracles import lift_fn, pin_fn, product_fn, scaled_fn, shift_fn, sum_fn
 
 E1, E2, E3 = (basis_vector(i, 3) for i in range(3))
 
@@ -84,10 +86,7 @@ def test_rotation_invariance():
     pts = sample_sphere(3, 3, 5).points
     for kernel in [vol2(), area2(), s011(), s100(), uvt(), quad_a(-0.5, shift=True),
                    prod_f_uvt(coeffs=[0.0, 1.0, 2.0]), prod_f_uvt(f="exp")]:
-        assert kernel.rotation_invariant
         assert kernel.evaluate(pts @ rot.T) == pytest.approx(kernel.evaluate(pts), abs=1e-10)
-    pinned = pin(vol2(), E1)
-    assert not pinned.rotation_invariant
 
 
 def test_sum_lift_matches_pair_sum():
@@ -195,12 +194,52 @@ def test_kernel_sum_and_product_closure():
     a, b = vol2(), s011()
     assert (a + b).evaluate(pts) == pytest.approx(a.evaluate(pts) + b.evaluate(pts), abs=1e-14)
     assert (a * b).evaluate(pts) == pytest.approx(a.evaluate(pts) * b.evaluate(pts), abs=1e-14)
-    # generic (non-polynomial) operands take the wrapper route
+    # generic (non-polynomial) operands take the combination route
     c = prod_f_uvt(f="exp")
     assert (a + c).evaluate(pts) == pytest.approx(a.evaluate(pts) + c.evaluate(pts), abs=1e-14)
     assert (a * c).evaluate(pts) == pytest.approx(a.evaluate(pts) * c.evaluate(pts), abs=1e-14)
     assert (-a).evaluate(pts) == pytest.approx(-a.evaluate(pts), abs=1e-15)
     assert (2.0 * a).evaluate(pts) == pytest.approx(2.0 * a.evaluate(pts), abs=1e-15)
+
+
+def _derived_cases():
+    exp = prod_f_uvt(f="exp")
+    area_lift = prod_lift(area2(), 4)    # too many terms for one polynomial
+    return {
+        "pin(exp,e1)": (pin(exp, E1), pin_fn(exp, [E1])),
+        "sum_lift(exp,4)": (sum_lift(exp, 4), lift_fn(exp, 4, sum)),
+        "prod_lift(exp,4)": (prod_lift(exp, 4), lift_fn(exp, 4, math.prod)),
+        "prod_lift(area2,4)": (area_lift, lift_fn(area2(), 4, math.prod)),
+        "shift(-riesz1)": (cpd_shift(-riesz(1.0), E1),
+                           shift_fn(-riesz(1.0), E1, "standard")),
+        "shift0(-riesz1)": (cpd_shift(-riesz(1.0), E1, variant="zero"),
+                            shift_fn(-riesz(1.0), E1, "zero")),
+        # G(e1, e1) = 1 here, so the standard shift's constant is checked
+        "shift(riesz+inner)": (cpd_shift(riesz(1.5) + inner(), E1),
+                               shift_fn(riesz(1.5) + inner(), E1, "standard")),
+        "riesz+inner": (riesz(1.5) + inner(), sum_fn(riesz(1.5), inner())),
+        "riesz*inner": (riesz(1.5) * inner(), product_fn(riesz(1.5), inner())),
+        "2.5*riesz": (2.5 * riesz(1.5), scaled_fn(2.5, riesz(1.5))),
+    }
+
+
+@pytest.mark.parametrize("label", list(_derived_cases()))
+def test_derived_kernels_match_oracle_and_central_differences(label):
+    kernel, oracle = _derived_cases()[label]
+    assert kernel.pair_poly is None
+    n, h = kernel.arity, 1e-6
+    pts = sample_sphere(3, 5 * n, 43).points.reshape(5, n, 3)
+    expected = [oracle(*tup) for tup in pts]
+    np.testing.assert_allclose(kernel.evaluate_batch(pts), expected, rtol=1e-12, atol=1e-12)
+    grad = kernel.gradient_batch(pts)
+    assert grad.shape == pts.shape
+    for q, tup in enumerate(pts):
+        for s, c in itertools.product(range(n), range(3)):
+            plus, minus = tup.copy(), tup.copy()
+            plus[s, c] += h
+            minus[s, c] -= h
+            fd = (oracle(*plus) - oracle(*minus)) / (2 * h)
+            assert grad[q, s, c] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_exp_kernel_value():
@@ -240,6 +279,8 @@ def test_parse_kernel_grammar():
         parse_kernel("quad_a:bogus=1")
     with pytest.raises(ValueError):
         parse_kernel("sum_lift:base=inner")
+    with pytest.raises(ValueError, match="bad parameters for kernel 'riesz'"):
+        parse_kernel("sum_lift:base=riesz,n=3")     # lift bases take no parameters
 
 
 def test_spec_string_round_trips():

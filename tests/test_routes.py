@@ -36,8 +36,7 @@ def _random_case(seed, min_arity=2):
             if a < nslots:          # anchor-anchor pairs are never stored
                 mono[(a, b)] = mono.get((a, b), 0) + int(rng.integers(1, 3))
         terms[tuple(sorted(mono.items()))] = float(rng.normal())
-    kernel = PolynomialKernel("random", PairPolynomial(terms, nslots, anchors),
-                              rotation_invariant=False)
+    kernel = PolynomialKernel("random", PairPolynomial(terms, nslots, anchors))
     sizes = rng.integers(1, 4, nslots)
     measures = [DiscreteMeasure(_unit_rows(rng, k, d), rng.normal(size=k)) for k in sizes]
     return kernel, pair_poly_fn(terms, anchors), measures, rng

@@ -128,14 +128,6 @@ def test_cli_verify_single_scenario_deterministic_bytes():
     assert payload["passed"] is True
 
 
-def test_cli_verify_jobs_do_not_change_output():
-    args = ["verify", "--tuples", "20000", "--seed", "3"]
-    seq = _run_cli(*args)
-    par = _run_cli(*args, "--jobs", "4")
-    assert seq.returncode == 0 and par.returncode == 0
-    assert seq.stdout == par.stdout
-
-
 def test_cli_verify_unknown_scenario_usage_error():
     out = _run_cli("verify", "--scenario", "nope")
     assert out.returncode == 64
@@ -200,3 +192,8 @@ def test_cli_usage_errors_say_why(tmp_path, capsys):
     assert exit_info.value.code == 64
     err = capsys.readouterr().err
     assert "multipot: error:" in err and ":2: expected key=value" in err
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["energy-int", "--kernel", "sum_lift:base=riesz,n=3", "--d", "3"])
+    assert exit_info.value.code == 64
+    assert "multipot: error: bad parameters for kernel 'riesz'" in capsys.readouterr().err
