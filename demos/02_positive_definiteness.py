@@ -75,6 +75,6 @@ print("\n=== anchor shift: conditional PD of G == plain PD of shifted G ===")
 for label, kernel in [("pinned -V^2", pin(neg_vol2(), e1)),
                       ("-||x-y||^2", -riesz(2.0)),
                       ("<x,y>", inner())]:
-    result = shift_equivalence_battery(kernel, 3, trials=10, set_size=12, seed=2, x0=e1)
+    result = shift_equivalence_battery(kernel, 3, trials=10, set_size=12, seed=2)
     print(f"  {label:12s} agreements {result['agreements']}/10, "
           f"disagreements {result['disagreements']}")

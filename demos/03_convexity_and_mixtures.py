@@ -11,6 +11,7 @@ import numpy as np
 
 from multipot import (
     DiscreteMeasure,
+    PotentialKernel,
     basis_vector,
     convexity_probe,
     inequality_suite,
@@ -50,9 +51,11 @@ for kernel, n in ((uvt(), 3), (quad_a(0.7, shift=True), 3)):
     w2 = rng.random(4)
     nu = DiscreteMeasure(atoms2, w2 / w2.sum())
     rep = convexity_probe(kernel, mu, nu)
-    print(f"  {kernel.name:8s} h'(0) = {rep.h_prime_0:+.6f}  "
+    # h: the mixture of the two-input (n-2)-fold potential of mu
+    h = mixture_polynomial(PotentialKernel(kernel, [mu] * (n - 2)), mu, nu)
+    print(f"  {kernel.name:8s} h'(0) = {h.derivative1_at_zero():+.6f}  "
           f"(2/n) g'(0) = {(2 / n) * rep.g_prime_0:+.6f}   "
-          f"h''(0) = {rep.h_double_prime_0:+.6f}  "
+          f"h''(0) = {h.derivative2_at_zero():+.6f}  "
           f"2/(n(n-1)) g''(0) = {(2 / (n * (n - 1))) * rep.g_double_prime_0:+.6f}")
 
 print("\n=== mean bounds on mixed energies ===")

@@ -8,7 +8,6 @@ witnesses, convexity probes along mixture segments, and particle descent
 for extremal configurations.
 """
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .geometry import (
     DegenerateRetraction,
     DiscreteMeasure,

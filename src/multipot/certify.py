@@ -10,11 +10,11 @@ can be recomputed independently.
 from __future__ import annotations
 
 import string
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import EIGENVALUE_TOL
 from .geometry import DiscreteMeasure, basis_vector
 from .kernels import Kernel, cpd_shift, pin
 from .energy import (
@@ -38,9 +38,9 @@ __all__ = [
     "shift_equivalence_battery",
 ]
 
-_EIG_TOL = DEFAULT_TOLERANCES.eigenvalue
 _MAX_ATOMS = 5            # atoms per random measure of the inequality suite
 _CHUNK_TUPLES = 4096      # kernel tuples per inequality-suite chunk
+_VIOLATION_TOL = 1e-10    # residual above which a mean bound counts as violated
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def _matrix_min_eig(mat: np.ndarray, conditional: bool):
     return float(vals[0]), vecs[:, 0]
 
 
-def _build_witness(kernel, pts, coeffs, mat, pins, conditional):
+def _build_witness(pts, coeffs, mat, conditional):
     """Turn an offending eigenvector into a small witness measure.
 
     Near-zero coefficients are dropped; in conditional mode the remaining
@@ -112,13 +112,12 @@ def _build_witness(kernel, pts, coeffs, mat, pins, conditional):
     sub = mat[np.ix_(keep, keep)]
     energy = float(c @ sub @ c)
     measure = DiscreteMeasure(pts[keep], c)
-    return Witness(tuple(np.asarray(p) for p in pins), measure, energy), energy
+    return Witness((), measure, energy), energy
 
 
 def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
                    trials: int = 20, set_size: int = 20, seed: int = 0,
-                   tol: float | None = None, include_points=None,
-                   pins: tuple = ()) -> PDVerdict:
+                   tol: float | None = None, include_points=None) -> PDVerdict:
     """Eigenvalue test of (conditional) positive definiteness for a
     two-input kernel.
 
@@ -148,11 +147,12 @@ def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         pts = np.vstack([fixed, pts]) if fixed.size else pts
         mat = _kernel_matrix(kernel, pts)
-        tol_eff = tol if tol is not None else _EIG_TOL * max(float(np.max(np.abs(mat))), 1e-12)
+        scale = max(float(np.max(np.abs(mat))), 1e-12)
+        tol_eff = tol if tol is not None else EIGENVALUE_TOL * scale
         lam, coeffs = _matrix_min_eig(mat, conditional)
         min_eig = min(min_eig, lam)
         if lam < -tol_eff and witness is None:
-            cand, energy = _build_witness(kernel, pts, coeffs, mat, pins, conditional)
+            cand, energy = _build_witness(pts, coeffs, mat, conditional)
             if energy < -tol_eff:
                 witness = cand
     outcome = "fail" if witness is not None else "pass_statistical"
@@ -174,8 +174,7 @@ def _default_probe_points(d: int) -> np.ndarray:
 
 def npd_test(kernel: Kernel, d: int, *, conditional: bool = False,
              pin_trials: int = 5, inner_trials: int = 5, set_size: int = 20,
-             seed: int = 0, tol: float | None = None,
-             include_points=None) -> PDVerdict:
+             seed: int = 0, tol: float | None = None) -> PDVerdict:
     """n-input positive definiteness via pinned two-input tests.
 
     Pins n-2 slots and delegates to :func:`pd_test_2input`.  The canonical
@@ -196,11 +195,10 @@ def npd_test(kernel: Kernel, d: int, *, conditional: bool = False,
     min_eig = np.inf
     witness = None
     trials_total = 0
-    probe = include_points if include_points is not None else _default_probe_points(d)
     for trial in range(pin_trials):
         if trial == 0:
             pin_pts = _canonical_pins(n, d)
-            include = probe
+            include = _default_probe_points(d)
         else:
             pin_pts = rng.standard_normal((n - 2, d))
             pin_pts /= np.linalg.norm(pin_pts, axis=1, keepdims=True)
@@ -209,12 +207,12 @@ def npd_test(kernel: Kernel, d: int, *, conditional: bool = False,
         verdict = pd_test_2input(
             pinned, d, conditional=conditional, trials=inner_trials,
             set_size=set_size, seed=int(rng.integers(2**32)), tol=tol,
-            include_points=include, pins=tuple(pin_pts),
+            include_points=include,
         )
         trials_total += verdict.trials_run
         min_eig = min(min_eig, verdict.min_eigenvalue_seen)
         if verdict.witness is not None and witness is None:
-            witness = verdict.witness
+            witness = replace(verdict.witness, pins=tuple(pin_pts))
     outcome = "fail" if witness is not None else "pass_statistical"
     return PDVerdict(mode, outcome, witness, trials_total, float(min_eig))
 
@@ -223,15 +221,11 @@ def npd_test(kernel: Kernel, d: int, *, conditional: bool = False,
 class ConvexityReport:
     """Convexity diagnostics of the mixture t -> I_K((1-t) mu + t nu).
 
-    g is the full n-input mixture polynomial; h is the two-input mixture
-    through the (n-2)-fold potential of the kernel with respect to mu, whose
-    Bernstein coefficients are g's first three (the same exact sums).
+    g is the full n-input mixture polynomial.
     """
 
     g_prime_0: float
     g_double_prime_0: float
-    h_prime_0: float
-    h_double_prime_0: float
     convex_on_unit_interval: bool
     violation_t: float | None
     chord_margin: float
@@ -244,7 +238,6 @@ def convexity_probe(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure,
     if not (mu.is_probability and nu.is_probability):
         raise ValueError("convexity probes are defined for probability measures")
     g = mixture_polynomial(kernel, mu, nu)
-    h0, h1, h2 = (float(c) for c in g.coefficients[:3])
 
     ts = np.linspace(0.0, 1.0, grid)
     second = g.derivative(ts, order=2)
@@ -258,8 +251,6 @@ def convexity_probe(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure,
     return ConvexityReport(
         g_prime_0=g.derivative1_at_zero(),
         g_double_prime_0=g.derivative2_at_zero(),
-        h_prime_0=2.0 * (h1 - h0),
-        h_double_prime_0=2.0 * (h0 - 2.0 * h1 + h2),
         convex_on_unit_interval=convex,
         violation_t=violation_t,
         chord_margin=margin,
@@ -298,14 +289,13 @@ def _potential_stderr(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarr
     return acc / len(test_points)
 
 
-def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure, test_points,
-                              tol: float | None = None) -> ConstancyReport:
+def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
+                              test_points) -> ConstancyReport:
     """Check whether the (n-1)-fold potential of mu is constant.
 
     Evaluates U at each test point and compares the worst deviation from
-    the mean against ``tol``; when no tolerance is given, it defaults to
-    five estimated standard errors of the sampled potential (plus a small
-    floor so exactly-constant potentials pass).
+    the mean against five estimated standard errors of the sampled
+    potential (plus a small floor so exactly-constant potentials pass).
     """
     if mu.n_atoms < 1:
         raise ValueError("measure needs at least one atom")
@@ -315,8 +305,7 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure, test_points,
     mean = float(np.mean(values))
     max_dev = float(np.max(np.abs(values - mean)))
     stderr = _potential_stderr(kernel, mu, pts)
-    if tol is None:
-        tol = max(5.0 * stderr, 1e-10 * max(1.0, abs(mean)))
+    tol = max(5.0 * stderr, 1e-10 * max(1.0, abs(mean)))
     return ConstancyReport(values, mean, max_dev, stderr, float(tol), max_dev <= tol)
 
 
@@ -401,8 +390,8 @@ def _diagonal_residuals(kernel: Kernel, probes: np.ndarray) -> np.ndarray:
     return kernel.evaluate_batch(probes) - kernel.evaluate_batch(diagonal).max(axis=1)
 
 
-def inequality_suite(kernel: Kernel, d: int, trials: int = 200, seed: int = 0,
-                     violation_tol: float = 1e-10) -> InequalityReport:
+def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
+                     seed: int = 0) -> InequalityReport:
     """Residuals of the mean bounds on mixed energies.
 
     For random tuples of small atomic probability measures this records
@@ -449,7 +438,7 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200, seed: int = 0,
         for key, res in residuals.items():
             if res.size:
                 worst[key] = max(worst[key], float(res.max()))
-                bad[key] += int(np.count_nonzero(res > violation_tol))
+                bad[key] += int(np.count_nonzero(res > _VIOLATION_TOL))
     return InequalityReport(
         trials=trials,
         am_worst=worst["am"],
@@ -465,17 +454,16 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200, seed: int = 0,
 
 
 def shift_equivalence_battery(kernel: Kernel, d: int, *, trials: int = 10,
-                              set_size: int = 12, seed: int = 0,
-                              x0=None) -> dict:
+                              set_size: int = 12, seed: int = 0) -> dict:
     """Compare conditional PD of a two-input kernel against plain PD of
-    its anchor-shifted version on shared point sets containing the anchor.
+    its shift at the anchor e_1 on shared point sets containing the anchor.
 
     Returns per-trial minimum eigenvalues of both matrices plus agreement
     counts (sign agreement up to a scale-relative tolerance band).
     """
     if kernel.arity != 2:
         raise ValueError("the shift battery applies to two-input kernels")
-    x0 = basis_vector(0, d) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = basis_vector(0, d)
     shifted = cpd_shift(kernel, x0)
     rng = np.random.default_rng(seed)
     agree = disagree = borderline = 0
@@ -488,8 +476,8 @@ def shift_equivalence_battery(kernel: Kernel, d: int, *, trials: int = 10,
         mat_p = _kernel_matrix(shifted, pts)
         lam_c, _ = _matrix_min_eig(mat_g, conditional=True)
         lam_p, _ = _matrix_min_eig(mat_p, conditional=False)
-        tol_c = _EIG_TOL * max(float(np.max(np.abs(mat_g))), 1e-12)
-        tol_p = _EIG_TOL * max(float(np.max(np.abs(mat_p))), 1e-12)
+        tol_c = EIGENVALUE_TOL * max(float(np.max(np.abs(mat_g))), 1e-12)
+        tol_p = EIGENVALUE_TOL * max(float(np.max(np.abs(mat_p))), 1e-12)
         neg_c = lam_c < -tol_c
         neg_p = lam_p < -tol_p
         near_zero = abs(lam_c) <= 5 * tol_c or abs(lam_p) <= 5 * tol_p

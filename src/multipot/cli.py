@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -133,8 +132,6 @@ def _cmd_convexity(args):
         "kernel": kernel.spec_string(),
         "g_prime_0": probe.g_prime_0,
         "g_double_prime_0": probe.g_double_prime_0,
-        "h_prime_0": probe.h_prime_0,
-        "h_double_prime_0": probe.h_double_prime_0,
         "convex_on_unit_interval": probe.convex_on_unit_interval,
         "violation_t": probe.violation_t,
         "chord_margin": probe.chord_margin,
@@ -153,10 +150,7 @@ def _cmd_minimize(args):
     cfg = optimize.OptimizerConfig(
         steps=args.steps, step_size=args.lr, seed=args.seed,
         maximize=args.maximize, stop_tol=args.stop_tol)
-    if args.multistart > 1:
-        trace = optimize.multistart(kernel, args.n, args.d, cfg, starts=args.multistart)
-    else:
-        trace = optimize.optimize_discrete(kernel, args.n, args.d, cfg)
+    trace = optimize.multistart(kernel, args.n, args.d, cfg, starts=args.multistart)
     if args.out:
         with open(f"{args.out}_trace.csv", "w", encoding="utf-8") as fh:
             fh.write("iteration,energy\n")
@@ -191,7 +185,6 @@ def _read_config_file(path: str) -> dict:
 def _cmd_verify(args):
     settings = {
         "scenario": args.scenario,
-        "jobs": args.jobs,
         "seed": args.seed,
         "out": args.out,
         "tuples": args.tuples,
@@ -199,13 +192,12 @@ def _cmd_verify(args):
     }
     if args.config:
         file_cfg = _read_config_file(args.config)
-        mapping = {"scenario": str, "jobs": int, "seed": int, "out": str,
-                   "tuples": int, "tol-scale": float}
+        mapping = {"scenario": str, "seed": int, "out": str, "tuples": int,
+                   "tol-scale": float}
         for key, cast in mapping.items():
             dest = key.replace("-", "_")
             if settings[dest] is None and key in file_cfg:
                 settings[dest] = cast(file_cfg[key])
-    jobs = settings["jobs"] or 1
     overrides = {}
     if settings["seed"] is not None:
         overrides["seed"] = settings["seed"]
@@ -221,23 +213,11 @@ def _cmd_verify(args):
                   f"{', '.join(scenarios.list_scenarios())}", file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
 
-    def run(name):
-        start = time.perf_counter()
-        report = scenarios.run_scenario(name, overrides)
-        return report, time.perf_counter() - start
-
-    results = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for name, value in zip(names, pool.map(run, names)):
-                results[name] = value
-    else:
-        for name in names:
-            results[name] = run(name)
-
     reports = []
     for name in names:
-        report, elapsed = results[name]
+        start = time.perf_counter()
+        report = scenarios.run_scenario(name, overrides)
+        elapsed = time.perf_counter() - start
         reports.append(report)
         status = "PASS" if report["passed"] else "FAIL"
         print(f"{name}: {status} ({elapsed:.2f}s)", file=sys.stderr)
@@ -333,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run reference scenarios")
     p.add_argument("--scenario", default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--tuples", type=int, default=None)

@@ -1,28 +1,17 @@
 """Shared numerical tolerances.
 
-All default tolerances used across the library live in one record so that
-geometric checks, eigenvalue thresholds and Monte-Carlo acceptance bands
-stay consistent between modules.
+Geometric checks, eigenvalue thresholds and Monte-Carlo acceptance bands
+read their tolerances from here so that they stay consistent between
+modules.
 """
-from __future__ import annotations
 
-from dataclasses import dataclass
+# Absolute tolerance for unit norms, mass balance and other exact geometric
+# identities.
+GEOMETRIC_TOL = 1e-12
 
+# Scale-relative threshold for calling an eigenvalue negative (multiplied by
+# the max-abs entry of the matrix under test).
+EIGENVALUE_TOL = 1e-9
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numerical tolerances.
-
-    geometric:  absolute tolerance for unit norms, mass balance and other
-                exact geometric identities.
-    eigenvalue: scale-relative threshold for calling an eigenvalue negative
-                (multiplied by the max-abs entry of the matrix under test).
-    mc_sigma:   width of Monte-Carlo acceptance bands, in standard errors.
-    """
-
-    geometric: float = 1e-12
-    eigenvalue: float = 1e-9
-    mc_sigma: float = 4.0
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Width of Monte-Carlo acceptance bands, in standard errors.
+MC_SIGMA = 4.0

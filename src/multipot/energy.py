@@ -103,23 +103,27 @@ def _dense_mutual(kernel: Kernel, measures) -> float:
     return float(np.einsum(spec, vals, *[m.weights for m in measures]))
 
 
-def _dense_potential(kernel: Kernel, measures, queries: np.ndarray) -> np.ndarray:
+def _dense_potential(batch, measures, queries: np.ndarray) -> np.ndarray:
     """Potential by a dense sum over the atom tuples (queries fill the last
-    slots), one tuple grid per block of queries."""
+    slots), one tuple grid per block of queries.
+
+    ``batch`` maps a grid of tuples to one value per tuple (a kernel's
+    ``evaluate_batch``) or to one array per tuple, such as the gradient in
+    the free slots; the result keeps those trailing axes per query.
+    """
     j, (count, r, d) = len(measures), queries.shape
     sizes = [m.atoms.shape[0] for m in measures]
     block = max(1, _BLOCK_TUPLES // max(math.prod(sizes), 1))
-    spec = _QUERY + _LETTERS[:j] + "," + ",".join(_LETTERS[:j]) + "->" + _QUERY
-    out = np.empty(count)
+    spec = _QUERY + _LETTERS[:j] + "...," + ",".join(_LETTERS[:j]) + "->" + _QUERY + "..."
+    out = []
     for start in range(0, count, block):
         q = queries[start:start + block]
         grid = np.empty((q.shape[0], *sizes, j + r, d))
         for s, m in enumerate(measures):
             grid[..., s, :] = m.atoms.reshape((sizes[s],) + (1,) * (j - s - 1) + (d,))
         grid[..., j:, :] = q.reshape((q.shape[0],) + (1,) * j + (r, d))
-        vals = kernel.evaluate_batch(grid)
-        out[start:start + block] = np.einsum(spec, vals, *[m.weights for m in measures])
-    return out
+        out.append(np.einsum(spec, batch(grid), *[m.weights for m in measures]))
+    return np.concatenate(out)
 
 
 # --- power-moment route --------------------------------------------------------
@@ -308,20 +312,24 @@ def _moment_gradient(poly, slot) -> np.ndarray:
 # --- exact sums ------------------------------------------------------------------
 
 
-def _exact(kernel: Kernel, slots) -> float:
-    """Exact weighted sum of the kernel over the atom tuples of the slots;
-    a potential kernel unfolds into its base kernel's sum."""
+def _sum(kernel: Kernel, slots, queries: np.ndarray | None = None):
+    """Exact weighted sum of the kernel over the atom tuples of the leading
+    slots, the remaining slots at each query tuple (Q, r, d): a float
+    without queries, else Q values.  A potential kernel unfolds into its
+    base kernel's sum."""
     if isinstance(kernel, PotentialKernel):
-        return _exact(kernel.base, kernel.measures + list(slots))
-    if _use_moments(kernel, slots):
-        return _moment_sum(kernel.pair_poly, slots)
-    return _dense_mutual(kernel, slots)
+        return _sum(kernel.base, kernel.measures + list(slots), queries)
+    if _use_moments(kernel, slots, 1 if queries is None else queries.shape[0]):
+        return _moment_sum(kernel.pair_poly, slots, queries)
+    if queries is None:
+        return _dense_mutual(kernel, slots)
+    return _dense_potential(kernel.evaluate_batch, slots, queries)
 
 
 def _points_energy(kernel: Kernel, pts: np.ndarray) -> float:
     """Discrete energy of the rows of ``pts`` (not validated)."""
     n = pts.shape[0]
-    return _exact(kernel, [_Atoms(pts, np.full(n, 1.0 / n))] * kernel.arity)
+    return _sum(kernel, [_Atoms(pts, np.full(n, 1.0 / n))] * kernel.arity)
 
 
 def _points_gradient(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
@@ -367,7 +375,7 @@ def mutual_energy(kernel: Kernel, measures) -> EnergyEstimate:
     measures = _validate_measures(kernel, measures)
     if kernel.arity > _MAX_EXACT_ARITY:
         raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
-    return EnergyEstimate(_exact(kernel, measures), 0.0,
+    return EnergyEstimate(_sum(kernel, measures), 0.0,
                           math.prod(m.n_atoms for m in measures))
 
 
@@ -416,9 +424,7 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
     queries = _coerce_queries(n - j, at)
     if queries.shape[2] != d:
         raise ValueError("query dimension does not match the measures")
-    if _use_moments(kernel, measures, queries.shape[0]):
-        return np.asarray(_moment_sum(kernel.pair_poly, measures, queries))
-    return _dense_potential(kernel, measures, queries)
+    return np.asarray(_sum(kernel, measures, queries))
 
 
 def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyEstimate:
@@ -555,3 +561,13 @@ class PotentialKernel(Kernel):
         flat = pts.reshape((-1,) + pts.shape[-2:])
         vals = potential(self._base, self._measures, flat)
         return vals.reshape(batch)
+
+    def gradient_batch(self, pts):
+        """Gradient with respect to the free slots, by a dense sum of the
+        base kernel's gradient over the integrated atoms."""
+        pts = self._check_points(pts)
+        flat = pts.reshape((-1,) + pts.shape[-2:])
+        j = len(self._measures)
+        grads = _dense_potential(lambda grid: self._base.gradient_batch(grid)[..., j:, :],
+                                 self._measures, flat)
+        return grads.reshape(pts.shape)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import GEOMETRIC_TOL
 
 __all__ = [
     "DegenerateRetraction",
@@ -42,8 +42,6 @@ __all__ = [
     "read_measure_csv",
     "write_measure_csv",
 ]
-
-_GEOM_TOL = DEFAULT_TOLERANCES.geometric
 
 
 class DegenerateRetraction(ValueError):
@@ -67,7 +65,7 @@ def unit_vector(coords) -> np.ndarray:
     if x.size < 2:
         raise ValueError("unit vectors need dimension >= 2")
     norm = float(np.linalg.norm(x))
-    if abs(norm - 1.0) > _GEOM_TOL:
+    if abs(norm - 1.0) > GEOMETRIC_TOL:
         raise ValueError(f"not a unit vector: |norm - 1| = {abs(norm - 1.0):.3e}")
     return x
 
@@ -92,7 +90,7 @@ class PointConfiguration:
         if pts.shape[0] < 1:
             raise ValueError("a point configuration needs at least one point")
         norms = np.linalg.norm(pts, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _GEOM_TOL:
+        if np.max(np.abs(norms - 1.0)) > GEOMETRIC_TOL:
             raise ValueError("all points must lie on the unit sphere (tol 1e-12)")
         pts = pts.copy()
         pts.setflags(write=False)
@@ -126,7 +124,7 @@ class DiscreteMeasure:
     def __post_init__(self):
         atoms = _as_points(self.atoms)
         norms = np.linalg.norm(atoms, axis=1)
-        if atoms.shape[0] and np.max(np.abs(norms - 1.0)) > _GEOM_TOL:
+        if atoms.shape[0] and np.max(np.abs(norms - 1.0)) > GEOMETRIC_TOL:
             raise ValueError("all atoms must lie on the unit sphere (tol 1e-12)")
         if self.weights is None:
             w = np.full(atoms.shape[0], 1.0 / max(atoms.shape[0], 1))
@@ -157,11 +155,11 @@ class DiscreteMeasure:
 
     @property
     def is_probability(self) -> bool:
-        return bool(np.all(self.weights >= 0.0) and abs(self.total_mass - 1.0) <= _GEOM_TOL)
+        return bool(np.all(self.weights >= 0.0) and abs(self.total_mass - 1.0) <= GEOMETRIC_TOL)
 
     @property
     def is_balanced(self) -> bool:
-        return abs(self.total_mass) <= _GEOM_TOL
+        return abs(self.total_mass) <= GEOMETRIC_TOL
 
     @classmethod
     def dirac(cls, point) -> "DiscreteMeasure":

@@ -612,8 +612,7 @@ def _lift(base: Kernel, n: int, mode: str) -> Kernel:
         except OverflowError:
             pass
         else:
-            return PolynomialKernel(name, poly, params=params,
-                                    nonnegative=mode == "prod" and base.nonnegative)
+            return PolynomialKernel(name, poly, params=params, nonnegative=base.nonnegative)
     return _Combination(name, n, mode, [(1.0, base, s) for s in subsets], params=params,
                         nonnegative=base.nonnegative)
 

@@ -29,6 +29,7 @@ __all__ = [
 
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
+_FD_STEP = 1e-6     # central-difference step in ambient coordinates
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,6 @@ class OptimizerConfig:
     step_size: float = 0.1
     seed: int = 0
     maximize: bool = False
-    grad_mode: str = "analytic"          # or "finite_difference"
-    fd_epsilon: float = 1e-6
     stop_tol: float = 1e-8
 
     def __post_init__(self):
@@ -46,10 +45,6 @@ class OptimizerConfig:
             raise ValueError("steps must be nonnegative")
         if self.step_size <= 0:
             raise ValueError("step size must be positive")
-        if self.grad_mode not in ("analytic", "finite_difference"):
-            raise ValueError(f"unknown gradient mode '{self.grad_mode}'")
-        if self.grad_mode == "finite_difference" and not 1e-8 <= self.fd_epsilon <= 1e-4:
-            raise ValueError("fd_epsilon must lie in [1e-8, 1e-4]")
 
 
 @dataclass(frozen=True)
@@ -73,20 +68,19 @@ def _needs_fd_fallback(kernel: Kernel, pts: np.ndarray) -> bool:
     return bool(np.min(dist) < 1e-12)
 
 
-def _fd_point_gradient(kernel: Kernel, pts: np.ndarray, i: int, eps: float) -> np.ndarray:
+def _fd_point_gradient(kernel: Kernel, pts: np.ndarray, i: int) -> np.ndarray:
     d = pts.shape[1]
     grad = np.zeros(d)
     for c in range(d):
         plus = pts.copy()
-        plus[i, c] += eps
+        plus[i, c] += _FD_STEP
         minus = pts.copy()
-        minus[i, c] -= eps
-        grad[c] = (_points_energy(kernel, plus) - _points_energy(kernel, minus)) / (2 * eps)
+        minus[i, c] -= _FD_STEP
+        grad[c] = (_points_energy(kernel, plus) - _points_energy(kernel, minus)) / (2 * _FD_STEP)
     return grad
 
 
-def _tangent_gradient(kernel: Kernel, pts: np.ndarray, mode: str, fd_epsilon: float,
-                      rows: slice) -> np.ndarray:
+def _tangent_gradient(kernel: Kernel, pts: np.ndarray, mode: str, rows: slice) -> np.ndarray:
     """Tangent-space gradient of the discrete energy at the rows of ``pts``
     that ``rows`` selects.  Analytic mode falls back to finite
     differences, with a warning, where the kernel's gradient is singular."""
@@ -97,8 +91,7 @@ def _tangent_gradient(kernel: Kernel, pts: np.ndarray, mode: str, fd_epsilon: fl
     if mode == "analytic":
         grad = _points_gradient(kernel, pts)[rows]
     elif mode == "finite_difference":
-        grad = np.stack([_fd_point_gradient(kernel, pts, i, fd_epsilon)
-                         for i in range(pts.shape[0])[rows]])
+        grad = np.stack([_fd_point_gradient(kernel, pts, i) for i in range(pts.shape[0])[rows]])
     else:
         raise ValueError(f"unknown gradient mode '{mode}'")
     x = pts[rows]
@@ -106,18 +99,18 @@ def _tangent_gradient(kernel: Kernel, pts: np.ndarray, mode: str, fd_epsilon: fl
 
 
 def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
-                    mode: str = "analytic", fd_epsilon: float = 1e-6) -> np.ndarray:
+                    mode: str = "analytic") -> np.ndarray:
     """Tangent-space gradient of the discrete energy with respect to the
     i-th point.
 
     Analytic mode takes the exact gradient from the energy module;
-    finite-difference mode uses central differences in ambient
+    finite-difference mode uses central differences (step 1e-6) in ambient
     coordinates.  Both are projected onto the tangent space at the point.
     """
     pts = np.array(config.points)
     if not 0 <= i < pts.shape[0]:
         raise ValueError(f"point index {i} out of range")
-    return _tangent_gradient(kernel, pts, mode, fd_epsilon, slice(i, i + 1))[0]
+    return _tangent_gradient(kernel, pts, mode, slice(i, i + 1))[0]
 
 
 def _renormalize(pts: np.ndarray) -> np.ndarray:
@@ -151,7 +144,7 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
     converged = False
 
     for _ in range(cfg.steps):
-        grad = _tangent_gradient(kernel, pts, cfg.grad_mode, cfg.fd_epsilon, slice(None))
+        grad = _tangent_gradient(kernel, pts, "analytic", slice(None))
         gnorm2 = float(np.sum(grad * grad))
         if np.sqrt(gnorm2) <= cfg.stop_tol:
             converged = True
@@ -174,7 +167,7 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
         step = min(t / _BACKTRACK, cfg.step_size)
 
     if not converged:
-        final_grad = _tangent_gradient(kernel, pts, cfg.grad_mode, cfg.fd_epsilon, slice(None))
+        final_grad = _tangent_gradient(kernel, pts, "analytic", slice(None))
         converged = float(np.linalg.norm(final_grad)) <= cfg.stop_tol
     return OptimizationTrace(energies, PointConfiguration(pts), converged, iterations)
 
@@ -206,20 +199,19 @@ class DirectionProbe:
     mixture: MixturePolynomial = field(repr=False)
 
 
-def local_min_probe(kernel: Kernel, mu: DiscreteMeasure, directions,
-                    t_max: float = 1.0, grid: int = 201,
-                    alpha_grid: int = 99) -> list[DirectionProbe]:
+def local_min_probe(kernel: Kernel, mu: DiscreteMeasure, directions) -> list[DirectionProbe]:
     """Probe whether mu is a directional local minimizer of the energy.
 
-    For each direction nu the exact mixture polynomial is evaluated on
-    [0, t_max]; the probe also reports the best mean-bound residual over
-    an interior alpha grid (nonpositive residual certifies the averaged
-    upper bound on the mixed energy).
+    For each direction nu the exact mixture polynomial is evaluated at 201
+    equispaced points of [0, 1]; the probe also reports the best mean-bound
+    residual over the 99 interior points alpha = 1/100, ..., 99/100
+    (nonpositive residual certifies the averaged upper bound on the mixed
+    energy).
     """
     if not mu.is_probability:
         raise ValueError("the base measure must be a probability measure")
-    ts = np.linspace(0.0, min(max(t_max, 0.0), 1.0), grid)
-    alphas = np.linspace(0.0, 1.0, alpha_grid + 2)[1:-1]
+    ts = np.linspace(0.0, 1.0, 201)
+    alphas = np.linspace(0.0, 1.0, 101)[1:-1]
     out = []
     for nu in directions:
         if not nu.is_probability:

@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from . import certify, energy, kernels, optimize
-from .config import DEFAULT_TOLERANCES
+from .config import MC_SIGMA
 from .geometry import (
     DiscreteMeasure,
     basis_vector,
@@ -109,7 +109,7 @@ def _mc_scenario(kernel_factory, dims, target, formula, seed, tuples, tol_scale,
         est = energy.mc_energy_uniform(kernel_factory(), d, tuples, seed + 101 * i)
         assertions.append(_assertion(
             f"MC energy of the uniform measure, d={d}",
-            est.value, target(d), DEFAULT_TOLERANCES.mc_sigma * est.stderr * tol_scale,
+            est.value, target(d), MC_SIGMA * est.stderr * tol_scale,
             source, formula,
         ))
         stderr_cap = 5e-4 * math.sqrt(max(DEFAULT_TUPLES / tuples, 1.0))
@@ -242,7 +242,7 @@ def _scenario_s011_potential(seed, tuples, tol_scale, d=3, surrogate_size=100_00
         rows = kernel.evaluate_batch(triples)
         stderr = float(rows.std(ddof=1) / math.sqrt(surrogate_size))
         ref = float(x @ y) / d
-        band = DEFAULT_TOLERANCES.mc_sigma * stderr * tol_scale
+        band = MC_SIGMA * stderr * tol_scale
         worst = max(worst, abs(values[q] - ref) / max(band, 1e-300))
         if q == 0:
             assertions.append(_assertion(
@@ -410,7 +410,7 @@ def _scenario_bcr_shift(seed, tuples, tol_scale, trials=20, set_size=12):
     assertions = []
     for i, (label, kernel) in enumerate(battery):
         result = certify.shift_equivalence_battery(
-            kernel, 3, trials=trials, set_size=set_size, seed=seed + 53 * i, x0=e1)
+            kernel, 3, trials=trials, set_size=set_size, seed=seed + 53 * i)
         assertions.append(_assertion(
             f"{label}: shifted plain verdict matches conditional verdict on "
             f"{trials} shared point sets",

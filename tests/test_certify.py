@@ -173,8 +173,7 @@ def test_shift_battery_agreement():
     battery = [pin(neg_vol2(), E1), pin(neg_area2(), E1), pin(s011(), E1),
                pin(uvt(), E1), inner(), frame2(), -frame2(), -riesz(2.0), -riesz(1.0)]
     for i, kernel in enumerate(battery):
-        result = shift_equivalence_battery(kernel, 3, trials=8, set_size=10,
-                                           seed=100 + i, x0=E1)
+        result = shift_equivalence_battery(kernel, 3, trials=8, set_size=10, seed=100 + i)
         assert result["disagreements"] == 0, kernel.name
 
 
@@ -214,7 +213,6 @@ def test_derivative_identities_random_setups():
                                                     rel=1e-8, abs=1e-10)
             assert 2.0 * (h0 - 2.0 * h1 + h2) == pytest.approx(
                 (2.0 / (n * (n - 1))) * rep.g_double_prime_0, rel=1e-8, abs=1e-10)
-            assert rep.h_prime_0 == pytest.approx(2.0 * (h1 - h0), rel=1e-8, abs=1e-10)
 
 
 def test_s100_not_convex_at_uniform_surrogate():

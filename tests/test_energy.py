@@ -4,6 +4,8 @@ Expected values are frozen from the independent oracles in oracles.py
 (brute-force tuple enumeration, raw-moment Monte Carlo) or from direct
 closed forms.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -168,13 +170,15 @@ def test_contraction_route_matches_dense_route():
 
 
 def test_contraction_route_two_input_with_anchor():
-    pinned = pin(neg_vol2(), E1)
     m1 = _random_measure(300, 3, 10, probability=False)
     m2 = _random_measure(300, 3, 11, probability=False)
-    assert energy_mod._use_moments(pinned, [m1, m2])
-    fast = mutual_energy(pinned, [m1, m2]).value
-    dense = energy_mod._dense_mutual(pinned, [m1, m2])
-    assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
+    # one anchor; two anchors from a two-point pin; two anchors from a sum
+    for pinned in (pin(neg_vol2(), E1), pin(sum_lift(frame2(), 4), np.stack([E1, E2])),
+                   pin(vol2(), E1) + pin(area2(), E2)):
+        assert energy_mod._use_moments(pinned, [m1, m2])
+        fast = mutual_energy(pinned, [m1, m2]).value
+        dense = energy_mod._dense_mutual(pinned, [m1, m2])
+        assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
 
 def test_anchored_kernels_route_by_size():
@@ -252,13 +256,13 @@ def test_potential_fast_route_matches_dense_route():
     queries = sample_sphere(3, 5, 31).points[:, None, :]
     assert energy_mod._use_moments(area2(), [mu, mu], len(queries))
     fast = potential(area2(), [mu, mu], queries)
-    dense = energy_mod._dense_potential(area2(), [mu, mu], queries)
+    dense = energy_mod._dense_potential(area2().evaluate_batch, [mu, mu], queries)
     assert np.max(np.abs(fast - dense)) <= 1e-12
 
     pair_queries = sample_sphere(3, 8, 33).points.reshape(4, 2, 3)
     assert energy_mod._use_moments(s011(), [mu], len(pair_queries))
     fast1 = potential(s011(), [mu], pair_queries)
-    dense1 = energy_mod._dense_potential(s011(), [mu], pair_queries)
+    dense1 = energy_mod._dense_potential(s011().evaluate_batch, [mu], pair_queries)
     assert np.max(np.abs(fast1 - dense1)) <= 1e-12
 
 
@@ -419,6 +423,35 @@ def test_potential_kernel_delegates_for_large_measures():
     value = mutual_energy(u, [sigma, sigma]).value      # would be 5000^3 pointwise
     direct = mutual_energy(s100(), [sigma] * 3).value
     assert value == pytest.approx(direct, abs=1e-12)
+
+
+def test_potential_of_potential_kernel_unfolds(monkeypatch):
+    mu = uniform_surrogate(3, 2000, 101)
+    nu = uniform_surrogate(3, 2000, 102)
+    queries = sample_sphere(3, 20, 103).points
+    direct = potential(area2(), [mu, nu], queries)
+
+    def pointwise(self, pts):
+        raise AssertionError("the potential kernel was evaluated pointwise")
+
+    monkeypatch.setattr(PotentialKernel, "evaluate_batch", pointwise)
+    unfolded = potential(PotentialKernel(area2(), [mu]), [nu], queries)
+    np.testing.assert_allclose(unfolded, direct, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("base", [area2(), prod_f_uvt(f="exp")], ids=["area2", "exp"])
+def test_potential_kernel_gradient_matches_central_differences(base):
+    u = PotentialKernel(base, [_random_measure(5, 3, 104)])
+    pts = sample_sphere(3, 8, 105).points.reshape(4, 2, 3)
+    grad = u.gradient_batch(pts)
+    assert grad.shape == pts.shape
+    h = 1e-6
+    for q, s, c in itertools.product(range(4), range(2), range(3)):
+        plus, minus = pts[q].copy(), pts[q].copy()
+        plus[s, c] += h
+        minus[s, c] -= h
+        fd = (u.evaluate(plus) - u.evaluate(minus)) / (2 * h)
+        assert grad[q, s, c] == pytest.approx(fd, abs=1e-8)
 
 
 def test_potential_kernel_slot_bounds():

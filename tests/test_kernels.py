@@ -1,6 +1,7 @@
 """Kernel catalog, lifting constructions, pinning and the CLI grammar."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ def test_prod_lift_warns_for_possibly_negative_base():
         prod_lift(inner(), 4)       # arity 2 < n-1 and inner can be negative
 
 
+@pytest.mark.parametrize("base, n", [(frame2(), 3), (prod_f_uvt(f="exp"), 4)],
+                         ids=["polynomial", "combination"])
+def test_lifts_of_nonnegative_kernels_are_nonnegative(base, n):
+    lifts = [sum_lift(base, n), prod_lift(base, n)]
+    assert all((lift.pair_poly is None) == (base.pair_poly is None) for lift in lifts)
+    assert all(lift.nonnegative for lift in lifts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prod_lift(lifts[0], n + 2)
+
+
 def test_pin_matches_explicit_polynomials():
     # pinned forms worked out by direct expansion of the Gram polynomials
     rng = np.random.default_rng(11)
@@ -148,6 +160,25 @@ def test_pin_is_partial_application():
     x, y, z = sample_sphere(3, 3, 13).points
     assert pin(vol2(), z)(x, y) == pytest.approx(vol2()(z, x, y), abs=1e-15)
     assert pin(s011(), E1)(E2, -E1) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_two_point_pin_of_arity_four_lift():
+    # the second pin pairs with the first: their inner product folds into
+    # the coefficients
+    kernel = sum_lift(frame2(), 4)
+    z1, z2, x, y = sample_sphere(3, 4, 47).points
+    pinned = pin(kernel, np.stack([z1, z2]))
+    assert pinned.pair_poly is not None
+    assert pinned(x, y) == pytest.approx(kernel(z1, z2, x, y), abs=1e-14)
+
+
+def test_pinned_polynomials_combine_with_their_anchors():
+    a, b = pin(vol2(), E1), pin(area2(), E2)
+    pts = sample_sphere(3, 10, 53).points.reshape(5, 2, 3)
+    va, vb, vi = a.evaluate_batch(pts), b.evaluate_batch(pts), inner().evaluate_batch(pts)
+    for combined, expected in ((a + b, va + vb), (a * b, va * vb), (a * inner(), va * vi)):
+        assert combined.pair_poly is not None
+        np.testing.assert_allclose(combined.evaluate_batch(pts), expected, rtol=0.0, atol=1e-14)
 
 
 def test_pin_count_bounds():

@@ -65,7 +65,7 @@ def test_potential_routes_agree(seed, free):
     ref = [brute_mutual(lambda *xs, q=q: fn(*xs, *q), [measure_as_pairs(m) for m in measures[:j]])
            for q in queries]
     moment = energy_mod._moment_sum(kernel.pair_poly, measures[:j], queries)
-    dense = energy_mod._dense_potential(kernel, measures[:j], queries)
+    dense = energy_mod._dense_potential(kernel.evaluate_batch, measures[:j], queries)
     routed = potential(kernel, measures[:j], queries)
     for values in (moment, dense, routed):
         assert all(_close(v, r) for v, r in zip(values, ref))
