@@ -183,30 +183,20 @@ def _read_config_file(path: str) -> dict:
 
 
 def _cmd_verify(args):
-    settings = {
-        "scenario": args.scenario,
-        "seed": args.seed,
-        "out": args.out,
-        "tuples": args.tuples,
-        "tol_scale": args.tol_scale,
-    }
     if args.config:
         file_cfg = _read_config_file(args.config)
-        mapping = {"scenario": str, "seed": int, "out": str, "tuples": int,
-                   "tol-scale": float}
-        for key, cast in mapping.items():
-            dest = key.replace("-", "_")
-            if settings[dest] is None and key in file_cfg:
-                settings[dest] = cast(file_cfg[key])
-    overrides = {}
-    if settings["seed"] is not None:
-        overrides["seed"] = settings["seed"]
-    if settings["tuples"] is not None:
-        overrides["tuples"] = settings["tuples"]
-    if settings["tol_scale"] is not None:
-        overrides["tol_scale"] = settings["tol_scale"]
+        casts = {"scenario": str, "seed": int, "out": str, "tuples": int, "tol-scale": float}
+        unknown = sorted(set(file_cfg) - set(casts))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown key(s) {', '.join(unknown)}; "
+                             f"allowed: {', '.join(casts)}")
+        for key, value in file_cfg.items():    # flags win over the file
+            if getattr(args, key.replace("-", "_")) is None:
+                setattr(args, key.replace("-", "_"), casts[key](value))
+    overrides = {key: getattr(args, key) for key in ("seed", "tuples", "tol_scale")
+                 if getattr(args, key) is not None}
 
-    names = [settings["scenario"]] if settings["scenario"] else scenarios.list_scenarios()
+    names = [args.scenario] if args.scenario else scenarios.list_scenarios()
     for name in names:
         if name not in scenarios.list_scenarios():
             print(f"unknown scenario '{name}'; available: "
@@ -227,12 +217,12 @@ def _cmd_verify(args):
                       f"(observed {a['observed']}, expected {a['expected']})",
                       file=sys.stderr)
 
-    payload = reports[0] if settings["scenario"] else {
+    payload = reports[0] if args.scenario else {
         "reports": reports, "passed": all(r["passed"] for r in reports)}
     text = json.dumps(scenarios._jsonify(payload), indent=2) + "\n"
     sys.stdout.write(text)
-    if settings["out"]:
-        with open(settings["out"], "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     ok = payload["passed"] if "passed" in payload else True
     raise SystemExit(0 if ok else ASSERTION_FAILURE)

@@ -11,14 +11,16 @@ all atom tuples.  Two routes compute them:
   folded into the weights), a free slot the tensor power of its query
   point, and one einsum with a letter per unit exponent contracts them.
   The gradient of a discrete energy contracts all slots but one and
-  differentiates the result against x^{(x)E}, in O(N d^E) work.
+  differentiates the result against x^{(x)E}, in O(N d^E) work; the
+  measures of a potential kernel are fixed slots in these contractions.
 
-One rule, :func:`_use_moments`, picks the route for every energy,
+A stack (B, N, d) of configurations in place of one (N, d) gets B energies
+or gradients from one set of contractions, each with the bits it gets
+alone.  One rule, :func:`_use_moments`, picks the route for every energy,
 potential and gradient: the moment route runs when the arrays it builds
 hold no more entries than the dense route reads (per tuple: the points,
 their pair products and one value per monomial).  Neither route takes on
-more than ``_WORK_LIMIT`` tuples or entries.  Both compute the same finite
-sum up to floating-point reordering.
+more than ``_WORK_LIMIT`` tuples or entries.
 """
 from __future__ import annotations
 
@@ -47,7 +49,8 @@ __all__ = [
 _MAX_EXACT_ARITY = 4
 _WORK_LIMIT = 20_000_000               # dense tuples, or moment-route array entries
 _BLOCK_TUPLES = 2_000_000              # tuples per dense grid, which bounds its memory
-_LETTERS = string.ascii_letters[:-1]   # one per unit exponent
+_LETTERS = string.ascii_letters[:-2]   # one per unit exponent
+_BATCH = string.ascii_letters[-2]      # the index of a stack of configurations
 _QUERY = string.ascii_letters[-1]      # the query index of free slots
 
 # The atoms and weights of one slot; a DiscreteMeasure has the same fields.
@@ -56,18 +59,14 @@ _Atoms = namedtuple("_Atoms", "atoms weights")
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    """An energy value with its Monte-Carlo standard error.
-
-    stderr == 0 means the computation was an exact finite sum.
-    """
+    """An energy value with its Monte-Carlo standard error; ``is_exact``
+    marks an exact finite sum, never a Monte-Carlo estimate (even one whose
+    samples agree, so that its stderr is 0)."""
 
     value: float
     stderr: float
     samples_used: int
-
-    @property
-    def is_exact(self) -> bool:
-        return self.stderr == 0.0
+    is_exact: bool
 
     def as_dict(self) -> dict:
         return {"value": self.value, "stderr": self.stderr, "samples_used": self.samples_used}
@@ -128,7 +127,7 @@ def _dense_potential(batch, measures, queries: np.ndarray) -> np.ndarray:
 
 # --- power-moment route --------------------------------------------------------
 
-_Plan = namedtuple("_Plan", "monomials slot_keys letter_counts pairs")
+_Plan = namedtuple("_Plan", "monomials slot_keys pairs")
 
 
 @functools.lru_cache(maxsize=64)
@@ -137,10 +136,10 @@ def _plan(poly) -> _Plan | None:
 
     A slot pair with exponent e shares e letters.  Each monomial is
     (coefficient, letters of each slot, (degree, anchor powers) key of each
-    slot, environments), where an environment (s, spec, others) contracts
-    the other slots' tensors onto slot s's letters for gradients.
-    ``slot_keys[s]`` lists the distinct keys of slot s, ``letter_counts``
-    each monomial's letter count and ``pairs`` the number of distinct pairs.
+    slot, environments, all its letters), where an environment (s, others,
+    summed) contracts the other slots' tensors onto slot s's letters for
+    gradients, summing the letters slot s lacks.  ``slot_keys[s]`` lists
+    the distinct keys of slot s and ``pairs`` counts the distinct pairs.
     """
     n = poly.nslots
     monomials, slot_keys = [], [[] for _ in range(n)]
@@ -162,12 +161,11 @@ def _plan(poly) -> _Plan | None:
             if key not in slot_keys[s]:
                 slot_keys[s].append(key)
             if key != (0, ()):
-                others = tuple(i for i in range(n) if i != s)
-                envs.append((s, ",".join(letters[i] for i in others) + "->" + letters[s], others))
-        monomials.append((coeff, tuple(letters), keys, tuple(envs)))
-    counts = tuple(sum(map(len, m[1])) // 2 for m in monomials)
+                envs.append((s, tuple(i for i in range(n) if i != s),
+                             "".join(c for c in _LETTERS[:used] if c not in letters[s])))
+        monomials.append((coeff, tuple(letters), keys, tuple(envs), _LETTERS[:used]))
     pairs = len({pair for mono in poly.terms for pair, _ in mono})
-    return _Plan(tuple(monomials), tuple(map(tuple, slot_keys)), counts, pairs)
+    return _Plan(tuple(monomials), tuple(map(tuple, slot_keys)), pairs)
 
 
 def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
@@ -182,13 +180,13 @@ def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
     pair products and one value per monomial.  Raises when the dense route
     would exceed the work limit.
     """
-    d = slots[0].atoms.shape[1]
-    rows = [s.atoms.shape[0] for s in slots]
+    d = slots[0].atoms.shape[-1]
+    rows = [s.atoms.shape[-2] for s in slots]
     tuples = math.prod(rows)
     plan = None if kernel.pair_poly is None else _plan(kernel.pair_poly)
     if plan is not None:
         rows += [queries] * (kernel.arity - len(slots))
-        size = queries * sum(d**c for c in plan.letter_counts)
+        size = queries * sum(d ** len(mono[4]) for mono in plan.monomials)
         size += sum(n * sum(d**e + d * len(anchored) for e, anchored in keys)
                     for n, keys in zip(rows, plan.slot_keys))
         per_tuple = (kernel.arity + plan.pairs) * d + len(plan.monomials)
@@ -203,151 +201,172 @@ def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
 
 
 class _Powers(dict):
-    """Tensor powers x^{(x)e} of the rows of x, as (d**e, N) arrays."""
+    """Tensor powers x^{(x)e} of the rows of x (..., N, d), as (..., d**e, N) arrays."""
 
     def __init__(self, x: np.ndarray):
-        super().__init__({1: np.ascontiguousarray(x.T)})
+        super().__init__({1: np.ascontiguousarray(np.swapaxes(x, -1, -2))})
 
     def __missing__(self, e: int) -> np.ndarray:
         xt = self[1]
-        if e == 0:
-            self[e] = np.ones((1, xt.shape[1]))
-        else:
-            self[e] = (self[e - 1][:, None, :] * xt[None, :, :]).reshape(-1, xt.shape[1])
+        self[e] = (np.ones_like(xt[..., :1, :]) if e == 0 else (self[e - 1][..., :, None, :]
+                   * xt[..., None, :, :]).reshape(xt.shape[:-2] + (-1, xt.shape[-1])))
         return self[e]
+
+
+class _Moments(dict):
+    """Moment tensors sum_i w_i a(x_i) x_i^{(x)e} of one slot by key = (e,
+    anchor powers), with a the anchor factor: shape (..., d, ..., d)."""
+
+    def __init__(self, slot, anchors: np.ndarray):
+        self.slot, self.anchors, self.powers = slot, anchors, _Powers(slot.atoms)
+
+    def __missing__(self, key) -> np.ndarray:
+        (e, anchored), x, w = key, self.slot.atoms, self.slot.weights
+        if anchored:
+            w = w * _anchor_factor(x, self.anchors, anchored)
+        moment = (self.powers[e] @ w[..., None])[..., 0]
+        self[key] = moment.reshape(x.shape[:-2] + (x.shape[-1],) * e)
+        return self[key]
+
+
+def _slot_moments(poly, slots) -> list[_Moments]:
+    """The moments of each slot, computed slot by slot before any contraction (in between,
+    they raised the peak memory on 100k-atom measures); equal slots share them."""
+    shared = {(id(s.atoms), id(s.weights)): s for s in slots}
+    shared = {ids: _Moments(s, poly.anchors) for ids, s in shared.items()}
+    ops = [shared[id(s.atoms), id(s.weights)] for s in slots]
+    for moments, keys in zip(ops, _plan(poly).slot_keys):
+        for key in keys:
+            moments[key]
+    return ops
 
 
 def _anchor_factor(x: np.ndarray, anchors: np.ndarray, anchored) -> np.ndarray:
     """prod_k <x, anchor_k>^e_k for each row of x."""
-    f = np.ones(x.shape[0])
+    f = np.ones(x.shape[:-1])
     for k, e in anchored:
         f *= (x @ anchors[k]) ** e
     return f
 
 
 def _anchor_gradient(x: np.ndarray, anchors: np.ndarray, anchored) -> np.ndarray:
-    """Gradient of the anchor factor at each row of x, as a (d, N) array."""
-    g = np.zeros((x.shape[1], x.shape[0]))
+    """Gradient of the anchor factor at each row of x (..., N, d), as (..., d, N)."""
+    g = np.zeros(x.shape[:-2] + (x.shape[-1], x.shape[-2]))
     for i, (k, e) in enumerate(anchored):
         rest = _anchor_factor(x, anchors, anchored[:i] + anchored[i + 1:])
-        g += anchors[k][:, None] * (e * (x @ anchors[k]) ** (e - 1) * rest)
+        g += anchors[k][:, None] * (e * (x @ anchors[k]) ** (e - 1) * rest)[..., None, :]
     return g
 
 
-def _moment(x, w, powers: _Powers, anchors, key) -> np.ndarray:
-    """The moment tensor sum_i w_i a(x_i) x_i^{(x)e}, shape (d,)*e, for
-    key = (e, anchor powers) and a the anchor factor."""
-    e, anchored = key
-    if anchored:
-        w = w * _anchor_factor(x, anchors, anchored)
-    return (powers[e] @ w).reshape((x.shape[1],) * e)
+def _contract(subs: str, out: str, summed: str, operands) -> np.ndarray:
+    """np.einsum(subs -> out).  On a stack, the letters ``summed`` (those
+    missing from out) are summed after the einsum, one row per entry: a row
+    sum's order, unlike einsum's, does not depend on the stack's length."""
+    if not (summed and out.startswith(_BATCH)):
+        return np.einsum(subs + "->" + out, *operands)
+    full = np.einsum(subs + "->" + out + summed, *operands)
+    return full.reshape(full.shape[:len(out)] + (-1,)).sum(axis=-1)
 
 
 def _moment_sum(poly, slots, queries: np.ndarray | None = None):
-    """A pair polynomial summed over the weighted atoms of its leading
-    len(slots) slots, the remaining slots at each query tuple (Q, r, d).
-    Returns a float without queries, else Q values."""
-    plan = _plan(poly)
-    j = len(slots)
+    """A pair polynomial summed over the weighted atoms of its leading len(slots) slots,
+    the others at each query tuple (Q, r, d): a float without queries, else Q values; a
+    stack (B, N, d) of configurations as a slot's atoms adds a leading axis."""
+    plan, j = _plan(poly), len(slots)
+    ops = _slot_moments(poly, slots)
     free = [] if queries is None else list(queries.transpose(1, 0, 2))
-    powers, moments, ops = {}, {}, []
-    for s, keys in enumerate(plan.slot_keys):
-        x = slots[s].atoms if s < j else free[s - j]
-        if id(x) not in powers:
-            powers[id(x)] = _Powers(x)
-        p = powers[id(x)]
-        tensors = {}
-        for key in keys:
-            if s < j:
-                cached = (id(x), id(slots[s].weights), key)
-                if cached not in moments:
-                    moments[cached] = _moment(x, slots[s].weights, p, poly.anchors, key)
-                tensors[key] = moments[cached]
-            else:
-                t = p[key[0]] * _anchor_factor(x, poly.anchors, key[1]) if key[1] else p[key[0]]
-                tensors[key] = t.reshape((x.shape[1],) * key[0] + (x.shape[0],))
-        ops.append(tensors)
-    out = _QUERY if free else ""
+    for x, keys in zip(free, plan.slot_keys[j:]):
+        p = _Powers(x)
+        ops.append({key: (p[key[0]] * _anchor_factor(x, poly.anchors, key[1]) if key[1]
+                          else p[key[0]]).reshape((x.shape[1],) * key[0] + (x.shape[0],))
+                    for key in keys})
+    lead = [_BATCH if slot.atoms.ndim == 3 else "" for slot in slots]
+    stack = _BATCH if any(lead) else ""
     total = 0.0
-    for coeff, letters, keys, _ in plan.monomials:
-        subs = [lets if s < j else lets + _QUERY for s, lets in enumerate(letters)]
-        total = total + coeff * np.einsum(",".join(subs) + "->" + out,
-                                          *[ops[s][key] for s, key in enumerate(keys)])
-    return total if free else float(total)
+    for coeff, letters, keys, _, summed in plan.monomials:
+        subs = [lead[s] + lets if s < j else lets + _QUERY for s, lets in enumerate(letters)]
+        total = total + coeff * _contract(",".join(subs), stack + _QUERY * bool(free), summed,
+                                          [ops[s][key] for s, key in enumerate(keys)])
+    return total if stack or free else float(total)
 
 
-def _moment_gradient(poly, slot) -> np.ndarray:
-    """Gradient of the polynomial summed over ``slot`` in every slot, with
-    respect to each atom of ``slot``: (N, d).
-
-    Slot s of a monomial contributes w(x) d/dx [a(x) <env, x^{(x)E}>], where
-    env contracts the moment tensors of the other slots.  Environments with
-    equal (E, anchor powers) keys are summed before they meet the atoms.
-    """
-    plan = _plan(poly)
-    x, w = slot.atoms, slot.weights
-    d = x.shape[1]
-    powers = _Powers(x)
-    moments = {key: _moment(x, w, powers, poly.anchors, key)
-               for key in {key for keys in plan.slot_keys for key in keys}}
+def _moment_gradient(poly, slot, fixed=()) -> np.ndarray:
+    """Gradient of the polynomial summed over the ``fixed`` measures in its
+    leading slots and over ``slot`` in the others, with respect to each atom
+    of ``slot``: (..., N, d) for atoms (..., N, d).  Slot s of a monomial
+    contributes w(x) d/dx [a(x) <env, x^{(x)E}>], where env contracts the
+    other slots' moment tensors; environments with equal (E, anchor powers)
+    keys are summed before they meet the atoms."""
+    x, w, j = slot.atoms, slot.weights, len(fixed)
+    lead, d = x.shape[:-2], x.shape[-1]
+    ops = _slot_moments(poly, list(fixed) + [slot] * (poly.nslots - j))
+    stack = _BATCH if lead else ""
     envs: dict = {}
-    for coeff, _, keys, environments in plan.monomials:
-        for s, spec, others in environments:
-            env = coeff * np.einsum(spec, *[moments[keys[i]] for i in others])
-            envs[keys[s]] = envs[keys[s]] + env if keys[s] in envs else env
-    grad = np.zeros((d, x.shape[0]))
+    for coeff, letters, keys, environments, _ in _plan(poly).monomials:
+        for s, others, summed in environments:
+            if s >= j:
+                subs = ",".join(letters[i] if i < j else stack + letters[i] for i in others)
+                env = coeff * _contract(subs, stack + letters[s], summed,
+                                        [ops[i][keys[i]] for i in others])
+                envs[keys[s]] = envs[keys[s]] + env if keys[s] in envs else env
+    p = ops[-1].powers
+    grad = np.zeros(lead + (d, x.shape[-2]))
     for (e, anchored), env in envs.items():
         # d/dx <env, x^{(x)e}> contracts x into every position but one
-        axes = list(range(e))
-        dvalue = sum(env.transpose([k] + axes[:k] + axes[k + 1:]).reshape(d, -1) @ powers[e - 1]
-                     for k in range(e))
+        dvalue = sum(np.moveaxis(env, len(lead) + k, len(lead)).reshape(lead + (d, -1))
+                     @ p[e - 1] for k in range(e))
         if anchored:
-            value = env.reshape(-1) @ powers[e]
-            dvalue = (_anchor_factor(x, poly.anchors, anchored) * dvalue
-                      + value * _anchor_gradient(x, poly.anchors, anchored))
+            value = (env.reshape(lead + (1, -1)) @ p[e])[..., 0, :]
+            dvalue = (_anchor_factor(x, poly.anchors, anchored)[..., None, :] * dvalue
+                      + value[..., None, :] * _anchor_gradient(x, poly.anchors, anchored))
         grad += dvalue
-    return (w * grad).T
+    return np.swapaxes(w * grad, -1, -2)
 
 
 # --- exact sums ------------------------------------------------------------------
 
 
 def _sum(kernel: Kernel, slots, queries: np.ndarray | None = None):
-    """Exact weighted sum of the kernel over the atom tuples of the leading
-    slots, the remaining slots at each query tuple (Q, r, d): a float
-    without queries, else Q values.  A potential kernel unfolds into its
-    base kernel's sum."""
+    """Exact weighted sum of the kernel over the atom tuples of the leading slots, the
+    others at each query tuple (Q, r, d): a float without queries, else Q values, and
+    B sums if the last slot holds a stack.  A potential kernel unfolds into its base's."""
     if isinstance(kernel, PotentialKernel):
         return _sum(kernel.base, kernel.measures + list(slots), queries)
     if _use_moments(kernel, slots, 1 if queries is None else queries.shape[0]):
         return _moment_sum(kernel.pair_poly, slots, queries)
+    if slots[-1].atoms.ndim == 3:
+        return np.array([
+            _sum(kernel, [s if s.atoms.ndim == 2 else _Atoms(s.atoms[b], s.weights) for s in slots],
+                 queries)
+            for b in range(slots[-1].atoms.shape[0])])
     if queries is None:
         return _dense_mutual(kernel, slots)
     return _dense_potential(kernel.evaluate_batch, slots, queries)
 
 
-def _points_energy(kernel: Kernel, pts: np.ndarray) -> float:
-    """Discrete energy of the rows of ``pts`` (not validated)."""
-    n = pts.shape[0]
+def _points_energy(kernel: Kernel, pts: np.ndarray):
+    """Discrete energy of the rows of ``pts`` (not validated), one per configuration of a stack."""
+    n = pts.shape[-2]
     return _sum(kernel, [_Atoms(pts, np.full(n, 1.0 / n))] * kernel.arity)
 
 
 def _points_gradient(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the discrete energy with respect to every row
-    of ``pts``: (N, d)."""
-    n, arity = pts.shape[0], kernel.arity
+    """Euclidean gradient of the discrete energy at every row of ``pts`` (N, d) or
+    of a stack (B, N, d); a potential kernel's measures are fixed slots of its base."""
+    n, arity = pts.shape[-2], kernel.arity
     slot = _Atoms(pts, np.full(n, 1.0 / n))
-    if _use_moments(kernel, [slot] * arity):
-        return _moment_gradient(kernel.pair_poly, slot)
+    pk = isinstance(kernel, PotentialKernel)
+    base, fixed = (kernel.base, kernel.measures) if pk else (kernel, [])
+    if _use_moments(base, fixed + [slot] * arity):
+        return _moment_gradient(base.pair_poly, slot, fixed)
+    if pts.ndim == 3:
+        return np.stack([_points_gradient(kernel, p) for p in pts])
     grad = np.zeros_like(pts)
     for start, stop, grid in _tuple_blocks([pts] * arity):
         g = kernel.gradient_batch(grid)
-        for s in range(arity):
-            part = g[..., s, :].sum(axis=tuple(a for a in range(arity) if a != s))
-            if s == 0:
-                grad[start:stop] += part
-            else:
-                grad += part
+        for s in range(arity):     # slot 0 runs over this block's rows only
+            (grad[start:stop] if s == 0 else grad)[...] += g[..., s, :].sum(
+                axis=tuple(a for a in range(arity) if a != s))
     return grad / n**arity
 
 
@@ -376,7 +395,7 @@ def mutual_energy(kernel: Kernel, measures) -> EnergyEstimate:
     if kernel.arity > _MAX_EXACT_ARITY:
         raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
     return EnergyEstimate(_sum(kernel, measures), 0.0,
-                          math.prod(m.n_atoms for m in measures))
+                          math.prod(m.n_atoms for m in measures), True)
 
 
 def discrete_energy(kernel: Kernel, config: PointConfiguration) -> EnergyEstimate:
@@ -385,7 +404,7 @@ def discrete_energy(kernel: Kernel, config: PointConfiguration) -> EnergyEstimat
     if kernel.arity > _MAX_EXACT_ARITY:
         raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
     return EnergyEstimate(_points_energy(kernel, config.points), 0.0,
-                          config.n_points ** kernel.arity)
+                          config.n_points ** kernel.arity, True)
 
 
 def _coerce_queries(r: int, at) -> np.ndarray:
@@ -454,7 +473,7 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
             bad = norms[..., 0] < 1e-12
             pts[bad] = rng.standard_normal((int(bad.sum()), d))
             norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-        vals = kernel.evaluate_batch(pts / norms)
+        vals = kernel.evaluate_batch(np.divide(pts, norms, out=pts))   # in place: one array less
         total = float(vals.sum())
         m2 += float(np.sum((vals - total / count) ** 2))
         if done:
@@ -463,7 +482,7 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
         acc += total
         done += count
     var = m2 / max(tuples - 1, 1)
-    return EnergyEstimate(acc / tuples, math.sqrt(var / tuples), tuples)
+    return EnergyEstimate(acc / tuples, math.sqrt(var / tuples), tuples, False)
 
 
 # --- mixtures and potentials-as-kernels ------------------------------------------

@@ -3,13 +3,15 @@
 Projected gradient descent with Armijo backtracking and retraction: the
 Euclidean gradient of the discrete energy is projected to the tangent
 space at each particle, a step is taken, and the particles are
-renormalized.  Runs are deterministic given the optimizer seed; energies
-along an accepted trajectory never get worse (up to 1e-12).
+renormalized.  One descent runs a stack (B, N, d) of starts through the
+energy engine at once, each with its own step and stopping test, so each
+start's trace is its single run's, bit for bit.  Runs are deterministic
+given the seed; accepted energies never get worse (up to 1e-12).
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,62 +61,94 @@ class OptimizationTrace:
         return self.energies[-1]
 
 
-def _needs_fd_fallback(kernel: Kernel, pts: np.ndarray) -> bool:
-    if not (isinstance(kernel, RieszKernel) and kernel.s < 1.0):
-        return False
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    return bool(np.min(dist) < 1e-12)
-
-
 def _fd_point_gradient(kernel: Kernel, pts: np.ndarray, i: int) -> np.ndarray:
-    d = pts.shape[1]
-    grad = np.zeros(d)
-    for c in range(d):
-        plus = pts.copy()
-        plus[i, c] += _FD_STEP
-        minus = pts.copy()
-        minus[i, c] -= _FD_STEP
-        grad[c] = (_points_energy(kernel, plus) - _points_energy(kernel, minus)) / (2 * _FD_STEP)
-    return grad
+    """Central differences in the coordinates of point i, from two stacks of shifted copies."""
+    shift = np.zeros((pts.shape[1],) + pts.shape)
+    shift[:, i, :] = np.eye(pts.shape[1])
+    return (_points_energy(kernel, pts + _FD_STEP * shift)
+            - _points_energy(kernel, pts - _FD_STEP * shift)) / (2 * _FD_STEP)
 
 
-def _tangent_gradient(kernel: Kernel, pts: np.ndarray, mode: str, rows: slice) -> np.ndarray:
-    """Tangent-space gradient of the discrete energy at the rows of ``pts``
-    that ``rows`` selects.  Analytic mode falls back to finite
-    differences, with a warning, where the kernel's gradient is singular."""
-    if mode == "analytic" and _needs_fd_fallback(kernel, pts):
+def _tangent_gradient(kernel: Kernel, stack: np.ndarray) -> np.ndarray:
+    """Tangent-space gradient of the discrete energy at every row of each configuration
+    of the stack (B, N, d).  One with coincident points, where a Riesz gradient with
+    s < 1 is singular, falls back to finite differences, with a warning."""
+    singular = np.zeros(len(stack), dtype=bool)
+    if isinstance(kernel, RieszKernel) and kernel.s < 1.0:
+        dist = np.linalg.norm(stack[:, :, None] - stack[:, None], axis=-1)
+        singular = np.min(dist + np.diag(np.full(stack.shape[1], np.inf)), axis=(1, 2)) < 1e-12
+    grad = np.empty_like(stack)
+    if not singular.all():
+        grad[~singular] = _points_gradient(kernel, stack[~singular])
+    for b in np.flatnonzero(singular):
         warnings.warn("coincident points with a singular gradient; "
                       "falling back to finite differences", stacklevel=3)
-        mode = "finite_difference"
-    if mode == "analytic":
-        grad = _points_gradient(kernel, pts)[rows]
-    elif mode == "finite_difference":
-        grad = np.stack([_fd_point_gradient(kernel, pts, i) for i in range(pts.shape[0])[rows]])
-    else:
-        raise ValueError(f"unknown gradient mode '{mode}'")
-    x = pts[rows]
-    return grad - np.sum(grad * x, axis=1)[:, None] * x
+        grad[b] = [_fd_point_gradient(kernel, stack[b], i) for i in range(stack.shape[1])]
+    return grad - np.sum(grad * stack, axis=-1)[..., None] * stack
 
 
 def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
                     mode: str = "analytic") -> np.ndarray:
     """Tangent-space gradient of the discrete energy with respect to the
-    i-th point.
-
-    Analytic mode takes the exact gradient from the energy module;
-    finite-difference mode uses central differences (step 1e-6) in ambient
-    coordinates.  Both are projected onto the tangent space at the point.
-    """
+    i-th point: exact from the energy module, or central differences (step
+    1e-6) in ambient coordinates, projected onto the tangent space."""
     pts = np.array(config.points)
     if not 0 <= i < pts.shape[0]:
         raise ValueError(f"point index {i} out of range")
-    return _tangent_gradient(kernel, pts, mode, slice(i, i + 1))[0]
+    if mode == "analytic":
+        return _tangent_gradient(kernel, pts[None])[0, i]
+    if mode != "finite_difference":
+        raise ValueError(f"unknown gradient mode '{mode}'")
+    grad = _fd_point_gradient(kernel, pts, i)
+    return grad - (grad @ pts[i]) * pts[i]
 
 
 def _renormalize(pts: np.ndarray) -> np.ndarray:
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+
+
+def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[OptimizationTrace]:
+    """Descend from every configuration of the stack (B, N, d) at once.
+
+    Each start keeps its own Armijo step, backtracking and stopping test,
+    and drops out of the evaluations once it has converged, failed its line
+    search or run out of steps.  The energy engine sums each configuration
+    on its own, so a start's trace does not depend on the other starts.
+    """
+    pts, sign = np.array(stack), -1.0 if cfg.maximize else 1.0   # descend on sign * E
+    energy = _points_energy(kernel, pts)
+    energies = [[e] for e in energy.tolist()]
+    step, converged = np.full(len(pts), cfg.step_size), np.zeros(len(pts), dtype=bool)
+    active = np.arange(len(pts))
+    for it in range(cfg.steps + 1):     # the pass after the last step only tests convergence
+        if not active.size:
+            break
+        grad = _tangent_gradient(kernel, pts[active])
+        gnorm2 = np.sum((grad * grad).reshape(active.size, -1), axis=1)
+        stop = np.sqrt(gnorm2) <= cfg.stop_tol
+        converged[active[stop]] = True
+        if it == cfg.steps:
+            break
+        active, direction, gnorm2 = active[~stop], -sign * grad[~stop], gnorm2[~stop]
+        t, search = step[active], np.arange(active.size)   # positions in active still searching
+        for _ in range(60):
+            if not search.size:
+                break
+            rows = active[search]
+            cand = _renormalize(pts[rows] + t[search, None, None] * direction[search])
+            cand_energy = _points_energy(kernel, cand)
+            ok = sign * (cand_energy - energy[rows]) <= -_ARMIJO * t[search] * gnorm2[search]
+            pts[rows[ok]], energy[rows[ok]] = cand[ok], cand_energy[ok]
+            search = search[~ok]
+            t[search] *= _BACKTRACK
+        accepted = np.ones(active.size, dtype=bool)
+        accepted[search] = False
+        active, t = active[accepted], t[accepted]
+        for b in active:
+            energies[b].append(float(energy[b]))
+        step[active] = np.minimum(t / _BACKTRACK, cfg.step_size)
+    return [OptimizationTrace(e, PointConfiguration(p), bool(c), len(e) - 1)
+            for e, p, c in zip(energies, pts, converged)]
 
 
 def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfig,
@@ -124,69 +158,26 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
     Random initialization from the config seed unless ``initial`` is
     given.  The result's final energy is an upper bound on the infimum
     (lower bound on the supremum when maximizing); no optimality claim is
-    made.
+    made.  This is :func:`multistart` with one start.
     """
-    if n_points < 1 or d < 2:
-        raise ValueError("need n_points >= 1 and d >= 2")
     if initial is None:
-        pts = np.array(sample_sphere(d, n_points, cfg.seed).points)
-    else:
-        pts = np.array(getattr(initial, "points", initial), dtype=float)
-        if pts.shape != (n_points, d):
-            raise ValueError("initial configuration has the wrong shape")
-        pts = _renormalize(pts)
-
-    sign = -1.0 if cfg.maximize else 1.0   # descend on sign * E
-    energy = _points_energy(kernel, pts)
-    energies = [energy]
-    step = cfg.step_size
-    iterations = 0
-    converged = False
-
-    for _ in range(cfg.steps):
-        grad = _tangent_gradient(kernel, pts, "analytic", slice(None))
-        gnorm2 = float(np.sum(grad * grad))
-        if np.sqrt(gnorm2) <= cfg.stop_tol:
-            converged = True
-            break
-        direction = -sign * grad
-        t = step
-        accepted = False
-        for _ in range(60):
-            cand = _renormalize(pts + t * direction)
-            cand_energy = _points_energy(kernel, cand)
-            if sign * (cand_energy - energy) <= -_ARMIJO * t * gnorm2:
-                accepted = True
-                break
-            t *= _BACKTRACK
-        if not accepted:
-            break
-        pts, energy = cand, cand_energy
-        energies.append(energy)
-        iterations += 1
-        step = min(t / _BACKTRACK, cfg.step_size)
-
-    if not converged:
-        final_grad = _tangent_gradient(kernel, pts, "analytic", slice(None))
-        converged = float(np.linalg.norm(final_grad)) <= cfg.stop_tol
-    return OptimizationTrace(energies, PointConfiguration(pts), converged, iterations)
+        return multistart(kernel, n_points, d, cfg, starts=1)
+    pts = np.array(getattr(initial, "points", initial), dtype=float)
+    if n_points < 1 or d < 2 or pts.shape != (n_points, d):
+        raise ValueError(f"initial configuration must have shape ({n_points}, {d}), "
+                         "with n_points >= 1 and d >= 2")
+    return _descend(kernel, _renormalize(pts)[None], cfg)[0]
 
 
 def multistart(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfig,
                starts: int = 4) -> OptimizationTrace:
-    """Best-of-k restarts with consecutive seeds (reported in seed order)."""
-    if starts < 1:
-        raise ValueError("need at least one start")
-    best = None
-    for k in range(starts):
-        trace = optimize_discrete(kernel, n_points, d, replace(cfg, seed=cfg.seed + k))
-        if best is None:
-            best = trace
-        elif cfg.maximize and trace.final_energy > best.final_energy:
-            best = trace
-        elif not cfg.maximize and trace.final_energy < best.final_energy:
-            best = trace
-    return best
+    """Best-of-k restarts from the seeds seed, seed + 1, ... (ties go to
+    the earlier seed), run as one batched descent."""
+    if starts < 1 or n_points < 1 or d < 2:
+        raise ValueError("need starts >= 1, n_points >= 1 and d >= 2")
+    stack = np.stack([sample_sphere(d, n_points, cfg.seed + k).points for k in range(starts)])
+    return (max if cfg.maximize else min)(_descend(kernel, stack, cfg),
+                                          key=lambda trace: trace.final_energy)
 
 
 @dataclass(frozen=True)

@@ -342,6 +342,18 @@ def test_mc_stderr_survives_constant_offset():
     assert shifted.stderr == pytest.approx(plain.stderr, rel=1e-3)
 
 
+def test_exactness_is_a_field_not_a_zero_stderr():
+    # a constant kernel's Monte-Carlo samples all agree, so the estimate's
+    # stderr is 0, yet it is still an estimate
+    constant = PolynomialKernel("constant", PairPolynomial({(): 2.0}, 3))
+    est = mc_energy_uniform(constant, 3, 1000, 0)
+    assert est.value == 2.0 and est.stderr == 0.0 and not est.is_exact
+    assert list(est.as_dict()) == ["value", "stderr", "samples_used"]
+    mu = DiscreteMeasure(np.eye(3), np.full(3, 1 / 3))
+    assert mutual_energy(constant, [mu] * 3).is_exact
+    assert discrete_energy(constant, PointConfiguration(np.eye(3))).is_exact
+
+
 # --- mixture polynomials -----------------------------------------------------------
 
 

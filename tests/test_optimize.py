@@ -1,8 +1,11 @@
 """Particle descent: gradients, line search, targets, equivariance."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import multipot.energy as energy_mod
+import multipot.optimize as optimize_mod
 
 from multipot import (
     DiscreteMeasure,
@@ -16,6 +19,7 @@ from multipot import (
     multistart,
     neg_area2,
     optimize_discrete,
+    pin,
     quad_a,
     random_rotation,
     riesz,
@@ -249,3 +253,100 @@ def test_descent_final_energy_matches_dense_sum(kernel):
     measure = DiscreteMeasure(trace.final_config.points)
     dense = energy_mod._dense_mutual(kernel, [measure] * 3)
     assert trace.final_energy == pytest.approx(dense, rel=1e-12)
+
+
+# --- the batched descent -------------------------------------------------------------
+
+# area2 at seed 3: starts 0-2 stop unconverged before the step limit (their
+# line search fails near the supremum) while start 3 runs every step.
+BATCH_CASES = {
+    "area2": (area2(), 12, OptimizerConfig(steps=300, step_size=1.0, seed=3, maximize=True,
+                                           stop_tol=1e-9)),
+    "vol2": (vol2(), 12, OptimizerConfig(steps=200, step_size=1.0, seed=10, maximize=True)),
+    "s011": (s011(), 2, OptimizerConfig(steps=400, step_size=0.5, seed=1, stop_tol=1e-12)),
+    "pinned": (pin(vol2(), [0.6, 0.8, 0.0]), 12, OptimizerConfig(steps=100, step_size=0.5,
+                                                                   seed=2)),
+    "potential": (PotentialKernel(area2(), [uniform_surrogate(3, 50, 1)]), 8,
+                  OptimizerConfig(steps=60, step_size=0.5, seed=5, maximize=True)),
+    "riesz-dense": (riesz(0.5), 5, OptimizerConfig(steps=40, step_size=0.1, seed=4)),
+}
+
+
+def _same_trace(a, b):
+    return (a.energies == b.energies
+            and np.array_equal(a.final_config.points, b.final_config.points)
+            and a.iterations_run == b.iterations_run and a.converged == b.converged)
+
+
+def _single_runs(kernel, stack, cfg):
+    return [optimize_mod._descend(kernel, stack[b:b + 1], cfg)[0] for b in range(len(stack))]
+
+
+@pytest.mark.parametrize("name", list(BATCH_CASES))
+def test_multistart_starts_match_single_runs_bit_for_bit(name, monkeypatch):
+    kernel, n, cfg = BATCH_CASES[name]
+    batches = []
+    descend = optimize_mod._descend
+    monkeypatch.setattr(optimize_mod, "_descend",
+                        lambda *args: batches.append(descend(*args)) or batches[-1])
+    best = multistart(kernel, n, 3, cfg, starts=4)
+    starts = batches[0]
+    singles = [optimize_discrete(kernel, n, 3, replace(cfg, seed=cfg.seed + k)) for k in range(4)]
+    assert len(starts) == 4
+    for start, single in zip(starts, singles):
+        assert _same_trace(start, single)
+    pick = max if cfg.maximize else min
+    assert best is pick(starts, key=lambda trace: trace.final_energy)
+
+
+def test_batch_with_an_early_converged_start():
+    # an antipodal pair is a critical point of s011: that start stops at
+    # once while the other keeps descending
+    x = sample_sphere(3, 1, 0).points[0]
+    stack = np.stack([[x, -x], sample_sphere(3, 2, 1).points])
+    cfg = OptimizerConfig(steps=200, step_size=0.5, stop_tol=1e-12)
+    traces = optimize_mod._descend(s011(), stack, cfg)
+    assert traces[0].converged and traces[0].iterations_run == 0
+    assert traces[1].iterations_run == 200
+    for trace, single in zip(traces, _single_runs(s011(), stack, cfg)):
+        assert _same_trace(trace, single)
+
+
+def test_batch_with_a_failed_line_search():
+    kernel, n, cfg = BATCH_CASES["area2"]
+    stack = np.stack([sample_sphere(3, n, cfg.seed + k).points for k in range(4)])
+    traces = optimize_mod._descend(kernel, stack, cfg)
+    failed = [t for t in traces if not t.converged and t.iterations_run < cfg.steps]
+    assert failed and any(t.iterations_run == cfg.steps for t in traces)
+    for trace, single in zip(traces, _single_runs(kernel, stack, cfg)):
+        assert _same_trace(trace, single)
+
+
+def test_batch_with_a_finite_difference_start():
+    # the first start has coincident points, where the Riesz gradient is
+    # singular, so only it falls back to finite differences
+    pts = sample_sphere(3, 3, 2).points
+    stack = np.stack([np.vstack([pts[:2], pts[:1]]), pts])
+    cfg = OptimizerConfig(steps=3, step_size=0.1)
+    with pytest.warns(UserWarning):
+        traces = optimize_mod._descend(riesz(0.5), stack, cfg)
+    with pytest.warns(UserWarning):
+        singles = _single_runs(riesz(0.5), stack, cfg)
+    for trace, single in zip(traces, singles):
+        assert _same_trace(trace, single)
+
+
+def test_multistart_makes_no_more_gradient_calls_than_its_longest_start(monkeypatch):
+    calls = []
+    moment_gradient = energy_mod._moment_gradient
+    monkeypatch.setattr(energy_mod, "_moment_gradient",
+                        lambda *args: calls.append(args) or moment_gradient(*args))
+    kernel, n, cfg = BATCH_CASES["area2"]
+    multistart(kernel, n, 3, cfg, starts=4)
+    batched = len(calls)
+    singles = []
+    for k in range(4):
+        calls.clear()
+        optimize_discrete(kernel, n, 3, replace(cfg, seed=cfg.seed + k))
+        singles.append(len(calls))
+    assert batched <= max(singles)

@@ -11,6 +11,7 @@ import pytest
 
 from multipot import DiscreteMeasure, mutual_energy, potential
 from multipot import energy as energy_mod
+from multipot.energy import PotentialKernel
 from multipot.kernels import PairPolynomial, PolynomialKernel
 from oracles import brute_mutual, measure_as_pairs, pair_poly_fn
 
@@ -93,3 +94,61 @@ def test_gradients_match_finite_differences(seed):
         for grad, w in analytic:
             fd = (oracle(plus, w) - oracle(minus, w)) / (2 * eps)
             assert grad[i, c] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stacked_configurations_sum_one_by_one(seed):
+    # a (B, N, d) stack gives each configuration the bits it gets alone in
+    # a stack of one, and the oracle's value
+    kernel, fn, measures, rng = _random_case(seed)
+    poly, arity, d = kernel.pair_poly, kernel.arity, measures[0].dimension
+    stack = np.stack([_unit_rows(rng, 3, d) for _ in range(4)])
+    w = rng.normal(size=3)
+    energies = energy_mod._moment_sum(poly, [energy_mod._Atoms(stack, w)] * arity)
+    grads = energy_mod._moment_gradient(poly, energy_mod._Atoms(stack, w))
+    assert energies.shape == (4,) and grads.shape == stack.shape
+    for b, pts in enumerate(stack):
+        alone = energy_mod._Atoms(stack[b:b + 1], w)
+        assert energies[b] == energy_mod._moment_sum(poly, [alone] * arity)[0]
+        assert np.array_equal(grads[b], energy_mod._moment_gradient(poly, alone)[0])
+        unstacked = energy_mod._Atoms(pts, w)
+        ref = brute_mutual(fn, [list(zip(w, pts))] * arity)
+        for value in (energies[b], energy_mod._moment_sum(poly, [unstacked] * arity)):
+            assert value == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert np.allclose(grads[b], energy_mod._moment_gradient(poly, unstacked),
+                           rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fixed_slot_gradients(seed, monkeypatch):
+    # the gradient of a potential kernel's discrete energy: fixed slots in
+    # the moment engine, the dense route and central differences of the oracle
+    kernel, fn, measures, rng = _random_case(seed, min_arity=3)
+    j = int(rng.integers(1, kernel.arity - 1))
+    fixed, free = measures[:j], kernel.arity - j
+    pts = _unit_rows(rng, 3, measures[0].dimension)
+    uniform = np.full(3, 1.0 / 3)
+    moment = energy_mod._moment_gradient(kernel.pair_poly, energy_mod._Atoms(pts, uniform), fixed)
+    stack = np.stack([pts, pts[::-1]])
+    stacked = energy_mod._moment_gradient(kernel.pair_poly, energy_mod._Atoms(stack, uniform),
+                                          fixed)
+    alone = energy_mod._moment_gradient(kernel.pair_poly, energy_mod._Atoms(stack[:1], uniform),
+                                        fixed)
+    assert np.array_equal(stacked[:1], alone)
+    for grad in (stacked[0], stacked[1][::-1]):
+        assert np.allclose(grad, moment, rtol=1e-12, atol=1e-12)
+    monkeypatch.setattr(energy_mod, "_use_moments", lambda *args: False)
+    dense = energy_mod._points_gradient(PotentialKernel(kernel, fixed), pts)
+    assert np.allclose(moment, dense, rtol=1e-12, atol=1e-12)
+
+    def oracle(p):
+        return brute_mutual(fn, [measure_as_pairs(m) for m in fixed]
+                            + [list(zip(uniform, p))] * free)
+
+    eps = 1e-6
+    for i, c in zip(rng.integers(0, 3, 3), rng.integers(0, pts.shape[1], 3)):
+        plus, minus = pts.copy(), pts.copy()
+        plus[i, c] += eps
+        minus[i, c] -= eps
+        fd = (oracle(plus) - oracle(minus)) / (2 * eps)
+        assert moment[i, c] == pytest.approx(fd, rel=1e-5, abs=1e-7)

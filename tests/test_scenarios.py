@@ -153,6 +153,20 @@ def test_cli_verify_config_file_and_flag_precedence(tmp_path):
     assert json.loads(flag_wins.stdout)["scenario"] == "s011-counterexample"
 
 
+@pytest.mark.parametrize("line", ["seeed=3", "jobs=4"])
+def test_cli_verify_config_rejects_unknown_keys(tmp_path, capsys, line):
+    from multipot.cli import main
+
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"scenario=bcr-shift\n{line}\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--config", str(cfg)])
+    assert exit_info.value.code == 64
+    err = capsys.readouterr().err
+    assert f"multipot: error: {cfg}: unknown key(s) {line.split('=')[0]}" in err
+    assert "allowed: scenario, seed, out, tuples, tol-scale" in err
+
+
 def test_cli_verify_out_file_matches_stdout(tmp_path):
     target = tmp_path / "report.json"
     out = _run_cli("verify", "--scenario", "bcr-shift", "--out", str(target))
