@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .config import EIGENVALUE_TOL
-from .geometry import DiscreteMeasure, basis_vector
+from .geometry import DiscreteMeasure, _random_directions, basis_vector
 from .kernels import Kernel, cpd_shift, pin
 from .energy import (
     _MAX_EXACT_ARITY,
@@ -84,6 +84,12 @@ def _kernel_matrix(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _eigen_tol(mat: np.ndarray) -> float:
+    """Scale-relative threshold below which an eigenvalue of ``mat``
+    counts as negative."""
+    return EIGENVALUE_TOL * max(float(np.max(np.abs(mat))), 1e-12)
+
+
 def _matrix_min_eig(mat: np.ndarray, conditional: bool):
     """Smallest (restricted) eigenvalue and its coefficient vector."""
     if conditional:
@@ -143,12 +149,10 @@ def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
     witness = None
     for _ in range(trials):
         n_random = set_size - fixed.shape[0]
-        pts = rng.standard_normal((n_random, d))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts = _random_directions(rng, (n_random, d))
         pts = np.vstack([fixed, pts]) if fixed.size else pts
         mat = _kernel_matrix(kernel, pts)
-        scale = max(float(np.max(np.abs(mat))), 1e-12)
-        tol_eff = tol if tol is not None else EIGENVALUE_TOL * scale
+        tol_eff = tol if tol is not None else _eigen_tol(mat)
         lam, coeffs = _matrix_min_eig(mat, conditional)
         min_eig = min(min_eig, lam)
         if lam < -tol_eff and witness is None:
@@ -200,8 +204,7 @@ def npd_test(kernel: Kernel, d: int, *, conditional: bool = False,
             pin_pts = _canonical_pins(n, d)
             include = _default_probe_points(d)
         else:
-            pin_pts = rng.standard_normal((n - 2, d))
-            pin_pts /= np.linalg.norm(pin_pts, axis=1, keepdims=True)
+            pin_pts = _random_directions(rng, (n - 2, d))
             include = None
         pinned = pin(kernel, pin_pts)
         verdict = pd_test_2input(
@@ -331,8 +334,7 @@ def _random_atoms(rng, d: int):
     atoms on S^{d-1}, drawn as integers(2, _MAX_ATOMS + 1), then
     standard_normal((k, d)), then random(k)."""
     k = int(rng.integers(2, _MAX_ATOMS + 1))
-    atoms = rng.standard_normal((k, d))
-    atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
+    atoms = _random_directions(rng, (k, d))
     w = rng.random(k) + 1e-3
     return atoms, w / w.sum()
 
@@ -358,8 +360,7 @@ def _draw_trials(rng, count: int, n: int, d: int):
             atoms[t, s] = a[0]
             atoms[t, s, :len(w)] = a
             weights[t, s, :len(w)] = w
-        z = rng.standard_normal((n, d))
-        probes[t] = z / np.linalg.norm(z, axis=1, keepdims=True)
+        probes[t] = _random_directions(rng, (n, d))
     return atoms, weights, probes
 
 
@@ -469,15 +470,12 @@ def shift_equivalence_battery(kernel: Kernel, d: int, *, trials: int = 10,
     agree = disagree = borderline = 0
     pairs = []
     for _ in range(trials):
-        pts = rng.standard_normal((set_size - 1, d))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        pts = np.vstack([x0[None, :], pts])
+        pts = np.vstack([x0[None, :], _random_directions(rng, (set_size - 1, d))])
         mat_g = _kernel_matrix(kernel, pts)
         mat_p = _kernel_matrix(shifted, pts)
         lam_c, _ = _matrix_min_eig(mat_g, conditional=True)
         lam_p, _ = _matrix_min_eig(mat_p, conditional=False)
-        tol_c = EIGENVALUE_TOL * max(float(np.max(np.abs(mat_g))), 1e-12)
-        tol_p = EIGENVALUE_TOL * max(float(np.max(np.abs(mat_p))), 1e-12)
+        tol_c, tol_p = _eigen_tol(mat_g), _eigen_tol(mat_p)
         neg_c = lam_c < -tol_c
         neg_p = lam_p < -tol_p
         near_zero = abs(lam_c) <= 5 * tol_c or abs(lam_p) <= 5 * tol_p

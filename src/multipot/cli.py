@@ -46,8 +46,7 @@ def _load_measure(spec: str, d: int | None, seed: int) -> DiscreteMeasure:
     if spec.startswith("uniform:"):
         size = int(spec.split(":", 1)[1])
         if d is None:
-            print("uniform:M measures need --d", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+            raise ValueError("uniform:M measures need --d")
         return uniform_surrogate(d, size, seed)
     return read_measure_csv(spec)
 
@@ -83,8 +82,7 @@ def _cmd_potential(args):
     pts = config.points
     if free > 1:
         if pts.shape[0] % free:
-            print(f"--at rows must group into tuples of {free} points", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+            raise ValueError(f"--at rows must group into tuples of {free} points")
         pts = pts.reshape(-1, free, pts.shape[1])
     values = energy.potential(kernel, measures, pts)
     _emit({"values": list(map(float, values)),
@@ -196,12 +194,11 @@ def _cmd_verify(args):
     overrides = {key: getattr(args, key) for key in ("seed", "tuples", "tol_scale")
                  if getattr(args, key) is not None}
 
-    names = [args.scenario] if args.scenario else scenarios.list_scenarios()
-    for name in names:
-        if name not in scenarios.list_scenarios():
-            print(f"unknown scenario '{name}'; available: "
-                  f"{', '.join(scenarios.list_scenarios())}", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+    names = scenarios.list_scenarios()
+    if args.scenario:
+        if args.scenario not in names:
+            raise ValueError(f"unknown scenario '{args.scenario}'; available: {', '.join(names)}")
+        names = [args.scenario]
 
     reports = []
     for name in names:
@@ -224,8 +221,7 @@ def _cmd_verify(args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    ok = payload["passed"] if "passed" in payload else True
-    raise SystemExit(0 if ok else ASSERTION_FAILURE)
+    raise SystemExit(0 if payload["passed"] else ASSERTION_FAILURE)
 
 
 def _cmd_scenarios(args):

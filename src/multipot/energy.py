@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiscreteMeasure, PointConfiguration
+from .geometry import DiscreteMeasure, PointConfiguration, _random_directions
 from .kernels import Kernel
 
 __all__ = [
@@ -467,13 +467,7 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     m2 = 0.0        # sum of squared deviations from the running mean
     while done < tuples:
         count = min(chunk, tuples - done)
-        pts = rng.standard_normal((count, n, d))
-        norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-        while np.any(norms < 1e-12):
-            bad = norms[..., 0] < 1e-12
-            pts[bad] = rng.standard_normal((int(bad.sum()), d))
-            norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-        vals = kernel.evaluate_batch(np.divide(pts, norms, out=pts))   # in place: one array less
+        vals = kernel.evaluate_batch(_random_directions(rng, (count, n, d)))
         total = float(vals.sum())
         m2 += float(np.sum((vals - total / count) ** 2))
         if done:

@@ -187,15 +187,21 @@ def sample_sphere(d: int, m: int, seed: int) -> PointConfiguration:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((m, d))
-    norms = np.linalg.norm(pts, axis=1)
-    # a zero-norm draw has probability zero but would poison the division
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        pts[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(pts, axis=1)
-    return PointConfiguration(pts / norms[:, None])
+    return PointConfiguration(_random_directions(np.random.default_rng(seed), (m, d)))
+
+
+def _random_directions(rng, shape) -> np.ndarray:
+    """Uniform random unit vectors in an array of ``shape`` (..., d):
+    ``rng.standard_normal(shape)`` divided by the norms of its rows."""
+    pts = rng.standard_normal(shape)
+    while True:
+        # np.linalg.norm's arithmetic, without its per-call overhead
+        norms = np.sqrt(np.add.reduce(pts * pts, axis=-1, keepdims=True))
+        # a zero-norm draw has probability zero but would poison the division
+        if norms.min(initial=1.0) >= 1e-12:
+            return np.divide(pts, norms, out=pts)
+        bad = norms[..., 0] < 1e-12
+        pts[bad] = rng.standard_normal((int(bad.sum()), shape[-1]))
 
 
 def uniform_surrogate(d: int, m: int, seed: int) -> DiscreteMeasure:

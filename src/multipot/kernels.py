@@ -3,16 +3,18 @@
 Most kernels here are polynomials in the pairwise inner products of their
 arguments; :class:`PairPolynomial` is the shared backbone that stores such
 polynomials over a set of free slots and optional fixed anchor points.  It
-supports exact evaluation on batches, analytic gradients, pinning of slots,
-and the sum/product algebra needed to build higher-arity kernels out of
-lower-arity ones.
+supports exact evaluation on batches and analytic gradients; its
+constructor is the one place that puts monomials in canonical form, and
+:meth:`PairPolynomial.viewed` the one index map behind pins and lifts.
 
-A derived kernel that is not a pair polynomial (sums, products and
-multiples of other kernels, pins, subset lifts, the anchor shift) is one
-private combination class: the sum or the product of terms c * base(view),
-where a view feeds each base slot an input slot or a fixed point.  Its
-gradient follows from the product rule, so every kernel built here has an
-analytic gradient.
+Every derived kernel (sums, products and multiples of other kernels, pins
+and subset lifts) is the sum or the product of terms c * base(view), where
+a view feeds each base slot an input slot or a fixed point.  One builder,
+:func:`_derived`, turns such terms into a single pair polynomial when every
+base is one, and otherwise into the private combination class, which
+evaluates the terms separately; the anchor shift is always a combination.
+A combination's gradient follows from the product rule, so every kernel
+built here has an analytic gradient.
 
 Gram-variable naming for three inputs (x, y, z):
 
@@ -60,32 +62,38 @@ __all__ = [
 _MAX_TERMS = 600
 
 
-def _canonical(mono) -> tuple:
-    return tuple(sorted(mono))
-
-
 class PairPolynomial:
     """Polynomial in pairwise inner products of slots and anchors.
 
     Index convention: 0..nslots-1 are free slots, nslots..nslots+m-1 refer
-    to the m anchor points.  A monomial is a sorted tuple of
-    ((i, j), power) entries with i < j; the empty tuple is the constant
-    term.  Anchor-anchor pairs are folded into coefficients eagerly, so
-    they never appear in stored monomials.
+    to the m anchor points.  ``terms`` maps each monomial, a sorted tuple
+    of ((i, j), power) entries with i < j and no pair twice, to its
+    coefficient; the empty tuple is the constant term.  The constructor
+    puts every monomial it is given (a dict, or (monomial, coefficient)
+    pairs) in this form: it sorts pair endpoints, merges repeated pairs,
+    folds anchor-anchor pairs into the coefficient and sums equal
+    monomials, keeping the order of first appearance.
     """
 
-    def __init__(self, terms: dict, nslots: int, anchors: np.ndarray | None = None):
+    def __init__(self, terms, nslots: int, anchors: np.ndarray | None = None):
         self.nslots = int(nslots)
         if anchors is None or len(anchors) == 0:
             self.anchors = np.zeros((0, 0))
         else:
             self.anchors = np.asarray(anchors, dtype=float)
         clean: dict = {}
-        for mono, coeff in terms.items():
-            mono = _canonical(tuple((tuple(p), int(e)) for p, e in mono if e != 0))
-            if coeff == 0.0:
-                continue
-            clean[mono] = clean.get(mono, 0.0) + float(coeff)
+        for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
+            coeff, powers = float(coeff), {}
+            for (a, b), e in mono:
+                if a > b:
+                    a, b = b, a
+                if a >= self.nslots:    # both endpoints fixed: a number
+                    coeff *= float(np.dot(self.anchors[a - self.nslots],
+                                          self.anchors[b - self.nslots])) ** e
+                else:
+                    powers[(a, b)] = powers.get((a, b), 0) + int(e)
+            key = tuple(sorted((p, e) for p, e in powers.items() if e))
+            clean[key] = clean.get(key, 0.0) + coeff
         self.terms = {m: c for m, c in clean.items() if c != 0.0}
 
     # -- helpers ------------------------------------------------------------
@@ -150,99 +158,43 @@ class PairPolynomial:
     def scaled(self, c: float) -> "PairPolynomial":
         return PairPolynomial({m: c * v for m, v in self.terms.items()}, self.nslots, self.anchors)
 
-    def _merge_anchor_space(self, other: "PairPolynomial"):
-        """Index remappings for combining two polynomials on shared slots."""
-        if self.nslots != other.nslots:
+    def viewed(self, view, nslots: int) -> "PairPolynomial":
+        """The polynomial (x_0, ..., x_{nslots-1}) -> self(view).
+
+        ``view`` gives, for each slot of self, the index of an input slot
+        or a fixed point; the fixed points become anchors after self's.
+        """
+        if nslots == self.nslots and all(isinstance(v, int) and v == k for k, v in enumerate(view)):
+            return self
+        index, fixed = [], []
+        for v in view:
+            if isinstance(v, int):
+                index.append(v)
+            else:
+                index.append(nslots + self.n_anchors + len(fixed))
+                fixed.append(np.asarray(v, dtype=float))
+        index += range(nslots, nslots + self.n_anchors)
+        terms = [(tuple(((index[a], index[b]), e) for (a, b), e in mono), c)
+                 for mono, c in self.terms.items()]
+        return PairPolynomial(terms, nslots, np.array([*self.anchors, *fixed]))
+
+    def combined(self, other: "PairPolynomial", mode: str) -> "PairPolynomial":
+        """self + other (mode "sum") or self * other ("prod"); other's
+        anchors follow self's."""
+        ns, shift = self.nslots, self.n_anchors
+        if other.nslots != ns:
             raise ValueError("polynomials must share slot count")
-        ns = self.nslots
-        if self.n_anchors and other.n_anchors and self.anchors.shape[1] != other.anchors.shape[1]:
+        if shift and other.n_anchors and self.anchors.shape[1] != other.anchors.shape[1]:
             raise ValueError("anchor dimensions differ")
-        if self.n_anchors == 0:
-            anchors = other.anchors
-        elif other.n_anchors == 0:
-            anchors = self.anchors
-        else:
-            anchors = np.vstack([self.anchors, other.anchors])
-
-        def remap_other(idx: int) -> int:
-            return idx if idx < ns else idx + self.n_anchors
-
-        return anchors, remap_other
-
-    def plus(self, other: "PairPolynomial") -> "PairPolynomial":
-        anchors, remap = self._merge_anchor_space(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            mono = _canonical(tuple(((remap(a), remap(b)), e) for (a, b), e in mono))
-            terms[mono] = terms.get(mono, 0.0) + coeff
-        return PairPolynomial(terms, self.nslots, anchors)
-
-    def times(self, other: "PairPolynomial") -> "PairPolynomial":
-        anchors, remap = self._merge_anchor_space(other)
-        if len(self.terms) * len(other.terms) > _MAX_TERMS:
+        others = [(tuple(((a, b if b < ns else b + shift), e) for (a, b), e in mono), c)
+                  for mono, c in other.terms.items()]
+        if mode == "sum":
+            terms = [*self.terms.items(), *others]
+        elif len(self.terms) * len(others) > _MAX_TERMS:
             raise OverflowError("polynomial product too large")
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged: dict = {p: e for p, e in m1}
-                for (a, b), e in m2:
-                    p = (remap(a), remap(b))
-                    p = (min(p), max(p))
-                    merged[p] = merged.get(p, 0) + e
-                key = _canonical(tuple(merged.items()))
-                terms[key] = terms.get(key, 0.0) + c1 * c2
-        return PairPolynomial(terms, self.nslots, anchors)
-
-    def relabeled(self, slot_map: dict, new_nslots: int) -> "PairPolynomial":
-        """Send slot i to slot_map[i]; anchors keep their order behind the
-        new slot block."""
-
-        def remap(idx: int) -> int:
-            if idx < self.nslots:
-                return slot_map[idx]
-            return idx - self.nslots + new_nslots
-
-        terms = {}
-        for mono, coeff in self.terms.items():
-            key = _canonical(tuple((tuple(sorted((remap(a), remap(b)))), e) for (a, b), e in mono))
-            terms[key] = terms.get(key, 0.0) + coeff
-        return PairPolynomial(terms, new_nslots, self.anchors)
-
-    def pinned(self, point: np.ndarray) -> "PairPolynomial":
-        """Fix slot 0 at ``point``; the point becomes the last anchor."""
-        point = np.asarray(point, dtype=float)
-        ns = self.nslots
-        if ns < 1:
-            raise ValueError("no slot to pin")
-        new_ns = ns - 1
-        pinned_idx = new_ns + self.n_anchors  # appended last
-
-        def remap(idx: int) -> int:
-            if idx == 0:
-                return pinned_idx
-            if idx < ns:
-                return idx - 1
-            return idx - ns + new_ns
-
-        anchors = point[None, :] if self.n_anchors == 0 else np.vstack([self.anchors, point[None, :]])
-
-        terms: dict = {}
-        for mono, coeff in self.terms.items():
-            new_pairs: dict = {}
-            c = coeff
-            for (a, b), e in mono:
-                na, nb = remap(a), remap(b)
-                na, nb = min(na, nb), max(na, nb)
-                if na >= new_ns and nb >= new_ns:
-                    # both endpoints fixed: fold the numeric inner product
-                    va = anchors[na - new_ns]
-                    vb = anchors[nb - new_ns]
-                    c *= float(np.dot(va, vb)) ** e
-                else:
-                    new_pairs[(na, nb)] = new_pairs.get((na, nb), 0) + e
-            key = _canonical(tuple(new_pairs.items()))
-            terms[key] = terms.get(key, 0.0) + c
-        return PairPolynomial(terms, new_ns, anchors)
+        else:
+            terms = [(m1 + m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in others]
+        return PairPolynomial(terms, ns, np.array([*self.anchors, *other.anchors]))
 
 
 class Kernel:
@@ -297,11 +249,9 @@ class Kernel:
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("can only add kernels of equal arity")
-        name = f"({self.name}+{other.name})"
-        if self.pair_poly is not None and other.pair_poly is not None:
-            return PolynomialKernel(name, self.pair_poly.plus(other.pair_poly))
         same = range(self.arity)
-        return _Combination(name, self.arity, "sum", [(1.0, self, same), (1.0, other, same)])
+        return _derived(f"({self.name}+{other.name})", self.arity, "sum",
+                        [(1.0, self, same), (1.0, other, same)])
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -310,18 +260,10 @@ class Kernel:
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("can only multiply kernels of equal arity")
-        name = f"({self.name}*{other.name})"
-        nonnegative = self.nonnegative and other.nonnegative
-        if self.pair_poly is not None and other.pair_poly is not None:
-            try:
-                poly = self.pair_poly.times(other.pair_poly)
-            except OverflowError:
-                pass
-            else:
-                return PolynomialKernel(name, poly, nonnegative=nonnegative)
         same = range(self.arity)
-        return _Combination(name, self.arity, "prod", [(1.0, self, same), (1.0, other, same)],
-                            nonnegative=nonnegative)
+        return _derived(f"({self.name}*{other.name})", self.arity, "prod",
+                        [(1.0, self, same), (1.0, other, same)],
+                        nonnegative=self.nonnegative and other.nonnegative)
 
     __rmul__ = __mul__
 
@@ -329,12 +271,8 @@ class Kernel:
         return self._scaled(-1.0)
 
     def _scaled(self, c: float) -> "Kernel":
-        name = f"({c:g}*{self.name})"
-        nonnegative = self.nonnegative and c >= 0
-        if self.pair_poly is not None:
-            return PolynomialKernel(name, self.pair_poly.scaled(c), nonnegative=nonnegative)
-        return _Combination(name, self.arity, "prod", [(c, self, range(self.arity))],
-                            nonnegative=nonnegative)
+        return _derived(f"({c:g}*{self.name})", self.arity, "prod",
+                        [(c, self, range(self.arity))], nonnegative=self.nonnegative and c >= 0)
 
     def spec_string(self) -> str:
         """Canonical ``name[:key=value,...]`` rendering for reports."""
@@ -438,6 +376,24 @@ class _Combination(Kernel):
         vals = self._values(pts)    # product rule: sum_i (prod_{j != i} v_j) grad v_i
         return sum(np.prod(vals[:i] + vals[i + 1:], axis=0)[..., None, None] * g
                    for i, g in enumerate(grads))
+
+
+def _derived(name: str, arity: int, mode: str, terms, *, params: dict | None = None,
+             nonnegative: bool = False) -> Kernel:
+    """The sum or the product of terms ``c * base(view)`` (views as in
+    :class:`_Combination`): one :class:`PolynomialKernel` when every base
+    is a pair polynomial and a product stays within ``_MAX_TERMS``, else a
+    :class:`_Combination`."""
+    if all(base.pair_poly is not None for _, base, _ in terms):
+        polys = [base.pair_poly.viewed(view, arity) for _, base, view in terms]
+        polys = [p if c == 1.0 else p.scaled(c) for (c, _, _), p in zip(terms, polys)]
+        try:
+            poly = functools.reduce(lambda p, q: p.combined(q, mode), polys)
+        except OverflowError:
+            pass
+        else:
+            return PolynomialKernel(name, poly, params=params, nonnegative=nonnegative)
+    return _Combination(name, arity, mode, terms, params=params, nonnegative=nonnegative)
 
 
 class RieszKernel(Kernel):
@@ -597,24 +553,13 @@ def quad_a(a: float, shift: bool = False) -> Kernel:
 
 def _lift(base: Kernel, n: int, mode: str) -> Kernel:
     """The sum or the product of ``base`` over all arity(base)-subsets of
-    n inputs: one pair polynomial when the base is one and the product
-    stays within ``_MAX_TERMS``, else a combination of subset views."""
+    n inputs."""
     m = base.arity
     if not 2 <= m <= n - 1:
         raise ValueError(f"lift requires 2 <= arity(base) <= n-1, got arity {m}, n {n}")
-    subsets = list(itertools.combinations(range(n), m))
-    name, params = f"{mode}_lift({base.name},n={n})", {"base": base.name, "n": n}
-    if base.pair_poly is not None:
-        parts = [base.pair_poly.relabeled(dict(enumerate(s)), n) for s in subsets]
-        merge = PairPolynomial.plus if mode == "sum" else PairPolynomial.times
-        try:
-            poly = functools.reduce(merge, parts)
-        except OverflowError:
-            pass
-        else:
-            return PolynomialKernel(name, poly, params=params, nonnegative=base.nonnegative)
-    return _Combination(name, n, mode, [(1.0, base, s) for s in subsets], params=params,
-                        nonnegative=base.nonnegative)
+    return _derived(f"{mode}_lift({base.name},n={n})", n, mode,
+                    [(1.0, base, s) for s in itertools.combinations(range(n), m)],
+                    params={"base": base.name, "n": n}, nonnegative=base.nonnegative)
 
 
 def sum_lift(base: Kernel, n: int) -> Kernel:
@@ -644,14 +589,8 @@ def pin(kernel: Kernel, pins) -> Kernel:
     m, n = pins.shape[0], kernel.arity
     if not 1 <= m <= n - 2:
         raise ValueError(f"pin count must satisfy 1 <= m <= arity-2, got {m} for arity {n}")
-    name, params = f"pin({kernel.name})", dict(kernel.params, pins=m)
-    if kernel.pair_poly is not None:
-        poly = kernel.pair_poly
-        for p in pins:
-            poly = poly.pinned(p)
-        return PolynomialKernel(name, poly, params=params)
-    view = [*pins, *range(n - m)]
-    return _Combination(name, n - m, "prod", [(1.0, kernel, view)], params=params)
+    return _derived(f"pin({kernel.name})", n - m, "prod", [(1.0, kernel, [*pins, *range(n - m)])],
+                    params=dict(kernel.params, pins=m))
 
 
 def cpd_shift(kernel: Kernel, x0, variant: str = "standard") -> Kernel:

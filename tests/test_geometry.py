@@ -20,6 +20,29 @@ from multipot import (
     write_measure_csv,
     write_points_csv,
 )
+from multipot.geometry import _random_directions
+
+
+class _ZeroFirstRow:
+    """Generator stub: constant draws, with a zero first row in the first."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        out = np.full(shape, 2.0)
+        if len(self.shapes) == 1:
+            out[(0,) * (len(shape) - 1)] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 2, 3)])
+def test_random_directions_redraws_zero_rows(shape):
+    rng = _ZeroFirstRow()
+    pts = _random_directions(rng, shape)
+    assert rng.shapes == [shape, (1, shape[-1])]
+    np.testing.assert_allclose(np.linalg.norm(pts, axis=-1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_sample_sphere_unit_norms():

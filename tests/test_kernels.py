@@ -28,6 +28,7 @@ from multipot import (
     uvt,
     vol2,
 )
+from multipot.kernels import PairPolynomial
 from oracles import lift_fn, pin_fn, product_fn, scaled_fn, shift_fn, sum_fn
 
 E1, E2, E3 = (basis_vector(i, 3) for i in range(3))
@@ -139,6 +140,20 @@ def test_lifts_of_nonnegative_kernels_are_nonnegative(base, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prod_lift(lifts[0], n + 2)
+
+
+def test_pair_polynomial_constructor_canonicalises():
+    # slots 0, 1 and anchors a (index 2), b (index 3) with <a, b> = 0.8
+    a, b = np.array([0.6, 0.8, 0.0]), np.array([0.0, 1.0, 0.0])
+    poly = PairPolynomial({
+        (((1, 0), 1), ((0, 1), 2)): 2.0,        # unsorted pair, repeated pair
+        (((3, 2), 2), ((0, 2), 1)): 1.5,        # anchor-anchor pair
+        (((0, 2), 1),): 0.5,                    # equal to the previous once folded
+    }, 2, np.stack([a, b]))
+    assert list(poly.terms.items()) == [
+        ((((0, 1), 3),), 2.0),
+        ((((0, 2), 1),), 1.5 * 0.8 ** 2 + 0.5),
+    ]
 
 
 def test_pin_matches_explicit_polynomials():

@@ -199,6 +199,23 @@ def test_cli_usage_errors_say_why(tmp_path, capsys):
     assert exit_info.value.code == 64
     assert "multipot: error: --order 1" in capsys.readouterr().err
 
+    write_points_csv(points, sample_sphere(3, 3, 1))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["potential", "--kernel", "uvt", "--measure", str(measure),
+              "--order", "1", "--at", str(points)])
+    assert exit_info.value.code == 64
+    assert "multipot: error: --at rows must group into tuples of 2" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["convexity", "--kernel", "area2", "--mu", "uniform:50", "--nu", "uniform:50"])
+    assert exit_info.value.code == 64
+    assert "multipot: error: uniform:M measures need --d" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--scenario", "nope"])
+    assert exit_info.value.code == 64
+    assert "multipot: error: unknown scenario 'nope'" in capsys.readouterr().err
+
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("seed=3\nscenario bcr-shift\n")
     with pytest.raises(SystemExit) as exit_info:
