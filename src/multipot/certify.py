@@ -18,7 +18,11 @@ from .config import EIGENVALUE_TOL
 from .geometry import DiscreteMeasure, _random_directions, basis_vector
 from .kernels import Kernel, cpd_shift, pin
 from .energy import (
+    _BLOCK_TUPLES,
     _MAX_EXACT_ARITY,
+    _features,
+    _open_slot,
+    _plan,
     MixturePolynomial,
     mixture_polynomial,
     potential,
@@ -276,20 +280,31 @@ def _potential_stderr(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarr
     potential of an M-atom surrogate measure, averaged over test points.
 
     Projects the degree-2 sum onto single atoms: with row means
-    r_j(x) = sum_k w_k K(x, y_j, y_k), the potential's variance is
-    approximately 4 * Var_w(r) * sum_j w_j^2.
+    r_j(x) = sum_k w_k K(x, y_k, y_j) and rbar = sum_j w_j r_j, the
+    potential's variance is approximately 4 * zeta * sum_j w_j^2, where
+    zeta(x) = sum_j w_j (r_j - rbar)^2.
+
+    For a pair polynomial, r_j(x) = Phi(x)^T a_j, with Phi(x) the tensor
+    powers of x times their anchor factors (slot 0's keys of the moment
+    engine) and a_j the other two slots contracted with y_j kept per atom.
+    So zeta(x) = Phi(x)^T C Phi(x), C = sum_j w_j (a_j - abar)(a_j - abar)^T,
+    and abar = sum_j w_j a_j comes from the moments alone.  It is summed as
+    sum_j w_j (Phi(x)^T (a_j - abar))^2 over blocks of atoms, for every test
+    point at once: one pass over the atoms, and no F x F array for C.
+    Kernels the moment engine cannot contract get no estimate (0.0).
     """
-    if mu.n_atoms < 2 or kernel.arity != 3 or kernel.pair_poly is None:
+    poly = kernel.pair_poly
+    if mu.n_atoms < 2 or kernel.arity != 3 or poly is None or _plan(poly) is None:
         return 0.0
+    phi = _features(poly, test_points)
+    abar = _open_slot(poly, [mu, mu])
+    zeta = np.zeros(phi.shape[0])
+    step = max(1, _BLOCK_TUPLES // max(phi.shape))
+    for start in range(0, mu.n_atoms, step):
+        a = _open_slot(poly, [mu], mu.atoms[start:start + step, None, :]) - abar
+        zeta += (phi @ a.T) ** 2 @ mu.weights[start:start + step]
     w2 = float(np.sum(mu.weights**2))
-    acc = 0.0
-    for x in test_points:
-        pinned = pin(kernel, x)
-        rows = potential(pinned, [mu], mu.atoms)
-        mean = float(mu.weights @ rows)
-        zeta = float(mu.weights @ (rows - mean) ** 2)
-        acc += 2.0 * np.sqrt(max(zeta, 0.0) * w2)
-    return acc / len(test_points)
+    return float(np.mean(2.0 * np.sqrt(np.maximum(zeta, 0.0) * w2)))
 
 
 def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
@@ -303,6 +318,8 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
     if mu.n_atoms < 1:
         raise ValueError("measure needs at least one atom")
     pts = np.atleast_2d(np.asarray(getattr(test_points, "points", test_points), dtype=float))
+    if pts.size == 0:
+        raise ValueError("need at least one test point")
     n = kernel.arity
     values = potential(kernel, [mu] * (n - 1), pts)
     mean = float(np.mean(values))

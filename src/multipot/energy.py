@@ -13,6 +13,8 @@ all atom tuples.  Two routes compute them:
   The gradient of a discrete energy contracts all slots but one and
   differentiates the result against x^{(x)E}, in O(N d^E) work; the
   measures of a potential kernel are fixed slots in these contractions.
+  Leaving slot 0 open instead writes the polynomial as Phi(x)^T A, with
+  Phi(x) the tensor powers of x (certify's noise estimate uses this).
 
 A stack (B, N, d) of configurations in place of one (N, d) gets B energies
 or gradients from one set of contractions, each with the bits it gets
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GEOMETRIC_TOL
 from .geometry import DiscreteMeasure, PointConfiguration, _random_directions
 from .kernels import Kernel
 
@@ -229,13 +232,14 @@ class _Moments(dict):
         return self[key]
 
 
-def _slot_moments(poly, slots) -> list[_Moments]:
-    """The moments of each slot, computed slot by slot before any contraction (in between,
-    they raised the peak memory on 100k-atom measures); equal slots share them."""
+def _slot_moments(poly, slots, first: int = 0) -> list[_Moments]:
+    """The moments of each slot, the first of them slot ``first`` of the polynomial,
+    computed slot by slot before any contraction (in between, they raised the peak
+    memory on 100k-atom measures); equal slots share them."""
     shared = {(id(s.atoms), id(s.weights)): s for s in slots}
     shared = {ids: _Moments(s, poly.anchors) for ids, s in shared.items()}
     ops = [shared[id(s.atoms), id(s.weights)] for s in slots]
-    for moments, keys in zip(ops, _plan(poly).slot_keys):
+    for moments, keys in zip(ops, _plan(poly).slot_keys[first:]):
         for key in keys:
             moments[key]
     return ops
@@ -268,6 +272,42 @@ def _contract(subs: str, out: str, summed: str, operands) -> np.ndarray:
     return full.reshape(full.shape[:len(out)] + (-1,)).sum(axis=-1)
 
 
+def _free_tensors(poly, x: np.ndarray, keys) -> dict:
+    """a(x) x^{(x)e} for each key (e, anchor powers) and each row of x (Q, d), as
+    (d, ..., d, Q) arrays: the operands of a slot that takes one point per query."""
+    p = _Powers(x)
+    return {key: (p[key[0]] * _anchor_factor(x, poly.anchors, key[1]) if key[1]
+                  else p[key[0]]).reshape((x.shape[1],) * key[0] + (x.shape[0],))
+            for key in keys}
+
+
+def _features(poly, x: np.ndarray) -> np.ndarray:
+    """Phi(x) for the rows of x (P, d): slot 0's tensors a(x) x^{(x)e}, one block
+    per key of ``_plan(poly).slot_keys[0]``, flattened into (P, F)."""
+    tensors = _free_tensors(poly, x, _plan(poly).slot_keys[0]).values()
+    return np.concatenate([t.reshape(-1, x.shape[0]) for t in tensors]).T
+
+
+def _open_slot(poly, slots, queries: np.ndarray | None = None) -> np.ndarray:
+    """The polynomial with slot 0 left open, the next len(slots) slots summed
+    over their weighted atoms and the others at each query tuple (Q, r, d), as
+    A (Q, F) with value ``_features(poly, x) @ A[q]`` at x and query q; (F,)
+    without queries.  Each monomial contracts the other slots onto slot 0's
+    letters, and monomials with equal slot-0 keys add into one block."""
+    plan, j = _plan(poly), len(slots) + 1
+    free = [] if queries is None else list(queries.transpose(1, 0, 2))
+    ops = [None] + _slot_moments(poly, slots, 1)
+    ops += [_free_tensors(poly, x, keys) for x, keys in zip(free, plan.slot_keys[j:])]
+    blocks: dict = {}
+    for coeff, letters, keys, _, _ in plan.monomials:
+        subs = ",".join(lets if s < j else lets + _QUERY for s, lets in enumerate(letters) if s)
+        term = coeff * np.einsum(subs + "->" + letters[0] + _QUERY * bool(free),
+                                 *[ops[s][key] for s, key in enumerate(keys) if s])
+        blocks[keys[0]] = blocks[keys[0]] + term if keys[0] in blocks else term
+    tail = (queries.shape[0],) if free else ()
+    return np.concatenate([blocks[key].reshape((-1,) + tail) for key in plan.slot_keys[0]]).T
+
+
 def _moment_sum(poly, slots, queries: np.ndarray | None = None):
     """A pair polynomial summed over the weighted atoms of its leading len(slots) slots,
     the others at each query tuple (Q, r, d): a float without queries, else Q values; a
@@ -275,11 +315,7 @@ def _moment_sum(poly, slots, queries: np.ndarray | None = None):
     plan, j = _plan(poly), len(slots)
     ops = _slot_moments(poly, slots)
     free = [] if queries is None else list(queries.transpose(1, 0, 2))
-    for x, keys in zip(free, plan.slot_keys[j:]):
-        p = _Powers(x)
-        ops.append({key: (p[key[0]] * _anchor_factor(x, poly.anchors, key[1]) if key[1]
-                          else p[key[0]]).reshape((x.shape[1],) * key[0] + (x.shape[0],))
-                    for key in keys})
+    ops += [_free_tensors(poly, x, keys) for x, keys in zip(free, plan.slot_keys[j:])]
     lead = [_BATCH if slot.atoms.ndim == 3 else "" for slot in slots]
     stack = _BATCH if any(lead) else ""
     total = 0.0
@@ -430,6 +466,7 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
 
     For j = arity-1 each query is a single point and one value per point is
     returned; for smaller j pass query tuples of shape (Q, arity-j, d).
+    Query points must be finite and of unit norm to within GEOMETRIC_TOL.
     """
     measures = list(measures)
     j = len(measures)
@@ -443,6 +480,12 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
     queries = _coerce_queries(n - j, at)
     if queries.shape[2] != d:
         raise ValueError("query dimension does not match the measures")
+    if not np.all(np.isfinite(queries)):
+        raise ValueError("query points must be finite")
+    off = float(np.max(np.abs(np.linalg.norm(queries, axis=-1) - 1.0), initial=0.0))
+    if off > GEOMETRIC_TOL:
+        raise ValueError(f"query points must lie on the unit sphere (tol {GEOMETRIC_TOL:g}): "
+                         f"|norm - 1| = {off:.3e}")
     return np.asarray(_sum(kernel, measures, queries))
 
 
@@ -569,11 +612,14 @@ class PotentialKernel(Kernel):
         return list(self._measures)
 
     def evaluate_batch(self, pts):
+        """The potential at each tuple; unlike :func:`potential`, any finite
+        point is accepted, as by every other kernel (finite differences
+        probe points off the sphere)."""
         pts = self._check_points(pts)
-        batch = pts.shape[:-2]
+        if pts.shape[-1] != self._measures[0].dimension:
+            raise ValueError("point dimension does not match the measures")
         flat = pts.reshape((-1,) + pts.shape[-2:])
-        vals = potential(self._base, self._measures, flat)
-        return vals.reshape(batch)
+        return np.asarray(_sum(self._base, self._measures, flat)).reshape(pts.shape[:-2])
 
     def gradient_batch(self, pts):
         """Gradient with respect to the free slots, by a dense sum of the

@@ -62,6 +62,17 @@ __all__ = [
 _MAX_TERMS = 600
 
 
+def _layout(view, nslots: int):
+    """How a view (as in :class:`_Combination`) feeds a base from ``nslots``
+    inputs: None for the identity view, else its (base slot, input slot) and
+    its (base slot, fixed point) pairs, each in base-slot order."""
+    inputs = [(k, v) for k, v in enumerate(view) if isinstance(v, int)]
+    if len(inputs) == len(view) == nslots and all(k == v for k, v in inputs):
+        return None
+    fixed = [(k, np.asarray(v, dtype=float)) for k, v in enumerate(view) if not isinstance(v, int)]
+    return inputs, fixed
+
+
 class PairPolynomial:
     """Polynomial in pairwise inner products of slots and anchors.
 
@@ -164,19 +175,18 @@ class PairPolynomial:
         ``view`` gives, for each slot of self, the index of an input slot
         or a fixed point; the fixed points become anchors after self's.
         """
-        if nslots == self.nslots and all(isinstance(v, int) and v == k for k, v in enumerate(view)):
+        layout = _layout(view, nslots)
+        if layout is None:
             return self
-        index, fixed = [], []
-        for v in view:
-            if isinstance(v, int):
-                index.append(v)
-            else:
-                index.append(nslots + self.n_anchors + len(fixed))
-                fixed.append(np.asarray(v, dtype=float))
-        index += range(nslots, nslots + self.n_anchors)
+        inputs, fixed = layout
+        index = [0] * len(view) + list(range(nslots, nslots + self.n_anchors))
+        for k, s in inputs:
+            index[k] = s
+        for i, (k, _) in enumerate(fixed):
+            index[k] = nslots + self.n_anchors + i
         terms = [(tuple(((index[a], index[b]), e) for (a, b), e in mono), c)
                  for mono, c in self.terms.items()]
-        return PairPolynomial(terms, nslots, np.array([*self.anchors, *fixed]))
+        return PairPolynomial(terms, nslots, np.array([*self.anchors, *(p for _, p in fixed)]))
 
     def combined(self, other: "PairPolynomial", mode: str) -> "PairPolynomial":
         """self + other (mode "sum") or self * other ("prod"); other's
@@ -325,17 +335,7 @@ class _Combination(Kernel):
         super().__init__(name, arity, params=params, nonnegative=nonnegative)
         self._op = np.add if mode == "sum" else np.multiply
         self._const = const
-        self._terms = [(float(c), base, self._layout(view)) for c, base, view in terms]
-
-    def _layout(self, view):
-        """None for the identity view; else the (base slot, input slot) and
-        the (base slot, fixed point) pairs, worked out once here."""
-        inputs = [(k, v) for k, v in enumerate(view) if isinstance(v, int)]
-        if len(inputs) == len(view) and [v for _, v in inputs] == list(range(self.arity)):
-            return None
-        fixed = [(k, np.asarray(v, dtype=float)) for k, v in enumerate(view)
-                 if not isinstance(v, int)]
-        return inputs, fixed
+        self._terms = [(float(c), base, _layout(view, arity)) for c, base, view in terms]
 
     @staticmethod
     def _view(layout, pts):

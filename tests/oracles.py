@@ -188,3 +188,20 @@ def potential_mixture(kernel, mu, nu):
         return float(a.weights @ two_input.evaluate_batch(pairs) @ b.weights)
 
     return pair_energy(mu, mu), pair_energy(mu, nu), pair_energy(nu, nu)
+
+
+def potential_stderr_loop(kernel, mu, test_points):
+    """The sampling-noise estimate of ``certify._potential_stderr`` one test
+    point at a time: pin x, take the potential of the pinned kernel at every
+    atom (r_j = sum_k w_k K(x, y_k, y_j)), and average 2 * sqrt(zeta * sum w^2)
+    with zeta the w-weighted squared spread of the r_j."""
+    from multipot import pin, potential
+
+    w2 = float(np.sum(mu.weights**2))
+    acc = 0.0
+    for x in test_points:
+        rows = potential(pin(kernel, x), [mu], mu.atoms)
+        mean = float(mu.weights @ rows)
+        zeta = float(mu.weights @ (rows - mean) ** 2)
+        acc += 2.0 * np.sqrt(max(zeta, 0.0) * w2)
+    return acc / len(test_points)

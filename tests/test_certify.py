@@ -31,8 +31,14 @@ from multipot import (
     uvt,
     vol2,
 )
-from multipot.certify import _balanced_basis, _kernel_matrix, _matrix_min_eig, _trials_per_chunk
-from oracles import inequality_suite_loop, potential_mixture
+from multipot.certify import (
+    _balanced_basis,
+    _kernel_matrix,
+    _matrix_min_eig,
+    _potential_stderr,
+    _trials_per_chunk,
+)
+from oracles import inequality_suite_loop, potential_mixture, potential_stderr_loop
 
 E1, E2, E3 = (basis_vector(i, 3) for i in range(3))
 
@@ -299,6 +305,41 @@ def test_potential_varies_for_two_atom_measure():
     pts = sample_sphere(3, 30, 20)
     report = potential_constancy_check(area2(), two, pts)
     assert not report.passed
+
+
+def test_constancy_check_needs_test_points():
+    sigma = uniform_surrogate(3, 100, 21)
+    for empty in ([], np.empty((0, 3))):
+        with pytest.raises(ValueError, match="need at least one test point"):
+            potential_constancy_check(area2(), sigma, empty)
+
+
+_STDERR_KERNELS = {
+    "area2": lambda d: area2(),
+    "uvt": lambda d: uvt(),
+    "vol2": lambda d: vol2(),
+    "s011": lambda d: s011(),
+    "pinned-lift": lambda d: pin(sum_lift(area2(), 4), sample_sphere(d, 1, 22).points[0]),
+}
+
+
+@pytest.mark.parametrize("weights", ["uniform", "random"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("name", list(_STDERR_KERNELS))
+def test_potential_stderr_matches_per_point_loop(name, d, weights):
+    kernel = _STDERR_KERNELS[name](d)
+    atoms = sample_sphere(d, 600, 23).points
+    # the random weights are not a probability measure either (total mass about 0.9)
+    w = None if weights == "uniform" else (np.random.default_rng(24).random(600) + 0.1) / 400
+    mu = DiscreteMeasure(atoms, w)
+    pts = sample_sphere(d, 20, 25).points
+    got = _potential_stderr(kernel, mu, pts)
+    expected = potential_stderr_loop(kernel, mu, pts)
+    if name == "vol2" and d == 2:   # vol2 vanishes on S^1: both are rounding noise
+        assert max(got, expected) < 1e-14
+    else:
+        assert got > 0
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # --- inequality suite ---------------------------------------------------------------------

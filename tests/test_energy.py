@@ -294,6 +294,26 @@ def test_potential_order_bounds():
         potential(uvt(), [mu], sample_sphere(3, 5, 0).points)  # needs (Q, 2, d)
 
 
+def test_potential_rejects_non_finite_and_off_sphere_queries():
+    mu = _random_measure(3, 3, 72)
+    with pytest.raises(ValueError, match="finite"):
+        potential(area2(), [mu, mu], np.array([np.nan, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="unit sphere"):
+        potential(area2(), [mu, mu], 2.0 * E1)
+    with pytest.raises(ValueError, match="unit sphere"):
+        potential(s011(), [mu], np.stack([E1, 1.5 * E2])[None])
+
+
+def test_potential_kernel_evaluates_off_the_sphere():
+    mu = _random_measure(4, 3, 73)
+    pair = np.stack([2.0 * E1, E2 + E3])[None]
+    value = PotentialKernel(area2(), [mu]).evaluate_batch(pair)
+    dense = energy_mod._dense_potential(area2().evaluate_batch, [mu], pair)
+    np.testing.assert_allclose(value, dense, rtol=1e-12)
+    with pytest.raises(ValueError, match="dimension"):
+        PotentialKernel(area2(), [mu]).evaluate_batch(np.ones((1, 2, 2)))
+
+
 # --- Monte-Carlo estimates ------------------------------------------------------------
 
 

@@ -20,7 +20,8 @@ from multipot import (
     write_measure_csv,
     write_points_csv,
 )
-from multipot.geometry import _random_directions
+from multipot import area2, mc_energy_uniform
+from multipot.geometry import _COLUMN_ROWS, _random_directions
 
 
 class _ZeroFirstRow:
@@ -37,12 +38,29 @@ class _ZeroFirstRow:
         return out
 
 
-@pytest.mark.parametrize("shape", [(3, 2), (2, 2, 3)])
+@pytest.mark.parametrize("shape", [(3, 2), (2, 2, 3), (3 * _COLUMN_ROWS, 3), (_COLUMN_ROWS, 2, 5)])
 def test_random_directions_redraws_zero_rows(shape):
     rng = _ZeroFirstRow()
     pts = _random_directions(rng, shape)
     assert rng.shapes == [shape, (1, shape[-1])]
     np.testing.assert_allclose(np.linalg.norm(pts, axis=-1), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+@pytest.mark.parametrize("lead", [(3,), (_COLUMN_ROWS - 1,), (_COLUMN_ROWS,), (700, 3)])
+def test_random_directions_equal_normalized_draws_bit_for_bit(d, lead):
+    # both sides of the row-count switch, and d = 8.. where the reduce stays
+    shape = lead + (d,)
+    pts = _random_directions(np.random.default_rng(d), shape)
+    raw = np.random.default_rng(d).standard_normal(shape)
+    expected = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    assert pts.tobytes() == expected.tobytes()
+
+
+def test_mc_energy_bits_are_fixed():
+    est = mc_energy_uniform(area2(), 3, 250_001, 7)
+    assert est.value.hex() == "0x1.00466792c2b73p-1"
+    assert est.stderr.hex() == "0x1.c12e9046e627fp-11"
 
 
 def test_sample_sphere_unit_norms():
