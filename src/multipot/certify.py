@@ -20,9 +20,12 @@ from .kernels import Kernel, cpd_shift, pin
 from .energy import (
     _BLOCK_TUPLES,
     _MAX_EXACT_ARITY,
+    _WORK_LIMIT,
     _features,
+    _layout,
     _open_slot,
-    _plan,
+    _program,
+    _tuple_blocks,
     MixturePolynomial,
     mixture_polynomial,
     potential,
@@ -282,20 +285,32 @@ def _potential_stderr(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarr
     Projects the degree-2 sum onto single atoms: with row means
     r_j(x) = sum_k w_k K(x, y_k, y_j) and rbar = sum_j w_j r_j, the
     potential's variance is approximately 4 * zeta * sum_j w_j^2, where
-    zeta(x) = sum_j w_j (r_j - rbar)^2.
-
-    For a pair polynomial, r_j(x) = Phi(x)^T a_j, with Phi(x) the tensor
-    powers of x times their anchor factors (slot 0's keys of the moment
-    engine) and a_j the other two slots contracted with y_j kept per atom.
-    So zeta(x) = Phi(x)^T C Phi(x), C = sum_j w_j (a_j - abar)(a_j - abar)^T,
-    and abar = sum_j w_j a_j comes from the moments alone.  It is summed as
-    sum_j w_j (Phi(x)^T (a_j - abar))^2 over blocks of atoms, for every test
-    point at once: one pass over the atoms, and no F x F array for C.
-    Kernels the moment engine cannot contract get no estimate (0.0).
+    zeta(x) = sum_j w_j (r_j - rbar)^2.  Pair polynomials the moment engine
+    contracts take zeta from it (:func:`_moment_spread`); other kernels from
+    dense rows (:func:`_dense_spread`).  Only arity 3 gets an estimate.
     """
-    poly = kernel.pair_poly
-    if mu.n_atoms < 2 or kernel.arity != 3 or poly is None or _plan(poly) is None:
+    if mu.n_atoms < 2 or kernel.arity != 3:
         return 0.0
+    poly = kernel.pair_poly
+    if poly is None or _program(poly, _layout([mu, mu], True)) is None:
+        zeta = _dense_spread(kernel, mu, test_points)
+    else:
+        zeta = _moment_spread(poly, mu, test_points)
+    w2 = float(np.sum(mu.weights**2))
+    return float(np.mean(2.0 * np.sqrt(np.maximum(zeta, 0.0) * w2)))
+
+
+def _moment_spread(poly, mu: DiscreteMeasure, test_points: np.ndarray) -> np.ndarray:
+    """zeta at each test point for a pair polynomial.
+
+    r_j(x) = Phi(x)^T a_j, with Phi(x) the tensor powers of x times their
+    anchor factors (slot 0's keys of the moment engine) and a_j the other two
+    slots contracted with y_j kept per atom.  So zeta(x) = Phi(x)^T C Phi(x),
+    C = sum_j w_j (a_j - abar)(a_j - abar)^T, and abar = sum_j w_j a_j comes
+    from the moments alone.  It is summed as sum_j w_j (Phi(x)^T (a_j - abar))^2
+    over blocks of atoms, for every test point at once: one pass over the
+    atoms, and no F x F array for C.
+    """
     phi = _features(poly, test_points)
     abar = _open_slot(poly, [mu, mu])
     zeta = np.zeros(phi.shape[0])
@@ -303,8 +318,21 @@ def _potential_stderr(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarr
     for start in range(0, mu.n_atoms, step):
         a = _open_slot(poly, [mu], mu.atoms[start:start + step, None, :]) - abar
         zeta += (phi @ a.T) ** 2 @ mu.weights[start:start + step]
-    w2 = float(np.sum(mu.weights**2))
-    return float(np.mean(2.0 * np.sqrt(np.maximum(zeta, 0.0) * w2)))
+    return zeta
+
+
+def _dense_spread(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarray) -> np.ndarray:
+    """zeta at each test point from the dense rows r_j(x), taken for all test
+    points in blocks of kernel values; raises if they need more than the
+    work limit of |test points| * M^2 values."""
+    m, w = mu.n_atoms, mu.weights
+    if len(test_points) * m * m > _WORK_LIMIT:
+        raise ValueError(f"the noise estimate of a {m}-atom measure at {len(test_points)} "
+                         f"test points needs more than {_WORK_LIMIT} kernel values")
+    rows = np.empty((len(test_points), m))
+    for start, stop, grid in _tuple_blocks([test_points, mu.atoms, mu.atoms]):
+        rows[start:stop] = np.einsum("pkj,k->pj", kernel.evaluate_batch(grid), w)
+    return (rows - (rows @ w)[:, None]) ** 2 @ w
 
 
 def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
@@ -314,6 +342,9 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
     Evaluates U at each test point and compares the worst deviation from
     the mean against five estimated standard errors of the sampled
     potential (plus a small floor so exactly-constant potentials pass).
+    An arity-3 kernel the moment engine cannot contract estimates that
+    noise from |test points| * M^2 kernel values, and raises ValueError
+    when they exceed the exact-sum work limit.
     """
     if mu.n_atoms < 1:
         raise ValueError("measure needs at least one atom")

@@ -15,6 +15,13 @@ all atom tuples.  Two routes compute them:
   measures of a potential kernel are fixed slots in these contractions.
   Leaving slot 0 open instead writes the polynomial as Phi(x)^T A, with
   Phi(x) the tensor powers of x (certify's noise estimate uses this).
+  All of this is planned once per polynomial and call layout, and cached
+  as a program: the moment keys each measure or query slot needs, every
+  einsum spec with its operands, and the axis orders of the gradient.
+  The layout is what the call's arguments decide: which slots are
+  integrated, queried or open, which integrated slots hold equal measures,
+  and which hold a stack.  A call only computes its tensors and runs the
+  program.
 
 A stack (B, N, d) of configurations in place of one (N, d) gets B energies
 or gradients from one set of contractions, each with the bits it gets
@@ -130,25 +137,45 @@ def _dense_potential(batch, measures, queries: np.ndarray) -> np.ndarray:
 
 # --- power-moment route --------------------------------------------------------
 
-_Plan = namedtuple("_Plan", "monomials slot_keys pairs")
+# The contractions of one pair polynomial for one call layout (see _layout).
+# ``tensors`` lists (queried, position among the call's slots or query columns,
+# keys) per distinct measure and query slot, in operand order; ``monomials``
+# are (coefficient, einsum spec, axes kept before a row sum or None, operand
+# positions, block of slot 0's key), ``environments`` (slot, coefficient, spec,
+# kept axes, operand positions, key), and ``turns[key]`` the axis orders that
+# bring each position of an environment to the front.
+_Program = namedtuple("_Program", "slot_keys tensors monomials environments turns")
+
+
+def _layout(slots, opened: bool = False, queries: int = 0) -> str:
+    """The layout of a call, one character per slot of the polynomial: '*' for an
+    open slot 0, then for each of ``slots`` the letter of the first slot holding
+    the same atoms and weights (upper case for a stack (B, N, d)), then '?' for
+    each of ``queries`` query slots."""
+    ids = [(id(s.atoms), id(s.weights)) for s in slots]
+    marks = (string.ascii_lowercase[opened + ids.index(i)] for i in ids)
+    return "*" * opened + "".join(m.upper() if s.atoms.ndim == 3 else m
+                                  for m, s in zip(marks, slots)) + "?" * queries
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(poly) -> _Plan | None:
-    """Einsum layout of a pair polynomial; None if einsum lacks letters.
+def _program(poly, layout: str) -> _Program | None:
+    """The contraction program of a pair polynomial for a call layout; None if
+    einsum lacks letters.
 
-    A slot pair with exponent e shares e letters.  Each monomial is
-    (coefficient, letters of each slot, (degree, anchor powers) key of each
-    slot, environments, all its letters), where an environment (s, others,
-    summed) contracts the other slots' tensors onto slot s's letters for
-    gradients, summing the letters slot s lacks.  ``slot_keys[s]`` lists
-    the distinct keys of slot s and ``pairs`` counts the distinct pairs.
+    A slot pair with exponent e shares e letters.  Each slot needs one tensor
+    per (degree, anchor powers) key of its monomials: a moment tensor of its
+    measure (equal measures share them) or a tensor power per query.  A
+    monomial contracts them onto the open slot's letters, the stack index and
+    the query index; an environment contracts all slots but s onto slot s's
+    letters, for gradients.  On a stack the letters an einsum sums are kept
+    and summed after it, one row per entry: a row sum's order, unlike
+    einsum's, does not depend on the stack's length.
     """
     n = poly.nslots
-    monomials, slot_keys = [], [[] for _ in range(n)]
+    monos, slot_keys = [], [[] for _ in range(n)]
     for mono, coeff in poly.terms.items():
-        letters, anchored = [""] * n, [()] * n
-        used = 0
+        letters, anchored, used = [""] * n, [()] * n, 0
         for (a, b), e in mono:
             if b >= n:
                 anchored[a] += ((b - n, e),)
@@ -159,16 +186,59 @@ def _plan(poly) -> _Plan | None:
                 letters[b] += _LETTERS[used:used + e]
                 used += e
         keys = tuple(zip(map(len, letters), anchored))
-        envs = []
         for s, key in enumerate(keys):
             if key not in slot_keys[s]:
                 slot_keys[s].append(key)
+        monos.append((coeff, letters, keys, _LETTERS[:used]))
+
+    opened, free = layout[0] == "*", layout.count("?")
+    owner = [s if m in "*?" else string.ascii_lowercase.index(m.lower())
+             for s, m in enumerate(layout)]
+    index, tensors = {}, []
+    for s in range(opened, n):
+        keys = tuple(dict.fromkeys(k for t in range(s, n) if owner[t] == s for k in slot_keys[t]))
+        if owner[s] == s and keys:
+            index.update({(s, key): len(index) + i for i, key in enumerate(keys)})
+            tensors.append((layout[s] == "?", s - (n - free if layout[s] == "?" else opened), keys))
+
+    def contraction(slots, out, letters, keys, summed):
+        subs = ",".join(_BATCH * layout[t].isupper() + letters[t] + _QUERY * (layout[t] == "?")
+                        for t in slots)
+        summed = "".join(c for c in summed if c not in out)
+        keep = len(out) if summed and out.startswith(_BATCH) else None
+        return (f"{subs}->{out}{summed if keep else ''}", keep,
+                tuple(index[owner[t], keys[t]] for t in slots))
+
+    lead = _BATCH * (layout.lower() != layout)
+    monomials = tuple((coeff, *contraction(range(opened, n), lead + letters[0] * opened
+                                           + _QUERY * bool(free), letters, keys, summed),
+                       slot_keys[0].index(keys[0])) for coeff, letters, keys, summed in monos)
+    environments, turns = [], {}
+    for coeff, letters, keys, summed in monos if layout.isalpha() else ():
+        for s, key in enumerate(keys):
             if key != (0, ()):
-                envs.append((s, tuple(i for i in range(n) if i != s),
-                             "".join(c for c in _LETTERS[:used] if c not in letters[s])))
-        monomials.append((coeff, tuple(letters), keys, tuple(envs), _LETTERS[:used]))
-    pairs = len({pair for mono in poly.terms for pair, _ in mono})
-    return _Plan(tuple(monomials), tuple(map(tuple, slot_keys)), pairs)
+                others = [t for t in range(n) if t != s]
+                environments.append((s, coeff, *contraction(
+                    others, _BATCH * layout[s].isupper() + letters[s], letters, keys, summed), key))
+                turns[key] = tuple((*range(len(lead)), len(lead) + k,
+                                    *(len(lead) + i for i in range(key[0]) if i != k))
+                                   for k in range(key[0]))
+    return _Program(tuple(map(tuple, slot_keys)), tuple(tensors), monomials,
+                    tuple(environments), turns)
+
+
+@functools.lru_cache(maxsize=64)
+def _route_sizes(poly, d: int):
+    """The terms of :func:`_use_moments`' size count that depend only on the
+    polynomial and d: the entries of all monomial contractions per query, the
+    entries each slot builds per row, the distinct pairs and the monomial
+    count; None if no program fits."""
+    prog, n = _program(poly, "a" * poly.nslots), poly.nslots
+    if prog is None:
+        return None
+    return (sum(d ** sum(e for (_, b), e in mono if b < n) for mono in poly.terms),
+            tuple(sum(d**e + d * len(anchored) for e, anchored in keys) for keys in prog.slot_keys),
+            len({pair for mono in poly.terms for pair, _ in mono}), len(poly.terms))
 
 
 def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
@@ -186,14 +256,12 @@ def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
     d = slots[0].atoms.shape[-1]
     rows = [s.atoms.shape[-2] for s in slots]
     tuples = math.prod(rows)
-    plan = None if kernel.pair_poly is None else _plan(kernel.pair_poly)
-    if plan is not None:
+    sizes = None if kernel.pair_poly is None else _route_sizes(kernel.pair_poly, d)
+    if sizes is not None:
+        contractions, per_row, pairs, count = sizes
         rows += [queries] * (kernel.arity - len(slots))
-        size = queries * sum(d ** len(mono[4]) for mono in plan.monomials)
-        size += sum(n * sum(d**e + d * len(anchored) for e, anchored in keys)
-                    for n, keys in zip(rows, plan.slot_keys))
-        per_tuple = (kernel.arity + plan.pairs) * d + len(plan.monomials)
-        if size <= min(tuples * queries * per_tuple, _WORK_LIMIT):
+        size = queries * contractions + sum(n * k for n, k in zip(rows, per_row))
+        if size <= min(tuples * queries * ((kernel.arity + pairs) * d + count), _WORK_LIMIT):
             return True
     if tuples > _WORK_LIMIT:
         raise ValueError(
@@ -203,46 +271,16 @@ def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
     return False
 
 
-class _Powers(dict):
-    """Tensor powers x^{(x)e} of the rows of x (..., N, d), as (..., d**e, N) arrays."""
-
-    def __init__(self, x: np.ndarray):
-        super().__init__({1: np.ascontiguousarray(np.swapaxes(x, -1, -2))})
-
-    def __missing__(self, e: int) -> np.ndarray:
-        xt = self[1]
-        self[e] = (np.ones_like(xt[..., :1, :]) if e == 0 else (self[e - 1][..., :, None, :]
-                   * xt[..., None, :, :]).reshape(xt.shape[:-2] + (-1, xt.shape[-1])))
-        return self[e]
-
-
-class _Moments(dict):
-    """Moment tensors sum_i w_i a(x_i) x_i^{(x)e} of one slot by key = (e,
-    anchor powers), with a the anchor factor: shape (..., d, ..., d)."""
-
-    def __init__(self, slot, anchors: np.ndarray):
-        self.slot, self.anchors, self.powers = slot, anchors, _Powers(slot.atoms)
-
-    def __missing__(self, key) -> np.ndarray:
-        (e, anchored), x, w = key, self.slot.atoms, self.slot.weights
-        if anchored:
-            w = w * _anchor_factor(x, self.anchors, anchored)
-        moment = (self.powers[e] @ w[..., None])[..., 0]
-        self[key] = moment.reshape(x.shape[:-2] + (x.shape[-1],) * e)
-        return self[key]
-
-
-def _slot_moments(poly, slots, first: int = 0) -> list[_Moments]:
-    """The moments of each slot, the first of them slot ``first`` of the polynomial,
-    computed slot by slot before any contraction (in between, they raised the peak
-    memory on 100k-atom measures); equal slots share them."""
-    shared = {(id(s.atoms), id(s.weights)): s for s in slots}
-    shared = {ids: _Moments(s, poly.anchors) for ids, s in shared.items()}
-    ops = [shared[id(s.atoms), id(s.weights)] for s in slots]
-    for moments, keys in zip(ops, _plan(poly).slot_keys[first:]):
-        for key in keys:
-            moments[key]
-    return ops
+def _powers(x: np.ndarray, keys) -> list:
+    """Tensor powers x^{(x)e} of the rows of x (..., N, d) up to the top degree
+    of the keys (e, anchor powers), as (..., d**e, N) arrays; power 0 (ones) is
+    None unless a key has degree 0."""
+    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    p = [np.ones_like(xt[..., :1, :]) if any(e == 0 for e, _ in keys) else None, xt]
+    for _ in range(max(e for e, _ in keys) - 1):
+        p.append((p[-1][..., :, None, :] * xt[..., None, :, :]).reshape(
+            xt.shape[:-2] + (-1, xt.shape[-1])))
+    return p
 
 
 def _anchor_factor(x: np.ndarray, anchors: np.ndarray, anchored) -> np.ndarray:
@@ -262,29 +300,46 @@ def _anchor_gradient(x: np.ndarray, anchors: np.ndarray, anchored) -> np.ndarray
     return g
 
 
-def _contract(subs: str, out: str, summed: str, operands) -> np.ndarray:
-    """np.einsum(subs -> out).  On a stack, the letters ``summed`` (those
-    missing from out) are summed after the einsum, one row per entry: a row
-    sum's order, unlike einsum's, does not depend on the stack's length."""
-    if not (summed and out.startswith(_BATCH)):
-        return np.einsum(subs + "->" + out, *operands)
-    full = np.einsum(subs + "->" + out + summed, *operands)
-    return full.reshape(full.shape[:len(out)] + (-1,)).sum(axis=-1)
-
-
-def _free_tensors(poly, x: np.ndarray, keys) -> dict:
+def _free_tensors(poly, x: np.ndarray, keys) -> list:
     """a(x) x^{(x)e} for each key (e, anchor powers) and each row of x (Q, d), as
     (d, ..., d, Q) arrays: the operands of a slot that takes one point per query."""
-    p = _Powers(x)
-    return {key: (p[key[0]] * _anchor_factor(x, poly.anchors, key[1]) if key[1]
-                  else p[key[0]]).reshape((x.shape[1],) * key[0] + (x.shape[0],))
-            for key in keys}
+    p = _powers(x, keys)
+    return [(p[e] * _anchor_factor(x, poly.anchors, anchored) if anchored else p[e]).reshape(
+        (x.shape[1],) * e + (x.shape[0],)) for e, anchored in keys]
+
+
+def _operands(prog: _Program, poly, slots, queries: np.ndarray | None = None):
+    """The program's operands, and the powers of the last slot's atoms.  A
+    measure gives its moment tensors sum_i w_i a(x_i) x_i^{(x)e} by key, shape
+    (..., d, ..., d), all of them before the next measure's powers (holding
+    several measures' powers raised the peak memory on 100k-atom measures)."""
+    ops, last = [], None
+    for queried, pos, keys in prog.tensors:
+        if queried:
+            ops += _free_tensors(poly, queries[:, pos], keys)
+            continue
+        x, w = slots[pos].atoms, slots[pos].weights
+        p = _powers(x, keys)
+        last = p if x is slots[-1].atoms else last
+        for e, anchored in keys:
+            wa = w * _anchor_factor(x, poly.anchors, anchored) if anchored else w
+            ops.append((p[e] @ wa[..., None])[..., 0].reshape(x.shape[:-2] + (x.shape[-1],) * e))
+    return ops, last
+
+
+def _term(coeff: float, spec: str, keep, operands) -> np.ndarray:
+    """coeff times one planned einsum, row-summed over its last axes after the
+    first ``keep``; a product by 1.0, which changes no bit, is skipped."""
+    full = np.einsum(spec, *operands)
+    if keep is not None:
+        full = full.reshape(full.shape[:keep] + (-1,)).sum(axis=-1)
+    return full if coeff == 1.0 else coeff * full
 
 
 def _features(poly, x: np.ndarray) -> np.ndarray:
     """Phi(x) for the rows of x (P, d): slot 0's tensors a(x) x^{(x)e}, one block
-    per key of ``_plan(poly).slot_keys[0]``, flattened into (P, F)."""
-    tensors = _free_tensors(poly, x, _plan(poly).slot_keys[0]).values()
+    per key of slot 0, flattened into (P, F)."""
+    tensors = _free_tensors(poly, x, _program(poly, "a" * poly.nslots).slot_keys[0])
     return np.concatenate([t.reshape(-1, x.shape[0]) for t in tensors]).T
 
 
@@ -294,36 +349,26 @@ def _open_slot(poly, slots, queries: np.ndarray | None = None) -> np.ndarray:
     A (Q, F) with value ``_features(poly, x) @ A[q]`` at x and query q; (F,)
     without queries.  Each monomial contracts the other slots onto slot 0's
     letters, and monomials with equal slot-0 keys add into one block."""
-    plan, j = _plan(poly), len(slots) + 1
-    free = [] if queries is None else list(queries.transpose(1, 0, 2))
-    ops = [None] + _slot_moments(poly, slots, 1)
-    ops += [_free_tensors(poly, x, keys) for x, keys in zip(free, plan.slot_keys[j:])]
-    blocks: dict = {}
-    for coeff, letters, keys, _, _ in plan.monomials:
-        subs = ",".join(lets if s < j else lets + _QUERY for s, lets in enumerate(letters) if s)
-        term = coeff * np.einsum(subs + "->" + letters[0] + _QUERY * bool(free),
-                                 *[ops[s][key] for s, key in enumerate(keys) if s])
-        blocks[keys[0]] = blocks[keys[0]] + term if keys[0] in blocks else term
+    free = 0 if queries is None else queries.shape[1]
+    prog = _program(poly, _layout(slots, True, free))
+    ops, blocks = _operands(prog, poly, slots, queries)[0], [None] * len(prog.slot_keys[0])
+    for coeff, spec, keep, operands, block in prog.monomials:
+        term = _term(coeff, spec, keep, [ops[i] for i in operands])
+        blocks[block] = term if blocks[block] is None else blocks[block] + term
     tail = (queries.shape[0],) if free else ()
-    return np.concatenate([blocks[key].reshape((-1,) + tail) for key in plan.slot_keys[0]]).T
+    return np.concatenate([b.reshape((-1,) + tail) for b in blocks]).T
 
 
 def _moment_sum(poly, slots, queries: np.ndarray | None = None):
     """A pair polynomial summed over the weighted atoms of its leading len(slots) slots,
     the others at each query tuple (Q, r, d): a float without queries, else Q values; a
     stack (B, N, d) of configurations as a slot's atoms adds a leading axis."""
-    plan, j = _plan(poly), len(slots)
-    ops = _slot_moments(poly, slots)
-    free = [] if queries is None else list(queries.transpose(1, 0, 2))
-    ops += [_free_tensors(poly, x, keys) for x, keys in zip(free, plan.slot_keys[j:])]
-    lead = [_BATCH if slot.atoms.ndim == 3 else "" for slot in slots]
-    stack = _BATCH if any(lead) else ""
-    total = 0.0
-    for coeff, letters, keys, _, summed in plan.monomials:
-        subs = [lead[s] + lets if s < j else lets + _QUERY for s, lets in enumerate(letters)]
-        total = total + coeff * _contract(",".join(subs), stack + _QUERY * bool(free), summed,
-                                          [ops[s][key] for s, key in enumerate(keys)])
-    return total if stack or free else float(total)
+    layout = _layout(slots, queries=0 if queries is None else queries.shape[1])
+    prog = _program(poly, layout)
+    ops, total = _operands(prog, poly, slots, queries)[0], 0.0
+    for coeff, spec, keep, operands, _ in prog.monomials:
+        total = total + _term(coeff, spec, keep, [ops[i] for i in operands])
+    return total if layout.lower() != layout or queries is not None else float(total)
 
 
 def _moment_gradient(poly, slot, fixed=()) -> np.ndarray:
@@ -335,22 +380,21 @@ def _moment_gradient(poly, slot, fixed=()) -> np.ndarray:
     keys are summed before they meet the atoms."""
     x, w, j = slot.atoms, slot.weights, len(fixed)
     lead, d = x.shape[:-2], x.shape[-1]
-    ops = _slot_moments(poly, list(fixed) + [slot] * (poly.nslots - j))
-    stack = _BATCH if lead else ""
+    slots = list(fixed) + [slot] * (poly.nslots - j)
+    prog = _program(poly, _layout(slots))
+    ops, p = _operands(prog, poly, slots)
     envs: dict = {}
-    for coeff, letters, keys, environments, _ in _plan(poly).monomials:
-        for s, others, summed in environments:
-            if s >= j:
-                subs = ",".join(letters[i] if i < j else stack + letters[i] for i in others)
-                env = coeff * _contract(subs, stack + letters[s], summed,
-                                        [ops[i][keys[i]] for i in others])
-                envs[keys[s]] = envs[keys[s]] + env if keys[s] in envs else env
-    p = ops[-1].powers
+    for s, coeff, spec, keep, operands, key in prog.environments:
+        if s >= j:
+            env = _term(coeff, spec, keep, [ops[i] for i in operands])
+            envs[key] = envs[key] + env if key in envs else env
+    if any(e <= 1 for e, _ in envs) and p[0] is None:
+        p[0] = np.ones_like(p[1][..., :1, :])
     grad = np.zeros(lead + (d, x.shape[-2]))
     for (e, anchored), env in envs.items():
         # d/dx <env, x^{(x)e}> contracts x into every position but one
-        dvalue = sum(np.moveaxis(env, len(lead) + k, len(lead)).reshape(lead + (d, -1))
-                     @ p[e - 1] for k in range(e))
+        dvalue = sum(env.transpose(turn).reshape(lead + (d, -1)) @ p[e - 1]
+                     for turn in prog.turns[e, anchored])
         if anchored:
             value = (env.reshape(lead + (1, -1)) @ p[e])[..., 0, :]
             dvalue = (_anchor_factor(x, poly.anchors, anchored)[..., None, :] * dvalue
@@ -480,6 +524,8 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
     queries = _coerce_queries(n - j, at)
     if queries.shape[2] != d:
         raise ValueError("query dimension does not match the measures")
+    if queries.shape[0] == 0:
+        return np.empty(0)
     if not np.all(np.isfinite(queries)):
         raise ValueError("query points must be finite")
     off = float(np.max(np.abs(np.linalg.norm(queries, axis=-1) - 1.0), initial=0.0))

@@ -73,17 +73,18 @@ def _tangent_gradient(kernel: Kernel, stack: np.ndarray) -> np.ndarray:
     """Tangent-space gradient of the discrete energy at every row of each configuration
     of the stack (B, N, d).  One with coincident points, where a Riesz gradient with
     s < 1 is singular, falls back to finite differences, with a warning."""
-    singular = np.zeros(len(stack), dtype=bool)
-    if isinstance(kernel, RieszKernel) and kernel.s < 1.0:
+    if not (isinstance(kernel, RieszKernel) and kernel.s < 1.0):
+        grad = _points_gradient(kernel, stack)
+    else:
         dist = np.linalg.norm(stack[:, :, None] - stack[:, None], axis=-1)
         singular = np.min(dist + np.diag(np.full(stack.shape[1], np.inf)), axis=(1, 2)) < 1e-12
-    grad = np.empty_like(stack)
-    if not singular.all():
-        grad[~singular] = _points_gradient(kernel, stack[~singular])
-    for b in np.flatnonzero(singular):
-        warnings.warn("coincident points with a singular gradient; "
-                      "falling back to finite differences", stacklevel=3)
-        grad[b] = [_fd_point_gradient(kernel, stack[b], i) for i in range(stack.shape[1])]
+        grad = np.empty_like(stack)
+        if not singular.all():
+            grad[~singular] = _points_gradient(kernel, stack[~singular])
+        for b in np.flatnonzero(singular):
+            warnings.warn("coincident points with a singular gradient; "
+                          "falling back to finite differences", stacklevel=3)
+            grad[b] = [_fd_point_gradient(kernel, stack[b], i) for i in range(stack.shape[1])]
     return grad - np.sum(grad * stack, axis=-1)[..., None] * stack
 
 

@@ -33,8 +33,10 @@ from multipot import (
 )
 from multipot.certify import (
     _balanced_basis,
+    _dense_spread,
     _kernel_matrix,
     _matrix_min_eig,
+    _moment_spread,
     _potential_stderr,
     _trials_per_chunk,
 )
@@ -340,6 +342,30 @@ def test_potential_stderr_matches_per_point_loop(name, d, weights):
     else:
         assert got > 0
         assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_constancy_noise_of_a_kernel_without_contraction():
+    # prod_f_uvt(exp) is no pair polynomial: its noise comes from dense rows
+    report = potential_constancy_check(prod_f_uvt(f="exp"), uniform_surrogate(3, 400, 1),
+                                       sample_sphere(3, 10, 2))
+    assert report.stderr_estimate > 0
+    assert report.passed
+
+
+@pytest.mark.parametrize("kernel", [area2(), uvt(), vol2()], ids=["area2", "uvt", "vol2"])
+def test_dense_rows_match_the_moment_spread(kernel):
+    w = (np.random.default_rng(26).random(40) + 0.1) / 30
+    mu = DiscreteMeasure(sample_sphere(3, 40, 27).points, w)
+    pts = sample_sphere(3, 12, 28).points
+    moment = _moment_spread(kernel.pair_poly, mu, pts)
+    assert np.all(moment > 0)
+    np.testing.assert_allclose(_dense_spread(kernel, mu, pts), moment, rtol=1e-12, atol=0)
+
+
+def test_dense_rows_respect_the_work_limit():
+    with pytest.raises(ValueError, match="2000-atom"):
+        _dense_spread(prod_f_uvt(f="exp"), uniform_surrogate(3, 2000, 1),
+                      sample_sphere(3, 10, 2).points)
 
 
 # --- inequality suite ---------------------------------------------------------------------

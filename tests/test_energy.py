@@ -304,6 +304,24 @@ def test_potential_rejects_non_finite_and_off_sphere_queries():
         potential(s011(), [mu], np.stack([E1, 1.5 * E2])[None])
 
 
+def test_cancelled_polynomial_sums_to_zero():
+    # a polynomial whose terms all cancel has no tensors to take
+    kernel = area2() + (-1.0) * area2()
+    assert kernel.pair_poly.terms == {}
+    config = sample_sphere(3, 5, 1)
+    assert discrete_energy(kernel, config).value == 0.0
+    assert not np.any(energy_mod._points_gradient(kernel, config.points[None]))
+
+
+def test_potential_of_no_queries_is_empty():
+    mu = uniform_surrogate(3, 400, 71)
+    for measures, queries in (([mu, mu], np.empty((0, 3))), ([mu], np.empty((0, 2, 3)))):
+        values = potential(area2(), measures, queries)
+        assert values.shape == (0,) and values.dtype == float
+    with pytest.raises(ValueError, match="dimension"):
+        potential(area2(), [mu, mu], np.empty((0, 2)))
+
+
 def test_potential_kernel_evaluates_off_the_sphere():
     mu = _random_measure(4, 3, 73)
     pair = np.stack([2.0 * E1, E2 + E3])[None]

@@ -1,4 +1,5 @@
 """Particle descent: gradients, line search, targets, equivariance."""
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from multipot import (
     riesz,
     s011,
     sample_sphere,
+    sum_lift,
     uniform_surrogate,
     uvt,
     vol2,
@@ -350,3 +352,46 @@ def test_multistart_makes_no_more_gradient_calls_than_its_longest_start(monkeypa
         optimize_discrete(kernel, n, 3, replace(cfg, seed=cfg.seed + k))
         singles.append(len(calls))
     assert batched <= max(singles)
+
+
+# Each start's final energy and a sha256 of every start's energies and final
+# points, for a 4-start descent of 50 steps at d = 3 (numpy 2.4, x86-64).  A
+# change to a contraction's spec, to the order of the moment keys or to the
+# order in which monomials and environments are added moves these bits.
+DESCENT_BITS = {
+    "s011": (s011(), 2, OptimizerConfig(steps=50, step_size=0.5, seed=1, stop_tol=1e-12),
+             ["0x1.c6441fe1f6d78p-16", "0x1.dddb260683eb8p-16", "0x1.984d3a610703ap-16",
+              "0x1.988977d343f80p-16"],
+             "6af058342f087bcdc95589b487cef208b47b294a7f046e9a602f7eb3dd67dc9c"),
+    "area2": (area2(), 30, OptimizerConfig(steps=50, step_size=1.0, seed=3, maximize=True),
+              ["0x1.ffa843c0210e3p-2", "0x1.fea13a8af6ab8p-2", "0x1.fe4f1a3775b38p-2",
+               "0x1.ffa6548ad7b44p-2"],
+              "d79b5d3bab88369d79f32d8d32843b8b482833b554ee05c66d9d22560b0f6c29"),
+    "vol2": (vol2(), 30, OptimizerConfig(steps=50, step_size=1.0, seed=10, maximize=True),
+             ["0x1.c6dc3520e136fp-3", "0x1.c6e4c66607c66p-3", "0x1.c6d8c561423e0p-3",
+              "0x1.c6cc0610cd6dep-3"],
+             "fb0efddab9f6d17b4bf350d1b536790c247652738becba786c210f7af65dc67a"),
+    "anchored": (pin(sum_lift(area2(), 4), [0.6, 0.8, 0.0]), 12,
+                 OptimizerConfig(steps=50, step_size=0.5, seed=2),
+                 ["0x1.2e0e85ac40000p-21", "0x1.6478bdadaa7c0p-8", "0x1.bcc2fbe5a5f40p-8",
+                  "0x1.7c27000000000p-42"],
+                 "42a3c002de9d27feb0c511bf120846a79c79acd7f8a00998b387ecb06fc1e9e3"),
+    "potential": (PotentialKernel(area2(), [uniform_surrogate(3, 50, 1)]), 8,
+                  OptimizerConfig(steps=50, step_size=0.5, seed=5, maximize=True),
+                  ["0x1.01763ded9dd70p-1", "0x1.fc4139bf15a1ap-2", "0x1.029a6bbcc07c7p-1",
+                   "0x1.0474bca7adb55p-1"],
+                  "08d5aa8d7eced924e2dfe8ad2a06733622483a62ce5cd0ea1bba17bf9d802f19"),
+}
+
+
+@pytest.mark.parametrize("name", list(DESCENT_BITS))
+def test_descent_bits_are_fixed(name):
+    kernel, n, cfg, finals, digest = DESCENT_BITS[name]
+    stack = np.stack([sample_sphere(3, n, cfg.seed + k).points for k in range(4)])
+    traces = optimize_mod._descend(kernel, stack, cfg)
+    sha = hashlib.sha256()
+    for trace in traces:
+        sha.update(np.asarray(trace.energies).tobytes())
+        sha.update(np.ascontiguousarray(trace.final_config.points).tobytes())
+    assert [trace.final_energy.hex() for trace in traces] == finals
+    assert sha.hexdigest() == digest

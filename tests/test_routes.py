@@ -4,7 +4,8 @@ Seeded random polynomials -- arity 2-4, random monomials and exponents,
 anchor points, signed coefficients -- are summed by the power-moment
 route, the dense tuple grid and the plain-Python oracles, for mutual
 energies and for potentials with one and two free slots.  Analytic
-gradients are checked against central differences of the oracle.
+gradients are checked against central differences of the oracle, and the
+moment route's cached programs against freshly built ones.
 """
 import numpy as np
 import pytest
@@ -152,3 +153,38 @@ def test_fixed_slot_gradients(seed, monkeypatch):
         minus[i, c] -= eps
         fd = (oracle(plus) - oracle(minus)) / (2 * eps)
         assert moment[i, c] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cached_programs_match_fresh_ones(seed):
+    # one polynomial through every call layout -- unstacked, stacked, with
+    # fixed slots, with queries and with an open slot -- in two interleaved
+    # orders on a shared cache; each result equals its value from an empty
+    # cache, bit for bit
+    kernel, _, measures, rng = _random_case(seed, min_arity=3)
+    poly, n, d = kernel.pair_poly, kernel.arity, measures[0].dimension
+    pts = _unit_rows(rng, 3, d)
+    w = rng.normal(size=3)
+    plain, stacked = energy_mod._Atoms(pts, w), energy_mod._Atoms(np.stack([pts, pts[::-1]]), w)
+    queries = [_unit_rows(rng, 3 * r, d).reshape(3, r, d) for r in (1, 2)]
+    calls = [
+        lambda: energy_mod._moment_sum(poly, measures),
+        lambda: energy_mod._moment_sum(poly, [plain] * n),
+        lambda: energy_mod._moment_gradient(poly, plain),
+        lambda: energy_mod._moment_sum(poly, [stacked] * n),
+        lambda: energy_mod._moment_gradient(poly, stacked),
+        lambda: energy_mod._moment_sum(poly, measures[:1] + [stacked] * (n - 1)),
+        lambda: energy_mod._moment_gradient(poly, stacked, measures[:1]),
+        lambda: energy_mod._moment_gradient(poly, plain, measures[:1]),
+        lambda: energy_mod._moment_sum(poly, measures[:n - 1], queries[0]),
+        lambda: energy_mod._moment_sum(poly, measures[:n - 2], queries[1]),
+        lambda: energy_mod._open_slot(poly, measures[1:]),
+        lambda: energy_mod._open_slot(poly, measures[1:n - 1], queries[0]),
+    ]
+    energy_mod._program.cache_clear()
+    forward = [call() for call in calls]
+    backward = [call() for call in calls[::-1]][::-1]
+    for call, a, b in zip(calls, forward, backward):
+        energy_mod._program.cache_clear()
+        fresh = np.asarray(call()).tobytes()
+        assert np.asarray(a).tobytes() == fresh and np.asarray(b).tobytes() == fresh
