@@ -287,13 +287,17 @@ def _potential_stderr(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarr
     potential's variance is approximately 4 * zeta * sum_j w_j^2, where
     zeta(x) = sum_j w_j (r_j - rbar)^2.  Pair polynomials the moment engine
     contracts take zeta from it (:func:`_moment_spread`); other kernels from
-    dense rows (:func:`_dense_spread`).  Only arity 3 gets an estimate.
+    dense rows (:func:`_dense_spread`).  Only arity 3 gets an estimate; a
+    polynomial whose terms all cancel (slot 0 has no keys) has no noise.
     """
     if mu.n_atoms < 2 or kernel.arity != 3:
         return 0.0
     poly = kernel.pair_poly
-    if poly is None or _program(poly, _layout([mu, mu], True)) is None:
+    prog = None if poly is None else _program(poly, _layout([mu, mu], True))
+    if prog is None:
         zeta = _dense_spread(kernel, mu, test_points)
+    elif not prog.slot_keys[0]:
+        return 0.0
     else:
         zeta = _moment_spread(poly, mu, test_points)
     w2 = float(np.sum(mu.weights**2))

@@ -21,7 +21,12 @@ all atom tuples.  Two routes compute them:
   The layout is what the call's arguments decide: which slots are
   integrated, queried or open, which integrated slots hold equal measures,
   and which hold a stack.  A call only computes its tensors and runs the
-  program.
+  program.  A program lists each distinct environment contraction once
+  (by spec, kept axes and operands; a product of two operands also
+  matches its swapped form), and each environment adds its coefficient
+  times that contraction in the order the monomials give.  A particle
+  descent binds its engine once (:func:`_bind`): route, layout and
+  program are resolved before its first step, not on every call.
 
 A stack (B, N, d) of configurations in place of one (N, d) gets B energies
 or gradients from one set of contractions, each with the bits it gets
@@ -141,10 +146,11 @@ def _dense_potential(batch, measures, queries: np.ndarray) -> np.ndarray:
 # ``tensors`` lists (queried, position among the call's slots or query columns,
 # keys) per distinct measure and query slot, in operand order; ``monomials``
 # are (coefficient, einsum spec, axes kept before a row sum or None, operand
-# positions, block of slot 0's key), ``environments`` (slot, coefficient, spec,
-# kept axes, operand positions, key), and ``turns[key]`` the axis orders that
-# bring each position of an environment to the front.
-_Program = namedtuple("_Program", "slot_keys tensors monomials environments turns")
+# positions, block of slot 0's key), ``contractions`` the distinct (spec, kept
+# axes, operand positions) of the environments, ``environments`` (slot,
+# coefficient, index into contractions, key), and ``turns[key]`` the axis
+# orders that bring each position of an environment to the front.
+_Program = namedtuple("_Program", "slot_keys tensors monomials contractions environments turns")
 
 
 def _layout(slots, opened: bool = False, queries: int = 0) -> str:
@@ -213,18 +219,32 @@ def _program(poly, layout: str) -> _Program | None:
     monomials = tuple((coeff, *contraction(range(opened, n), lead + letters[0] * opened
                                            + _QUERY * bool(free), letters, keys, summed),
                        slot_keys[0].index(keys[0])) for coeff, letters, keys, summed in monos)
-    environments, turns = [], {}
+    contractions, environments, turns = {}, [], {}
     for coeff, letters, keys, summed in monos if layout.isalpha() else ():
         for s, key in enumerate(keys):
             if key != (0, ()):
                 others = [t for t in range(n) if t != s]
-                environments.append((s, coeff, *contraction(
-                    others, _BATCH * layout[s].isupper() + letters[s], letters, keys, summed), key))
+                term = _canonical(*contraction(
+                    others, _BATCH * layout[s].isupper() + letters[s], letters, keys, summed))
+                entry = contractions.setdefault(term, len(contractions))
+                environments.append((s, coeff, entry, key))
                 turns[key] = tuple((*range(len(lead)), len(lead) + k,
                                     *(len(lead) + i for i in range(key[0]) if i != k))
                                    for k in range(key[0]))
     return _Program(tuple(map(tuple, slot_keys)), tuple(tensors), monomials,
-                    tuple(environments), turns)
+                    tuple(contractions), tuple(environments), turns)
+
+
+def _canonical(spec: str, keep, operands):
+    """One name for a contraction and its two operands swapped, when einsum sums
+    no letter of it: each output entry is then one product a*b, which equals b*a
+    bit for bit.  Products of three or more operands keep their order, since
+    (a*b)*c need not equal (a*c)*b; so do contractions einsum sums over."""
+    inputs, out = spec.split("->")
+    if len(operands) != 2 or not set(inputs) - {","} <= set(out):
+        return spec, keep, operands
+    first, second = inputs.split(",")
+    return min((spec, keep, operands), (f"{second},{first}->{out}", keep, operands[::-1]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -332,7 +352,7 @@ def _term(coeff: float, spec: str, keep, operands) -> np.ndarray:
     first ``keep``; a product by 1.0, which changes no bit, is skipped."""
     full = np.einsum(spec, *operands)
     if keep is not None:
-        full = full.reshape(full.shape[:keep] + (-1,)).sum(axis=-1)
+        full = np.add.reduce(full.reshape(full.shape[:keep] + (-1,)), -1)
     return full if coeff == 1.0 else coeff * full
 
 
@@ -359,34 +379,42 @@ def _open_slot(poly, slots, queries: np.ndarray | None = None) -> np.ndarray:
     return np.concatenate([b.reshape((-1,) + tail) for b in blocks]).T
 
 
-def _moment_sum(poly, slots, queries: np.ndarray | None = None):
+def _moment_sum(poly, slots, queries: np.ndarray | None = None, prog: _Program | None = None):
     """A pair polynomial summed over the weighted atoms of its leading len(slots) slots,
     the others at each query tuple (Q, r, d): a float without queries, else Q values; a
-    stack (B, N, d) of configurations as a slot's atoms adds a leading axis."""
-    layout = _layout(slots, queries=0 if queries is None else queries.shape[1])
-    prog = _program(poly, layout)
-    ops, total = _operands(prog, poly, slots, queries)[0], 0.0
+    stack (B, N, d) of configurations as a slot's atoms adds a leading axis.  ``prog``
+    is the program of the call's layout, if the caller has it."""
+    if prog is None:
+        prog = _program(poly, _layout(slots, queries=0 if queries is None else queries.shape[1]))
+    ops = _operands(prog, poly, slots, queries)[0]
+    total = np.zeros(slots[-1].atoms.shape[:-2] + (() if queries is None else queries.shape[:1]))
     for coeff, spec, keep, operands, _ in prog.monomials:
         total = total + _term(coeff, spec, keep, [ops[i] for i in operands])
-    return total if layout.lower() != layout or queries is not None else float(total)
+    return total if total.ndim else float(total)
 
 
-def _moment_gradient(poly, slot, fixed=()) -> np.ndarray:
+def _moment_gradient(poly, slot, fixed=(), prog: _Program | None = None) -> np.ndarray:
     """Gradient of the polynomial summed over the ``fixed`` measures in its
     leading slots and over ``slot`` in the others, with respect to each atom
     of ``slot``: (..., N, d) for atoms (..., N, d).  Slot s of a monomial
     contributes w(x) d/dx [a(x) <env, x^{(x)E}>], where env contracts the
-    other slots' moment tensors; environments with equal (E, anchor powers)
-    keys are summed before they meet the atoms."""
+    other slots' moment tensors (each distinct contraction runs once);
+    environments with equal (E, anchor powers) keys are summed before they
+    meet the atoms.  ``prog`` is the program of the call's layout, if the
+    caller has it."""
     x, w, j = slot.atoms, slot.weights, len(fixed)
     lead, d = x.shape[:-2], x.shape[-1]
     slots = list(fixed) + [slot] * (poly.nslots - j)
-    prog = _program(poly, _layout(slots))
+    if prog is None:
+        prog = _program(poly, _layout(slots))
     ops, p = _operands(prog, poly, slots)
-    envs: dict = {}
-    for s, coeff, spec, keep, operands, key in prog.environments:
+    done, envs = [None] * len(prog.contractions), {}
+    for s, coeff, c, key in prog.environments:
         if s >= j:
-            env = _term(coeff, spec, keep, [ops[i] for i in operands])
+            if done[c] is None:
+                spec, keep, operands = prog.contractions[c]
+                done[c] = _term(1.0, spec, keep, [ops[i] for i in operands])
+            env = done[c] if coeff == 1.0 else coeff * done[c]
             envs[key] = envs[key] + env if key in envs else env
     if any(e <= 1 for e, _ in envs) and p[0] is None:
         p[0] = np.ones_like(p[1][..., :1, :])
@@ -408,46 +436,67 @@ def _moment_gradient(poly, slot, fixed=()) -> np.ndarray:
 
 def _sum(kernel: Kernel, slots, queries: np.ndarray | None = None):
     """Exact weighted sum of the kernel over the atom tuples of the leading slots, the
-    others at each query tuple (Q, r, d): a float without queries, else Q values, and
-    B sums if the last slot holds a stack.  A potential kernel unfolds into its base's."""
+    others at each query tuple (Q, r, d): a float without queries, else Q values.  A
+    potential kernel unfolds into its base's.  Discrete energies of point arrays
+    go through :func:`_bind`."""
     if isinstance(kernel, PotentialKernel):
         return _sum(kernel.base, kernel.measures + list(slots), queries)
     if _use_moments(kernel, slots, 1 if queries is None else queries.shape[0]):
         return _moment_sum(kernel.pair_poly, slots, queries)
-    if slots[-1].atoms.ndim == 3:
-        return np.array([
-            _sum(kernel, [s if s.atoms.ndim == 2 else _Atoms(s.atoms[b], s.weights) for s in slots],
-                 queries)
-            for b in range(slots[-1].atoms.shape[0])])
     if queries is None:
         return _dense_mutual(kernel, slots)
     return _dense_potential(kernel.evaluate_batch, slots, queries)
 
 
+def _bind(kernel: Kernel, pts: np.ndarray):
+    """The discrete energy and its Euclidean gradient at every row, as functions
+    of point arrays shaped like ``pts``: (N, d), or a stack (B, N, d) of any
+    length B with one energy and one gradient per configuration.  The route, the
+    call layout and the contraction program are resolved here, once; a potential
+    kernel's measures are fixed slots of its base."""
+    n, arity = pts.shape[-2], kernel.arity
+    weights = np.full(n, 1.0 / n)
+    pk = isinstance(kernel, PotentialKernel)
+    base, fixed = (kernel.base, kernel.measures) if pk else (kernel, [])
+    slots = fixed + [_Atoms(pts, weights)] * arity
+    if _use_moments(base, slots):
+        poly = base.pair_poly
+        prog = _program(poly, _layout(slots))
+
+        def energy(x):
+            return _moment_sum(poly, fixed + [_Atoms(x, weights)] * arity, None, prog)
+
+        def gradient(x):
+            return _moment_gradient(poly, _Atoms(x, weights), fixed, prog)
+        return energy, gradient
+
+    def energy(x):
+        if x.ndim == 3:
+            return np.array([energy(p) for p in x])
+        return _dense_mutual(base, fixed + [_Atoms(x, weights)] * arity)
+
+    def gradient(x):
+        if x.ndim == 3:
+            return np.stack([gradient(p) for p in x])
+        grad = np.zeros_like(x)
+        for start, stop, grid in _tuple_blocks([x] * arity):
+            g = kernel.gradient_batch(grid)
+            for s in range(arity):     # slot 0 runs over this block's rows only
+                (grad[start:stop] if s == 0 else grad)[...] += g[..., s, :].sum(
+                    axis=tuple(a for a in range(arity) if a != s))
+        return grad / n**arity
+    return energy, gradient
+
+
 def _points_energy(kernel: Kernel, pts: np.ndarray):
     """Discrete energy of the rows of ``pts`` (not validated), one per configuration of a stack."""
-    n = pts.shape[-2]
-    return _sum(kernel, [_Atoms(pts, np.full(n, 1.0 / n))] * kernel.arity)
+    return _bind(kernel, pts)[0](pts)
 
 
 def _points_gradient(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the discrete energy at every row of ``pts`` (N, d) or
-    of a stack (B, N, d); a potential kernel's measures are fixed slots of its base."""
-    n, arity = pts.shape[-2], kernel.arity
-    slot = _Atoms(pts, np.full(n, 1.0 / n))
-    pk = isinstance(kernel, PotentialKernel)
-    base, fixed = (kernel.base, kernel.measures) if pk else (kernel, [])
-    if _use_moments(base, fixed + [slot] * arity):
-        return _moment_gradient(base.pair_poly, slot, fixed)
-    if pts.ndim == 3:
-        return np.stack([_points_gradient(kernel, p) for p in pts])
-    grad = np.zeros_like(pts)
-    for start, stop, grid in _tuple_blocks([pts] * arity):
-        g = kernel.gradient_batch(grid)
-        for s in range(arity):     # slot 0 runs over this block's rows only
-            (grad[start:stop] if s == 0 else grad)[...] += g[..., s, :].sum(
-                axis=tuple(a for a in range(arity) if a != s))
-    return grad / n**arity
+    of a stack (B, N, d)."""
+    return _bind(kernel, pts)[1](pts)
 
 
 # --- public operations -----------------------------------------------------------

@@ -5,8 +5,11 @@ Euclidean gradient of the discrete energy is projected to the tangent
 space at each particle, a step is taken, and the particles are
 renormalized.  One descent runs a stack (B, N, d) of starts through the
 energy engine at once, each with its own step and stopping test, so each
-start's trace is its single run's, bit for bit.  Runs are deterministic
-given the seed; accepted energies never get worse (up to 1e-12).
+start's trace is its single run's, bit for bit.  The engine is bound to
+the kernel and the stack's shape once per descent (route, call layout
+and contraction program), and every step calls the bound energy and
+gradient.  Runs are deterministic given the seed; accepted energies never
+get worse (up to 1e-12).
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from .geometry import DiscreteMeasure, PointConfiguration, sample_sphere
 from .kernels import Kernel, RieszKernel
-from .energy import MixturePolynomial, _points_energy, _points_gradient, mixture_polynomial
+from .energy import MixturePolynomial, _bind, _points_energy, mixture_polynomial
 
 __all__ = [
     "OptimizerConfig",
@@ -69,23 +72,24 @@ def _fd_point_gradient(kernel: Kernel, pts: np.ndarray, i: int) -> np.ndarray:
             - _points_energy(kernel, pts - _FD_STEP * shift)) / (2 * _FD_STEP)
 
 
-def _tangent_gradient(kernel: Kernel, stack: np.ndarray) -> np.ndarray:
+def _tangent_gradient(kernel: Kernel, gradient, stack: np.ndarray) -> np.ndarray:
     """Tangent-space gradient of the discrete energy at every row of each configuration
-    of the stack (B, N, d).  One with coincident points, where a Riesz gradient with
-    s < 1 is singular, falls back to finite differences, with a warning."""
+    of the stack (B, N, d), from ``gradient``, the kernel's bound Euclidean gradient
+    (see :func:`energy._bind`).  A configuration with coincident points, where a Riesz
+    gradient with s < 1 is singular, falls back to finite differences, with a warning."""
     if not (isinstance(kernel, RieszKernel) and kernel.s < 1.0):
-        grad = _points_gradient(kernel, stack)
+        grad = gradient(stack)
     else:
         dist = np.linalg.norm(stack[:, :, None] - stack[:, None], axis=-1)
         singular = np.min(dist + np.diag(np.full(stack.shape[1], np.inf)), axis=(1, 2)) < 1e-12
         grad = np.empty_like(stack)
         if not singular.all():
-            grad[~singular] = _points_gradient(kernel, stack[~singular])
+            grad[~singular] = gradient(stack[~singular])
         for b in np.flatnonzero(singular):
             warnings.warn("coincident points with a singular gradient; "
                           "falling back to finite differences", stacklevel=3)
             grad[b] = [_fd_point_gradient(kernel, stack[b], i) for i in range(stack.shape[1])]
-    return grad - np.sum(grad * stack, axis=-1)[..., None] * stack
+    return grad - np.add.reduce(grad * stack, -1)[..., None] * stack
 
 
 def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
@@ -97,7 +101,8 @@ def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
     if not 0 <= i < pts.shape[0]:
         raise ValueError(f"point index {i} out of range")
     if mode == "analytic":
-        return _tangent_gradient(kernel, pts[None])[0, i]
+        stack = pts[None]
+        return _tangent_gradient(kernel, _bind(kernel, stack)[1], stack)[0, i]
     if mode != "finite_difference":
         raise ValueError(f"unknown gradient mode '{mode}'")
     grad = _fd_point_gradient(kernel, pts, i)
@@ -105,7 +110,8 @@ def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
 
 
 def _renormalize(pts: np.ndarray) -> np.ndarray:
-    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    # np.linalg.norm(pts, axis=-1, keepdims=True), bit for bit on real input
+    return pts / np.sqrt(np.add.reduce(pts * pts, -1, keepdims=True))
 
 
 def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[OptimizationTrace]:
@@ -114,18 +120,20 @@ def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[Op
     Each start keeps its own Armijo step, backtracking and stopping test,
     and drops out of the evaluations once it has converged, failed its line
     search or run out of steps.  The energy engine sums each configuration
-    on its own, so a start's trace does not depend on the other starts.
+    on its own, so a start's trace does not depend on the other starts; it is
+    bound to the kernel and the stack's shape once, before the first step.
     """
     pts, sign = np.array(stack), -1.0 if cfg.maximize else 1.0   # descend on sign * E
-    energy = _points_energy(kernel, pts)
+    energy_of, gradient_of = _bind(kernel, pts)
+    energy = energy_of(pts)
     energies = [[e] for e in energy.tolist()]
     step, converged = np.full(len(pts), cfg.step_size), np.zeros(len(pts), dtype=bool)
     active = np.arange(len(pts))
     for it in range(cfg.steps + 1):     # the pass after the last step only tests convergence
         if not active.size:
             break
-        grad = _tangent_gradient(kernel, pts[active])
-        gnorm2 = np.sum((grad * grad).reshape(active.size, -1), axis=1)
+        grad = _tangent_gradient(kernel, gradient_of, pts[active])
+        gnorm2 = np.add.reduce((grad * grad).reshape(active.size, -1), 1)
         stop = np.sqrt(gnorm2) <= cfg.stop_tol
         converged[active[stop]] = True
         if it == cfg.steps:
@@ -137,7 +145,7 @@ def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[Op
                 break
             rows = active[search]
             cand = _renormalize(pts[rows] + t[search, None, None] * direction[search])
-            cand_energy = _points_energy(kernel, cand)
+            cand_energy = energy_of(cand)
             ok = sign * (cand_energy - energy[rows]) <= -_ARMIJO * t[search] * gnorm2[search]
             pts[rows[ok]], energy[rows[ok]] = cand[ok], cand_energy[ok]
             search = search[~ok]
@@ -157,9 +165,10 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
     """Minimize (or maximize) the discrete energy over N points on S^{d-1}.
 
     Random initialization from the config seed unless ``initial`` is
-    given.  The result's final energy is an upper bound on the infimum
-    (lower bound on the supremum when maximizing); no optimality claim is
-    made.  This is :func:`multistart` with one start.
+    given; each of its rows must be finite and nonzero, and is projected
+    to the sphere.  The result's final energy is an upper bound on the
+    infimum (lower bound on the supremum when maximizing); no optimality
+    claim is made.  This is :func:`multistart` with one start.
     """
     if initial is None:
         return multistart(kernel, n_points, d, cfg, starts=1)
@@ -167,6 +176,11 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
     if n_points < 1 or d < 2 or pts.shape != (n_points, d):
         raise ValueError(f"initial configuration must have shape ({n_points}, {d}), "
                          "with n_points >= 1 and d >= 2")
+    norms = np.linalg.norm(pts, axis=1)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+    if bad.size:
+        raise ValueError(f"initial row {bad[0]} cannot be projected to the sphere: "
+                         f"its norm is {float(norms[bad[0]])}; rows must be finite and nonzero")
     return _descend(kernel, _renormalize(pts)[None], cfg)[0]
 
 

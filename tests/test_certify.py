@@ -352,6 +352,15 @@ def test_constancy_noise_of_a_kernel_without_contraction():
     assert report.passed
 
 
+def test_constancy_of_a_cancelled_polynomial():
+    # no monomial is left, so slot 0 has no keys: the potential is 0, with no noise
+    report = potential_constancy_check(area2() + (-1.0) * area2(), uniform_surrogate(3, 50, 1),
+                                       sample_sphere(3, 4, 2))
+    assert report.values.shape == (4,) and not np.any(report.values)
+    assert report.stderr_estimate == 0.0
+    assert report.passed
+
+
 @pytest.mark.parametrize("kernel", [area2(), uvt(), vol2()], ids=["area2", "uvt", "vol2"])
 def test_dense_rows_match_the_moment_spread(kernel):
     w = (np.random.default_rng(26).random(40) + 0.1) / 30

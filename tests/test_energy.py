@@ -313,6 +313,21 @@ def test_cancelled_polynomial_sums_to_zero():
     assert not np.any(energy_mod._points_gradient(kernel, config.points[None]))
 
 
+def test_potential_of_a_cancelled_polynomial_is_zero_per_query():
+    kernel = area2() + (-1.0) * area2()
+    mu = uniform_surrogate(3, 50, 1)
+    values = potential(kernel, [mu, mu], sample_sphere(3, 4, 2))
+    assert values.shape == (4,) and not np.any(values)
+
+
+def test_stacked_energy_of_a_cancelled_polynomial_is_zero_per_configuration():
+    kernel = area2() + (-1.0) * area2()
+    stack = np.stack([sample_sphere(3, 5, seed).points for seed in range(3)])
+    energies = energy_mod._points_energy(kernel, stack)
+    assert isinstance(energies, np.ndarray) and energies.shape == (3,)
+    assert not np.any(energies)
+
+
 def test_potential_of_no_queries_is_empty():
     mu = uniform_surrogate(3, 400, 71)
     for measures, queries in (([mu, mu], np.empty((0, 3))), ([mu], np.empty((0, 2, 3)))):

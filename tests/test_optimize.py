@@ -1,5 +1,6 @@
 """Particle descent: gradients, line search, targets, equivariance."""
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +382,13 @@ DESCENT_BITS = {
                   ["0x1.01763ded9dd70p-1", "0x1.fc4139bf15a1ap-2", "0x1.029a6bbcc07c7p-1",
                    "0x1.0474bca7adb55p-1"],
                   "08d5aa8d7eced924e2dfe8ad2a06733622483a62ce5cd0ea1bba17bf9d802f19"),
+    # arity 4: every environment is a product of three moment tensors, whose
+    # order must not change
+    "arity4": (sum_lift(area2(), 4), 6, OptimizerConfig(steps=50, step_size=0.5, seed=4,
+                                                        maximize=True),
+               ["0x1.ffffffffbe86ep+0", "0x1.ffffffebd4958p+0", "0x1.fffffffe49a43p+0",
+                "0x1.fffffff52f6bap+0"],
+               "37afc40fdb8d3c856d5cccfeeb9f1be076f99be8bea1448db6990ea0027d4a95"),
 }
 
 
@@ -395,3 +403,40 @@ def test_descent_bits_are_fixed(name):
         sha.update(np.ascontiguousarray(trace.final_config.points).tobytes())
     assert [trace.final_energy.hex() for trace in traces] == finals
     assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", [*DESCENT_BITS, "riesz"])
+def test_bound_engine_matches_the_unbound_path(name):
+    # an engine bound once, then called on stacks of other lengths, gives the
+    # bits of a fresh route, layout and program per call
+    kernel, n = (riesz(0.5), 5) if name == "riesz" else DESCENT_BITS[name][:2]
+    stack = np.stack([sample_sphere(3, n, 40 + k).points for k in range(4)])
+    energy, gradient = energy_mod._bind(kernel, stack[:2])
+    for pts in (stack[:1], stack):
+        assert np.array_equal(energy(pts), energy_mod._points_energy(kernel, pts))
+        assert np.array_equal(gradient(pts), energy_mod._points_gradient(kernel, pts))
+    if name != "riesz":     # the others take the moment route
+        base, fixed = ((kernel.base, kernel.measures) if isinstance(kernel, PotentialKernel)
+                       else (kernel, []))
+        slot = energy_mod._Atoms(stack, np.full(n, 1.0 / n))
+        assert np.array_equal(energy(stack), energy_mod._moment_sum(
+            base.pair_poly, fixed + [slot] * kernel.arity))
+        assert np.array_equal(gradient(stack),
+                              energy_mod._moment_gradient(base.pair_poly, slot, fixed))
+
+
+def test_multistart_of_a_cancelled_polynomial():
+    kernel = area2() + (-1.0) * area2()
+    trace = multistart(kernel, 5, 3, OptimizerConfig(steps=3), starts=3)
+    assert trace.energies == [0.0] and trace.converged
+
+
+@pytest.mark.parametrize("row", [np.zeros(3), np.array([np.nan, 0.0, 1.0])])
+def test_initial_rows_that_cannot_be_projected(row):
+    # rejected by name before the division that would warn
+    initial = np.array(sample_sphere(3, 3, 0).points)
+    initial[1] = row
+    with pytest.raises(ValueError, match="initial row 1 cannot be projected"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimize_discrete(area2(), 3, 3, OptimizerConfig(steps=2), initial=initial)

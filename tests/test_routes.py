@@ -10,7 +10,7 @@ moment route's cached programs against freshly built ones.
 import numpy as np
 import pytest
 
-from multipot import DiscreteMeasure, mutual_energy, potential
+from multipot import DiscreteMeasure, area2, mutual_energy, potential, s011, sum_lift, vol2
 from multipot import energy as energy_mod
 from multipot.energy import PotentialKernel
 from multipot.kernels import PairPolynomial, PolynomialKernel
@@ -188,3 +188,18 @@ def test_cached_programs_match_fresh_ones(seed):
         energy_mod._program.cache_clear()
         fresh = np.asarray(call()).tobytes()
         assert np.asarray(a).tobytes() == fresh and np.asarray(b).tobytes() == fresh
+
+
+@pytest.mark.parametrize("kernel, layout, environments, distinct", [
+    (s011(), "AAA", 9, 3), (area2(), "AAA", 21, 5), (vol2(), "AAA", 9, 4),
+    (sum_lift(area2(), 4), "AAAA", 60, 21),
+])
+def test_programs_list_each_distinct_contraction_once(kernel, layout, environments, distinct):
+    # on a stack einsum sums no letter, so an environment and its two operands
+    # swapped are one contraction; three operands are never reordered
+    prog = energy_mod._program(kernel.pair_poly, layout)
+    assert len(prog.environments) == environments
+    assert len(prog.contractions) == distinct
+    assert sorted({c for _, _, c, _ in prog.environments}) == list(range(distinct))
+    if kernel.arity == 4:
+        assert all(len(operands) == 3 for _, _, operands in prog.contractions)
