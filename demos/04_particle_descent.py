@@ -1,10 +1,11 @@
 """Finding extremal point configurations by projected gradient descent.
 
 Particles move on the sphere along the (tangent-projected) gradient of
-the discrete energy, with Armijo backtracking and a retraction back to
-the sphere.  Thirty points suffice to reach the measure-level suprema of
-the squared-area and squared-volume energies; a single antipodal pair
-kills the uv+vt+tu energy entirely.
+the discrete energy, with a spectral (Barzilai–Borwein) step with a
+monotone Armijo safeguard and a retraction back to the sphere.  Thirty
+points suffice to reach the measure-level suprema of the squared-area and
+squared-volume energies; a single antipodal pair kills the uv+vt+tu energy
+entirely.
 """
 import numpy as np
 
@@ -25,7 +26,7 @@ print("=== maximize the expected squared triangle area, N=30, d=3 ===")
 cfg = OptimizerConfig(steps=1500, step_size=1.0, seed=0, maximize=True, stop_tol=1e-10)
 trace = multistart(area2(), 30, 3, cfg, starts=4)
 print(f"  best of 4 starts: {trace.final_energy:.9f}   (supremum over measures: 0.5)")
-print(f"  iterations {trace.iterations_run}, converged={trace.converged}")
+print(f"  iterations {trace.iterations_run}, stopped: {trace.stop_reason}")
 pts = trace.final_config.points
 print(f"  mean vector norm {np.linalg.norm(pts.mean(axis=0)):.2e} "
       f"(extremal configurations are balanced)")

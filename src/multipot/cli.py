@@ -160,6 +160,7 @@ def _cmd_minimize(args):
         "final_energy": trace.final_energy,
         "iterations_run": trace.iterations_run,
         "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
         "maximize": args.maximize,
         "n_points": args.n,
         "d": args.d,

@@ -1,10 +1,14 @@
 """Sphere-constrained particle descent for discrete energies.
 
-Projected gradient descent with Armijo backtracking and retraction: the
-Euclidean gradient of the discrete energy is projected to the tangent
-space at each particle, a step is taken, and the particles are
-renormalized.  One descent runs a stack (B, N, d) of starts through the
-energy engine at once, each with its own step and stopping test, so each
+Projected gradient descent with a spectral (Barzilai–Borwein) step with a
+monotone Armijo safeguard, and retraction: the Euclidean gradient of the
+discrete energy is projected to the tangent space at each particle, a step
+is taken, and the particles are renormalized.  The spectral step
+<s,s>/<s,y> is formed from the change s in the points and the change y in
+the tangent gradients, both in ambient coordinates, so no vector transport
+is needed (Barzilai & Borwein, IMA J. Numer. Anal. 1988; Wen & Yin,
+Math. Program. 2013).  One descent runs a stack (B, N, d) of starts through
+the energy engine at once, each with its own step and stopping test, so each
 start's trace is its single run's, bit for bit.  The engine is bound to
 the kernel and the stack's shape once per descent (route, call layout
 and contraction program), and every step calls the bound energy and
@@ -13,6 +17,7 @@ get worse (up to 1e-12).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,11 +39,26 @@ __all__ = [
 
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
+_TRIALS = 60       # trial steps per line search, each half the one before
+# Bounds on the spectral step.  From the upper one the line search's last
+# trial is 1e10 / 2**59, about 1e-8, so a start at the bound can still take
+# a step of that size; the lower one keeps a spuriously small ratio from
+# stalling a start.
+_SPECTRAL_BOUNDS = (1e-10, 1e10)
 _FD_STEP = 1e-6     # central-difference step in ambient coordinates
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of a descent.
+
+    ``step_size`` is each start's first trial step, and the trial step
+    whenever the spectral step is undefined (<s,y> <= 0, no positive
+    curvature along the last step).  Every trial step is halved until the
+    Armijo test holds.  A start stops once its tangent gradient norm is at
+    most ``stop_tol``.
+    """
+
     steps: int = 500
     step_size: float = 0.1
     seed: int = 0
@@ -46,18 +66,30 @@ class OptimizerConfig:
     stop_tol: float = 1e-8
 
     def __post_init__(self):
+        if not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
+            raise ValueError(f"steps must be nonnegative, got {self.steps!r}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.step_size!r}")
+        if not self.stop_tol >= 0:
+            raise ValueError(f"stop tolerance must be nonnegative, got {self.stop_tol!r}")
 
 
 @dataclass(frozen=True)
 class OptimizationTrace:
+    """One start's descent.  ``stop_reason`` is ``"converged"`` (the gradient
+    norm reached ``stop_tol``), ``"line_search"`` (no step passed the Armijo
+    test) or ``"steps"`` (the step limit was reached)."""
+
     energies: list[float]
     final_config: PointConfiguration
-    converged: bool
     iterations_run: int
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def final_energy(self) -> float:
@@ -114,50 +146,77 @@ def _renormalize(pts: np.ndarray) -> np.ndarray:
     return pts / np.sqrt(np.add.reduce(pts * pts, -1, keepdims=True))
 
 
+def _spectral_step(s: np.ndarray, y: np.ndarray, fallback: float) -> np.ndarray:
+    """Barzilai–Borwein step <s,s>/<s,y> of each row of s and y (one start's
+    flattened points and gradients each), clipped to _SPECTRAL_BOUNDS;
+    ``fallback`` where <s,y> <= 0."""
+    sy = np.add.reduce(s * y, 1)
+    step = np.full(len(s), fallback)
+    curved = sy > 0
+    step[curved] = np.clip(np.add.reduce(s[curved] * s[curved], 1) / sy[curved],
+                           *_SPECTRAL_BOUNDS)
+    return step
+
+
 def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[OptimizationTrace]:
     """Descend from every configuration of the stack (B, N, d) at once.
 
-    Each start keeps its own Armijo step, backtracking and stopping test,
-    and drops out of the evaluations once it has converged, failed its line
-    search or run out of steps.  The energy engine sums each configuration
-    on its own, so a start's trace does not depend on the other starts; it is
-    bound to the kernel and the stack's shape once, before the first step.
+    Each start takes its own spectral (Barzilai–Borwein) step with a
+    monotone Armijo safeguard: the first trial step is ``cfg.step_size``,
+    later ones <s,s>/<s,y> from the start's last accepted step, and the step
+    is halved until the energy improves by the Armijo margin, over at most 60
+    trials.  A start drops out of the evaluations once it has converged,
+    failed its line search or run out of steps.  The energy engine sums each
+    configuration on its own, so a start's trace does not depend on the other
+    starts; it is bound to the kernel and the stack's shape once, before the
+    first step.
     """
     pts, sign = np.array(stack), -1.0 if cfg.maximize else 1.0   # descend on sign * E
     energy_of, gradient_of = _bind(kernel, pts)
     energy = energy_of(pts)
     energies = [[e] for e in energy.tolist()]
-    step, converged = np.full(len(pts), cfg.step_size), np.zeros(len(pts), dtype=bool)
+    reasons = ["steps"] * len(pts)
+    last_pts, last_grad = np.empty_like(pts), np.empty_like(pts)
     active = np.arange(len(pts))
     for it in range(cfg.steps + 1):     # the pass after the last step only tests convergence
         if not active.size:
             break
-        grad = _tangent_gradient(kernel, gradient_of, pts[active])
-        gnorm2 = np.add.reduce((grad * grad).reshape(active.size, -1), 1)
+        grad = sign * _tangent_gradient(kernel, gradient_of, pts[active])   # of sign * E
+        flat = grad.reshape(active.size, -1)
+        gnorm2 = np.add.reduce(flat * flat, 1)
         stop = np.sqrt(gnorm2) <= cfg.stop_tol
-        converged[active[stop]] = True
-        if it == cfg.steps:
+        for b in active[stop]:
+            reasons[b] = "converged"
+        active, grad, gnorm2 = active[~stop], grad[~stop], gnorm2[~stop]
+        if it == cfg.steps or not active.size:
             break
-        active, direction, gnorm2 = active[~stop], -sign * grad[~stop], gnorm2[~stop]
-        t, search = step[active], np.arange(active.size)   # positions in active still searching
-        for _ in range(60):
+        if it:      # every active start accepted its last step
+            t = _spectral_step((pts[active] - last_pts[active]).reshape(active.size, -1),
+                               (grad - last_grad[active]).reshape(active.size, -1),
+                               cfg.step_size)
+        else:
+            t = np.full(active.size, cfg.step_size)
+        last_pts[active], last_grad[active] = pts[active], grad
+        search = np.arange(active.size)     # positions in active still searching
+        for _ in range(_TRIALS):
             if not search.size:
                 break
             rows = active[search]
-            cand = _renormalize(pts[rows] + t[search, None, None] * direction[search])
+            cand = _renormalize(pts[rows] - t[search, None, None] * grad[search])
             cand_energy = energy_of(cand)
             ok = sign * (cand_energy - energy[rows]) <= -_ARMIJO * t[search] * gnorm2[search]
             pts[rows[ok]], energy[rows[ok]] = cand[ok], cand_energy[ok]
             search = search[~ok]
             t[search] *= _BACKTRACK
+        for b in active[search]:
+            reasons[b] = "line_search"
         accepted = np.ones(active.size, dtype=bool)
         accepted[search] = False
-        active, t = active[accepted], t[accepted]
+        active = active[accepted]
         for b in active:
             energies[b].append(float(energy[b]))
-        step[active] = np.minimum(t / _BACKTRACK, cfg.step_size)
-    return [OptimizationTrace(e, PointConfiguration(p), bool(c), len(e) - 1)
-            for e, p, c in zip(energies, pts, converged)]
+    return [OptimizationTrace(e, PointConfiguration(p), len(e) - 1, r)
+            for e, p, r in zip(energies, pts, reasons)]
 
 
 def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfig,
@@ -166,8 +225,9 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
 
     Random initialization from the config seed unless ``initial`` is
     given; each of its rows must be finite and nonzero, and is projected
-    to the sphere.  The result's final energy is an upper bound on the
-    infimum (lower bound on the supremum when maximizing); no optimality
+    to the sphere (a row too large or too small to square is scaled by its
+    largest |entry| first).  The result's final energy is an upper bound on
+    the infimum (lower bound on the supremum when maximizing); no optimality
     claim is made.  This is :func:`multistart` with one start.
     """
     if initial is None:
@@ -176,11 +236,17 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
     if n_points < 1 or d < 2 or pts.shape != (n_points, d):
         raise ValueError(f"initial configuration must have shape ({n_points}, {d}), "
                          "with n_points >= 1 and d >= 2")
-    norms = np.linalg.norm(pts, axis=1)
-    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+    largest = np.max(np.abs(pts), axis=1)
+    bad = np.flatnonzero(~(np.isfinite(largest) & (largest > 0)))
     if bad.size:
         raise ValueError(f"initial row {bad[0]} cannot be projected to the sphere: "
-                         f"its norm is {float(norms[bad[0]])}; rows must be finite and nonzero")
+                         f"it is {pts[bad[0]].tolist()}; rows must be finite and nonzero")
+    with np.errstate(over="ignore"):
+        norm2 = np.add.reduce(pts * pts, 1)
+    # a row whose squared norm overflows or underflows is scaled to a largest
+    # |entry| of 1 first; rows of ordinary size are normalized as they are
+    edge = ~((norm2 >= np.finfo(float).tiny) & (norm2 < np.inf))
+    pts[edge] /= largest[edge, None]
     return _descend(kernel, _renormalize(pts)[None], cfg)[0]
 
 

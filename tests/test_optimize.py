@@ -1,5 +1,6 @@
 """Particle descent: gradients, line search, targets, equivariance."""
 import hashlib
+import re
 import warnings
 from dataclasses import replace
 
@@ -36,11 +37,30 @@ from multipot import (
 E1 = basis_vector(0, 3)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(step_size=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(steps=-1)
+def test_config_validation(capsys):
+    # (OptimizerConfig field, bad value, the CLI flag that passes it; None
+    # where argparse cannot)
+    table = [
+        ("step_size", 0.0, ("--lr", "0")),
+        ("step_size", -0.5, ("--lr", "-0.5")),
+        ("step_size", float("nan"), ("--lr", "nan")),
+        ("step_size", float("inf"), ("--lr", "inf")),
+        ("stop_tol", float("nan"), ("--stop-tol", "nan")),
+        ("stop_tol", -1e-9, ("--stop-tol", "-1e-9")),
+        ("steps", -1, ("--steps", "-1")),
+        ("steps", 2.5, ("--steps", "2.5")),
+        ("steps", True, None),
+    ]
+    from multipot.cli import main
+
+    for field_name, value, flag in table:
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+            OptimizerConfig(**{field_name: value})
+        if flag is not None:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["minimize", "--kernel", "s011", "--n", "2", "--d", "3", *flag])
+            assert exit_info.value.code == 64, flag
+            assert "iterations_run" not in capsys.readouterr().out
 
 
 def test_gradient_tangent_and_index_bounds():
@@ -260,8 +280,8 @@ def test_descent_final_energy_matches_dense_sum(kernel):
 
 # --- the batched descent -------------------------------------------------------------
 
-# area2 at seed 3: starts 0-2 stop unconverged before the step limit (their
-# line search fails near the supremum) while start 3 runs every step.
+# area2 at seed 3: starts 1 and 2 fail their line search near the supremum
+# while starts 0 and 3 converge; the Riesz starts run every step.
 BATCH_CASES = {
     "area2": (area2(), 12, OptimizerConfig(steps=300, step_size=1.0, seed=3, maximize=True,
                                            stop_tol=1e-9)),
@@ -275,10 +295,61 @@ BATCH_CASES = {
 }
 
 
+# The scenarios' descents (maximize-area2, maximize-vol2, minimize-s011) over
+# seeds 0-3, with the extremal value each approaches and a bound on its steps
+# (with a step of at most step_size, which halves on each failed Armijo test,
+# they took 297-2,000).
+SCENARIO_DESCENTS = {
+    "area2": (area2(), 30, OptimizerConfig(steps=2000, step_size=1.0, maximize=True,
+                                           stop_tol=1e-9), 0.5, 20),
+    "vol2": (vol2(), 30, OptimizerConfig(steps=2000, step_size=1.0, maximize=True,
+                                         stop_tol=1e-9), 2 / 9, 20),
+    "s011": (s011(), 2, OptimizerConfig(steps=2000, step_size=0.5, stop_tol=1e-12), 0.0, 100),
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIO_DESCENTS))
+def test_scenario_descents_stop_in_tens_of_steps(name):
+    kernel, n, cfg, extremum, most_steps = SCENARIO_DESCENTS[name]
+    stack = np.stack([sample_sphere(3, n, k).points for k in range(4)])
+    for trace in optimize_mod._descend(kernel, stack, cfg):
+        assert trace.stop_reason != "steps" and trace.iterations_run <= most_steps
+        if name == "s011":
+            assert trace.converged and trace.final_energy <= 1e-15
+        elif not trace.converged:
+            # the line search fails only where no step can improve the energy
+            # by more than its rounding
+            assert trace.stop_reason == "line_search"
+            assert abs(trace.final_energy - extremum) <= 1e-15
+
+
+def test_spectral_step_falls_back_without_positive_curvature(monkeypatch):
+    s = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 2.0], [1e-6, 0.0], [1e6, 0.0]])
+    y = np.array([[-1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [1e6, 0.0], [1e-6, 0.0]])
+    assert optimize_mod._spectral_step(s, y, 0.3).tolist() == [0.3, 0.3, 10.0, 1e-10, 1e10]
+    # minimizing pinned vol2 meets <s,y> <= 0 on the way and still converges
+    seen = []
+    spectral_step = optimize_mod._spectral_step
+
+    def spy(s, y, fallback):
+        steps = spectral_step(s, y, fallback)
+        seen.extend(zip(np.add.reduce(s * y, 1).tolist(), steps.tolist()))
+        return steps
+
+    monkeypatch.setattr(optimize_mod, "_spectral_step", spy)
+    kernel, n, cfg = BATCH_CASES["pinned"]
+    stack = np.stack([sample_sphere(3, n, cfg.seed + k).points for k in range(4)])
+    traces = optimize_mod._descend(kernel, stack, cfg)
+    flat = [step for sy, step in seen if sy <= 0]
+    assert flat and all(step == cfg.step_size for step in flat)
+    for trace in traces:
+        assert trace.converged and np.all(np.diff(trace.energies) <= 0)
+
+
 def _same_trace(a, b):
     return (a.energies == b.energies
             and np.array_equal(a.final_config.points, b.final_config.points)
-            and a.iterations_run == b.iterations_run and a.converged == b.converged)
+            and a.iterations_run == b.iterations_run and a.stop_reason == b.stop_reason)
 
 
 def _single_runs(kernel, stack, cfg):
@@ -304,24 +375,27 @@ def test_multistart_starts_match_single_runs_bit_for_bit(name, monkeypatch):
 
 def test_batch_with_an_early_converged_start():
     # an antipodal pair is a critical point of s011: that start stops at
-    # once while the other keeps descending
+    # once while the other keeps descending until the step limit
     x = sample_sphere(3, 1, 0).points[0]
     stack = np.stack([[x, -x], sample_sphere(3, 2, 1).points])
-    cfg = OptimizerConfig(steps=200, step_size=0.5, stop_tol=1e-12)
+    cfg = OptimizerConfig(steps=10, step_size=0.5, stop_tol=1e-12)
     traces = optimize_mod._descend(s011(), stack, cfg)
-    assert traces[0].converged and traces[0].iterations_run == 0
-    assert traces[1].iterations_run == 200
+    assert traces[0].stop_reason == "converged" and traces[0].iterations_run == 0
+    assert traces[1].stop_reason == "steps" and traces[1].iterations_run == 10
     for trace, single in zip(traces, _single_runs(s011(), stack, cfg)):
         assert _same_trace(trace, single)
 
 
 def test_batch_with_a_failed_line_search():
-    kernel, n, cfg = BATCH_CASES["area2"]
-    stack = np.stack([sample_sphere(3, n, cfg.seed + k).points for k in range(4)])
-    traces = optimize_mod._descend(kernel, stack, cfg)
-    failed = [t for t in traces if not t.converged and t.iterations_run < cfg.steps]
-    assert failed and any(t.iterations_run == cfg.steps for t in traces)
-    for trace, single in zip(traces, _single_runs(kernel, stack, cfg)):
+    # area2 at seeds 0-3 with a limit of 14 steps: start 0 converges at step
+    # 13, start 1 runs out of steps, and starts 2 and 3 fail their line
+    # search near the supremum before the limit
+    cfg = OptimizerConfig(steps=14, step_size=1.0, maximize=True, stop_tol=1e-9)
+    stack = np.stack([sample_sphere(3, 30, k).points for k in range(4)])
+    traces = optimize_mod._descend(area2(), stack, cfg)
+    assert [(t.stop_reason, t.iterations_run) for t in traces] == [
+        ("converged", 13), ("steps", 14), ("line_search", 12), ("line_search", 9)]
+    for trace, single in zip(traces, _single_runs(area2(), stack, cfg)):
         assert _same_trace(trace, single)
 
 
@@ -356,39 +430,44 @@ def test_multistart_makes_no_more_gradient_calls_than_its_longest_start(monkeypa
 
 
 # Each start's final energy and a sha256 of every start's energies and final
-# points, for a 4-start descent of 50 steps at d = 3 (numpy 2.4, x86-64).  A
-# change to a contraction's spec, to the order of the moment keys or to the
-# order in which monomials and environments are added moves these bits.
+# points, for a 4-start descent of at most 50 steps at d = 3 (numpy 2.4,
+# x86-64).  They pin the spectral step's arithmetic (the per-start sums
+# <s,s> and <s,y>, the clip and the fallback), hence how many steps each
+# start takes and where it stops, as well as the energy engine's.  A change
+# to the step rule, to a contraction's spec, to the order of the moment keys
+# or to the order in which monomials and environments are added moves these
+# bits.  Most starts converge well before step 50; "anchored" has two that
+# run every step and "arity4" three whose line search fails at rounding level.
 DESCENT_BITS = {
     "s011": (s011(), 2, OptimizerConfig(steps=50, step_size=0.5, seed=1, stop_tol=1e-12),
-             ["0x1.c6441fe1f6d78p-16", "0x1.dddb260683eb8p-16", "0x1.984d3a610703ap-16",
-              "0x1.988977d343f80p-16"],
-             "6af058342f087bcdc95589b487cef208b47b294a7f046e9a602f7eb3dd67dc9c"),
+             ["0x1.b4c9b56200000p-57", "0x1.02f7764800000p-56", "0x1.0df7bda400000p-56",
+              "0x1.0ef18c4000000p-56"],
+             "8ba6e412334b6052670aad40c45881514b36d0d90ea348d21ae16abd9bf119d1"),
     "area2": (area2(), 30, OptimizerConfig(steps=50, step_size=1.0, seed=3, maximize=True),
-              ["0x1.ffa843c0210e3p-2", "0x1.fea13a8af6ab8p-2", "0x1.fe4f1a3775b38p-2",
-               "0x1.ffa6548ad7b44p-2"],
-              "d79b5d3bab88369d79f32d8d32843b8b482833b554ee05c66d9d22560b0f6c29"),
+              ["0x1.ffffffffffffap-2", "0x1.ffffffffffffap-2", "0x1.ffffffffffffbp-2",
+               "0x1.ffffffffffffap-2"],
+              "896ce766ab8a0c54f617b17f89572edab40ad29d0094a024df86e588dda09c4c"),
     "vol2": (vol2(), 30, OptimizerConfig(steps=50, step_size=1.0, seed=10, maximize=True),
-             ["0x1.c6dc3520e136fp-3", "0x1.c6e4c66607c66p-3", "0x1.c6d8c561423e0p-3",
-              "0x1.c6cc0610cd6dep-3"],
-             "fb0efddab9f6d17b4bf350d1b536790c247652738becba786c210f7af65dc67a"),
+             ["0x1.c71c71c71c715p-3", "0x1.c71c71c71c706p-3", "0x1.c71c71c71c710p-3",
+              "0x1.c71c71c71c70fp-3"],
+             "e436f0a294330771ebfa3590485e7c50580305e29d92635f350bc6f2def6e214"),
     "anchored": (pin(sum_lift(area2(), 4), [0.6, 0.8, 0.0]), 12,
                  OptimizerConfig(steps=50, step_size=0.5, seed=2),
-                 ["0x1.2e0e85ac40000p-21", "0x1.6478bdadaa7c0p-8", "0x1.bcc2fbe5a5f40p-8",
-                  "0x1.7c27000000000p-42"],
-                 "42a3c002de9d27feb0c511bf120846a79c79acd7f8a00998b387ecb06fc1e9e3"),
+                 ["0x1.6121d4e000000p-27", "0x1.0000000000000p-49", "0x1.ad4d5a0000000p-30",
+                  "-0x1.3600000000000p-50"],
+                 "7336912df33475f6fac8a003da60e1276aee5dfb6035d73dbb6bee1ad901ac82"),
     "potential": (PotentialKernel(area2(), [uniform_surrogate(3, 50, 1)]), 8,
                   OptimizerConfig(steps=50, step_size=0.5, seed=5, maximize=True),
-                  ["0x1.01763ded9dd70p-1", "0x1.fc4139bf15a1ap-2", "0x1.029a6bbcc07c7p-1",
-                   "0x1.0474bca7adb55p-1"],
-                  "08d5aa8d7eced924e2dfe8ad2a06733622483a62ce5cd0ea1bba17bf9d802f19"),
+                  ["0x1.04d90979b2867p-1", "0x1.04d90979b2878p-1", "0x1.04d90979b2855p-1",
+                   "0x1.04d90979b287bp-1"],
+                  "b17831e87b5ec8e5f976af0de1335ddb64be08a51579a3279f78a3227c490325"),
     # arity 4: every environment is a product of three moment tensors, whose
     # order must not change
     "arity4": (sum_lift(area2(), 4), 6, OptimizerConfig(steps=50, step_size=0.5, seed=4,
                                                         maximize=True),
-               ["0x1.ffffffffbe86ep+0", "0x1.ffffffebd4958p+0", "0x1.fffffffe49a43p+0",
-                "0x1.fffffff52f6bap+0"],
-               "37afc40fdb8d3c856d5cccfeeb9f1be076f99be8bea1448db6990ea0027d4a95"),
+               ["0x1.ffffffffffffep+0", "0x1.ffffffffffffdp+0", "0x1.ffffffffffffdp+0",
+                "0x1.ffffffffffffdp+0"],
+               "bdcbaeca1c612d51ee6fdd1f79000af12fcd5137e59db01b2c73efb6ad8c0c9d"),
 }
 
 
@@ -429,6 +508,23 @@ def test_multistart_of_a_cancelled_polynomial():
     kernel = area2() + (-1.0) * area2()
     trace = multistart(kernel, 5, 3, OptimizerConfig(steps=3), starts=3)
     assert trace.energies == [0.0] and trace.converged
+
+
+@pytest.mark.parametrize("row, scaled", [([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),
+                                         ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0])])
+def test_initial_rows_at_the_edges_of_the_float_range(row, scaled):
+    # a row whose squared norm overflows or underflows is scaled by its
+    # largest |entry| first, without a warning; rows of ordinary size keep
+    # the bits of plain normalization
+    initial = 3.0 * np.array(sample_sphere(3, 3, 0).points)
+    initial[1] = row
+    cfg = OptimizerConfig(steps=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = optimize_discrete(area2(), 3, 3, cfg, initial=initial)
+    initial[1] = scaled
+    plain = optimize_mod._descend(area2(), optimize_mod._renormalize(initial)[None], cfg)[0]
+    assert _same_trace(trace, plain)
 
 
 @pytest.mark.parametrize("row", [np.zeros(3), np.array([np.nan, 0.0, 1.0])])
