@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import EIGENVALUE_TOL
+from .config import EIGENVALUE_TOL, RESIDUAL_TOL
 from .geometry import DiscreteMeasure, _random_directions, basis_vector
 from .kernels import Kernel, cpd_shift, pin
 from .energy import (
@@ -47,7 +47,6 @@ __all__ = [
 
 _MAX_ATOMS = 5            # atoms per random measure of the inequality suite
 _CHUNK_TUPLES = 4096      # kernel tuples per inequality-suite chunk
-_VIOLATION_TOL = 1e-10    # residual above which a mean bound counts as violated
 
 
 @dataclass(frozen=True)
@@ -251,12 +250,12 @@ def convexity_probe(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     ts = np.linspace(0.0, 1.0, grid)
     second = g.derivative(ts, order=2)
-    convex = bool(np.all(second >= -1e-10))
+    convex = bool(np.all(second >= -RESIDUAL_TOL))
     chord = (1 - ts) * g(0.0) + ts * g(1.0)
     margins = g(ts) - chord
     worst = int(np.argmax(margins))
     margin = float(margins[worst])
-    violation_t = float(ts[worst]) if margin > 1e-10 else None
+    violation_t = float(ts[worst]) if margin > RESIDUAL_TOL else None
 
     return ConvexityReport(
         g_prime_0=g.derivative1_at_zero(),
@@ -360,7 +359,7 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
     mean = float(np.mean(values))
     max_dev = float(np.max(np.abs(values - mean)))
     stderr = _potential_stderr(kernel, mu, pts)
-    tol = max(5.0 * stderr, 1e-10 * max(1.0, abs(mean)))
+    tol = max(5.0 * stderr, RESIDUAL_TOL * max(1.0, abs(mean)))
     return ConstancyReport(values, mean, max_dev, stderr, float(tol), max_dev <= tol)
 
 
@@ -491,7 +490,7 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
         for key, res in residuals.items():
             if res.size:
                 worst[key] = max(worst[key], float(res.max()))
-                bad[key] += int(np.count_nonzero(res > _VIOLATION_TOL))
+                bad[key] += int(np.count_nonzero(res > RESIDUAL_TOL))
     return InequalityReport(
         trials=trials,
         am_worst=worst["am"],

@@ -9,6 +9,10 @@ modules.
 # identities.
 GEOMETRIC_TOL = 1e-12
 
+# Band within which a residual (mean-bound violation, mixture curvature or
+# gap, potential deviation relative to max(1, |mean|)) counts as zero.
+RESIDUAL_TOL = 1e-10
+
 # Scale-relative threshold for calling an eigenvalue negative (multiplied by
 # the max-abs entry of the matrix under test).
 EIGENVALUE_TOL = 1e-9

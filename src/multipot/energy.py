@@ -46,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GEOMETRIC_TOL
-from .geometry import DiscreteMeasure, PointConfiguration, _random_directions
+from .geometry import DiscreteMeasure, PointConfiguration, _check_on_sphere, _random_directions
 from .kernels import Kernel
 
 __all__ = [
@@ -577,10 +576,7 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
         return np.empty(0)
     if not np.all(np.isfinite(queries)):
         raise ValueError("query points must be finite")
-    off = float(np.max(np.abs(np.linalg.norm(queries, axis=-1) - 1.0), initial=0.0))
-    if off > GEOMETRIC_TOL:
-        raise ValueError(f"query points must lie on the unit sphere (tol {GEOMETRIC_TOL:g}): "
-                         f"|norm - 1| = {off:.3e}")
+    _check_on_sphere(queries, "query points")
     return np.asarray(_sum(kernel, measures, queries))
 
 
@@ -593,6 +589,9 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     deviations are taken about its own mean and merged by Chan, Golub &
     LeVeque (1979), so a large constant offset cannot cancel the variance.
     """
+    for name, value in (("dimension", d), ("tuples", tuples)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if tuples < 100:

@@ -59,14 +59,22 @@ def _as_points(points, *, min_dim: int = 2) -> np.ndarray:
     return pts
 
 
+def _check_on_sphere(points: np.ndarray, what: str) -> None:
+    """Reject points (the last axis) whose |norm - 1| exceeds GEOMETRIC_TOL or is
+    NaN, naming the worst one and its row (index along the first axis)."""
+    off = np.atleast_1d(np.abs(np.linalg.norm(points, axis=-1 if points.ndim > 1 else None) - 1))
+    if not np.max(off, initial=0.0) <= GEOMETRIC_TOL:
+        row = np.unravel_index(np.argmax(off), off.shape)[0]
+        raise ValueError(f"{what} must lie on the unit sphere (tol {GEOMETRIC_TOL:g}): "
+                         f"|norm - 1| = {np.max(off):.3e} at row {row}")
+
+
 def unit_vector(coords) -> np.ndarray:
     """Validate and return a point on S^{d-1} as a (d,) float array."""
     x = np.asarray(coords, dtype=float).reshape(-1)
     if x.size < 2:
         raise ValueError("unit vectors need dimension >= 2")
-    norm = float(np.linalg.norm(x))
-    if abs(norm - 1.0) > GEOMETRIC_TOL:
-        raise ValueError(f"not a unit vector: |norm - 1| = {abs(norm - 1.0):.3e}")
+    _check_on_sphere(x, "a unit vector")
     return x
 
 
@@ -89,9 +97,7 @@ class PointConfiguration:
         pts = _as_points(self.points)
         if pts.shape[0] < 1:
             raise ValueError("a point configuration needs at least one point")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.max(np.abs(norms - 1.0)) > GEOMETRIC_TOL:
-            raise ValueError("all points must lie on the unit sphere (tol 1e-12)")
+        _check_on_sphere(pts, "all points")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -123,9 +129,7 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         atoms = _as_points(self.atoms)
-        norms = np.linalg.norm(atoms, axis=1)
-        if atoms.shape[0] and np.max(np.abs(norms - 1.0)) > GEOMETRIC_TOL:
-            raise ValueError("all atoms must lie on the unit sphere (tol 1e-12)")
+        _check_on_sphere(atoms, "all atoms")
         if self.weights is None:
             w = np.full(atoms.shape[0], 1.0 / max(atoms.shape[0], 1))
         else:

@@ -32,6 +32,8 @@ import warnings
 
 import numpy as np
 
+from .config import GEOMETRIC_TOL
+
 __all__ = [
     "Kernel",
     "PolynomialKernel",
@@ -400,8 +402,8 @@ class RieszKernel(Kernel):
     """Two-input distance power ||x - y||^s for s > 0."""
 
     def __init__(self, s: float):
-        if s <= 0:
-            raise ValueError("riesz exponent must be positive")
+        if not 0 < s < np.inf:
+            raise ValueError(f"riesz exponent must be positive and finite, got {s!r}")
         super().__init__("riesz", 2, params={"s": s}, nonnegative=True)
         self.s = float(s)
 
@@ -411,14 +413,14 @@ class RieszKernel(Kernel):
         return np.linalg.norm(diff, axis=-1) ** self.s
 
     def gradient_batch(self, pts):
-        # grad_x ||x-y||^s = s ||x-y||^{s-2} (x-y); singular at coincident
-        # points when s < 2, where the caller is expected to fall back to
-        # finite differences.
+        # grad_x ||x-y||^s = s ||x-y||^{s-2} (x-y), singular at x = y when s < 1.
+        # A pair at most GEOMETRIC_TOL apart counts as coincident and gets no
+        # gradient, so every kernel built from this one shares the rule.
         pts = self._check_points(pts)
         diff = pts[..., 0, :] - pts[..., 1, :]
         dist = np.linalg.norm(diff, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(dist > 0, self.s * dist ** (self.s - 2.0), 0.0)
+            scale = np.where(dist > GEOMETRIC_TOL, self.s * dist ** (self.s - 2.0), 0.0)
         g = np.zeros_like(pts)
         g[..., 0, :] = scale[..., None] * diff
         g[..., 1, :] = -scale[..., None] * diff
@@ -473,8 +475,8 @@ def prod_f_uvt(coeffs=None, f: str | None = None) -> Kernel:
     if coeffs is None:
         raise ValueError("prod_f_uvt needs polynomial coefficients or f='exp'")
     coeffs = [float(c) for c in np.atleast_1d(coeffs)]
-    if any(c < 0 for c in coeffs):
-        raise ValueError("prod_f_uvt requires nonnegative coefficients")
+    if not all(0 <= c < np.inf for c in coeffs):
+        raise ValueError(f"prod_f_uvt requires nonnegative finite coefficients, got {coeffs!r}")
     terms = {}
     for k, c in enumerate(coeffs):
         if c == 0.0:
@@ -540,6 +542,8 @@ def quad_a(a: float, shift: bool = False) -> Kernel:
     shiftless form stays valid for a <= 1.
     """
     a = float(a)
+    if not np.isfinite(a):
+        raise ValueError(f"quad_a requires a finite a, got {a!r}")
     if shift and a == 1.0:
         raise ValueError("quad_a with shift requires a != 1")
     terms = {(_U2,): 1.0, (_V2,): 1.0, (_T2,): 1.0, (_U, _V, _T): -a}

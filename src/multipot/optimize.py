@@ -18,13 +18,13 @@ get worse (up to 1e-12).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import DiscreteMeasure, PointConfiguration, sample_sphere
-from .kernels import Kernel, RieszKernel
+from .config import RESIDUAL_TOL
+from .kernels import Kernel
 from .energy import MixturePolynomial, _bind, _points_energy, mixture_polynomial
 
 __all__ = [
@@ -104,23 +104,11 @@ def _fd_point_gradient(kernel: Kernel, pts: np.ndarray, i: int) -> np.ndarray:
             - _points_energy(kernel, pts - _FD_STEP * shift)) / (2 * _FD_STEP)
 
 
-def _tangent_gradient(kernel: Kernel, gradient, stack: np.ndarray) -> np.ndarray:
+def _tangent_gradient(gradient, stack: np.ndarray) -> np.ndarray:
     """Tangent-space gradient of the discrete energy at every row of each configuration
-    of the stack (B, N, d), from ``gradient``, the kernel's bound Euclidean gradient
-    (see :func:`energy._bind`).  A configuration with coincident points, where a Riesz
-    gradient with s < 1 is singular, falls back to finite differences, with a warning."""
-    if not (isinstance(kernel, RieszKernel) and kernel.s < 1.0):
-        grad = gradient(stack)
-    else:
-        dist = np.linalg.norm(stack[:, :, None] - stack[:, None], axis=-1)
-        singular = np.min(dist + np.diag(np.full(stack.shape[1], np.inf)), axis=(1, 2)) < 1e-12
-        grad = np.empty_like(stack)
-        if not singular.all():
-            grad[~singular] = gradient(stack[~singular])
-        for b in np.flatnonzero(singular):
-            warnings.warn("coincident points with a singular gradient; "
-                          "falling back to finite differences", stacklevel=3)
-            grad[b] = [_fd_point_gradient(kernel, stack[b], i) for i in range(stack.shape[1])]
+    of the stack (B, N, d): ``gradient``, the kernel's bound Euclidean gradient (see
+    :func:`energy._bind`), projected to the tangent space."""
+    grad = gradient(stack)
     return grad - np.add.reduce(grad * stack, -1)[..., None] * stack
 
 
@@ -134,7 +122,7 @@ def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
         raise ValueError(f"point index {i} out of range")
     if mode == "analytic":
         stack = pts[None]
-        return _tangent_gradient(kernel, _bind(kernel, stack)[1], stack)[0, i]
+        return _tangent_gradient(_bind(kernel, stack)[1], stack)[0, i]
     if mode != "finite_difference":
         raise ValueError(f"unknown gradient mode '{mode}'")
     grad = _fd_point_gradient(kernel, pts, i)
@@ -181,7 +169,7 @@ def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[Op
     for it in range(cfg.steps + 1):     # the pass after the last step only tests convergence
         if not active.size:
             break
-        grad = sign * _tangent_gradient(kernel, gradient_of, pts[active])   # of sign * E
+        grad = sign * _tangent_gradient(gradient_of, pts[active])   # of sign * E
         flat = grad.reshape(active.size, -1)
         gnorm2 = np.add.reduce(flat * flat, 1)
         stop = np.sqrt(gnorm2) <= cfg.stop_tol
@@ -294,7 +282,7 @@ def local_min_probe(kernel: Kernel, mu: DiscreteMeasure, directions) -> list[Dir
         residuals = c[1] - alphas * c[-1] - (1 - alphas) * c[0]
         out.append(DirectionProbe(
             min_gap=gap,
-            local_min_ok=gap >= -1e-10,
+            local_min_ok=gap >= -RESIDUAL_TOL,
             alpha_residual=float(np.min(residuals)),
             mixture=g,
         ))

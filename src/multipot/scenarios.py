@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from . import certify, energy, kernels, optimize
-from .config import MC_SIGMA
+from .config import MC_SIGMA, RESIDUAL_TOL
 from .geometry import (
     DiscreteMeasure,
     basis_vector,
@@ -442,29 +442,29 @@ def _scenario_inequality_suite(seed, tuples, tol_scale, trials=1000):
     rep = certify.inequality_suite(kernels.uvt(), 3, trials=trials, seed=seed + 1)
     assertions.append(_assertion(
         f"uvt: arithmetic-mean bound over {trials} measure triples (worst residual)",
-        rep.am_worst <= 1e-10 * tol_scale, True, None, "closed-form",
+        rep.am_worst <= RESIDUAL_TOL * tol_scale, True, None, "closed-form",
         "I(mu1,mu2,mu3) <= (I(mu1)+I(mu2)+I(mu3))/3",
     ))
     assertions.append(_assertion(
         "uvt: geometric-mean bound (worst residual)",
-        rep.gm_worst is not None and rep.gm_worst <= 1e-10 * tol_scale, True, None,
+        rep.gm_worst is not None and rep.gm_worst <= RESIDUAL_TOL * tol_scale, True, None,
         "closed-form", "I(mu1,mu2,mu3) <= (I(mu1) I(mu2) I(mu3))^(1/3)",
     ))
     assertions.append(_assertion(
         "uvt: mean lower bound (worst residual)",
-        rep.lower_worst <= 1e-10 * tol_scale, True, None, "closed-form",
+        rep.lower_worst <= RESIDUAL_TOL * tol_scale, True, None, "closed-form",
         "-(I(mu1)+I(mu2)+I(mu3))/3 <= I(mu1,mu2,mu3)",
     ))
     for a in (1.0, 0.5):
         rep_a = certify.inequality_suite(kernels.quad_a(a), 3, trials=trials, seed=seed + 2)
         assertions.append(_assertion(
             f"quad_a(a={a}): arithmetic-mean bound (worst residual)",
-            rep_a.am_worst <= 1e-10 * tol_scale, True, None, "closed-form",
+            rep_a.am_worst <= RESIDUAL_TOL * tol_scale, True, None, "closed-form",
             "conditionally positive definite for a <= 1",
         ))
         assertions.append(_assertion(
             f"quad_a(a={a}): maximum attained on the diagonal (worst residual)",
-            rep_a.diagonal_worst <= 1e-10 * tol_scale, True, None, "closed-form",
+            rep_a.diagonal_worst <= RESIDUAL_TOL * tol_scale, True, None, "closed-form",
             "K(z1,z2,z3) <= max_z K(z,z,z)",
         ))
     rep_s = certify.inequality_suite(kernels.s100(), 3, trials=200, seed=seed + 3)

@@ -5,6 +5,7 @@ Expected values are frozen from the independent oracles in oracles.py
 closed forms.
 """
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from multipot import (
     prod_f_uvt,
     prod_lift,
     quad_a,
+    riesz,
     s011,
     s100,
     sample_sphere,
@@ -377,6 +379,37 @@ def test_mc_requires_minimum_tuples_and_dimension():
         mc_energy_uniform(frame2(), 3, 99, 0)
     with pytest.raises(ValueError):
         mc_energy_uniform(frame2(), 1, 1000, 0)
+
+
+def test_non_finite_kernel_parameters_and_bad_tuple_counts(capsys):
+    # (library call, the value its message names, the energy-int arguments
+    # that pass the same value from the command line)
+    from multipot.cli import main
+
+    nan, inf = float("nan"), float("inf")
+    table = [
+        (lambda: riesz(nan), "nan", ["--kernel", "riesz:s=nan"]),
+        (lambda: riesz(inf), "inf", ["--kernel", "riesz:s=inf"]),
+        (lambda: quad_a(nan), "nan", ["--kernel", "quad_a:a=nan"]),
+        (lambda: quad_a(inf), "inf", ["--kernel", "quad_a:a=inf"]),
+        (lambda: prod_f_uvt(coeffs=[nan, 1]), "[nan, 1.0]",
+         ["--kernel", "prod_f_uvt:coeffs=nan,1"]),
+        (lambda: prod_f_uvt(coeffs=[0, inf]), "[0.0, inf]",
+         ["--kernel", "prod_f_uvt:coeffs=0,inf"]),
+        (lambda: mc_energy_uniform(area2(), 3, nan, 1), "nan", ["--tuples", "nan"]),
+        (lambda: mc_energy_uniform(area2(), 3, 1000.5, 1), "1000.5", ["--tuples", "1000.5"]),
+        (lambda: mc_energy_uniform(area2(), 3, 1000.0, 1), "1000.0", None),
+        (lambda: mc_energy_uniform(area2(), 3.0, 1000, 1), "3.0", None),
+    ]
+    for call, value, argv in table:
+        with pytest.raises(ValueError, match=re.escape(f"got {value}") + "$"):
+            call()
+        if argv is not None:
+            argv = ["energy-int", "--kernel", "area2", "--d", "3", "--tuples", "1000", *argv]
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 64, argv
+            assert "value" not in capsys.readouterr().out
 
 
 def test_mc_deterministic_given_seed():

@@ -1,4 +1,6 @@
 """Sphere geometry, atomic measures and CSV interchange."""
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,29 @@ def test_unit_vector_validation():
         unit_vector([1.0])
     v = unit_vector([0.0, 1.0])
     assert v.shape == (2,)
+
+
+def test_off_sphere_input_is_named_by_worst_row():
+    # every constructor and the potential share one check; its message names
+    # the worst |norm - 1| and its row, and a NaN norm fails it
+    from multipot import potential, s011
+
+    mu = DiscreteMeasure(np.eye(3))
+    pts = np.eye(3)
+    pts[1] *= 1.5
+    pts[2] *= 1.25
+    tuples = np.stack([np.eye(3)[:2], np.eye(3)[:2], np.eye(3)[1:] * [[1.0], [2.0]]])
+    cases = [
+        (lambda: unit_vector([0.0, 2.0]), "1.000e+00 at row 0"),
+        (lambda: unit_vector([np.nan, 0.0]), "nan at row 0"),
+        (lambda: PointConfiguration(pts), "5.000e-01 at row 1"),
+        (lambda: DiscreteMeasure(pts), "5.000e-01 at row 1"),
+        (lambda: potential(s011(), [mu], tuples), "1.000e+00 at row 2"),
+    ]
+    for build, tail in cases:
+        message = f"must lie on the unit sphere (tol 1e-12): |norm - 1| = {tail}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 def test_measure_flags():

@@ -18,6 +18,7 @@ from multipot import (
     area2,
     basis_vector,
     energy_gradient,
+    inner,
     local_min_probe,
     multistart,
     neg_area2,
@@ -137,10 +138,28 @@ def test_gradient_zero_at_coincident_symmetric_point():
     assert np.linalg.norm(g) <= 1e-12
 
 
-def test_riesz_fallback_warns_at_coincident_points():
+def test_riesz_gradient_at_coincident_points_is_analytic_without_warning():
+    # a coincident pair contributes no gradient; central differences agree,
+    # since ||h||^s is even in h
     config = PointConfiguration(np.stack([E1, E1, basis_vector(1, 3)]))
-    with pytest.warns(UserWarning):
-        energy_gradient(riesz(0.5), config, 0, "analytic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = energy_gradient(riesz(0.5), config, 0, "analytic")
+    assert np.allclose(g, energy_gradient(riesz(0.5), config, 0, "finite_difference"),
+                       rtol=1e-6, atol=1e-9)
+
+
+def test_riesz_coincidence_rule_reaches_every_kernel_built_from_riesz():
+    # one pair 1e-13 apart counts as coincident in every kernel that holds
+    # riesz(0.5), scaled or summed, not only in the bare kernel
+    near = np.array([1.0, 1e-13, 0.0])
+    config = PointConfiguration(np.stack([E1, near / np.linalg.norm(near), basis_vector(1, 3)]))
+    bare = energy_gradient(riesz(0.5), config, 0)
+    assert np.allclose(energy_gradient(2.0 * riesz(0.5), config, 0), 2 * bare,
+                       rtol=1e-12, atol=0)
+    plus_inner = energy_gradient(riesz(0.5) + inner(), config, 0)
+    assert np.allclose(plus_inner - energy_gradient(inner(), config, 0), bare,
+                       rtol=1e-12, atol=0)
 
 
 def test_minimize_s011_pair_reaches_zero():
@@ -399,18 +418,32 @@ def test_batch_with_a_failed_line_search():
         assert _same_trace(trace, single)
 
 
-def test_batch_with_a_finite_difference_start():
+def test_batch_with_a_coincident_start():
     # the first start has coincident points, where the Riesz gradient is
-    # singular, so only it falls back to finite differences
+    # singular; it descends on the kernel's gradient like the second start,
+    # with no warning and no finite differences
     pts = sample_sphere(3, 3, 2).points
     stack = np.stack([np.vstack([pts[:2], pts[:1]]), pts])
     cfg = OptimizerConfig(steps=3, step_size=0.1)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         traces = optimize_mod._descend(riesz(0.5), stack, cfg)
-    with pytest.warns(UserWarning):
         singles = _single_runs(riesz(0.5), stack, cfg)
     for trace, single in zip(traces, singles):
         assert _same_trace(trace, single)
+
+
+def test_riesz_descent_from_coincident_starts_uses_no_finite_differences(monkeypatch):
+    calls = []
+    fd_point_gradient = optimize_mod._fd_point_gradient
+    monkeypatch.setattr(optimize_mod, "_fd_point_gradient",
+                        lambda *args: calls.append(args) or fd_point_gradient(*args))
+    pts = sample_sphere(3, 4, 5).points
+    stack = np.stack([pts[[0, 0, 1, 2]], pts[[3, 3, 3, 1]]])
+    traces = optimize_mod._descend(riesz(0.5), stack, OptimizerConfig(steps=20, step_size=0.5))
+    assert not calls
+    for trace in traces:
+        assert trace.energies == sorted(trace.energies, reverse=True)
 
 
 def test_multistart_makes_no_more_gradient_calls_than_its_longest_start(monkeypatch):
