@@ -246,6 +246,8 @@ def convexity_probe(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure,
     """Probe convexity of the energy along the segment from mu to nu."""
     if not (mu.is_probability and nu.is_probability):
         raise ValueError("convexity probes are defined for probability measures")
+    if grid < 2:
+        raise ValueError(f"a convexity probe needs a grid of at least 2 points, got {grid!r}")
     g = mixture_polynomial(kernel, mu, nu)
 
     ts = np.linspace(0.0, 1.0, grid)
@@ -466,6 +468,8 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
+    if d < 2:
+        raise ValueError(f"the inequality suite needs dimension d >= 2, got {d!r}")
     n = kernel.arity
     if n > _MAX_EXACT_ARITY:
         raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")

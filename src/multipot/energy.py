@@ -30,11 +30,12 @@ all atom tuples.  Two routes compute them:
 
 A stack (B, N, d) of configurations in place of one (N, d) gets B energies
 or gradients from one set of contractions, each with the bits it gets
-alone.  One rule, :func:`_use_moments`, picks the route for every energy,
-potential and gradient: the moment route runs when the arrays it builds
-hold no more entries than the dense route reads (per tuple: the points,
-their pair products and one value per monomial).  Neither route takes on
-more than ``_WORK_LIMIT`` tuples or entries.
+alone; on the dense route, B energies from tuple grids of several
+configurations per kernel call.  One rule, :func:`_moment_size`, picks the
+route for every energy, potential and gradient: the moment route runs when
+the arrays it builds hold no more entries than the dense route reads (per
+tuple: the points, their pair products and one value per monomial).
+Neither route takes on more than ``_WORK_LIMIT`` tuples or entries.
 """
 from __future__ import annotations
 
@@ -114,6 +115,20 @@ def _dense_mutual(kernel: Kernel, measures) -> float:
     letters = _LETTERS[: len(measures)]
     spec = letters + "," + ",".join(letters) + "->"
     return float(np.einsum(spec, vals, *[m.weights for m in measures]))
+
+
+def _stacked_grid(fixed, x: np.ndarray, arity: int) -> np.ndarray:
+    """The tuple grids of the configurations of a stack x (B, N, d) in ``arity``
+    slots after the atoms of the ``fixed`` measures, as one (B, sizes..., slots, d)
+    array."""
+    arrays = [m.atoms[None] for m in fixed] + [x] * arity
+    sizes, k, d = [a.shape[1] for a in arrays], len(arrays), x.shape[-1]
+    grid = np.empty((len(x), *sizes, k, d))
+    for s, a in enumerate(arrays):
+        shape = [1] * k
+        shape[s] = sizes[s]
+        grid[..., s, :] = a.reshape((a.shape[0], *shape, d))
+    return grid
 
 
 def _dense_potential(batch, measures, queries: np.ndarray) -> np.ndarray:
@@ -248,7 +263,7 @@ def _canonical(spec: str, keep, operands):
 
 @functools.lru_cache(maxsize=64)
 def _route_sizes(poly, d: int):
-    """The terms of :func:`_use_moments`' size count that depend only on the
+    """The terms of :func:`_moment_size`'s size count that depend only on the
     polynomial and d: the entries of all monomial contractions per query, the
     entries each slot builds per row, the distinct pairs and the monomial
     count; None if no program fits."""
@@ -260,8 +275,10 @@ def _route_sizes(poly, d: int):
             len({pair for mono in poly.terms for pair, _ in mono}), len(poly.terms))
 
 
-def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
-    """The routing rule for every exact sum, potential and gradient.
+def _moment_size(kernel: Kernel, slots, queries: int = 1) -> int | None:
+    """The routing rule for every exact sum, potential and gradient: the entries
+    the moment route builds and reads, per configuration of a stack, if it
+    runs; None for the dense route.
 
     ``slots`` carry the atoms of the integrated (leading) slots; each
     remaining slot takes one of ``queries`` points or tuples.  The moment
@@ -281,13 +298,18 @@ def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
         rows += [queries] * (kernel.arity - len(slots))
         size = queries * contractions + sum(n * k for n, k in zip(rows, per_row))
         if size <= min(tuples * queries * ((kernel.arity + pairs) * d + count), _WORK_LIMIT):
-            return True
+            return size
     if tuples > _WORK_LIMIT:
         raise ValueError(
             f"{tuples} atom tuples exceed the dense limit and no moment route "
             f"fits kernel '{kernel.name}'"
         )
-    return False
+    return None
+
+
+def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
+    """Whether the routing rule (:func:`_moment_size`) picks the moment route."""
+    return _moment_size(kernel, slots, queries) is not None
 
 
 def _powers(x: np.ndarray, keys) -> list:
@@ -450,7 +472,9 @@ def _sum(kernel: Kernel, slots, queries: np.ndarray | None = None):
 def _bind(kernel: Kernel, pts: np.ndarray):
     """The discrete energy and its Euclidean gradient at every row, as functions
     of point arrays shaped like ``pts``: (N, d), or a stack (B, N, d) of any
-    length B with one energy and one gradient per configuration.  The route, the
+    length B with one energy and one gradient per configuration; and the work
+    of one configuration's energy, in the units of ``_WORK_LIMIT`` (entries the
+    moment route builds, or tuples the dense route reads).  The route, the
     call layout and the contraction program are resolved here, once; a potential
     kernel's measures are fixed slots of its base."""
     n, arity = pts.shape[-2], kernel.arity
@@ -467,12 +491,24 @@ def _bind(kernel: Kernel, pts: np.ndarray):
 
         def gradient(x):
             return _moment_gradient(poly, _Atoms(x, weights), fixed, prog)
-        return energy, gradient
+        return energy, gradient, _moment_size(base, slots)
+
+    tuples = math.prod(s.atoms.shape[-2] for s in slots)
+    letters = _LETTERS[:len(slots)]
+    spec = letters + "," + ",".join(letters) + "->"     # _dense_mutual's sum
+    slot_weights = [s.weights for s in slots]
 
     def energy(x):
-        if x.ndim == 3:
+        if x.ndim == 2:
+            return _dense_mutual(base, fixed + [_Atoms(x, weights)] * arity)
+        if tuples > _BLOCK_TUPLES:
             return np.array([energy(p) for p in x])
-        return _dense_mutual(base, fixed + [_Atoms(x, weights)] * arity)
+        # the tuple grids of several configurations in one kernel call, each
+        # configuration's values summed as _dense_mutual sums them
+        per = _BLOCK_TUPLES // tuples
+        vals = np.concatenate([base.evaluate_batch(_stacked_grid(fixed, x[i:i + per], arity))
+                               for i in range(0, len(x), per)])
+        return np.array([np.einsum(spec, v, *slot_weights) for v in vals])
 
     def gradient(x):
         if x.ndim == 3:
@@ -484,7 +520,7 @@ def _bind(kernel: Kernel, pts: np.ndarray):
                 (grad[start:stop] if s == 0 else grad)[...] += g[..., s, :].sum(
                     axis=tuple(a for a in range(arity) if a != s))
         return grad / n**arity
-    return energy, gradient
+    return energy, gradient, tuples
 
 
 def _points_energy(kernel: Kernel, pts: np.ndarray):

@@ -283,6 +283,8 @@ class Kernel:
         return self._scaled(-1.0)
 
     def _scaled(self, c: float) -> "Kernel":
+        if not np.isfinite(c):
+            raise ValueError(f"a kernel's scalar factor must be finite, got {c!r}")
         return _derived(f"({c:g}*{self.name})", self.arity, "prod",
                         [(c, self, range(self.arity))], nonnegative=self.nonnegative and c >= 0)
 
@@ -399,7 +401,8 @@ def _derived(name: str, arity: int, mode: str, terms, *, params: dict | None = N
 
 
 class RieszKernel(Kernel):
-    """Two-input distance power ||x - y||^s for s > 0."""
+    """Two-input distance power ||x - y||^s for s > 0.  A pair at most
+    GEOMETRIC_TOL apart counts as coincident: its value and gradient are 0."""
 
     def __init__(self, s: float):
         if not 0 < s < np.inf:
@@ -409,8 +412,8 @@ class RieszKernel(Kernel):
 
     def evaluate_batch(self, pts):
         pts = self._check_points(pts)
-        diff = pts[..., 0, :] - pts[..., 1, :]
-        return np.linalg.norm(diff, axis=-1) ** self.s
+        dist = np.linalg.norm(pts[..., 0, :] - pts[..., 1, :], axis=-1)
+        return np.where(dist > GEOMETRIC_TOL, dist ** self.s, 0.0)
 
     def gradient_batch(self, pts):
         # grad_x ||x-y||^s = s ||x-y||^{s-2} (x-y), singular at x = y when s < 1.

@@ -12,8 +12,14 @@ the energy engine at once, each with its own step and stopping test, so each
 start's trace is its single run's, bit for bit.  The engine is bound to
 the kernel and the stack's shape once per descent (route, call layout
 and contraction program), and every step calls the bound energy and
-gradient.  Runs are deterministic given the seed; accepted energies never
-get worse (up to 1e-12).
+gradient.  A line search evaluates its trial steps in blocks of 1, 1, 2,
+4, 8, 16 and 28 trials, each block of every searching start in one energy
+call, and takes each start's first passing trial.  The engine gives each
+configuration of a stack the bits it gets alone, and the candidates and the
+Armijo test are computed as one trial at a time would compute them, so the
+blocks change no bit of a trace: they only save calls, most of all when a
+search fails at rounding level (7 calls, not 60).  Runs are deterministic
+given the seed; accepted energies never get worse (up to 1e-12).
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import numpy as np
 from .geometry import DiscreteMeasure, PointConfiguration, sample_sphere
 from .config import RESIDUAL_TOL
 from .kernels import Kernel
-from .energy import MixturePolynomial, _bind, _points_energy, mixture_polynomial
+from .energy import _WORK_LIMIT, MixturePolynomial, _bind, _points_energy, mixture_polynomial
 
 __all__ = [
     "OptimizerConfig",
@@ -153,14 +159,20 @@ def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[Op
     monotone Armijo safeguard: the first trial step is ``cfg.step_size``,
     later ones <s,s>/<s,y> from the start's last accepted step, and the step
     is halved until the energy improves by the Armijo margin, over at most 60
-    trials.  A start drops out of the evaluations once it has converged,
+    trials.  The trials are evaluated in blocks: one energy call takes the
+    next k trials of every searching start, stacked as (S·k, N, d), with k
+    = 1, 1, 2, 4, 8, 16, 28 (fewer if S·k configurations would exceed the
+    engine's work limit, down to 1), and each start takes its first passing
+    trial.  Trial j is the step halved j times, as in a serial search, so a
+    search selects the serial search's trial and evaluates at most twice
+    its trials.  A start drops out of the evaluations once it has converged,
     failed its line search or run out of steps.  The energy engine sums each
     configuration on its own, so a start's trace does not depend on the other
-    starts; it is bound to the kernel and the stack's shape once, before the
-    first step.
+    starts or on the blocks; it is bound to the kernel and the stack's shape
+    once, before the first step.
     """
     pts, sign = np.array(stack), -1.0 if cfg.maximize else 1.0   # descend on sign * E
-    energy_of, gradient_of = _bind(kernel, pts)
+    energy_of, gradient_of, size = _bind(kernel, pts)
     energy = energy_of(pts)
     energies = [[e] for e in energy.tolist()]
     reasons = ["steps"] * len(pts)
@@ -185,17 +197,24 @@ def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[Op
         else:
             t = np.full(active.size, cfg.step_size)
         last_pts[active], last_grad[active] = pts[active], grad
-        search = np.arange(active.size)     # positions in active still searching
-        for _ in range(_TRIALS):
-            if not search.size:
-                break
+        search, tried = np.arange(active.size), 0     # positions in active still searching
+        while search.size and tried < _TRIALS:
+            # the next k trials of every searching start, in one energy call
+            k = min(max(tried, 1), _TRIALS - tried, max(1, _WORK_LIMIT // (search.size * size)))
             rows = active[search]
-            cand = _renormalize(pts[rows] - t[search, None, None] * grad[search])
-            cand_energy = energy_of(cand)
-            ok = sign * (cand_energy - energy[rows]) <= -_ARMIJO * t[search] * gnorm2[search]
-            pts[rows[ok]], energy[rows[ok]] = cand[ok], cand_energy[ok]
-            search = search[~ok]
-            t[search] *= _BACKTRACK
+            halvings = np.full((search.size, k), _BACKTRACK)
+            halvings[:, 0] = t[search]
+            trial = np.multiply.accumulate(halvings, 1)     # t, t/2, ..., halved one by one
+            cand = _renormalize(pts[rows, None] - trial[..., None, None] * grad[search, None])
+            cand_energy = energy_of(cand.reshape((-1,) + pts.shape[1:])).reshape(trial.shape)
+            ok = (sign * (cand_energy - energy[rows, None])
+                  <= -_ARMIJO * trial * gnorm2[search, None])
+            passed = ok.any(1)
+            hit, first = np.flatnonzero(passed), ok.argmax(1)[passed]   # first passing trial
+            pts[rows[hit]], energy[rows[hit]] = cand[hit, first], cand_energy[hit, first]
+            search = search[~passed]
+            t[search] = trial[~passed, -1] * _BACKTRACK
+            tried += k
         for b in active[search]:
             reasons[b] = "line_search"
         accepted = np.ones(active.size, dtype=bool)

@@ -205,3 +205,75 @@ def potential_stderr_loop(kernel, mu, test_points):
         zeta = float(mu.weights @ (rows - mean) ** 2)
         acc += 2.0 * np.sqrt(max(zeta, 0.0) * w2)
     return acc / len(test_points)
+
+
+# --- particle descent ----------------------------------------------------------
+
+
+def serial_descent(kernel, stack, cfg):
+    """``optimize._descend`` with the line search one trial per energy call:
+    trial j of each searching start is its step halved j times, and the
+    first trial that passes the Armijo test is taken, over at most 60.
+
+    Shares the bound energy, the tangent gradient and the spectral step with
+    the library, so it checks only how trials are grouped into calls.
+    Returns the traces, and per step the number of trials each searching
+    start evaluated (in the order of the stack, for the starts that searched)
+    and whether it passed.
+    """
+    from multipot import OptimizationTrace, PointConfiguration
+    from multipot.energy import _bind
+    from multipot.optimize import (
+        _ARMIJO, _BACKTRACK, _TRIALS, _renormalize, _spectral_step, _tangent_gradient)
+
+    pts, sign = np.array(stack), -1.0 if cfg.maximize else 1.0
+    energy_of, gradient_of, _ = _bind(kernel, pts)
+    energy = energy_of(pts)
+    energies = [[e] for e in energy.tolist()]
+    reasons = ["steps"] * len(pts)
+    last_pts, last_grad = np.empty_like(pts), np.empty_like(pts)
+    searches = []
+    active = np.arange(len(pts))
+    for it in range(cfg.steps + 1):
+        if not active.size:
+            break
+        grad = sign * _tangent_gradient(gradient_of, pts[active])
+        flat = grad.reshape(active.size, -1)
+        gnorm2 = np.add.reduce(flat * flat, 1)
+        stop = np.sqrt(gnorm2) <= cfg.stop_tol
+        for b in active[stop]:
+            reasons[b] = "converged"
+        active, grad, gnorm2 = active[~stop], grad[~stop], gnorm2[~stop]
+        if it == cfg.steps or not active.size:
+            break
+        if it:
+            t = _spectral_step((pts[active] - last_pts[active]).reshape(active.size, -1),
+                               (grad - last_grad[active]).reshape(active.size, -1),
+                               cfg.step_size)
+        else:
+            t = np.full(active.size, cfg.step_size)
+        last_pts[active], last_grad[active] = pts[active], grad
+        trials = np.zeros(active.size, dtype=int)
+        search = np.arange(active.size)
+        for _ in range(_TRIALS):
+            if not search.size:
+                break
+            rows = active[search]
+            trials[search] += 1
+            cand = _renormalize(pts[rows] - t[search, None, None] * grad[search])
+            cand_energy = energy_of(cand)
+            ok = sign * (cand_energy - energy[rows]) <= -_ARMIJO * t[search] * gnorm2[search]
+            pts[rows[ok]], energy[rows[ok]] = cand[ok], cand_energy[ok]
+            search = search[~ok]
+            t[search] *= _BACKTRACK
+        for b in active[search]:
+            reasons[b] = "line_search"
+        accepted = np.ones(active.size, dtype=bool)
+        accepted[search] = False
+        searches.append(list(zip(trials.tolist(), accepted.tolist())))
+        active = active[accepted]
+        for b in active:
+            energies[b].append(float(energy[b]))
+    traces = [OptimizationTrace(e, PointConfiguration(p), len(e) - 1, r)
+              for e, p, r in zip(energies, pts, reasons)]
+    return traces, searches

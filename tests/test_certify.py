@@ -1,4 +1,6 @@
 """Positive-definiteness certification, convexity probes, constancy checks."""
+import re
+
 import numpy as np
 import pytest
 
@@ -445,3 +447,32 @@ def test_inequality_suite_validation():
         inequality_suite(uvt(), 3, trials=0)
     with pytest.raises(ValueError):
         inequality_suite(sum_lift(inner(), 5), 3, trials=1)
+
+
+def test_dimension_and_grid_checks_name_the_value(capsys):
+    # (library call, the value its message names, the CLI arguments that
+    # pass the same value; None where argparse cannot)
+    from multipot.cli import main
+
+    mu = _random_probability(3, 3, 12)
+    table = [
+        (lambda: inequality_suite(uvt(), 1, trials=2), "1",
+         ["inequalities", "--kernel", "uvt", "--d", "1", "--trials", "2"]),
+        (lambda: inequality_suite(area2(), 0, trials=2), "0",
+         ["inequalities", "--kernel", "area2", "--d", "0", "--trials", "2"]),
+        (lambda: inequality_suite(inner(), -3, trials=2), "-3",
+         ["inequalities", "--kernel", "inner", "--d", "-3", "--trials", "2"]),
+        (lambda: convexity_probe(area2(), mu, mu, grid=1), "1", None),
+        (lambda: convexity_probe(area2(), mu, mu, grid=0), "0", None),
+        (lambda: convexity_probe(area2(), mu, mu, grid=-2), "-2", None),
+    ]
+    for call, value, argv in table:
+        with pytest.raises(ValueError, match=re.escape(f"got {value}") + "$"):
+            call()
+        if argv is not None:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 64, argv
+            assert "worst" not in capsys.readouterr().out
+    assert inequality_suite(uvt(), 2, trials=2).trials == 2
+    assert len(convexity_probe(area2(), mu, mu, grid=2).mixture.coefficients) == 4

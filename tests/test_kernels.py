@@ -1,15 +1,18 @@
 """Kernel catalog, lifting constructions, pinning and the CLI grammar."""
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from multipot import (
+    PointConfiguration,
     area2,
     basis_vector,
     cpd_shift,
+    discrete_energy,
     frame2,
     inner,
     neg_area2,
@@ -65,6 +68,41 @@ def test_quad_a_shift_at_one_rejected():
 def test_riesz_requires_positive_exponent():
     with pytest.raises(ValueError):
         riesz(0.0)
+
+
+def test_non_finite_scalar_factors_are_rejected():
+    # (the product, the value its message names); a float on the left goes
+    # through __rmul__.  A finite factor, 0 included, still builds a kernel.
+    nan, inf = float("nan"), float("inf")
+    table = [
+        (lambda: nan * area2(), "nan"),
+        (lambda: area2() * nan, "nan"),
+        (lambda: inf * riesz(0.5), "inf"),
+        (lambda: riesz(0.5) * inf, "inf"),
+        (lambda: -inf * vol2(), "-inf"),
+        (lambda: -inf * (riesz(0.5) + inner()), "-inf"),
+    ]
+    for product, value in table:
+        with pytest.raises(ValueError, match=re.escape(f"got {value}") + "$"):
+            product()
+    assert (0.0 * area2())(E1, E2, E3) == 0.0
+    assert (2.0 * riesz(1.0))(E1, E2) == pytest.approx(2.0 * np.sqrt(2.0))
+
+
+def test_riesz_pair_within_geometric_tol_has_zero_value():
+    # the value follows the gradient's coincidence rule: a pair at most 1e-12
+    # apart contributes 0, in riesz(0.5) and in every kernel built from it
+    near = np.array([1.0, 1e-13, 0.0])
+    near /= np.linalg.norm(near)
+    assert 0 < np.linalg.norm(near - E1) <= 1e-12
+    table = [(riesz(0.5), 0.0), (2.0 * riesz(0.5), 0.0), (riesz(0.5) + inner(), 1.0)]
+    for kernel, value in table:
+        assert kernel(E1, near) == value
+        assert kernel(near, E1) == value
+        apart = discrete_energy(kernel, PointConfiguration(np.stack([E1, near, E2]))).value
+        together = discrete_energy(kernel, PointConfiguration(np.stack([E1, E1, E2]))).value
+        assert apart == pytest.approx(together, rel=1e-12, abs=0)
+    assert riesz(0.5)(E1, -E1) == np.sqrt(2.0)
 
 
 def test_permutation_symmetry():

@@ -24,6 +24,7 @@ from multipot import (
     neg_area2,
     optimize_discrete,
     pin,
+    prod_f_uvt,
     quad_a,
     random_rotation,
     riesz,
@@ -34,6 +35,8 @@ from multipot import (
     uvt,
     vol2,
 )
+
+from oracles import serial_descent
 
 E1 = basis_vector(0, 3)
 
@@ -446,6 +449,102 @@ def test_riesz_descent_from_coincident_starts_uses_no_finite_differences(monkeyp
         assert trace.energies == sorted(trace.energies, reverse=True)
 
 
+# Trial j of a line search is the step halved j times.  The block search
+# evaluates trials in blocks of 1, 1, 2, 4, 8, 16 and 28, one energy call per
+# block; these are the trials it has evaluated when each block ends.
+_BLOCK_ENDS = (1, 2, 4, 8, 16, 32, 60)
+
+# Per case of BATCH_CASES: does some step pass at a trial inside a block, not
+# at its first position, and does some line search fail after all 60 trials?
+BLOCK_COVERAGE = {
+    "area2": (False, True),
+    "vol2": (False, False),
+    "s011": (False, False),
+    "pinned": (False, False),
+    "potential": (True, False),
+    "riesz-dense": (True, False),
+}
+
+
+def _block_case(name):
+    kernel, n, cfg = BATCH_CASES[name]
+    stack = np.stack([sample_sphere(3, n, cfg.seed + k).points for k in range(4)])
+    if name == "riesz-dense":       # a start with two coincident points
+        stack[0, 1] = stack[0, 0]
+    return kernel, stack, cfg
+
+
+def _count_bind(monkeypatch):
+    """Wrap the optimizer's bound engine: the log gets "g" for each gradient
+    call and the stack length of each energy call."""
+    log, bind = [], optimize_mod._bind
+
+    def counted(kernel, pts):
+        energy, gradient, size = bind(kernel, pts)
+        return (lambda x: log.append(len(x)) or energy(x),
+                lambda x: log.append("g") or gradient(x), size)
+    monkeypatch.setattr(optimize_mod, "_bind", counted)
+    return log
+
+
+def _search_calls(log):
+    """The stack lengths of the energy calls of each step, from a log of
+    :func:`_count_bind`; the first energy call is the starts'."""
+    steps = []
+    for entry in log[1:]:
+        if entry == "g":
+            steps.append([])
+        else:
+            steps[-1].append(entry)
+    return steps
+
+
+@pytest.mark.parametrize("name", list(BATCH_CASES))
+def test_block_search_matches_the_serial_search(name, monkeypatch):
+    # the same traces, bit for bit, as one trial per energy call; each search
+    # makes one call per block up to the block where its last start settles,
+    # and evaluates at most twice the trials of the serial search
+    kernel, stack, cfg = _block_case(name)
+    log = _count_bind(monkeypatch)
+    traces = optimize_mod._descend(kernel, stack, cfg)
+    reference, searches = serial_descent(kernel, stack, cfg)
+    for trace, ref in zip(traces, reference):
+        assert _same_trace(trace, ref)
+    calls = _search_calls(log)
+    assert not any(calls[len(searches):])       # passes that only test convergence
+    for sizes, search in zip(calls, searches):
+        trials = [count for count, _ in search]
+        assert len(sizes) == 1 + next(i for i, end in enumerate(_BLOCK_ENDS)
+                                      if end >= max(trials))
+        assert sum(sizes) <= 2 * sum(trials)
+        if not all(passed for _, passed in search):
+            assert max(trials) == 60 and len(sizes) <= 7
+    mid_block = any(passed and count - 1 not in (0, *_BLOCK_ENDS)
+                    for search in searches for count, passed in search)
+    failed = any(not passed for search in searches for _, passed in search)
+    assert (mid_block, failed) == BLOCK_COVERAGE[name]
+
+
+@pytest.mark.parametrize("blocks, last", [
+    (1, [1] * 60),
+    (5, [1, 1, 2, 4] + [5] * 10 + [2]),
+])
+def test_block_search_stays_within_the_work_limit(blocks, last, monkeypatch):
+    # a work limit of ``blocks`` configurations caps every block, down to
+    # one trial per call, without moving a bit; the start's last line search
+    # fails after all 60 trials
+    kernel, stack, cfg = _block_case("area2")
+    stack = stack[1:2]
+    monkeypatch.setattr(optimize_mod, "_WORK_LIMIT", blocks * energy_mod._bind(kernel, stack)[2])
+    log = _count_bind(monkeypatch)
+    trace = optimize_mod._descend(kernel, stack, cfg)[0]
+    reference, searches = serial_descent(kernel, stack, cfg)
+    assert _same_trace(trace, reference[0]) and trace.stop_reason == "line_search"
+    calls = _search_calls(log)
+    assert all(max(sizes) <= blocks for sizes in calls if sizes)
+    assert calls[len(searches) - 1] == last
+
+
 def test_multistart_makes_no_more_gradient_calls_than_its_longest_start(monkeypatch):
     calls = []
     moment_gradient = energy_mod._moment_gradient
@@ -523,7 +622,7 @@ def test_bound_engine_matches_the_unbound_path(name):
     # bits of a fresh route, layout and program per call
     kernel, n = (riesz(0.5), 5) if name == "riesz" else DESCENT_BITS[name][:2]
     stack = np.stack([sample_sphere(3, n, 40 + k).points for k in range(4)])
-    energy, gradient = energy_mod._bind(kernel, stack[:2])
+    energy, gradient, _ = energy_mod._bind(kernel, stack[:2])
     for pts in (stack[:1], stack):
         assert np.array_equal(energy(pts), energy_mod._points_energy(kernel, pts))
         assert np.array_equal(gradient(pts), energy_mod._points_gradient(kernel, pts))
@@ -535,6 +634,27 @@ def test_bound_engine_matches_the_unbound_path(name):
             base.pair_poly, fixed + [slot] * kernel.arity))
         assert np.array_equal(gradient(stack),
                               energy_mod._moment_gradient(base.pair_poly, slot, fixed))
+
+
+@pytest.mark.parametrize("grids", ["default", "three configurations", "one configuration"])
+def test_dense_energy_of_a_stack_matches_each_configuration_alone(grids, monkeypatch):
+    # the dense route evaluates a stack's configurations in shared tuple
+    # grids (or, past the grid size, one at a time), with the bits of the
+    # plain dense sum of each configuration, fixed measures included (none
+    # of these kernels is a pair polynomial)
+    surrogate = uniform_surrogate(3, 7, 1)
+    for kernel in (riesz(0.5), riesz(1.0) + inner(), prod_f_uvt(f="exp"),
+                   PotentialKernel(prod_f_uvt(f="exp"), [surrogate])):
+        stack = np.stack([sample_sphere(3, 5, 60 + k).points for k in range(7)])
+        energy, _, tuples = energy_mod._bind(kernel, stack)
+        if grids != "default":
+            monkeypatch.setattr(energy_mod, "_BLOCK_TUPLES",
+                                3 * tuples if grids == "three configurations" else tuples - 1)
+        base, fixed = ((kernel.base, kernel.measures) if isinstance(kernel, PotentialKernel)
+                       else (kernel, []))
+        alone = [energy_mod._dense_mutual(base, fixed + [energy_mod._Atoms(p, np.full(5, 0.2))]
+                                          * kernel.arity) for p in stack]
+        assert energy(stack).tolist() == alone
 
 
 def test_multistart_of_a_cancelled_polynomial():
