@@ -6,6 +6,16 @@ are labelled ``pass_statistical``.  Failures, by contrast, are exact
 certificates: every failing verdict carries a witness measure (plus the
 pins that produced the offending two-input kernel) whose negative energy
 can be recomputed independently.
+
+The randomized batteries (:func:`pd_test_2input`, :func:`npd_test`,
+:func:`shift_equivalence_battery`, :func:`inequality_suite`) run their
+trials in blocks of about ``_CHUNK_TUPLES`` kernel tuples.  A block makes
+the same generator calls, in the same order, as one trial at a time would,
+so a seed fixes every report whatever the block size; the block is then
+normalised, evaluated and decomposed in one pass (one kernel evaluation,
+one stacked ``eigh``).  The one exception has probability zero: a drawn
+row of norm below 1e-12 is redrawn at the end of its block's draws rather
+than at once, so no such row ever reaches a kernel.
 """
 from __future__ import annotations
 
@@ -15,7 +25,13 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .config import EIGENVALUE_TOL, RESIDUAL_TOL
-from .geometry import DiscreteMeasure, _random_directions, basis_vector
+from .geometry import (
+    DiscreteMeasure,
+    _check_on_sphere,
+    _normalize_rows,
+    _random_directions,
+    basis_vector,
+)
 from .kernels import Kernel, cpd_shift, pin
 from .energy import (
     _BLOCK_TUPLES,
@@ -46,7 +62,7 @@ __all__ = [
 ]
 
 _MAX_ATOMS = 5            # atoms per random measure of the inequality suite
-_CHUNK_TUPLES = 4096      # kernel tuples per inequality-suite chunk
+_CHUNK_TUPLES = 6144      # kernel tuples per block of trials, in every battery
 
 
 @dataclass(frozen=True)
@@ -82,33 +98,36 @@ def _balanced_basis(m: int) -> np.ndarray:
 
 
 def _kernel_matrix(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
-    m = pts.shape[0]
-    pairs = np.empty((m, m, 2, pts.shape[1]))
-    pairs[..., 0, :] = pts[:, None, :]
-    pairs[..., 1, :] = pts[None, :, :]
+    """Symmetrised kernel matrices K(p_i, p_j) of point sets (..., m, d):
+    (..., m, m), from one kernel evaluation."""
+    m = pts.shape[-2]
+    pairs = np.empty(pts.shape[:-1] + (m, 2, pts.shape[-1]))
+    pairs[..., 0, :] = pts[..., :, None, :]
+    pairs[..., 1, :] = pts[..., None, :, :]
     mat = kernel.evaluate_batch(pairs)
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
-def _eigen_tol(mat: np.ndarray) -> float:
-    """Scale-relative threshold below which an eigenvalue of ``mat``
-    counts as negative."""
-    return EIGENVALUE_TOL * max(float(np.max(np.abs(mat))), 1e-12)
+def _eigen_tol(mat: np.ndarray) -> np.ndarray:
+    """Scale-relative threshold below which an eigenvalue of each matrix
+    of the stack ``mat`` counts as negative."""
+    return EIGENVALUE_TOL * np.maximum(np.max(np.abs(mat), axis=(-2, -1)), 1e-12)
 
 
 def _matrix_min_eig(mat: np.ndarray, conditional: bool):
-    """Smallest (restricted) eigenvalue and its coefficient vector."""
+    """Smallest (restricted) eigenvalue and its coefficient vector of each
+    matrix of the stack ``mat`` (..., m, m), from one stacked ``eigh``."""
     if conditional:
-        basis = _balanced_basis(mat.shape[0])
+        basis = _balanced_basis(mat.shape[-1])
         restricted = basis.T @ mat @ basis
-        restricted = 0.5 * (restricted + restricted.T)
+        restricted = 0.5 * (restricted + restricted.swapaxes(-1, -2))
         vals, vecs = np.linalg.eigh(restricted)
-        return float(vals[0]), basis @ vecs[:, 0]
+        return vals[..., 0], (basis @ vecs[..., :1])[..., 0]
     vals, vecs = np.linalg.eigh(mat)
-    return float(vals[0]), vecs[:, 0]
+    return vals[..., 0], vecs[..., 0]
 
 
-def _build_witness(pts, coeffs, mat, conditional):
+def _build_witness(pts, coeffs, mat, conditional) -> Witness:
     """Turn an offending eigenvector into a small witness measure.
 
     Near-zero coefficients are dropped; in conditional mode the remaining
@@ -122,9 +141,39 @@ def _build_witness(pts, coeffs, mat, conditional):
     if conditional:
         c = c - c.sum() / c.size
     sub = mat[np.ix_(keep, keep)]
-    energy = float(c @ sub @ c)
-    measure = DiscreteMeasure(pts[keep], c)
-    return Witness((), measure, energy), energy
+    return Witness((), DiscreteMeasure(pts[keep], c), float(c @ sub @ c))
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Reject, naming the value, a count that is not an integer or is below
+    ``least``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value!r}")
+
+
+def _check_tol(tol) -> None:
+    if tol is not None and not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _blocks(trials: int, tuples_per_trial: int) -> list:
+    """Sizes of consecutive blocks of ``trials`` whose kernel evaluations
+    hold about ``_CHUNK_TUPLES`` tuples (at least one trial each), so a
+    battery's memory stays bounded for any number of trials."""
+    step = max(1, _CHUNK_TUPLES // tuples_per_trial)
+    return [min(step, trials - start) for start in range(0, trials, step)]
+
+
+def _random_sets(rng, count: int, fixed: np.ndarray, m: int) -> np.ndarray:
+    """``count`` point sets (count, m, d): the rows of ``fixed`` followed by
+    random directions, drawn as one (count, m - |fixed|, d) block."""
+    k, d = fixed.shape
+    pts = np.empty((count, m, d))
+    pts[:, :k] = fixed
+    pts[:, k:] = _random_directions(rng, (count, m - k, d))
+    return pts
 
 
 def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
@@ -135,17 +184,33 @@ def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
 
     Each trial samples ``set_size`` points, forms the kernel matrix and
     inspects its smallest eigenvalue (restricted to the sum-zero subspace
-    in conditional mode).  Any eigenvalue below the scale-relative
-    threshold produces a failing verdict with an explicit witness measure.
-    ``include_points`` are prepended to every sampled set.
+    in conditional mode).  Any eigenvalue below the threshold (``tol``, or
+    by default one scale-relative to each matrix) produces a failing
+    verdict with an explicit witness measure from the first such trial
+    whose witness energy is below it too.  ``include_points`` (on the
+    sphere) are prepended to every sampled set.
+
+    Trials run in blocks of about ``_CHUNK_TUPLES`` kernel tuples.  A block
+    draws its trials' random points as one (trials, points, d) normal
+    array, the same generator stream as one draw per trial, so a seed fixes
+    the verdict whatever the block size; a block then builds one stack of
+    kernel matrices and runs one stacked ``eigh``.  A drawn row of norm
+    below 1e-12 (probability zero) is redrawn at the end of its block's
+    draw, so none reaches the kernel.
     """
     if kernel.arity != 2:
         raise ValueError("pd_test_2input expects a two-input kernel")
-    if trials < 1 or set_size < 2:
-        raise ValueError("need trials >= 1 and set_size >= 2")
+    _check_count("dimension d", d, 2)
+    _check_count("trials", trials, 1)
+    _check_count("set_size", set_size, 2)
+    _check_tol(tol)
     fixed = np.zeros((0, d))
     if include_points is not None:
         fixed = np.atleast_2d(np.asarray(include_points, dtype=float))
+        if fixed.ndim != 2 or fixed.shape[1] != d:
+            raise ValueError(f"included points must be rows of dimension {d}, "
+                             f"got shape {fixed.shape}")
+        _check_on_sphere(fixed, "included points")
         if fixed.shape[0] > set_size:
             raise ValueError("more included points than the set size")
 
@@ -153,18 +218,18 @@ def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
     mode = "conditional" if conditional else "pd"
     min_eig = np.inf
     witness = None
-    for _ in range(trials):
-        n_random = set_size - fixed.shape[0]
-        pts = _random_directions(rng, (n_random, d))
-        pts = np.vstack([fixed, pts]) if fixed.size else pts
-        mat = _kernel_matrix(kernel, pts)
-        tol_eff = tol if tol is not None else _eigen_tol(mat)
-        lam, coeffs = _matrix_min_eig(mat, conditional)
-        min_eig = min(min_eig, lam)
-        if lam < -tol_eff and witness is None:
-            cand, energy = _build_witness(pts, coeffs, mat, conditional)
-            if energy < -tol_eff:
-                witness = cand
+    for count in _blocks(trials, set_size**2):
+        pts = _random_sets(rng, count, fixed, set_size)
+        mats = _kernel_matrix(kernel, pts)
+        lams, coeffs = _matrix_min_eig(mats, conditional)
+        tols = _eigen_tol(mats) if tol is None else np.full(count, float(tol))
+        min_eig = min(min_eig, float(lams.min()))
+        if witness is None:
+            for t in np.flatnonzero(lams < -tols):
+                cand = _build_witness(pts[t], coeffs[t], mats[t], conditional)
+                if cand.energy < -tols[t]:
+                    witness = cand
+                    break
     outcome = "fail" if witness is not None else "pass_statistical"
     return PDVerdict(mode, outcome, witness, trials, float(min_eig))
 
@@ -198,8 +263,11 @@ def npd_test(kernel: Kernel, d: int, *, conditional: bool = False,
     n = kernel.arity
     if n < 3:
         raise ValueError("npd_test expects arity >= 3; use pd_test_2input")
-    if pin_trials < 1:
-        raise ValueError("need pin_trials >= 1")
+    _check_count("dimension d", d, 2)
+    _check_count("pin_trials", pin_trials, 1)
+    _check_count("inner_trials", inner_trials, 1)
+    _check_count("set_size", set_size, 2)
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     mode = "conditional" if conditional else "pd"
     min_eig = np.inf
@@ -383,38 +451,44 @@ class InequalityReport:
 
 
 def _random_atoms(rng, d: int):
-    """Atoms and probability weights of a random measure with 2.._MAX_ATOMS
-    atoms on S^{d-1}, drawn as integers(2, _MAX_ATOMS + 1), then
-    standard_normal((k, d)), then random(k)."""
+    """Atoms and probability weights of one random measure with
+    2.._MAX_ATOMS atoms on S^{d-1}, drawn as integers(2, _MAX_ATOMS + 1),
+    then standard_normal((k, d)), then random(k).  :func:`_draw_trials`
+    makes the same calls for a block of measures."""
     k = int(rng.integers(2, _MAX_ATOMS + 1))
     atoms = _random_directions(rng, (k, d))
     w = rng.random(k) + 1e-3
     return atoms, w / w.sum()
 
 
-def _trials_per_chunk(n: int) -> int:
-    """Trials whose n + 1 energy grids hold about _CHUNK_TUPLES tuples."""
-    return max(1, _CHUNK_TUPLES // ((n + 1) * _MAX_ATOMS**n))
-
-
 def _draw_trials(rng, count: int, n: int, d: int):
     """The random inputs of ``count`` trials, in the suite's draw order.
 
     Returns atoms (count, n, K, d), weights (count, n, K) and diagonal
-    probes (count, n, d), K = _MAX_ATOMS.  A measure with fewer than K
-    atoms is padded with copies of its first atom carrying weight 0.
+    probes (count, n, d), K = _MAX_ATOMS.  Each trial makes the generator
+    calls of n :func:`_random_atoms` and then ``standard_normal((n, d))``,
+    drawing straight into these arrays; the norms, divisions and weight
+    sums then run once over the block, with the bits of the per-measure
+    arithmetic.  A measure with fewer than K atoms is padded with copies of
+    its first atom carrying weight 0.  A row of norm below 1e-12 is redrawn
+    after all of the block's draws (atoms first, then probes).
     """
     atoms = np.empty((count, n, _MAX_ATOMS, d))
     weights = np.zeros((count, n, _MAX_ATOMS))
     probes = np.empty((count, n, d))
+    sizes = np.empty((count, n), dtype=np.intp)
     for t in range(count):
         for s in range(n):
-            a, w = _random_atoms(rng, d)
-            atoms[t, s] = a[0]
-            atoms[t, s, :len(w)] = a
-            weights[t, s, :len(w)] = w
-        probes[t] = _random_directions(rng, (n, d))
-    return atoms, weights, probes
+            k = sizes[t, s] = rng.integers(2, _MAX_ATOMS + 1)
+            rng.standard_normal(out=atoms[t, s, :k])
+            rng.random(out=weights[t, s, :k])
+        rng.standard_normal(out=probes[t])
+    real = np.arange(_MAX_ATOMS) < sizes[..., None]
+    atoms[real] = _normalize_rows(rng, atoms[real])
+    atoms[~real] = np.broadcast_to(atoms[:, :, :1], atoms.shape)[~real]
+    np.add(weights, 1e-3, out=weights, where=real)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return atoms, weights, _normalize_rows(rng, probes)
 
 
 def _trial_energies(kernel: Kernel, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -457,19 +531,21 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
     Each trial draws, from one generator seeded with ``seed`` and in this
     order, n measures (per measure: the atom count in [2, 5], the atoms,
     the weights) and then n diagonal probe points, so a seed fixes the
-    report whatever the batching.  Trials are evaluated in chunks of about
+    report whatever the batching.  Trials run in blocks of about
     ``_CHUNK_TUPLES`` kernel tuples, which bounds memory for any number of
-    trials: every measure is padded to 5 atoms with zero-weight copies of
-    its first atom, so the n + 1 energies of every trial in a chunk come
-    from one dense tuple grid and one weighted contraction.  A padded
-    tuple repeats a tuple the unpadded sum already contains, so the kernel
-    is finite there, and its weight 0 leaves each energy unchanged up to
-    summation order.
+    trials.  A block makes its trials' generator calls in that order,
+    straight into its arrays, and then normalises all their atoms, weights
+    and probes at once, with the bits of the per-measure arithmetic; a
+    drawn row of norm below 1e-12 (probability zero) is redrawn at the end
+    of the block's draws, so none reaches the kernel.  Every measure is
+    padded to 5 atoms with zero-weight copies of its first atom, so the
+    n + 1 energies of every trial in a block come from one dense tuple grid
+    and one weighted contraction.  A padded tuple repeats a tuple the
+    unpadded sum already contains, so the kernel is finite there, and its
+    weight 0 leaves each energy unchanged up to summation order.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    if d < 2:
-        raise ValueError(f"the inequality suite needs dimension d >= 2, got {d!r}")
+    _check_count("trials", trials, 1)
+    _check_count("dimension d", d, 2)
     n = kernel.arity
     if n > _MAX_EXACT_ARITY:
         raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
@@ -477,9 +553,8 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
     worst = dict.fromkeys(("am", "gm", "lower", "diagonal"), -np.inf)
     bad = dict.fromkeys(worst, 0)
     gm_trials = 0
-    chunk = _trials_per_chunk(n)
-    for start in range(0, trials, chunk):
-        atoms, weights, probes = _draw_trials(rng, min(chunk, trials - start), n, d)
+    for count in _blocks(trials, (n + 1) * _MAX_ATOMS**n):
+        atoms, weights, probes = _draw_trials(rng, count, n, d)
         energies = _trial_energies(kernel, atoms, weights)
         singles, mixed = energies[:, :n], energies[:, n]
         mean = singles.mean(axis=1)
@@ -515,32 +590,34 @@ def shift_equivalence_battery(kernel: Kernel, d: int, *, trials: int = 10,
     its shift at the anchor e_1 on shared point sets containing the anchor.
 
     Returns per-trial minimum eigenvalues of both matrices plus agreement
-    counts (sign agreement up to a scale-relative tolerance band).
+    counts (sign agreement up to a scale-relative tolerance band).  Trials
+    run in blocks as in :func:`pd_test_2input`: one (trials, set_size - 1,
+    d) draw, the same generator stream as one draw per trial, then one
+    stack of matrices and one stacked ``eigh`` per kernel.
     """
     if kernel.arity != 2:
         raise ValueError("the shift battery applies to two-input kernels")
+    _check_count("dimension d", d, 2)
+    _check_count("trials", trials, 1)
+    _check_count("set_size", set_size, 2)
     x0 = basis_vector(0, d)
     shifted = cpd_shift(kernel, x0)
     rng = np.random.default_rng(seed)
     agree = disagree = borderline = 0
     pairs = []
-    for _ in range(trials):
-        pts = np.vstack([x0[None, :], _random_directions(rng, (set_size - 1, d))])
+    for count in _blocks(trials, set_size**2):
+        pts = _random_sets(rng, count, x0[None, :], set_size)
         mat_g = _kernel_matrix(kernel, pts)
         mat_p = _kernel_matrix(shifted, pts)
         lam_c, _ = _matrix_min_eig(mat_g, conditional=True)
         lam_p, _ = _matrix_min_eig(mat_p, conditional=False)
         tol_c, tol_p = _eigen_tol(mat_g), _eigen_tol(mat_p)
-        neg_c = lam_c < -tol_c
-        neg_p = lam_p < -tol_p
-        near_zero = abs(lam_c) <= 5 * tol_c or abs(lam_p) <= 5 * tol_p
-        if neg_c == neg_p:
-            agree += 1
-        elif near_zero:
-            borderline += 1
-        else:
-            disagree += 1
-        pairs.append((lam_c, lam_p))
+        same = (lam_c < -tol_c) == (lam_p < -tol_p)
+        near_zero = (np.abs(lam_c) <= 5 * tol_c) | (np.abs(lam_p) <= 5 * tol_p)
+        agree += int(same.sum())
+        borderline += int((~same & near_zero).sum())
+        disagree += int((~same & ~near_zero).sum())
+        pairs += zip(lam_c.tolist(), lam_p.tolist())
     return {
         "trials": trials,
         "agreements": agree,

@@ -211,14 +211,20 @@ def _random_directions(rng, shape) -> np.ndarray:
     pairwise blocks change the order, and the reduce stays.  Below
     ``_COLUMN_ROWS`` rows the single reduce is the cheaper of the two.
     """
-    pts = rng.standard_normal(shape)
+    return _normalize_rows(rng, rng.standard_normal(shape))
+
+
+def _normalize_rows(rng, pts: np.ndarray) -> np.ndarray:
+    """Divide the rows (last axis) of Gaussian draws ``pts`` by their norms,
+    in place.  A row of norm below 1e-12 (probability zero, but it would
+    poison the division) is first replaced by a fresh standard-normal row;
+    all such rows are redrawn together, after every draw that made ``pts``."""
     while True:
         norms = np.sqrt(_squared_norms(pts))
-        # a zero-norm draw has probability zero but would poison the division
         if norms.min(initial=1.0) >= 1e-12:
             return np.divide(pts, norms, out=pts)
         bad = norms[..., 0] < 1e-12
-        pts[bad] = rng.standard_normal((int(bad.sum()), shape[-1]))
+        pts[bad] = rng.standard_normal((int(bad.sum()), pts.shape[-1]))
 
 
 def _squared_norms(pts: np.ndarray) -> np.ndarray:

@@ -138,6 +138,87 @@ def inequality_suite_loop(kernel, d, trials, seed, violation_tol=1e-10):
     }
 
 
+def _min_eig(mat, conditional):
+    """Smallest (sum-zero-restricted) eigenvalue of one matrix and its
+    coefficient vector, from one ``eigh``."""
+    from multipot.certify import _balanced_basis
+
+    if conditional:
+        basis = _balanced_basis(mat.shape[0])
+        restricted = basis.T @ mat @ basis
+        vals, vecs = np.linalg.eigh(0.5 * (restricted + restricted.T))
+        return float(vals[0]), basis @ vecs[:, 0]
+    vals, vecs = np.linalg.eigh(mat)
+    return float(vals[0]), vecs[:, 0]
+
+
+def _matrix_tol(mat):
+    from multipot.config import EIGENVALUE_TOL
+
+    return EIGENVALUE_TOL * max(float(np.max(np.abs(mat))), 1e-12)
+
+
+def pd_test_loop(kernel, d, conditional=False, trials=20, set_size=20, seed=0, tol=None,
+                 include_points=None):
+    """``pd_test_2input`` one trial at a time: per trial one
+    ``_random_directions`` draw of the set's random points, one
+    ``_kernel_matrix`` and one ``eigh``.  Returns the outcome, the trial
+    count, the least eigenvalue and the witness as (atoms, weights, energy)
+    or None."""
+    from multipot.certify import _kernel_matrix
+    from multipot.geometry import _random_directions
+
+    fixed = np.zeros((0, d)) if include_points is None else np.atleast_2d(include_points)
+    rng = np.random.default_rng(seed)
+    min_eig, witness = np.inf, None
+    for _ in range(trials):
+        pts = np.vstack([fixed, _random_directions(rng, (set_size - len(fixed), d))])
+        mat = _kernel_matrix(kernel, pts)
+        tol_eff = _matrix_tol(mat) if tol is None else tol
+        lam, coeffs = _min_eig(mat, conditional)
+        min_eig = min(min_eig, lam)
+        if lam < -tol_eff and witness is None:
+            keep = np.abs(coeffs) >= 1e-12
+            if keep.sum() < 2:
+                keep = np.abs(coeffs) > 0
+            c = coeffs[keep]
+            if conditional:
+                c = c - c.sum() / c.size
+            energy = float(c @ mat[np.ix_(keep, keep)] @ c)
+            if energy < -tol_eff:
+                witness = (pts[keep], c, energy)
+    outcome = "fail" if witness is not None else "pass_statistical"
+    return outcome, trials, float(min_eig), witness
+
+
+def shift_battery_loop(kernel, d, trials=10, set_size=12, seed=0):
+    """``shift_equivalence_battery`` one trial at a time: per trial one
+    draw, one ``_kernel_matrix`` and one ``eigh`` for the kernel and for its
+    shift at e_1."""
+    from multipot import basis_vector, cpd_shift
+    from multipot.certify import _kernel_matrix
+    from multipot.geometry import _random_directions
+
+    x0 = basis_vector(0, d)
+    shifted = cpd_shift(kernel, x0)
+    rng = np.random.default_rng(seed)
+    counts = {"agreements": 0, "borderline": 0, "disagreements": 0}
+    pairs = []
+    for _ in range(trials):
+        pts = np.vstack([x0[None, :], _random_directions(rng, (set_size - 1, d))])
+        mat_g, mat_p = _kernel_matrix(kernel, pts), _kernel_matrix(shifted, pts)
+        (lam_c, _), (lam_p, _) = _min_eig(mat_g, True), _min_eig(mat_p, False)
+        tol_c, tol_p = _matrix_tol(mat_g), _matrix_tol(mat_p)
+        if (lam_c < -tol_c) == (lam_p < -tol_p):
+            counts["agreements"] += 1
+        elif abs(lam_c) <= 5 * tol_c or abs(lam_p) <= 5 * tol_p:
+            counts["borderline"] += 1
+        else:
+            counts["disagreements"] += 1
+        pairs.append((lam_c, lam_p))
+    return {"trials": trials, **counts, "eigenvalue_pairs": pairs}
+
+
 # --- derived kernels, from the base kernels' own single-tuple values ----------
 
 

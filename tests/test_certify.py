@@ -9,6 +9,7 @@ from multipot import (
     area2,
     basis_vector,
     convexity_probe,
+    cpd_shift,
     inequality_suite,
     inner,
     frame2,
@@ -33,16 +34,25 @@ from multipot import (
     uvt,
     vol2,
 )
+from multipot import certify
 from multipot.certify import (
+    _MAX_ATOMS,
     _balanced_basis,
+    _blocks,
     _dense_spread,
+    _draw_trials,
     _kernel_matrix,
     _matrix_min_eig,
     _moment_spread,
     _potential_stderr,
-    _trials_per_chunk,
 )
-from oracles import inequality_suite_loop, potential_mixture, potential_stderr_loop
+from oracles import (
+    inequality_suite_loop,
+    pd_test_loop,
+    potential_mixture,
+    potential_stderr_loop,
+    shift_battery_loop,
+)
 
 E1, E2, E3 = (basis_vector(i, 3) for i in range(3))
 
@@ -425,9 +435,9 @@ _SUITE_KERNELS = {
 @pytest.mark.parametrize("name", sorted(_SUITE_KERNELS))
 def test_inequality_suite_matches_trial_loop(name):
     # the batched suite against the one-trial-at-a-time oracle, across
-    # chunk boundaries: counts exactly, residuals up to summation order
+    # block boundaries: counts exactly, residuals up to summation order
     kernel = _SUITE_KERNELS[name]()
-    chunk = _trials_per_chunk(kernel.arity)
+    chunk = _blocks(10_000, (kernel.arity + 1) * _MAX_ATOMS**kernel.arity)[0]
     for trials in sorted({1, max(chunk - 1, 1), chunk + 1, 200}):
         seed = 300 + trials
         got = inequality_suite(kernel, 3, trials=trials, seed=seed).as_dict()
@@ -450,29 +460,206 @@ def test_inequality_suite_validation():
 
 
 def test_dimension_and_grid_checks_name_the_value(capsys):
-    # (library call, the value its message names, the CLI arguments that
+    # (library call, the text its message ends with, the CLI arguments that
     # pass the same value; None where argparse cannot)
     from multipot.cli import main
 
     mu = _random_probability(3, 3, 12)
+    pdtest = ["pdtest", "--kernel", "inner", "--d", "3"]
+    npdtest = ["pdtest", "--kernel", "s011", "--d", "3"]
     table = [
-        (lambda: inequality_suite(uvt(), 1, trials=2), "1",
+        (lambda: inequality_suite(uvt(), 1, trials=2), "got 1",
          ["inequalities", "--kernel", "uvt", "--d", "1", "--trials", "2"]),
-        (lambda: inequality_suite(area2(), 0, trials=2), "0",
+        (lambda: inequality_suite(area2(), 0, trials=2), "got 0",
          ["inequalities", "--kernel", "area2", "--d", "0", "--trials", "2"]),
-        (lambda: inequality_suite(inner(), -3, trials=2), "-3",
+        (lambda: inequality_suite(inner(), -3, trials=2), "got -3",
          ["inequalities", "--kernel", "inner", "--d", "-3", "--trials", "2"]),
-        (lambda: convexity_probe(area2(), mu, mu, grid=1), "1", None),
-        (lambda: convexity_probe(area2(), mu, mu, grid=0), "0", None),
-        (lambda: convexity_probe(area2(), mu, mu, grid=-2), "-2", None),
+        (lambda: inequality_suite(uvt(), 3, trials=2.5), "got 2.5", None),
+        (lambda: convexity_probe(area2(), mu, mu, grid=1), "got 1", None),
+        (lambda: convexity_probe(area2(), mu, mu, grid=0), "got 0", None),
+        (lambda: convexity_probe(area2(), mu, mu, grid=-2), "got -2", None),
+        (lambda: pd_test_2input(inner(), 0), "got 0", ["pdtest", "--kernel", "inner", "--d", "0"]),
+        (lambda: pd_test_2input(inner(), 1), "got 1", ["pdtest", "--kernel", "inner", "--d", "1"]),
+        (lambda: pd_test_2input(inner(), 3, trials=0), "got 0", pdtest + ["--trials", "0"]),
+        (lambda: pd_test_2input(inner(), 3, trials=2.5), "got 2.5", None),
+        (lambda: pd_test_2input(inner(), 3, trials=True), "got True", None),
+        (lambda: pd_test_2input(inner(), 3, set_size=1), "got 1", pdtest + ["--set-size", "1"]),
+        (lambda: pd_test_2input(inner(), 3, tol=np.nan), "got nan", pdtest + ["--tol", "nan"]),
+        (lambda: pd_test_2input(inner(), 3, tol=np.inf), "got inf", pdtest + ["--tol", "inf"]),
+        (lambda: pd_test_2input(inner(), 3, tol=-1e-3), "got -0.001", pdtest + ["--tol", "-1e-3"]),
+        (lambda: pd_test_2input(inner(), 3, include_points=[[np.nan, 0.0, 0.0]]),
+         "|norm - 1| = nan at row 0", None),
+        (lambda: pd_test_2input(inner(), 3, include_points=[E1, [2.0, 0.0, 0.0]]),
+         "|norm - 1| = 1.000e+00 at row 1", None),
+        (lambda: pd_test_2input(inner(), 3, include_points=[[1.0, 0.0]]), "got shape (1, 2)", None),
+        (lambda: npd_test(s011(), 3, tol=np.nan), "got nan", npdtest + ["--tol", "nan"]),
+        (lambda: npd_test(s011(), 3, tol=np.inf), "got inf", npdtest + ["--tol", "inf"]),
+        (lambda: npd_test(s011(), 0), "got 0", ["pdtest", "--kernel", "s011", "--d", "0"]),
+        (lambda: npd_test(s011(), 3, pin_trials=0), "got 0", npdtest + ["--trials", "0"]),
+        (lambda: npd_test(s011(), 3, inner_trials=0), "got 0", npdtest + ["--inner-trials", "0"]),
+        (lambda: npd_test(s011(), 3, set_size=1), "got 1", npdtest + ["--set-size", "1"]),
+        (lambda: shift_equivalence_battery(inner(), 1), "got 1", None),
+        (lambda: shift_equivalence_battery(inner(), 3, set_size=1), "got 1", None),
+        (lambda: shift_equivalence_battery(inner(), 3, trials=0), "got 0", None),
+        (lambda: shift_equivalence_battery(inner(), 3, trials=1.0), "got 1.0", None),
     ]
-    for call, value, argv in table:
-        with pytest.raises(ValueError, match=re.escape(f"got {value}") + "$"):
+    for call, tail, argv in table:
+        with pytest.raises(ValueError, match=re.escape(tail) + "$"):
             call()
         if argv is not None:
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
             assert exit_info.value.code == 64, argv
-            assert "worst" not in capsys.readouterr().out
+            assert capsys.readouterr().out == "", argv
     assert inequality_suite(uvt(), 2, trials=2).trials == 2
     assert len(convexity_probe(area2(), mu, mu, grid=2).mixture.coefficients) == 4
+    assert pd_test_2input(inner(), 2, trials=np.int64(1), set_size=2, tol=0.0).trials_run == 1
+    assert pd_test_2input(inner(), 3, trials=1, set_size=2, include_points=[E1, E2]).passed
+    assert shift_equivalence_battery(inner(), 2, trials=1, set_size=2)["trials"] == 1
+
+
+# --- batched batteries: the same generator calls, evaluated a block at a time ----------
+
+
+def _verdict_bits(verdict):
+    w = verdict.witness
+    witness = None if w is None else (
+        w.measure.atoms.tobytes(), w.measure.weights.tobytes(), w.energy.hex())
+    return verdict.outcome, verdict.trials_run, verdict.min_eigenvalue_seen.hex(), witness
+
+
+def _loop_bits(outcome, trials, min_eig, witness):
+    if witness is not None:
+        atoms, weights, energy = witness
+        witness = (atoms.tobytes(), weights.tobytes(), energy.hex())
+    return outcome, trials, min_eig.hex(), witness
+
+
+def _shift_bits(result):
+    pairs = [(a.hex(), b.hex()) for a, b in result["eigenvalue_pairs"]]
+    return {**result, "eigenvalue_pairs": pairs}
+
+
+_BATTERY_KERNELS = {
+    "inner": lambda d: inner(),
+    "-riesz(1)": lambda d: -riesz(1.0),
+    "riesz(1)": lambda d: riesz(1.0),
+    "pin(neg_vol2,e1)": lambda d: pin(neg_vol2(), basis_vector(0, d)),
+    "pin(s011,e1)": lambda d: pin(s011(), basis_vector(0, d)),
+    "cpd_shift(-riesz(1),e2)": lambda d: cpd_shift(-riesz(1.0), basis_vector(1, d)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATTERY_KERNELS))
+@pytest.mark.parametrize("conditional", [False, True])
+def test_pd_test_matches_trial_loop_bitwise(name, conditional):
+    # set_size 12 runs 56 trials a block and set_size 40 five, so the trial
+    # counts below span one, two and three blocks
+    for d, trials, set_size, include, tol in [
+        (3, 5, 12, None, None), (3, 70, 12, None, None), (2, 12, 40, None, None),
+        (5, 60, 12, [basis_vector(0, 5), basis_vector(1, 5)], None),
+        (3, 11, 40, [E2, E3], None), (3, 8, 10, [E1], 1e-6),
+    ]:
+        kernel = _BATTERY_KERNELS[name](d)
+        seed = 11 * trials + set_size
+        got = pd_test_2input(kernel, d, conditional=conditional, trials=trials,
+                             set_size=set_size, seed=seed, tol=tol, include_points=include)
+        assert got.witness is None or got.witness.pins == ()
+        want = pd_test_loop(kernel, d, conditional, trials, set_size, seed, tol, include)
+        assert _verdict_bits(got) == _loop_bits(*want), (d, trials, set_size)
+
+
+@pytest.mark.parametrize("name", sorted(_BATTERY_KERNELS))
+def test_shift_battery_matches_trial_loop_bitwise(name):
+    for d, trials, set_size in [(3, 8, 10), (3, 70, 12), (4, 9, 40)]:
+        kernel = _BATTERY_KERNELS[name](d)
+        got = shift_equivalence_battery(kernel, d, trials=trials, set_size=set_size, seed=trials)
+        want = shift_battery_loop(kernel, d, trials, set_size, trials)
+        assert _shift_bits(got) == _shift_bits(want), (d, trials, set_size)
+
+
+def test_block_size_changes_no_bit(monkeypatch):
+    def run():
+        return (
+            [repr(inequality_suite(kernel, d, trials=19, seed=d).as_dict())
+             for kernel in (uvt(), s100(), sum_lift(inner(), 4)) for d in (2, 3, 9)],
+            [_verdict_bits(v) for v in (
+                pd_test_2input(-riesz(1.0), 3, trials=9, set_size=7, seed=1),
+                pd_test_2input(pin(s011(), E1), 3, conditional=True, trials=9, set_size=7, seed=2),
+                npd_test(neg_area2(), 3, conditional=True, pin_trials=2, inner_trials=5,
+                         set_size=8, seed=3))],
+            _shift_bits(shift_equivalence_battery(frame2(), 3, trials=9, set_size=7, seed=4)),
+        )
+
+    results = []
+    for chunk in (1, 100, 1 << 20):
+        monkeypatch.setattr(certify, "_CHUNK_TUPLES", chunk)
+        results.append(run())
+    assert results[0] == results[1] == results[2]
+
+
+class _ZeroFirstNormalRow:
+    """A seeded generator whose first standard-normal draw has a zero first
+    row; records the shapes of its standard-normal draws."""
+
+    def __init__(self, seed=0):
+        self._rng = np.random.default_rng(seed)
+        self.normal_shapes = []
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs)
+
+    def standard_normal(self, size=None, out=None):
+        out = self._rng.standard_normal(size, out=out)
+        if not self.normal_shapes:
+            out.reshape(-1, out.shape[-1])[0] = 0.0
+        self.normal_shapes.append(out.shape)
+        return out
+
+
+def _unit_rows_only(kernel, seen):
+    """``kernel``, with an evaluate_batch that fails on any input row that is
+    not a finite unit vector and appends the shape of each input to ``seen``."""
+    evaluate_batch = kernel.evaluate_batch
+
+    def checked(pts):
+        assert np.all(np.abs(np.linalg.norm(pts, axis=-1) - 1.0) <= 1e-12)
+        seen.append(pts.shape)
+        return evaluate_batch(pts)
+
+    kernel.evaluate_batch = checked
+    return kernel
+
+
+def test_zero_rows_are_redrawn_at_the_end_of_their_block(monkeypatch):
+    stub = _ZeroFirstNormalRow(5)
+    atoms, weights, probes = _draw_trials(stub, 2, 3, 4)
+    assert stub.normal_shapes[-1] == (1, 4)
+    assert len(stub.normal_shapes) == 2 * 4 + 1
+    np.testing.assert_allclose(np.linalg.norm(atoms, axis=-1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(probes, axis=-1), 1.0, rtol=0, atol=1e-15)
+    padded = weights[0, 0] == 0.0
+    assert np.all(atoms[0, 0, padded] == atoms[0, 0, 0])
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
+    # the first random row of each battery is zero; it must be redrawn once,
+    # after the block's draws, before any kernel sees it
+    seen = []
+    runs = [
+        lambda: [inequality_suite(_unit_rows_only(uvt(), seen), 3, trials=3).am_worst],
+        lambda: [pd_test_2input(_unit_rows_only(inner(), seen), 3, trials=3,
+                                set_size=6).min_eigenvalue_seen],
+        lambda: shift_equivalence_battery(_unit_rows_only(-riesz(1.0), seen), 3, trials=3,
+                                          set_size=6)["eigenvalue_pairs"],
+    ]
+    for run in runs:
+        stub = _ZeroFirstNormalRow()
+        monkeypatch.setattr(certify.np.random, "default_rng", lambda seed=None: stub)
+        seen.clear()
+        values = run()
+        assert seen
+        assert stub.normal_shapes[-1] == (1, 3) and stub.normal_shapes.count((1, 3)) == 1
+        assert np.all(np.isfinite(values))
