@@ -9,13 +9,15 @@ can be recomputed independently.
 
 The randomized batteries (:func:`pd_test_2input`, :func:`npd_test`,
 :func:`shift_equivalence_battery`, :func:`inequality_suite`) run their
-trials in blocks of about ``_CHUNK_TUPLES`` kernel tuples.  A block makes
-the same generator calls, in the same order, as one trial at a time would,
-so a seed fixes every report whatever the block size; the block is then
-normalised, evaluated and decomposed in one pass (one kernel evaluation,
-one stacked ``eigh``).  The one exception has probability zero: a drawn
-row of norm below 1e-12 is redrawn at the end of its block's draws rather
-than at once, so no such row ever reaches a kernel.
+trials in blocks of at most ``_CHUNK_TUPLES`` kernel tuples (one trial
+at least), cut by the energy module's block rule and laid out by its
+grid builder.  A block makes the same generator calls, in the same order,
+as one trial at a time would, so a seed fixes every report whatever the
+block size; the block is then normalised, evaluated and decomposed in
+one pass (one kernel evaluation, one stacked ``eigh``).  The one
+exception has probability zero: a drawn row of norm below 1e-12 is
+redrawn at the end of its block's draws rather than at once, so no such
+row ever reaches a kernel.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import numpy as np
 from .config import EIGENVALUE_TOL, RESIDUAL_TOL
 from .geometry import (
     DiscreteMeasure,
+    _check_count,
     _check_on_sphere,
     _normalize_rows,
     _random_directions,
@@ -34,14 +37,15 @@ from .geometry import (
 )
 from .kernels import Kernel, cpd_shift, pin
 from .energy import (
-    _BLOCK_TUPLES,
     _MAX_EXACT_ARITY,
     _WORK_LIMIT,
     _features,
+    _grid,
+    _grid_values,
     _layout,
     _open_slot,
     _program,
-    _tuple_blocks,
+    _spans,
     MixturePolynomial,
     mixture_polynomial,
     potential,
@@ -100,11 +104,7 @@ def _balanced_basis(m: int) -> np.ndarray:
 def _kernel_matrix(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
     """Symmetrised kernel matrices K(p_i, p_j) of point sets (..., m, d):
     (..., m, m), from one kernel evaluation."""
-    m = pts.shape[-2]
-    pairs = np.empty(pts.shape[:-1] + (m, 2, pts.shape[-1]))
-    pairs[..., 0, :] = pts[..., :, None, :]
-    pairs[..., 1, :] = pts[..., None, :, :]
-    mat = kernel.evaluate_batch(pairs)
+    mat = kernel.evaluate_batch(_grid([pts, pts]))
     return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
@@ -144,26 +144,9 @@ def _build_witness(pts, coeffs, mat, conditional) -> Witness:
     return Witness((), DiscreteMeasure(pts[keep], c), float(c @ sub @ c))
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Reject, naming the value, a count that is not an integer or is below
-    ``least``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"need {name} >= {least}, got {value!r}")
-
-
 def _check_tol(tol) -> None:
     if tol is not None and not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-
-
-def _blocks(trials: int, tuples_per_trial: int) -> list:
-    """Sizes of consecutive blocks of ``trials`` whose kernel evaluations
-    hold about ``_CHUNK_TUPLES`` tuples (at least one trial each), so a
-    battery's memory stays bounded for any number of trials."""
-    step = max(1, _CHUNK_TUPLES // tuples_per_trial)
-    return [min(step, trials - start) for start in range(0, trials, step)]
 
 
 def _random_sets(rng, count: int, fixed: np.ndarray, m: int) -> np.ndarray:
@@ -218,11 +201,11 @@ def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
     mode = "conditional" if conditional else "pd"
     min_eig = np.inf
     witness = None
-    for count in _blocks(trials, set_size**2):
-        pts = _random_sets(rng, count, fixed, set_size)
+    for start, stop in _spans(trials, set_size**2, _CHUNK_TUPLES):
+        pts = _random_sets(rng, stop - start, fixed, set_size)
         mats = _kernel_matrix(kernel, pts)
         lams, coeffs = _matrix_min_eig(mats, conditional)
-        tols = _eigen_tol(mats) if tol is None else np.full(count, float(tol))
+        tols = _eigen_tol(mats) if tol is None else np.full(len(pts), float(tol))
         min_eig = min(min_eig, float(lams.min()))
         if witness is None:
             for t in np.flatnonzero(lams < -tols):
@@ -387,24 +370,24 @@ def _moment_spread(poly, mu: DiscreteMeasure, test_points: np.ndarray) -> np.nda
     phi = _features(poly, test_points)
     abar = _open_slot(poly, [mu, mu])
     zeta = np.zeros(phi.shape[0])
-    step = max(1, _BLOCK_TUPLES // max(phi.shape))
-    for start in range(0, mu.n_atoms, step):
-        a = _open_slot(poly, [mu], mu.atoms[start:start + step, None, :]) - abar
-        zeta += (phi @ a.T) ** 2 @ mu.weights[start:start + step]
+    for start, stop in _spans(mu.n_atoms, max(phi.shape)):
+        a = _open_slot(poly, [mu], mu.atoms[start:stop, None, :]) - abar
+        zeta += (phi @ a.T) ** 2 @ mu.weights[start:stop]
     return zeta
 
 
 def _dense_spread(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarray) -> np.ndarray:
-    """zeta at each test point from the dense rows r_j(x), taken for all test
-    points in blocks of kernel values; raises if they need more than the
-    work limit of |test points| * M^2 values."""
+    """zeta at each test point from the dense rows r_j(x), one einsum per span
+    of whole test points; raises if they need more than the work limit of
+    |test points| * M^2 values."""
     m, w = mu.n_atoms, mu.weights
     if len(test_points) * m * m > _WORK_LIMIT:
         raise ValueError(f"the noise estimate of a {m}-atom measure at {len(test_points)} "
                          f"test points needs more than {_WORK_LIMIT} kernel values")
     rows = np.empty((len(test_points), m))
-    for start, stop, grid in _tuple_blocks([test_points, mu.atoms, mu.atoms]):
-        rows[start:stop] = np.einsum("pkj,k->pj", kernel.evaluate_batch(grid), w)
+    for start, stop in _spans(len(test_points), m * m):
+        vals = _grid_values(kernel.evaluate_batch, [test_points[start:stop], mu.atoms, mu.atoms])
+        rows[start:stop] = np.einsum("pkj,k->pj", vals, w)
     return (rows - (rows @ w)[:, None]) ** 2 @ w
 
 
@@ -494,16 +477,11 @@ def _draw_trials(rng, count: int, n: int, d: int):
 def _trial_energies(kernel: Kernel, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per trial, the single energies I(mu_s) and then the mixed energy
     I(mu_1, ..., mu_n): (count, n + 1), from one dense tuple grid."""
-    count, n, k, d = atoms.shape
+    n = atoms.shape[1]
     # energy m puts measure src[m, j] in slot j: m itself for the singles,
     # j for the mixed energy
     src = np.vstack([np.repeat(np.arange(n)[:, None], n, axis=1), np.arange(n)])
-    grid = np.empty((count, n + 1) + (k,) * n + (n, d))
-    for j in range(n):
-        shape = [count, n + 1] + [1] * n + [d]
-        shape[2 + j] = k
-        grid[..., j, :] = atoms[:, src[:, j]].reshape(shape)
-    vals = kernel.evaluate_batch(grid)
+    vals = kernel.evaluate_batch(_grid([atoms[:, src[:, j]] for j in range(n)]))
     letters = string.ascii_lowercase[:n]
     spec = "XY" + letters + "," + ",".join("XY" + c for c in letters) + "->XY"
     return np.einsum(spec, vals, *[weights[:, src[:, j]] for j in range(n)])
@@ -553,8 +531,8 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
     worst = dict.fromkeys(("am", "gm", "lower", "diagonal"), -np.inf)
     bad = dict.fromkeys(worst, 0)
     gm_trials = 0
-    for count in _blocks(trials, (n + 1) * _MAX_ATOMS**n):
-        atoms, weights, probes = _draw_trials(rng, count, n, d)
+    for start, stop in _spans(trials, (n + 1) * _MAX_ATOMS**n, _CHUNK_TUPLES):
+        atoms, weights, probes = _draw_trials(rng, stop - start, n, d)
         energies = _trial_energies(kernel, atoms, weights)
         singles, mixed = energies[:, :n], energies[:, n]
         mean = singles.mean(axis=1)
@@ -605,8 +583,8 @@ def shift_equivalence_battery(kernel: Kernel, d: int, *, trials: int = 10,
     rng = np.random.default_rng(seed)
     agree = disagree = borderline = 0
     pairs = []
-    for count in _blocks(trials, set_size**2):
-        pts = _random_sets(rng, count, x0[None, :], set_size)
+    for start, stop in _spans(trials, set_size**2, _CHUNK_TUPLES):
+        pts = _random_sets(rng, stop - start, x0[None, :], set_size)
         mat_g = _kernel_matrix(kernel, pts)
         mat_p = _kernel_matrix(shifted, pts)
         lam_c, _ = _matrix_min_eig(mat_g, conditional=True)

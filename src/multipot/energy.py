@@ -3,8 +3,12 @@
 Exact energies of atomic measures are weighted sums of kernel values over
 all atom tuples.  Two routes compute them:
 
-* the dense route enumerates the tuples (chunked to bound memory).  It
-  serves every kernel and is the reference for the other route;
+* the dense route enumerates the tuples.  It serves every kernel and is
+  the reference for the other route.  One builder, :func:`_grid`, lays out
+  every tuple grid, and one block rule, :func:`_spans`, cuts each into
+  blocks of at most ``_BLOCK_TUPLES`` tuples whatever its shape (a one-atom
+  slot, one query, a stack).  Sums run as over the whole grid, so no block
+  boundary moves a bit;
 * the power-moment route serves pair-polynomial kernels.  A monomial
   prod <x_a, x_b>^e factors through tensor powers: an integrated slot
   becomes the moment tensor M_E = sum_i w_i x_i^{(x)E} (anchor factors
@@ -29,13 +33,13 @@ all atom tuples.  Two routes compute them:
   program are resolved before its first step, not on every call.
 
 A stack (B, N, d) of configurations in place of one (N, d) gets B energies
-or gradients from one set of contractions, each with the bits it gets
-alone; on the dense route, B energies from tuple grids of several
+or gradients from one set of contractions, each with the bits it gets alone;
+on the dense route, B energies and gradients from tuple grids of several
 configurations per kernel call.  One rule, :func:`_moment_size`, picks the
 route for every energy, potential and gradient: the moment route runs when
 the arrays it builds hold no more entries than the dense route reads (per
-tuple: the points, their pair products and one value per monomial).
-Neither route takes on more than ``_WORK_LIMIT`` tuples or entries.
+tuple: the points, their pair products and one value per monomial).  Neither
+route takes on more than ``_WORK_LIMIT`` tuples or entries.
 """
 from __future__ import annotations
 
@@ -47,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiscreteMeasure, PointConfiguration, _check_on_sphere, _random_directions
+from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _check_on_sphere,
+                       _random_directions)
 from .kernels import Kernel
 
 __all__ = [
@@ -63,7 +68,8 @@ __all__ = [
 
 _MAX_EXACT_ARITY = 4
 _WORK_LIMIT = 20_000_000               # dense tuples, or moment-route array entries
-_BLOCK_TUPLES = 2_000_000              # tuples per dense grid, which bounds its memory
+_BLOCK_TUPLES = 2_000_000              # tuples per dense grid block: bounds every grid's memory
+_SAMPLE_POINTS = 200_000               # points per Monte-Carlo chunk: a few MiB at small d
 _LETTERS = string.ascii_letters[:-2]   # one per unit exponent
 _BATCH = string.ascii_letters[-2]      # the index of a stack of configurations
 _QUERY = string.ascii_letters[-1]      # the query index of free slots
@@ -87,70 +93,101 @@ class EnergyEstimate:
         return {"value": self.value, "stderr": self.stderr, "samples_used": self.samples_used}
 
 
-# --- dense tuple enumeration ---------------------------------------------------
+# --- dense tuple grids -----------------------------------------------------------
 
 
-def _tuple_blocks(arrays: list[np.ndarray]):
-    """The product grid of the point arrays in blocks along the first one:
-    yields (start, stop, pts) with pts of shape (stop-start, n_2, ..., k, d)."""
-    sizes = [a.shape[0] for a in arrays]
-    n, d = len(arrays), arrays[0].shape[1]
-    chunk = max(1, _BLOCK_TUPLES // max(math.prod(sizes[1:]), 1))
-    for start in range(0, sizes[0], chunk):
-        stop = min(sizes[0], start + chunk)
-        pts = np.empty((stop - start, *sizes[1:], n, d))
-        for s, arr in enumerate(arrays):
-            seg = arr[start:stop] if s == 0 else arr
-            shape = [1] * n
-            shape[s] = seg.shape[0]
-            pts[..., s, :] = seg.reshape(tuple(shape) + (d,))
-        yield start, stop, pts
+def _spans(count: int, per: int, limit: int | None = None):
+    """The block rule: consecutive (start, stop) ranges over ``count`` items of
+    ``per`` tuples (or points) each, max(1, limit // per) items to a range;
+    ``limit`` defaults to ``_BLOCK_TUPLES``."""
+    step = max(1, (_BLOCK_TUPLES if limit is None else limit) // max(per, 1))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
 
 
-def _dense_mutual(kernel: Kernel, measures) -> float:
-    """Weighted sum of the kernel over every atom tuple, one measure per slot."""
-    vals = np.empty([m.atoms.shape[0] for m in measures])
-    for start, stop, pts in _tuple_blocks([m.atoms for m in measures]):
-        vals[start:stop] = kernel.evaluate_batch(pts)
-    letters = _LETTERS[: len(measures)]
-    spec = letters + "," + ",".join(letters) + "->"
-    return float(np.einsum(spec, vals, *[m.weights for m in measures]))
-
-
-def _stacked_grid(fixed, x: np.ndarray, arity: int) -> np.ndarray:
-    """The tuple grids of the configurations of a stack x (B, N, d) in ``arity``
-    slots after the atoms of the ``fixed`` measures, as one (B, sizes..., slots, d)
-    array."""
-    arrays = [m.atoms[None] for m in fixed] + [x] * arity
-    sizes, k, d = [a.shape[1] for a in arrays], len(arrays), x.shape[-1]
-    grid = np.empty((len(x), *sizes, k, d))
+def _grid(arrays) -> np.ndarray:
+    """The product grid of point arrays (..., n_s, d) whose leading axes
+    broadcast: (..., n_0, ..., n_{k-1}, k, d), slot s of tuple (i_0, ...,
+    i_{k-1}) holding arrays[s][..., i_s, :]."""
+    k, d = len(arrays), arrays[0].shape[-1]
+    grid = np.empty(_tuple_shape(arrays) + (k, d))
     for s, a in enumerate(arrays):
-        shape = [1] * k
-        shape[s] = sizes[s]
-        grid[..., s, :] = a.reshape((a.shape[0], *shape, d))
+        grid[..., s, :] = a.reshape(a.shape[:-2] + (1,) * s + a.shape[-2:-1]
+                                    + (1,) * (k - 1 - s) + (d,))
     return grid
+
+
+def _tuple_shape(arrays) -> tuple:
+    """The shape of the tuple index of the arrays' grid: leading axes, then slots."""
+    leads = {a.shape[:-2] for a in arrays}
+    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
+    return lead + tuple(a.shape[-2] for a in arrays)
+
+
+def _grid_blocks(arrays):
+    """The grid of the point arrays in blocks of at most ``_BLOCK_TUPLES``
+    tuples: the block rule along the outermost axis of the tuple index whose
+    trailing sub-grid fits, so each block is a contiguous range of the
+    C-ordered index.  Yields (index, grid), index being the block's slices of
+    the leading tuple axes (the others are whole)."""
+    shape = _tuple_shape(arrays)
+    if math.prod(shape) <= _BLOCK_TUPLES:
+        yield (), _grid(arrays)
+        return
+    lead = len(shape) - len(arrays)
+    arrays = [np.broadcast_to(a, shape[:lead] + a.shape[-2:]) for a in arrays]
+    axis = next(a for a in range(len(shape)) if math.prod(shape[a + 1:]) <= _BLOCK_TUPLES)
+    for outer in np.ndindex(*shape[:axis]):
+        for start, stop in _spans(shape[axis], math.prod(shape[axis + 1:])):
+            index = (*(slice(i, i + 1) for i in outer), slice(start, stop))
+            yield index, _grid([a[index[:lead] + index[lead + s:lead + s + 1]]
+                                for s, a in enumerate(arrays)])
+
+
+def _grid_values(batch, arrays) -> np.ndarray:
+    """``batch`` (a kernel's ``evaluate_batch``, or any map from a grid to one
+    value or array per tuple) over the grid of the point arrays, block by
+    block: shaped like the tuple index, plus the trailing axes ``batch`` gives."""
+    out = None
+    for index, grid in _grid_blocks(arrays):
+        vals = batch(grid)
+        if not index:       # the whole grid in one block
+            return vals
+        if out is None:
+            out = np.empty(_tuple_shape(arrays) + vals.shape[grid.ndim - 2:])
+        out[index] = vals
+    return out
+
+
+def _dense_mutual(kernel: Kernel, slots):
+    """Weighted sum of the kernel over every atom tuple, one slot's atoms and
+    weights per kernel slot.  Atoms stacked as (B, N, d) give B sums, each
+    with the bits of its configuration alone: one einsum per configuration."""
+    vals = _grid_values(kernel.evaluate_batch, [s.atoms for s in slots])
+    letters, weights = _LETTERS[: len(slots)], [s.weights for s in slots]
+    spec = letters + "," + ",".join(letters) + "->"
+    lead, sizes = vals.shape[:vals.ndim - len(slots)], vals.shape[vals.ndim - len(slots):]
+    sums = np.array([np.einsum(spec, v, *weights) for v in vals.reshape((-1,) + sizes)])
+    return sums.reshape(lead) if lead else float(sums[0])
 
 
 def _dense_potential(batch, measures, queries: np.ndarray) -> np.ndarray:
     """Potential by a dense sum over the atom tuples (queries fill the last
-    slots), one tuple grid per block of queries.
+    slots), one einsum per span of whole queries.
 
     ``batch`` maps a grid of tuples to one value per tuple (a kernel's
     ``evaluate_batch``) or to one array per tuple, such as the gradient in
     the free slots; the result keeps those trailing axes per query.
     """
-    j, (count, r, d) = len(measures), queries.shape
-    sizes = [m.atoms.shape[0] for m in measures]
-    block = max(1, _BLOCK_TUPLES // max(math.prod(sizes), 1))
+    j, r = len(measures), queries.shape[1]
+    sizes = tuple(m.atoms.shape[0] for m in measures)
     spec = _QUERY + _LETTERS[:j] + "...," + ",".join(_LETTERS[:j]) + "->" + _QUERY + "..."
     out = []
-    for start in range(0, count, block):
-        q = queries[start:start + block]
-        grid = np.empty((q.shape[0], *sizes, j + r, d))
-        for s, m in enumerate(measures):
-            grid[..., s, :] = m.atoms.reshape((sizes[s],) + (1,) * (j - s - 1) + (d,))
-        grid[..., j:, :] = q.reshape((q.shape[0],) + (1,) * j + (r, d))
-        out.append(np.einsum(spec, batch(grid), *[m.weights for m in measures]))
+    for start, stop in _spans(len(queries), math.prod(sizes)):
+        vals = _grid_values(batch, [m.atoms for m in measures]
+                            + [queries[start:stop, t:t + 1] for t in range(r)])
+        vals = vals.reshape((stop - start,) + sizes + vals.shape[1 + j + r:])
+        out.append(np.einsum(spec, vals, *[m.weights for m in measures]))
     return np.concatenate(out)
 
 
@@ -307,11 +344,6 @@ def _moment_size(kernel: Kernel, slots, queries: int = 1) -> int | None:
     return None
 
 
-def _use_moments(kernel: Kernel, slots, queries: int = 1) -> bool:
-    """Whether the routing rule (:func:`_moment_size`) picks the moment route."""
-    return _moment_size(kernel, slots, queries) is not None
-
-
 def _powers(x: np.ndarray, keys) -> list:
     """Tensor powers x^{(x)e} of the rows of x (..., N, d) up to the top degree
     of the keys (e, anchor powers), as (..., d**e, N) arrays; power 0 (ones) is
@@ -462,7 +494,7 @@ def _sum(kernel: Kernel, slots, queries: np.ndarray | None = None):
     go through :func:`_bind`."""
     if isinstance(kernel, PotentialKernel):
         return _sum(kernel.base, kernel.measures + list(slots), queries)
-    if _use_moments(kernel, slots, 1 if queries is None else queries.shape[0]):
+    if _moment_size(kernel, slots, 1 if queries is None else queries.shape[0]) is not None:
         return _moment_sum(kernel.pair_poly, slots, queries)
     if queries is None:
         return _dense_mutual(kernel, slots)
@@ -482,7 +514,8 @@ def _bind(kernel: Kernel, pts: np.ndarray):
     pk = isinstance(kernel, PotentialKernel)
     base, fixed = (kernel.base, kernel.measures) if pk else (kernel, [])
     slots = fixed + [_Atoms(pts, weights)] * arity
-    if _use_moments(base, slots):
+    size = _moment_size(base, slots)
+    if size is not None:
         poly = base.pair_poly
         prog = _program(poly, _layout(slots))
 
@@ -491,36 +524,25 @@ def _bind(kernel: Kernel, pts: np.ndarray):
 
         def gradient(x):
             return _moment_gradient(poly, _Atoms(x, weights), fixed, prog)
-        return energy, gradient, _moment_size(base, slots)
-
-    tuples = math.prod(s.atoms.shape[-2] for s in slots)
-    letters = _LETTERS[:len(slots)]
-    spec = letters + "," + ",".join(letters) + "->"     # _dense_mutual's sum
-    slot_weights = [s.weights for s in slots]
+        return energy, gradient, size
 
     def energy(x):
-        if x.ndim == 2:
-            return _dense_mutual(base, fixed + [_Atoms(x, weights)] * arity)
-        if tuples > _BLOCK_TUPLES:
-            return np.array([energy(p) for p in x])
-        # the tuple grids of several configurations in one kernel call, each
-        # configuration's values summed as _dense_mutual sums them
-        per = _BLOCK_TUPLES // tuples
-        vals = np.concatenate([base.evaluate_batch(_stacked_grid(fixed, x[i:i + per], arity))
-                               for i in range(0, len(x), per)])
-        return np.array([np.einsum(spec, v, *slot_weights) for v in vals])
+        return _dense_mutual(base, fixed + [_Atoms(x, weights)] * arity)
 
     def gradient(x):
-        if x.ndim == 3:
-            return np.stack([gradient(p) for p in x])
-        grad = np.zeros_like(x)
-        for start, stop, grid in _tuple_blocks([x] * arity):
+        # per slot, a point's share sums the slot's gradient over the tuples holding
+        # it, in tuple order and on across blocks, so no block boundary moves a bit
+        lead, shares = x.ndim - 2, [np.zeros_like(x) for _ in range(arity)]
+        for index, grid in _grid_blocks([x] * arity):
             g = kernel.gradient_batch(grid)
-            for s in range(arity):     # slot 0 runs over this block's rows only
-                (grad[start:stop] if s == 0 else grad)[...] += g[..., s, :].sum(
-                    axis=tuple(a for a in range(arity) if a != s))
-        return grad / n**arity
-    return energy, gradient, tuples
+            for s, share in enumerate(shares):
+                part = np.moveaxis(g[..., s, :], lead + s, -2)
+                part = part.reshape(part.shape[:lead] + (-1,) + part.shape[-2:])
+                rows = index[:lead] + index[lead + s:lead + s + 1]
+                share[rows] = np.add.reduce(
+                    np.concatenate([share[rows][..., None, :, :], part], -3), -3)
+        return sum(shares) / n**arity
+    return energy, gradient, math.prod(s.atoms.shape[-2] for s in slots)
 
 
 def _points_energy(kernel: Kernel, pts: np.ndarray):
@@ -625,29 +647,21 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     deviations are taken about its own mean and merged by Chan, Golub &
     LeVeque (1979), so a large constant offset cannot cancel the variance.
     """
-    for name, value in (("dimension", d), ("tuples", tuples)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if tuples < 100:
-        raise ValueError(f"need at least 100 tuples, got {tuples}")
+    _check_count("dimension", d, 2)
+    _check_count("tuples", tuples, 100)
     n = kernel.arity
     rng = np.random.default_rng(seed)
-    chunk = max(1, 200_000 // n)     # points per chunk: a few MiB per array at small d
-    done = 0
     acc = 0.0
     m2 = 0.0        # sum of squared deviations from the running mean
-    while done < tuples:
-        count = min(chunk, tuples - done)
+    for done, stop in _spans(tuples, n, _SAMPLE_POINTS):
+        count = stop - done
         vals = kernel.evaluate_batch(_random_directions(rng, (count, n, d)))
         total = float(vals.sum())
         m2 += float(np.sum((vals - total / count) ** 2))
         if done:
             delta = total / count - acc / done
-            m2 += delta * delta * done * count / (done + count)
+            m2 += delta * delta * done * count / stop
         acc += total
-        done += count
     var = m2 / max(tuples - 1, 1)
     return EnergyEstimate(acc / tuples, math.sqrt(var / tuples), tuples, False)
 

@@ -69,6 +69,14 @@ def _check_on_sphere(points: np.ndarray, what: str) -> None:
                          f"|norm - 1| = {np.max(off):.3e} at row {row}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject, naming the value, a count that is no integer or is below ``least``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value!r}")
+
+
 def unit_vector(coords) -> np.ndarray:
     """Validate and return a point on S^{d-1} as a (d,) float array."""
     x = np.asarray(coords, dtype=float).reshape(-1)
@@ -187,10 +195,8 @@ def sample_sphere(d: int, m: int, seed: int) -> PointConfiguration:
     Standard Gaussian vectors normalized to unit length; with a fixed seed
     the output is bit-identical across runs.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if m < 1:
-        raise ValueError(f"sample count must be >= 1, got {m}")
+    _check_count("dimension d", d, 2)
+    _check_count("sample count m", m, 1)
     return PointConfiguration(_random_directions(np.random.default_rng(seed), (m, d)))
 
 

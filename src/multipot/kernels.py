@@ -33,6 +33,7 @@ import warnings
 import numpy as np
 
 from .config import GEOMETRIC_TOL
+from .geometry import _check_on_sphere
 
 __all__ = [
     "Kernel",
@@ -590,12 +591,14 @@ def pin(kernel: Kernel, pins) -> Kernel:
 
     With m pins, returns the (n-m)-input kernel
     (z_1,...,z_m fixed) -> K(z_1,...,z_m, x_1,...,x_{n-m}).
-    Requires 1 <= m <= n-2 so the result keeps at least two inputs.
+    Requires 1 <= m <= n-2 so the result keeps at least two inputs, and
+    pins on the unit sphere (the kernel itself accepts any finite point).
     """
     pins = np.atleast_2d(np.asarray(pins, dtype=float))
     m, n = pins.shape[0], kernel.arity
     if not 1 <= m <= n - 2:
         raise ValueError(f"pin count must satisfy 1 <= m <= arity-2, got {m} for arity {n}")
+    _check_on_sphere(pins, "pins")
     return _derived(f"pin({kernel.name})", n - m, "prod", [(1.0, kernel, [*pins, *range(n - m)])],
                     params=dict(kernel.params, pins=m))
 
@@ -604,11 +607,12 @@ def cpd_shift(kernel: Kernel, x0, variant: str = "standard") -> Kernel:
     """Anchor shift turning conditional positive definiteness into plain.
 
     standard: G(x,y) + G(x0,x0) - G(x,x0) - G(x0,y); the 'zero' variant
-    drops the diagonal constant and requires G(x0,x0) <= 0.
+    drops the diagonal constant and requires G(x0,x0) <= 0.  x0 must be a unit vector.
     """
     if kernel.arity != 2:
         raise ValueError("cpd_shift applies to two-input kernels")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
+    _check_on_sphere(x0, "the anchor x0")
     diag = kernel(x0, x0)
     if variant == "zero" and diag > 0:
         raise ValueError("zero-variant shift requires G(x0, x0) <= 0")

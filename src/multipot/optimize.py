@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DiscreteMeasure, PointConfiguration, sample_sphere
+from .geometry import DiscreteMeasure, PointConfiguration, _check_count, sample_sphere
 from .config import RESIDUAL_TOL
 from .kernels import Kernel
 from .energy import _WORK_LIMIT, MixturePolynomial, _bind, _points_energy, mixture_polynomial
@@ -72,10 +72,7 @@ class OptimizerConfig:
     stop_tol: float = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be nonnegative, got {self.steps!r}")
+        _check_count("steps", self.steps, 0)
         if not 0 < self.step_size < math.inf:
             raise ValueError(f"step size must be positive and finite, got {self.step_size!r}")
         if not self.stop_tol >= 0:
@@ -239,10 +236,12 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
     """
     if initial is None:
         return multistart(kernel, n_points, d, cfg, starts=1)
+    _check_count("n_points", n_points, 1)
+    _check_count("dimension d", d, 2)
     pts = np.array(getattr(initial, "points", initial), dtype=float)
-    if n_points < 1 or d < 2 or pts.shape != (n_points, d):
+    if pts.shape != (n_points, d):
         raise ValueError(f"initial configuration must have shape ({n_points}, {d}), "
-                         "with n_points >= 1 and d >= 2")
+                         f"got {pts.shape}")
     largest = np.max(np.abs(pts), axis=1)
     bad = np.flatnonzero(~(np.isfinite(largest) & (largest > 0)))
     if bad.size:
@@ -261,8 +260,9 @@ def multistart(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfig,
                starts: int = 4) -> OptimizationTrace:
     """Best-of-k restarts from the seeds seed, seed + 1, ... (ties go to
     the earlier seed), run as one batched descent."""
-    if starts < 1 or n_points < 1 or d < 2:
-        raise ValueError("need starts >= 1, n_points >= 1 and d >= 2")
+    _check_count("starts", starts, 1)
+    _check_count("n_points", n_points, 1)
+    _check_count("dimension d", d, 2)
     stack = np.stack([sample_sphere(d, n_points, cfg.seed + k).points for k in range(starts)])
     return (max if cfg.maximize else min)(_descend(kernel, stack, cfg),
                                           key=lambda trace: trace.final_energy)

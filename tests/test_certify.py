@@ -6,6 +6,7 @@ import pytest
 
 from multipot import (
     DiscreteMeasure,
+    OptimizerConfig,
     area2,
     basis_vector,
     convexity_probe,
@@ -14,10 +15,12 @@ from multipot import (
     inner,
     frame2,
     mixture_polynomial,
+    multistart,
     mutual_energy,
     npd_test,
     neg_area2,
     neg_vol2,
+    optimize_discrete,
     pd_test_2input,
     pin,
     potential_constancy_check,
@@ -36,9 +39,9 @@ from multipot import (
 )
 from multipot import certify
 from multipot.certify import (
+    _CHUNK_TUPLES,
     _MAX_ATOMS,
     _balanced_basis,
-    _blocks,
     _dense_spread,
     _draw_trials,
     _kernel_matrix,
@@ -46,6 +49,7 @@ from multipot.certify import (
     _moment_spread,
     _potential_stderr,
 )
+from multipot.energy import _spans
 from oracles import (
     inequality_suite_loop,
     pd_test_loop,
@@ -437,7 +441,7 @@ def test_inequality_suite_matches_trial_loop(name):
     # the batched suite against the one-trial-at-a-time oracle, across
     # block boundaries: counts exactly, residuals up to summation order
     kernel = _SUITE_KERNELS[name]()
-    chunk = _blocks(10_000, (kernel.arity + 1) * _MAX_ATOMS**kernel.arity)[0]
+    _, chunk = next(_spans(10_000, (kernel.arity + 1) * _MAX_ATOMS**kernel.arity, _CHUNK_TUPLES))
     for trials in sorted({1, max(chunk - 1, 1), chunk + 1, 200}):
         seed = 300 + trials
         got = inequality_suite(kernel, 3, trials=trials, seed=seed).as_dict()
@@ -467,6 +471,8 @@ def test_dimension_and_grid_checks_name_the_value(capsys):
     mu = _random_probability(3, 3, 12)
     pdtest = ["pdtest", "--kernel", "inner", "--d", "3"]
     npdtest = ["pdtest", "--kernel", "s011", "--d", "3"]
+    minimize = ["minimize", "--kernel", "area2", "--n", "4", "--d", "3"]
+    cfg = OptimizerConfig(steps=1)
     table = [
         (lambda: inequality_suite(uvt(), 1, trials=2), "got 1",
          ["inequalities", "--kernel", "uvt", "--d", "1", "--trials", "2"]),
@@ -502,6 +508,24 @@ def test_dimension_and_grid_checks_name_the_value(capsys):
         (lambda: shift_equivalence_battery(inner(), 3, set_size=1), "got 1", None),
         (lambda: shift_equivalence_battery(inner(), 3, trials=0), "got 0", None),
         (lambda: shift_equivalence_battery(inner(), 3, trials=1.0), "got 1.0", None),
+        (lambda: sample_sphere(3, 2.5, 0), "got 2.5", None),
+        (lambda: sample_sphere(np.nan, 4, 0), "got nan", None),
+        (lambda: sample_sphere(3, 0, 0), "got 0", None),
+        (lambda: uniform_surrogate(3.5, 10, 0), "got 3.5", None),
+        (lambda: multistart(area2(), 4, 3, cfg, starts=2.5), "got 2.5", None),
+        (lambda: multistart(area2(), 4, 3, cfg, starts=0), "got 0", minimize + ["--multistart", "0"]),
+        (lambda: multistart(area2(), 2.5, 3, cfg), "got 2.5", None),
+        (lambda: multistart(area2(), True, 3, cfg), "got True", None),
+        (lambda: multistart(area2(), 0, 3, cfg), "got 0", minimize[:4] + ["--n", "0", "--d", "3"]),
+        (lambda: multistart(area2(), 4, np.nan, cfg), "got nan", None),
+        (lambda: optimize_discrete(area2(), 2.5, 3, cfg, initial=np.eye(3)), "got 2.5", None),
+        (lambda: optimize_discrete(area2(), 3, 3.0, cfg, initial=np.eye(3)), "got 3.0", None),
+        (lambda: pin(area2(), [[2.0, 0.0, 0.0]]), "|norm - 1| = 1.000e+00 at row 0", None),
+        (lambda: pin(area2(), [[np.nan, 0.0, 0.0]]), "|norm - 1| = nan at row 0", None),
+        (lambda: pin(sum_lift(inner(), 4), [E1, [0.0, 0.5, 0.0]]), "|norm - 1| = 5.000e-01 at row 1",
+         None),
+        (lambda: cpd_shift(inner(), [0.0, 2.0, 0.0]), "|norm - 1| = 1.000e+00 at row 0", None),
+        (lambda: cpd_shift(inner(), [np.nan, 0.0, 0.0]), "|norm - 1| = nan at row 0", None),
     ]
     for call, tail, argv in table:
         with pytest.raises(ValueError, match=re.escape(tail) + "$"):

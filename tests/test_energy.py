@@ -5,6 +5,7 @@ Expected values are frozen from the independent oracles in oracles.py
 closed forms.
 """
 import itertools
+import math
 import re
 
 import numpy as np
@@ -30,6 +31,7 @@ from multipot import (
     neg_vol2,
     pin,
     potential,
+    potential_constancy_check,
     prod_f_uvt,
     prod_lift,
     quad_a,
@@ -165,7 +167,7 @@ def test_contraction_route_matches_dense_route():
                           pin(sum_lift(inner(), 4), E1)]
     measures = [_random_measure(41, 3, s, probability=False) for s in (7, 8, 9)]
     for kernel in kernels_under_test:
-        assert energy_mod._use_moments(kernel, measures)
+        assert energy_mod._moment_size(kernel, measures) is not None
         fast = mutual_energy(kernel, measures).value
         dense = energy_mod._dense_mutual(kernel, measures)
         assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
@@ -177,7 +179,7 @@ def test_contraction_route_two_input_with_anchor():
     # one anchor; two anchors from a two-point pin; two anchors from a sum
     for pinned in (pin(neg_vol2(), E1), pin(sum_lift(frame2(), 4), np.stack([E1, E2])),
                    pin(vol2(), E1) + pin(area2(), E2)):
-        assert energy_mod._use_moments(pinned, [m1, m2])
+        assert energy_mod._moment_size(pinned, [m1, m2]) is not None
         fast = mutual_energy(pinned, [m1, m2]).value
         dense = energy_mod._dense_mutual(pinned, [m1, m2])
         assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
@@ -189,13 +191,13 @@ def test_anchored_kernels_route_by_size():
     # while large measures keep the moment route
     for kernel in (pin(vol2(), E1), pin(neg_area2(), E1)):
         small = [_random_measure(2, 3, s) for s in (16, 17)]
-        assert not energy_mod._use_moments(kernel, small)
+        assert energy_mod._moment_size(kernel, small) is None
         assert mutual_energy(kernel, small).value == pytest.approx(
             energy_mod._moment_sum(kernel.pair_poly, small), rel=1e-12, abs=1e-12)
     large = [_random_measure(1000, 3, s) for s in (18, 19, 20)]
     for kernel in (pin(vol2(), E1), pin(neg_area2(), E1), pin(s011(), E1),
                    pin(uvt(), E1), pin(sum_lift(inner(), 4), E1)):
-        assert energy_mod._use_moments(kernel, large[:kernel.arity])
+        assert energy_mod._moment_size(kernel, large[:kernel.arity]) is not None
 
 
 def test_arity_four_lifts_take_moment_route():
@@ -203,7 +205,7 @@ def test_arity_four_lifts_take_moment_route():
     with pytest.warns(UserWarning):
         product = prod_lift(inner(), 4)
     for kernel in (sum_lift(inner(), 4), product):
-        assert energy_mod._use_moments(kernel, measures)
+        assert energy_mod._moment_size(kernel, measures) is not None
         fast = mutual_energy(kernel, measures).value
         dense = energy_mod._dense_mutual(kernel, measures)
         assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
@@ -256,13 +258,13 @@ def test_potential_then_integrate_equals_mutual():
 def test_potential_fast_route_matches_dense_route():
     mu = uniform_surrogate(3, 120, 3)
     queries = sample_sphere(3, 5, 31).points[:, None, :]
-    assert energy_mod._use_moments(area2(), [mu, mu], len(queries))
+    assert energy_mod._moment_size(area2(), [mu, mu], len(queries)) is not None
     fast = potential(area2(), [mu, mu], queries)
     dense = energy_mod._dense_potential(area2().evaluate_batch, [mu, mu], queries)
     assert np.max(np.abs(fast - dense)) <= 1e-12
 
     pair_queries = sample_sphere(3, 8, 33).points.reshape(4, 2, 3)
-    assert energy_mod._use_moments(s011(), [mu], len(pair_queries))
+    assert energy_mod._moment_size(s011(), [mu], len(pair_queries)) is not None
     fast1 = potential(s011(), [mu], pair_queries)
     dense1 = energy_mod._dense_potential(s011().evaluate_batch, [mu], pair_queries)
     assert np.max(np.abs(fast1 - dense1)) <= 1e-12
@@ -294,6 +296,40 @@ def test_potential_order_bounds():
         potential(uvt(), [mu, mu, mu], sample_sphere(3, 2, 0).points)
     with pytest.raises(ValueError):
         potential(uvt(), [mu], sample_sphere(3, 5, 0).points)  # needs (Q, 2, d)
+
+
+@pytest.mark.parametrize("limit", [1, 7, 12])
+def test_dense_grids_keep_their_block_bound(limit, monkeypatch):
+    # with a small grid block, every kernel call on the dense route sees at
+    # most that many tuples, and every result keeps its bits at the default
+    mu = uniform_surrogate(3, 9, 2)
+    x = sample_sphere(3, 4, 3).points
+    stack = np.stack([sample_sphere(3, 5, 70 + k).points for k in range(3)])
+    exp3, r05 = prod_f_uvt(f="exp"), riesz(0.5)
+    pk = PotentialKernel(exp3, [mu])
+
+    def run():
+        out = [mutual_energy(exp3, [DiscreteMeasure.dirac(x[0]), mu, mu]).value,
+               potential(exp3, [mu, mu], x[:1]),
+               pk.evaluate_batch(stack[0, :2]), pk.gradient_batch(stack[0, :2])]
+        report = potential_constancy_check(exp3, mu, x)
+        out += [report.values, report.stderr_estimate]
+        for kernel in (r05, pk):
+            energy, gradient, _ = energy_mod._bind(kernel, stack)
+            out += [energy(stack), gradient(stack), gradient(stack[0])]
+        return [np.asarray(v).tolist() for v in out]
+
+    default = run()
+    seen = []
+    for kernel in (exp3, r05):
+        for name in ("evaluate_batch", "gradient_batch"):
+            def spy(pts, _method=getattr(kernel, name)):
+                seen.append(math.prod(pts.shape[:-2]))
+                return _method(pts)
+            monkeypatch.setattr(kernel, name, spy)
+    monkeypatch.setattr(energy_mod, "_BLOCK_TUPLES", limit)
+    assert run() == default
+    assert seen and max(seen) <= limit
 
 
 def test_potential_rejects_non_finite_and_off_sphere_queries():

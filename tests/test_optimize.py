@@ -639,14 +639,15 @@ def test_bound_engine_matches_the_unbound_path(name):
 @pytest.mark.parametrize("grids", ["default", "three configurations", "one configuration"])
 def test_dense_energy_of_a_stack_matches_each_configuration_alone(grids, monkeypatch):
     # the dense route evaluates a stack's configurations in shared tuple
-    # grids (or, past the grid size, one at a time), with the bits of the
-    # plain dense sum of each configuration, fixed measures included (none
-    # of these kernels is a pair polynomial)
+    # grids (or, past the grid size, in blocks of one configuration's grid),
+    # with the bits of the plain dense sum of each configuration, fixed
+    # measures included, and each gradient with the bits of a stack of one
+    # (none of these kernels is a pair polynomial)
     surrogate = uniform_surrogate(3, 7, 1)
     for kernel in (riesz(0.5), riesz(1.0) + inner(), prod_f_uvt(f="exp"),
                    PotentialKernel(prod_f_uvt(f="exp"), [surrogate])):
         stack = np.stack([sample_sphere(3, 5, 60 + k).points for k in range(7)])
-        energy, _, tuples = energy_mod._bind(kernel, stack)
+        energy, gradient, tuples = energy_mod._bind(kernel, stack)
         if grids != "default":
             monkeypatch.setattr(energy_mod, "_BLOCK_TUPLES",
                                 3 * tuples if grids == "three configurations" else tuples - 1)
@@ -655,6 +656,7 @@ def test_dense_energy_of_a_stack_matches_each_configuration_alone(grids, monkeyp
         alone = [energy_mod._dense_mutual(base, fixed + [energy_mod._Atoms(p, np.full(5, 0.2))]
                                           * kernel.arity) for p in stack]
         assert energy(stack).tolist() == alone
+        assert gradient(stack).tolist() == [gradient(p[None])[0].tolist() for p in stack]
 
 
 def test_multistart_of_a_cancelled_polynomial():

@@ -138,7 +138,7 @@ def test_fixed_slot_gradients(seed, monkeypatch):
     assert np.array_equal(stacked[:1], alone)
     for grad in (stacked[0], stacked[1][::-1]):
         assert np.allclose(grad, moment, rtol=1e-12, atol=1e-12)
-    monkeypatch.setattr(energy_mod, "_use_moments", lambda *args: False)
+    monkeypatch.setattr(energy_mod, "_moment_size", lambda *args: None)
     dense = energy_mod._points_gradient(PotentialKernel(kernel, fixed), pts)
     assert np.allclose(moment, dense, rtol=1e-12, atol=1e-12)
 
