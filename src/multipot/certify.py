@@ -297,8 +297,7 @@ def convexity_probe(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure,
     """Probe convexity of the energy along the segment from mu to nu."""
     if not (mu.is_probability and nu.is_probability):
         raise ValueError("convexity probes are defined for probability measures")
-    if grid < 2:
-        raise ValueError(f"a convexity probe needs a grid of at least 2 points, got {grid!r}")
+    _check_count("grid", grid, 2)
     g = mixture_polynomial(kernel, mu, nu)
 
     ts = np.linspace(0.0, 1.0, grid)

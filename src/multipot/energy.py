@@ -545,17 +545,6 @@ def _bind(kernel: Kernel, pts: np.ndarray):
     return energy, gradient, math.prod(s.atoms.shape[-2] for s in slots)
 
 
-def _points_energy(kernel: Kernel, pts: np.ndarray):
-    """Discrete energy of the rows of ``pts`` (not validated), one per configuration of a stack."""
-    return _bind(kernel, pts)[0](pts)
-
-
-def _points_gradient(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the discrete energy at every row of ``pts`` (N, d) or
-    of a stack (B, N, d)."""
-    return _bind(kernel, pts)[1](pts)
-
-
 # --- public operations -----------------------------------------------------------
 
 
@@ -589,7 +578,7 @@ def discrete_energy(kernel: Kernel, config: PointConfiguration) -> EnergyEstimat
     over all N^n ordered tuples, repeats included."""
     if kernel.arity > _MAX_EXACT_ARITY:
         raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
-    return EnergyEstimate(_points_energy(kernel, config.points), 0.0,
+    return EnergyEstimate(_bind(kernel, config.points)[0](config.points), 0.0,
                           config.n_points ** kernel.arity, True)
 
 
@@ -757,8 +746,8 @@ class PotentialKernel(Kernel):
 
     def evaluate_batch(self, pts):
         """The potential at each tuple; unlike :func:`potential`, any finite
-        point is accepted, as by every other kernel (finite differences
-        probe points off the sphere)."""
+        point is accepted, as by every other kernel: a kernel is a function on
+        the ambient space, where its Euclidean gradient is taken."""
         pts = self._check_points(pts)
         if pts.shape[-1] != self._measures[0].dimension:
             raise ValueError("point dimension does not match the measures")

@@ -48,12 +48,12 @@ class DegenerateRetraction(ValueError):
     """Raised when a retraction target is too close to the origin."""
 
 
-def _as_points(points, *, min_dim: int = 2) -> np.ndarray:
+def _as_points(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
         raise ValueError(f"expected a (N, d) point array, got shape {pts.shape}")
-    if pts.shape[1] < min_dim:
-        raise ValueError(f"ambient dimension must be >= {min_dim}, got {pts.shape[1]}")
+    if pts.shape[1] < 2:
+        raise ValueError(f"ambient dimension must be >= 2, got {pts.shape[1]}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
     return pts
@@ -257,26 +257,23 @@ def gram(config: PointConfiguration | np.ndarray) -> np.ndarray:
 
 
 def project_tangent(x, g) -> np.ndarray:
-    """Project ``g`` onto the tangent space of the sphere at ``x``:
-    g - <g, x> x."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if x.shape != g.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {g.shape}")
-    return g - np.dot(g, x) * x
+    """Project each row (last axis) of ``g`` onto the tangent space of the
+    sphere at the matching row of ``x``: g - <g, x> x.  The arrays (..., d)
+    broadcast against each other."""
+    x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=float)
+    return g - np.add.reduce(g * x, -1)[..., None] * x
 
 
 def retract(x, v) -> np.ndarray:
-    """Move from ``x`` along ``v`` and renormalize: (x + v) / ||x + v||."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {v.shape}")
-    target = x + v
-    norm = float(np.linalg.norm(target))
-    if norm < 1e-14:
+    """Move each row (last axis) of ``x`` along the matching row of ``v`` and
+    renormalize: (x + v) / ||x + v||.  The arrays (..., d) broadcast against
+    each other.  Raises :class:`DegenerateRetraction` if any row of x + v
+    has norm below 1e-14."""
+    target = np.add(x, v, dtype=float)
+    norms = np.sqrt(_squared_norms(target))
+    if norms.min(initial=np.inf) < 1e-14:
         raise DegenerateRetraction("retraction target is numerically zero")
-    return target / norm
+    return np.divide(target, norms, out=target)
 
 
 def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
@@ -305,6 +302,7 @@ def combine(mu: DiscreteMeasure, nu: DiscreteMeasure, a: float, b: float) -> Dis
 
 def random_rotation(d: int, seed: int) -> np.ndarray:
     """A Haar-random rotation matrix in SO(d) (QR with sign fix)."""
+    _check_count("dimension d", d, 2)
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     q = q * np.sign(np.diag(r))

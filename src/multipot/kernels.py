@@ -548,6 +548,8 @@ def quad_a(a: float, shift: bool = False) -> Kernel:
     a = float(a)
     if not np.isfinite(a):
         raise ValueError(f"quad_a requires a finite a, got {a!r}")
+    if not isinstance(shift, (bool, np.bool_)):
+        raise ValueError(f"quad_a's shift must be a bool, got {shift!r}")
     if shift and a == 1.0:
         raise ValueError("quad_a with shift requires a != 1")
     terms = {(_U2,): 1.0, (_V2,): 1.0, (_T2,): 1.0, (_U, _V, _T): -a}

@@ -1,25 +1,23 @@
 """Sphere-constrained particle descent for discrete energies.
 
-Projected gradient descent with a spectral (Barzilai–Borwein) step with a
-monotone Armijo safeguard, and retraction: the Euclidean gradient of the
-discrete energy is projected to the tangent space at each particle, a step
-is taken, and the particles are renormalized.  The spectral step
-<s,s>/<s,y> is formed from the change s in the points and the change y in
-the tangent gradients, both in ambient coordinates, so no vector transport
-is needed (Barzilai & Borwein, IMA J. Numer. Anal. 1988; Wen & Yin,
-Math. Program. 2013).  One descent runs a stack (B, N, d) of starts through
-the energy engine at once, each with its own step and stopping test, so each
-start's trace is its single run's, bit for bit.  The engine is bound to
-the kernel and the stack's shape once per descent (route, call layout
-and contraction program), and every step calls the bound energy and
-gradient.  A line search evaluates its trial steps in blocks of 1, 1, 2,
-4, 8, 16 and 28 trials, each block of every searching start in one energy
-call, and takes each start's first passing trial.  The engine gives each
-configuration of a stack the bits it gets alone, and the candidates and the
-Armijo test are computed as one trial at a time would compute them, so the
-blocks change no bit of a trace: they only save calls, most of all when a
-search fails at rounding level (7 calls, not 60).  Runs are deterministic
-given the seed; accepted energies never get worse (up to 1e-12).
+Projected gradient descent with a spectral (Barzilai–Borwein) step, a
+monotone Armijo safeguard and retraction: the exact Euclidean gradient of
+the discrete energy is projected to the tangent space at each particle
+(:func:`geometry.project_tangent`), and each step is taken and mapped back
+to the sphere by :func:`geometry.retract`.  The spectral step <s,s>/<s,y>
+is formed from the change s in the points and the change y in the tangent
+gradients, both in ambient coordinates, so no vector transport is needed
+(Barzilai & Borwein, IMA J. Numer. Anal. 1988; Wen & Yin, Math. Program.
+2013).  One descent runs a stack (B, N, d) of starts through the energy
+engine at once, each with its own step and stopping test, so each start's
+trace is its single run's, bit for bit.  The engine is bound to the kernel
+and the stack's shape once per descent (route, call layout and contraction
+program), and every step calls the bound energy and gradient.  A line
+search evaluates its trial steps in blocks, each block of every searching
+start in one energy call, and changes no bit of a trace by it: the blocks
+only save calls, most of all when a search fails at rounding level (7
+calls, not 60).  Runs are deterministic given the seed; accepted energies
+never get worse (up to 1e-12).
 """
 from __future__ import annotations
 
@@ -28,10 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DiscreteMeasure, PointConfiguration, _check_count, sample_sphere
+from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _squared_norms,
+                       project_tangent, retract, sample_sphere)
 from .config import RESIDUAL_TOL
 from .kernels import Kernel
-from .energy import _WORK_LIMIT, MixturePolynomial, _bind, _points_energy, mixture_polynomial
+from .energy import _WORK_LIMIT, MixturePolynomial, _bind, mixture_polynomial
 
 __all__ = [
     "OptimizerConfig",
@@ -51,7 +50,6 @@ _TRIALS = 60       # trial steps per line search, each half the one before
 # a step of that size; the lower one keeps a spuriously small ratio from
 # stalling a start.
 _SPECTRAL_BOUNDS = (1e-10, 1e10)
-_FD_STEP = 1e-6     # central-difference step in ambient coordinates
 
 
 @dataclass(frozen=True)
@@ -99,42 +97,14 @@ class OptimizationTrace:
         return self.energies[-1]
 
 
-def _fd_point_gradient(kernel: Kernel, pts: np.ndarray, i: int) -> np.ndarray:
-    """Central differences in the coordinates of point i, from two stacks of shifted copies."""
-    shift = np.zeros((pts.shape[1],) + pts.shape)
-    shift[:, i, :] = np.eye(pts.shape[1])
-    return (_points_energy(kernel, pts + _FD_STEP * shift)
-            - _points_energy(kernel, pts - _FD_STEP * shift)) / (2 * _FD_STEP)
-
-
-def _tangent_gradient(gradient, stack: np.ndarray) -> np.ndarray:
-    """Tangent-space gradient of the discrete energy at every row of each configuration
-    of the stack (B, N, d): ``gradient``, the kernel's bound Euclidean gradient (see
-    :func:`energy._bind`), projected to the tangent space."""
-    grad = gradient(stack)
-    return grad - np.add.reduce(grad * stack, -1)[..., None] * stack
-
-
-def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int,
-                    mode: str = "analytic") -> np.ndarray:
+def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int) -> np.ndarray:
     """Tangent-space gradient of the discrete energy with respect to the
-    i-th point: exact from the energy module, or central differences (step
-    1e-6) in ambient coordinates, projected onto the tangent space."""
-    pts = np.array(config.points)
-    if not 0 <= i < pts.shape[0]:
+    i-th point, exact from the energy module."""
+    stack = config.points[None]
+    _check_count("point index i", i, 0)
+    if i >= stack.shape[1]:
         raise ValueError(f"point index {i} out of range")
-    if mode == "analytic":
-        stack = pts[None]
-        return _tangent_gradient(_bind(kernel, stack)[1], stack)[0, i]
-    if mode != "finite_difference":
-        raise ValueError(f"unknown gradient mode '{mode}'")
-    grad = _fd_point_gradient(kernel, pts, i)
-    return grad - (grad @ pts[i]) * pts[i]
-
-
-def _renormalize(pts: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(pts, axis=-1, keepdims=True), bit for bit on real input
-    return pts / np.sqrt(np.add.reduce(pts * pts, -1, keepdims=True))
+    return project_tangent(stack, _bind(kernel, stack)[1](stack))[0, i]
 
 
 def _spectral_step(s: np.ndarray, y: np.ndarray, fallback: float) -> np.ndarray:
@@ -178,7 +148,7 @@ def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[Op
     for it in range(cfg.steps + 1):     # the pass after the last step only tests convergence
         if not active.size:
             break
-        grad = sign * _tangent_gradient(gradient_of, pts[active])   # of sign * E
+        grad = sign * project_tangent(pts[active], gradient_of(pts[active]))   # of sign * E
         flat = grad.reshape(active.size, -1)
         gnorm2 = np.add.reduce(flat * flat, 1)
         stop = np.sqrt(gnorm2) <= cfg.stop_tol
@@ -202,7 +172,7 @@ def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[Op
             halvings = np.full((search.size, k), _BACKTRACK)
             halvings[:, 0] = t[search]
             trial = np.multiply.accumulate(halvings, 1)     # t, t/2, ..., halved one by one
-            cand = _renormalize(pts[rows, None] - trial[..., None, None] * grad[search, None])
+            cand = retract(pts[rows, None], (-trial)[..., None, None] * grad[search, None])
             cand_energy = energy_of(cand.reshape((-1,) + pts.shape[1:])).reshape(trial.shape)
             ok = (sign * (cand_energy - energy[rows, None])
                   <= -_ARMIJO * trial * gnorm2[search, None])
@@ -248,12 +218,13 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
         raise ValueError(f"initial row {bad[0]} cannot be projected to the sphere: "
                          f"it is {pts[bad[0]].tolist()}; rows must be finite and nonzero")
     with np.errstate(over="ignore"):
-        norm2 = np.add.reduce(pts * pts, 1)
+        norm2 = _squared_norms(pts)[:, 0]
     # a row whose squared norm overflows or underflows is scaled to a largest
     # |entry| of 1 first; rows of ordinary size are normalized as they are
     edge = ~((norm2 >= np.finfo(float).tiny) & (norm2 < np.inf))
     pts[edge] /= largest[edge, None]
-    return _descend(kernel, _renormalize(pts)[None], cfg)[0]
+    pts /= np.sqrt(_squared_norms(pts))
+    return _descend(kernel, pts[None], cfg)[0]
 
 
 def multistart(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfig,

@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from . import certify, energy, kernels, optimize
-from .config import MC_SIGMA, RESIDUAL_TOL
+from .config import GEOMETRIC_TOL, MC_SIGMA, RESIDUAL_TOL
 from .geometry import (
     DiscreteMeasure,
     basis_vector,
@@ -178,7 +178,7 @@ def _witness_assertions(kernel, d, seed, label):
     out.append(_assertion(f"{label}: witness energy reproduces via mutual energy",
                           recomputed, w.energy, 1e-12, "definition"))
     out.append(_assertion(f"{label}: witness measure balanced",
-                          w.measure.total_mass, 0.0, 1e-12, "definition"))
+                          w.measure.total_mass, 0.0, GEOMETRIC_TOL, "definition"))
     return out
 
 
@@ -244,7 +244,7 @@ def _scenario_s011_potential(seed, tuples, tol_scale, d=3, surrogate_size=100_00
         if q == 0:
             assertions.append(_assertion(
                 "potential matches the direct row average", float(rows.mean()),
-                float(values[q]), 1e-10, "definition",
+                float(values[q]), RESIDUAL_TOL, "definition",
             ))
     assertions.append(_assertion(
         f"max |U - <x,y>/d| over {queries} query pairs, in 4-stderr units",

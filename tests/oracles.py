@@ -1,8 +1,12 @@
 """Independent reference implementations used to pin expected values.
 
-Everything here is deliberately naive: plain Python loops over ordered
-tuples and raw-moment Monte Carlo.  These oracles never call the library
-paths they are used to check.
+Most are deliberately naive: plain Python loops over ordered tuples and
+raw-moment Monte Carlo, which never call the library paths they check.
+Two check one layer against the layer below it.  :func:`fd_point_gradient`
+takes central differences of the library's energy, itself checked against
+the loops, to check the analytic gradients.  :func:`serial_descent` runs
+the library's energy, tangent projection and retraction one line-search
+trial per energy call, to check how the descent groups its trials.
 """
 import itertools
 import math
@@ -290,22 +294,41 @@ def potential_stderr_loop(kernel, mu, test_points):
 
 # --- particle descent ----------------------------------------------------------
 
+_FD_STEP = 1e-6     # central-difference step in ambient coordinates
+
+
+def fd_point_gradient(kernel, config, i):
+    """Tangent-space gradient of the discrete energy at point i of a
+    configuration: central differences of the energy in the ambient
+    coordinates of that point (one stack of shifted copies per sign),
+    projected with plain numpy."""
+    from multipot.energy import _bind
+
+    pts = np.array(config.points)
+    shift = np.zeros((pts.shape[1],) + pts.shape)
+    shift[:, i, :] = np.eye(pts.shape[1])
+    plus, minus = pts + _FD_STEP * shift, pts - _FD_STEP * shift
+    energy = _bind(kernel, plus)[0]
+    grad = (energy(plus) - energy(minus)) / (2 * _FD_STEP)
+    return grad - (grad @ pts[i]) * pts[i]
+
 
 def serial_descent(kernel, stack, cfg):
     """``optimize._descend`` with the line search one trial per energy call:
     trial j of each searching start is its step halved j times, and the
     first trial that passes the Armijo test is taken, over at most 60.
 
-    Shares the bound energy, the tangent gradient and the spectral step with
-    the library, so it checks only how trials are grouped into calls.
+    Shares the bound energy, the tangent projection, the retraction and the
+    spectral step with the library, so it checks only how trials are
+    grouped into calls.
     Returns the traces, and per step the number of trials each searching
     start evaluated (in the order of the stack, for the starts that searched)
     and whether it passed.
     """
     from multipot import OptimizationTrace, PointConfiguration
     from multipot.energy import _bind
-    from multipot.optimize import (
-        _ARMIJO, _BACKTRACK, _TRIALS, _renormalize, _spectral_step, _tangent_gradient)
+    from multipot.geometry import project_tangent, retract
+    from multipot.optimize import _ARMIJO, _BACKTRACK, _TRIALS, _spectral_step
 
     pts, sign = np.array(stack), -1.0 if cfg.maximize else 1.0
     energy_of, gradient_of, _ = _bind(kernel, pts)
@@ -318,7 +341,7 @@ def serial_descent(kernel, stack, cfg):
     for it in range(cfg.steps + 1):
         if not active.size:
             break
-        grad = sign * _tangent_gradient(gradient_of, pts[active])
+        grad = sign * project_tangent(pts[active], gradient_of(pts[active]))
         flat = grad.reshape(active.size, -1)
         gnorm2 = np.add.reduce(flat * flat, 1)
         stop = np.sqrt(gnorm2) <= cfg.stop_tol
@@ -341,7 +364,7 @@ def serial_descent(kernel, stack, cfg):
                 break
             rows = active[search]
             trials[search] += 1
-            cand = _renormalize(pts[rows] - t[search, None, None] * grad[search])
+            cand = retract(pts[rows], (-t[search])[:, None, None] * grad[search])
             cand_energy = energy_of(cand)
             ok = sign * (cand_energy - energy[rows]) <= -_ARMIJO * t[search] * gnorm2[search]
             pts[rows[ok]], energy[rows[ok]] = cand[ok], cand_energy[ok]

@@ -11,6 +11,7 @@ from multipot import (
     basis_vector,
     convexity_probe,
     cpd_shift,
+    energy_gradient,
     inequality_suite,
     inner,
     frame2,
@@ -27,6 +28,7 @@ from multipot import (
     prod_f_uvt,
     prod_lift,
     quad_a,
+    random_rotation,
     riesz,
     s011,
     s100,
@@ -484,6 +486,13 @@ def test_dimension_and_grid_checks_name_the_value(capsys):
         (lambda: convexity_probe(area2(), mu, mu, grid=1), "got 1", None),
         (lambda: convexity_probe(area2(), mu, mu, grid=0), "got 0", None),
         (lambda: convexity_probe(area2(), mu, mu, grid=-2), "got -2", None),
+        (lambda: convexity_probe(area2(), mu, mu, grid=np.nan), "got nan", None),
+        (lambda: convexity_probe(area2(), mu, mu, grid=2.5), "got 2.5", None),
+        (lambda: random_rotation(2.5, 0), "got 2.5", None),
+        (lambda: random_rotation(1, 0), "got 1", None),
+        (lambda: random_rotation(0, 0), "got 0", None),
+        (lambda: quad_a(0.5, shift="no"), "got 'no'", None),
+        (lambda: energy_gradient(area2(), sample_sphere(3, 4, 0), 1.5), "got 1.5", None),
         (lambda: pd_test_2input(inner(), 0), "got 0", ["pdtest", "--kernel", "inner", "--d", "0"]),
         (lambda: pd_test_2input(inner(), 1), "got 1", ["pdtest", "--kernel", "inner", "--d", "1"]),
         (lambda: pd_test_2input(inner(), 3, trials=0), "got 0", pdtest + ["--trials", "0"]),

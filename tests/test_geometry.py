@@ -145,6 +145,36 @@ def test_retract():
         retract(e1, -e1)
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (2, 5, 3), (3, 4, 5), (2, 600, 3)])
+def test_projection_and_retraction_act_row_by_row_on_stacks(shape):
+    # each row of a (..., d) stack gets the bits it gets alone; the largest
+    # stack takes the column-sum path of the row norms.  The projection adds
+    # its products in column order, as the descent does, where a BLAS dot
+    # (g @ x) may fuse them and differ in the last bit
+    rng = np.random.default_rng(len(shape) * shape[-1])
+    x = rng.standard_normal(shape)
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    g, v = rng.standard_normal(shape), 0.3 * rng.standard_normal(shape)
+    rows = [r.reshape(-1, shape[-1]) for r in (x, g, v)]
+    tangent = project_tangent(x, g)
+    moved = retract(x, v)
+    assert tangent.shape == moved.shape == shape
+    for xr, gr, vr, tr, mr in zip(*rows, tangent.reshape(-1, shape[-1]),
+                                  moved.reshape(-1, shape[-1])):
+        assert tr.tolist() == (gr - sum((gr * xr).tolist()) * xr).tolist()
+        assert np.allclose(tr, gr - (gr @ xr) * xr, rtol=0.0, atol=1e-15)
+        assert mr.tolist() == ((xr + vr) / np.linalg.norm(xr + vr, axis=-1,
+                                                          keepdims=True)).tolist()
+    assert np.max(np.abs(np.add.reduce(tangent * x, -1))) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(moved, axis=-1) - 1.0)) <= 1e-15
+    # x broadcasts against a block of steps, as in the descent's line search
+    assert np.array_equal(retract(x[None], np.stack([v, 2 * v])),
+                          np.stack([moved, retract(x, 2 * v)]))
+    v.reshape(-1, shape[-1])[-1] = -x.reshape(-1, shape[-1])[-1]
+    with pytest.raises(DegenerateRetraction):
+        retract(x, v)
+
+
 def test_unit_vector_validation():
     with pytest.raises(ValueError):
         unit_vector([1.0, 1.0])

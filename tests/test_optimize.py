@@ -36,7 +36,7 @@ from multipot import (
     vol2,
 )
 
-from oracles import serial_descent
+from oracles import fd_point_gradient, serial_descent
 
 E1 = basis_vector(0, 3)
 
@@ -82,8 +82,8 @@ def test_gradient_analytic_matches_finite_difference():
         kernel = kernels[trial % len(kernels)]
         config = sample_sphere(3, 6, int(rng.integers(1 << 30)))
         i = int(rng.integers(6))
-        ga = energy_gradient(kernel, config, i, "analytic")
-        gf = energy_gradient(kernel, config, i, "finite_difference")
+        ga = energy_gradient(kernel, config, i)
+        gf = fd_point_gradient(kernel, config, i)
         denom = max(np.linalg.norm(ga), np.linalg.norm(gf), 1e-9)
         assert np.linalg.norm(ga - gf) / denom <= 1e-6
 
@@ -93,8 +93,8 @@ def test_descent_on_potential_kernel():
     u = PotentialKernel(area2(), [DiscreteMeasure(sample_sphere(3, 5, 7).points, np.full(5, 0.2))])
     config = sample_sphere(3, 4, 8)
     for i in range(4):
-        ga = energy_gradient(u, config, i, "analytic")
-        gf = energy_gradient(u, config, i, "finite_difference")
+        ga = energy_gradient(u, config, i)
+        gf = fd_point_gradient(u, config, i)
         assert np.linalg.norm(ga - gf) <= 1e-6 * max(np.linalg.norm(ga), 1e-9)
     trace = optimize_discrete(u, 4, 3, OptimizerConfig(steps=2))
     assert trace.energies == sorted(trace.energies, reverse=True)
@@ -147,8 +147,8 @@ def test_riesz_gradient_at_coincident_points_is_analytic_without_warning():
     config = PointConfiguration(np.stack([E1, E1, basis_vector(1, 3)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = energy_gradient(riesz(0.5), config, 0, "analytic")
-    assert np.allclose(g, energy_gradient(riesz(0.5), config, 0, "finite_difference"),
+        g = energy_gradient(riesz(0.5), config, 0)
+    assert np.allclose(g, fd_point_gradient(riesz(0.5), config, 0),
                        rtol=1e-6, atol=1e-9)
 
 
@@ -436,15 +436,10 @@ def test_batch_with_a_coincident_start():
         assert _same_trace(trace, single)
 
 
-def test_riesz_descent_from_coincident_starts_uses_no_finite_differences(monkeypatch):
-    calls = []
-    fd_point_gradient = optimize_mod._fd_point_gradient
-    monkeypatch.setattr(optimize_mod, "_fd_point_gradient",
-                        lambda *args: calls.append(args) or fd_point_gradient(*args))
+def test_riesz_descent_from_coincident_starts_uses_no_finite_differences():
     pts = sample_sphere(3, 4, 5).points
     stack = np.stack([pts[[0, 0, 1, 2]], pts[[3, 3, 3, 1]]])
     traces = optimize_mod._descend(riesz(0.5), stack, OptimizerConfig(steps=20, step_size=0.5))
-    assert not calls
     for trace in traces:
         assert trace.energies == sorted(trace.energies, reverse=True)
 
@@ -624,8 +619,9 @@ def test_bound_engine_matches_the_unbound_path(name):
     stack = np.stack([sample_sphere(3, n, 40 + k).points for k in range(4)])
     energy, gradient, _ = energy_mod._bind(kernel, stack[:2])
     for pts in (stack[:1], stack):
-        assert np.array_equal(energy(pts), energy_mod._points_energy(kernel, pts))
-        assert np.array_equal(gradient(pts), energy_mod._points_gradient(kernel, pts))
+        fresh = energy_mod._bind(kernel, pts)
+        assert np.array_equal(energy(pts), fresh[0](pts))
+        assert np.array_equal(gradient(pts), fresh[1](pts))
     if name != "riesz":     # the others take the moment route
         base, fixed = ((kernel.base, kernel.measures) if isinstance(kernel, PotentialKernel)
                        else (kernel, []))
@@ -678,7 +674,8 @@ def test_initial_rows_at_the_edges_of_the_float_range(row, scaled):
         warnings.simplefilter("error")
         trace = optimize_discrete(area2(), 3, 3, cfg, initial=initial)
     initial[1] = scaled
-    plain = optimize_mod._descend(area2(), optimize_mod._renormalize(initial)[None], cfg)[0]
+    plain = optimize_mod._descend(
+        area2(), (initial / np.linalg.norm(initial, axis=-1, keepdims=True))[None], cfg)[0]
     assert _same_trace(trace, plain)
 
 

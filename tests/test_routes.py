@@ -85,7 +85,7 @@ def test_gradients_match_finite_differences(seed):
     uniform = np.full(n, 1.0 / n)
     analytic = [
         (energy_mod._moment_gradient(kernel.pair_poly, energy_mod._Atoms(pts, weights)), weights),
-        (energy_mod._points_gradient(kernel, pts), uniform),
+        (energy_mod._bind(kernel, pts)[1](pts), uniform),
     ]
     eps = 1e-6
     for i, c in zip(rng.integers(0, n, 3), rng.integers(0, d, 3)):
@@ -139,7 +139,7 @@ def test_fixed_slot_gradients(seed, monkeypatch):
     for grad in (stacked[0], stacked[1][::-1]):
         assert np.allclose(grad, moment, rtol=1e-12, atol=1e-12)
     monkeypatch.setattr(energy_mod, "_moment_size", lambda *args: None)
-    dense = energy_mod._points_gradient(PotentialKernel(kernel, fixed), pts)
+    dense = energy_mod._bind(PotentialKernel(kernel, fixed), pts)[1](pts)
     assert np.allclose(moment, dense, rtol=1e-12, atol=1e-12)
 
     def oracle(p):
