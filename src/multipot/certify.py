@@ -10,14 +10,18 @@ can be recomputed independently.
 The randomized batteries (:func:`pd_test_2input`, :func:`npd_test`,
 :func:`shift_equivalence_battery`, :func:`inequality_suite`) run their
 trials in blocks of at most ``_CHUNK_TUPLES`` kernel tuples (one trial
-at least), cut by the energy module's block rule and laid out by its
-grid builder.  A block makes the same generator calls, in the same order,
-as one trial at a time would, so a seed fixes every report whatever the
-block size; the block is then normalised, evaluated and decomposed in
-one pass (one kernel evaluation, one stacked ``eigh``).  The one
-exception has probability zero: a drawn row of norm below 1e-12 is
-redrawn at the end of its block's draws rather than at once, so no such
-row ever reaches a kernel.
+at least), cut by the energy module's block rule.  A block makes the same
+generator calls, in the same order, as one trial at a time would, so a
+seed fixes every report whatever the block size; the block is then
+normalised, evaluated and decomposed in one pass: one
+:meth:`Kernel.evaluate_grid` call per kernel over its slot arrays (a pair
+polynomial takes it from their inner products, any other kernel from a
+coordinate grid, with the same bits) and one stacked ``eigvalsh``.
+Eigenvectors (``eigh``) are computed only for a trial whose least
+eigenvalue makes it a witness candidate.  The one exception to the draw
+order has probability zero: a drawn row of norm below 1e-12 is redrawn at
+the end of its block's draws rather than at once, so no such row ever
+reaches a kernel.
 """
 from __future__ import annotations
 
@@ -40,7 +44,6 @@ from .energy import (
     _MAX_EXACT_ARITY,
     _WORK_LIMIT,
     _features,
-    _grid,
     _grid_values,
     _layout,
     _open_slot,
@@ -103,8 +106,8 @@ def _balanced_basis(m: int) -> np.ndarray:
 
 def _kernel_matrix(kernel: Kernel, pts: np.ndarray) -> np.ndarray:
     """Symmetrised kernel matrices K(p_i, p_j) of point sets (..., m, d):
-    (..., m, m), from one kernel evaluation."""
-    mat = kernel.evaluate_batch(_grid([pts, pts]))
+    (..., m, m), from one grid evaluation."""
+    mat = kernel.evaluate_grid([pts, pts])
     return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
@@ -114,17 +117,29 @@ def _eigen_tol(mat: np.ndarray) -> np.ndarray:
     return EIGENVALUE_TOL * np.maximum(np.max(np.abs(mat), axis=(-2, -1)), 1e-12)
 
 
-def _matrix_min_eig(mat: np.ndarray, conditional: bool):
-    """Smallest (restricted) eigenvalue and its coefficient vector of each
-    matrix of the stack ``mat`` (..., m, m), from one stacked ``eigh``."""
+def _restricted(mat: np.ndarray, conditional: bool) -> np.ndarray:
+    """The matrices, or in conditional mode their symmetrised restrictions to
+    the sum-zero subspace (in the basis of :func:`_balanced_basis`)."""
+    if not conditional:
+        return mat
+    basis = _balanced_basis(mat.shape[-1])
+    restricted = basis.T @ mat @ basis
+    return 0.5 * (restricted + restricted.swapaxes(-1, -2))
+
+
+def _matrix_min_eig(mat: np.ndarray, conditional: bool) -> np.ndarray:
+    """Smallest (restricted) eigenvalue of each matrix of the stack ``mat``
+    (..., m, m), from one stacked ``eigvalsh``."""
+    return np.linalg.eigvalsh(_restricted(mat, conditional))[..., 0]
+
+
+def _min_eig_vector(mat: np.ndarray, conditional: bool) -> np.ndarray:
+    """The coefficient vector of the smallest (restricted) eigenvalue of one
+    matrix (m, m), from one ``eigh``."""
+    vecs = np.linalg.eigh(_restricted(mat, conditional))[1]
     if conditional:
-        basis = _balanced_basis(mat.shape[-1])
-        restricted = basis.T @ mat @ basis
-        restricted = 0.5 * (restricted + restricted.swapaxes(-1, -2))
-        vals, vecs = np.linalg.eigh(restricted)
-        return vals[..., 0], (basis @ vecs[..., :1])[..., 0]
-    vals, vecs = np.linalg.eigh(mat)
-    return vals[..., 0], vecs[..., 0]
+        return (_balanced_basis(len(mat)) @ vecs[:, :1])[:, 0]
+    return vecs[:, 0]
 
 
 def _build_witness(pts, coeffs, mat, conditional) -> Witness:
@@ -177,9 +192,11 @@ def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
     draws its trials' random points as one (trials, points, d) normal
     array, the same generator stream as one draw per trial, so a seed fixes
     the verdict whatever the block size; a block then builds one stack of
-    kernel matrices and runs one stacked ``eigh``.  A drawn row of norm
-    below 1e-12 (probability zero) is redrawn at the end of its block's
-    draw, so none reaches the kernel.
+    kernel matrices and takes their least eigenvalues from one stacked
+    ``eigvalsh``.  A trial below the threshold gets its eigenvector from
+    ``eigh`` on its matrix alone.  A drawn row of norm below 1e-12
+    (probability zero) is redrawn at the end of its block's draw, so none
+    reaches the kernel.
     """
     if kernel.arity != 2:
         raise ValueError("pd_test_2input expects a two-input kernel")
@@ -204,12 +221,13 @@ def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
     for start, stop in _spans(trials, set_size**2, _CHUNK_TUPLES):
         pts = _random_sets(rng, stop - start, fixed, set_size)
         mats = _kernel_matrix(kernel, pts)
-        lams, coeffs = _matrix_min_eig(mats, conditional)
+        lams = _matrix_min_eig(mats, conditional)
         tols = _eigen_tol(mats) if tol is None else np.full(len(pts), float(tol))
         min_eig = min(min_eig, float(lams.min()))
         if witness is None:
             for t in np.flatnonzero(lams < -tols):
-                cand = _build_witness(pts[t], coeffs[t], mats[t], conditional)
+                coeffs = _min_eig_vector(mats[t], conditional)
+                cand = _build_witness(pts[t], coeffs, mats[t], conditional)
                 if cand.energy < -tols[t]:
                     witness = cand
                     break
@@ -475,12 +493,12 @@ def _draw_trials(rng, count: int, n: int, d: int):
 
 def _trial_energies(kernel: Kernel, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per trial, the single energies I(mu_s) and then the mixed energy
-    I(mu_1, ..., mu_n): (count, n + 1), from one dense tuple grid."""
+    I(mu_1, ..., mu_n): (count, n + 1), from one grid evaluation."""
     n = atoms.shape[1]
     # energy m puts measure src[m, j] in slot j: m itself for the singles,
     # j for the mixed energy
     src = np.vstack([np.repeat(np.arange(n)[:, None], n, axis=1), np.arange(n)])
-    vals = kernel.evaluate_batch(_grid([atoms[:, src[:, j]] for j in range(n)]))
+    vals = kernel.evaluate_grid([atoms[:, src[:, j]] for j in range(n)])
     letters = string.ascii_lowercase[:n]
     spec = "XY" + letters + "," + ",".join("XY" + c for c in letters) + "->XY"
     return np.einsum(spec, vals, *[weights[:, src[:, j]] for j in range(n)])
@@ -488,11 +506,13 @@ def _trial_energies(kernel: Kernel, atoms: np.ndarray, weights: np.ndarray) -> n
 
 def _diagonal_residuals(kernel: Kernel, probes: np.ndarray) -> np.ndarray:
     """K(z_1, ..., z_n) - max_z K(z, ..., z) over z in {z_1, ..., z_n, e_1},
-    per trial."""
+    per trial, from two grid evaluations whose slot arrays hold one point
+    each."""
     count, n, d = probes.shape
     e1 = np.broadcast_to(basis_vector(0, d), (count, 1, d))
-    diagonal = np.repeat(np.concatenate([probes, e1], axis=1)[:, :, None, :], n, axis=2)
-    return kernel.evaluate_batch(probes) - kernel.evaluate_batch(diagonal).max(axis=1)
+    diagonal = np.concatenate([probes, e1], axis=1)[:, :, None, :]
+    mixed = kernel.evaluate_grid([probes[:, s, None, :] for s in range(n)]).reshape(count)
+    return mixed - kernel.evaluate_grid([diagonal] * n).reshape(count, n + 1).max(axis=1)
 
 
 def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
@@ -516,7 +536,7 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
     drawn row of norm below 1e-12 (probability zero) is redrawn at the end
     of the block's draws, so none reaches the kernel.  Every measure is
     padded to 5 atoms with zero-weight copies of its first atom, so the
-    n + 1 energies of every trial in a block come from one dense tuple grid
+    n + 1 energies of every trial in a block come from one grid evaluation
     and one weighted contraction.  A padded tuple repeats a tuple the
     unpadded sum already contains, so the kernel is finite there, and its
     weight 0 leaves each energy unchanged up to summation order.
@@ -570,7 +590,8 @@ def shift_equivalence_battery(kernel: Kernel, d: int, *, trials: int = 10,
     counts (sign agreement up to a scale-relative tolerance band).  Trials
     run in blocks as in :func:`pd_test_2input`: one (trials, set_size - 1,
     d) draw, the same generator stream as one draw per trial, then one
-    stack of matrices and one stacked ``eigh`` per kernel.
+    stack of matrices and one stacked ``eigvalsh`` per kernel; no
+    eigenvector is computed.
     """
     if kernel.arity != 2:
         raise ValueError("the shift battery applies to two-input kernels")
@@ -586,8 +607,8 @@ def shift_equivalence_battery(kernel: Kernel, d: int, *, trials: int = 10,
         pts = _random_sets(rng, stop - start, x0[None, :], set_size)
         mat_g = _kernel_matrix(kernel, pts)
         mat_p = _kernel_matrix(shifted, pts)
-        lam_c, _ = _matrix_min_eig(mat_g, conditional=True)
-        lam_p, _ = _matrix_min_eig(mat_p, conditional=False)
+        lam_c = _matrix_min_eig(mat_g, conditional=True)
+        lam_p = _matrix_min_eig(mat_p, conditional=False)
         tol_c, tol_p = _eigen_tol(mat_g), _eigen_tol(mat_p)
         same = (lam_c < -tol_c) == (lam_p < -tol_p)
         near_zero = (np.abs(lam_c) <= 5 * tol_c) | (np.abs(lam_p) <= 5 * tol_p)

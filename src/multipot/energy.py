@@ -4,7 +4,8 @@ Exact energies of atomic measures are weighted sums of kernel values over
 all atom tuples.  Two routes compute them:
 
 * the dense route enumerates the tuples.  It serves every kernel and is
-  the reference for the other route.  One builder, :func:`_grid`, lays out
+  the reference for the other route.  One builder, :func:`_grid` (from
+  the kernel module, whose default grid evaluation uses it), lays out
   every tuple grid, and one block rule, :func:`_spans`, cuts each into
   blocks of at most ``_BLOCK_TUPLES`` tuples whatever its shape (a one-atom
   slot, one query, a stack).  Sums run as over the whole grid, so no block
@@ -53,7 +54,7 @@ import numpy as np
 
 from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _check_on_sphere,
                        _random_directions)
-from .kernels import Kernel
+from .kernels import Kernel, _grid, _tuple_shape
 
 __all__ = [
     "EnergyEstimate",
@@ -103,25 +104,6 @@ def _spans(count: int, per: int, limit: int | None = None):
     step = max(1, (_BLOCK_TUPLES if limit is None else limit) // max(per, 1))
     for start in range(0, count, step):
         yield start, min(start + step, count)
-
-
-def _grid(arrays) -> np.ndarray:
-    """The product grid of point arrays (..., n_s, d) whose leading axes
-    broadcast: (..., n_0, ..., n_{k-1}, k, d), slot s of tuple (i_0, ...,
-    i_{k-1}) holding arrays[s][..., i_s, :]."""
-    k, d = len(arrays), arrays[0].shape[-1]
-    grid = np.empty(_tuple_shape(arrays) + (k, d))
-    for s, a in enumerate(arrays):
-        grid[..., s, :] = a.reshape(a.shape[:-2] + (1,) * s + a.shape[-2:-1]
-                                    + (1,) * (k - 1 - s) + (d,))
-    return grid
-
-
-def _tuple_shape(arrays) -> tuple:
-    """The shape of the tuple index of the arrays' grid: leading axes, then slots."""
-    leads = {a.shape[:-2] for a in arrays}
-    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
-    return lead + tuple(a.shape[-2] for a in arrays)
 
 
 def _grid_blocks(arrays):

@@ -256,21 +256,36 @@ def gram(config: PointConfiguration | np.ndarray) -> np.ndarray:
     return pts @ pts.T
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Reject a non-finite entry of the per-row ``values``, naming one.  One
+    sum tests them all; only when it is not finite (a sum of finite values
+    may overflow too) are they looked at one by one."""
+    if not np.isfinite(values.sum()):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"{what} must be finite, got {bad.flat[0]}")
+
+
 def project_tangent(x, g) -> np.ndarray:
     """Project each row (last axis) of ``g`` onto the tangent space of the
     sphere at the matching row of ``x``: g - <g, x> x.  The arrays (..., d)
-    broadcast against each other."""
+    broadcast against each other.  Raises ValueError if a row's <g, x> is
+    not finite (a non-finite entry, or overflow)."""
     x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=float)
-    return g - np.add.reduce(g * x, -1)[..., None] * x
+    dots = np.add.reduce(g * x, -1)
+    _check_finite(dots, "<g, x>")
+    return g - dots[..., None] * x
 
 
 def retract(x, v) -> np.ndarray:
     """Move each row (last axis) of ``x`` along the matching row of ``v`` and
     renormalize: (x + v) / ||x + v||.  The arrays (..., d) broadcast against
-    each other.  Raises :class:`DegenerateRetraction` if any row of x + v
-    has norm below 1e-14."""
+    each other.  Raises ValueError if a row's norm is not finite (a
+    non-finite entry, or overflow), and :class:`DegenerateRetraction` if it
+    is below 1e-14."""
     target = np.add(x, v, dtype=float)
     norms = np.sqrt(_squared_norms(target))
+    _check_finite(norms, "||x + v||")
     if norms.min(initial=np.inf) < 1e-14:
         raise DegenerateRetraction("retraction target is numerically zero")
     return np.divide(target, norms, out=target)

@@ -3,7 +3,8 @@
 Most kernels here are polynomials in the pairwise inner products of their
 arguments; :class:`PairPolynomial` is the shared backbone that stores such
 polynomials over a set of free slots and optional fixed anchor points.  It
-supports exact evaluation on batches and analytic gradients; its
+supports exact evaluation on batches and analytic gradients, and evaluates
+a product grid of slot arrays from their inner products alone; its
 constructor is the one place that puts monomials in canonical form, and
 :meth:`PairPolynomial.viewed` the one index map behind pins and lifts.
 
@@ -76,6 +77,25 @@ def _layout(view, nslots: int):
     return inputs, fixed
 
 
+def _grid(arrays) -> np.ndarray:
+    """The product grid of point arrays (..., n_s, d) whose leading axes
+    broadcast: (..., n_0, ..., n_{k-1}, k, d), slot s of tuple (i_0, ...,
+    i_{k-1}) holding arrays[s][..., i_s, :]."""
+    k, d = len(arrays), arrays[0].shape[-1]
+    grid = np.empty(_tuple_shape(arrays) + (k, d))
+    for s, a in enumerate(arrays):
+        grid[..., s, :] = a.reshape(a.shape[:-2] + (1,) * s + a.shape[-2:-1]
+                                    + (1,) * (k - 1 - s) + (d,))
+    return grid
+
+
+def _tuple_shape(arrays) -> tuple:
+    """The shape of the tuple index of the arrays' grid: leading axes, then slots."""
+    leads = {a.shape[:-2] for a in arrays}
+    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
+    return lead + tuple(a.shape[-2] for a in arrays)
+
+
 class PairPolynomial:
     """Polynomial in pairwise inner products of slots and anchors.
 
@@ -131,17 +151,45 @@ class PairPolynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate on points of shape (..., nslots, d)."""
-        batch = pts.shape[:-2]
-        vals = self._pair_values(pts)
+    def _grid_pair_values(self, arrays) -> dict:
+        """The pair values of :meth:`_pair_values` over the grid of the slot
+        arrays (..., n_s, d), from their inner products alone: each one is
+        shaped to broadcast over the grid's tuple index."""
+        k = len(arrays)
+        out = {}
+        for a, b in {p for mono in self.terms for p, _ in mono}:
+            sizes = [1] * k
+            sizes[a] = arrays[a].shape[-2]
+            if b < k:
+                sizes[b] = arrays[b].shape[-2]
+                val = np.einsum("...id,...jd->...ij", arrays[a], arrays[b])
+                lead = val.shape[:-2]
+            else:
+                val = np.einsum("...id,d->...i", arrays[a], self.anchors[b - k])
+                lead = val.shape[:-1]
+            out[(a, b)] = val.reshape(lead + tuple(sizes))
+        return out
+
+    def _sum_monomials(self, vals: dict, batch: tuple) -> np.ndarray:
+        """The polynomial from its pair values, which broadcast to ``batch``;
+        each term is a product in monomial order, starting from its coefficient."""
         total = np.zeros(batch)
         for mono, coeff in self.terms.items():
-            term = np.full(batch, coeff)
+            term = coeff
             for pair, e in mono:
                 term = term * vals[pair] ** e
             total = total + term
         return total
+
+    def evaluate(self, pts: np.ndarray) -> np.ndarray:
+        """Evaluate on points of shape (..., nslots, d)."""
+        return self._sum_monomials(self._pair_values(pts), pts.shape[:-2])
+
+    def evaluate_grid(self, arrays) -> np.ndarray:
+        """:meth:`evaluate` over the grid of the slot arrays (see
+        :func:`_grid`), with the same bits, built from the arrays' inner
+        products instead of the grid's coordinates."""
+        return self._sum_monomials(self._grid_pair_values(arrays), _tuple_shape(arrays))
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         """Euclidean gradient with respect to every slot: (..., nslots, d)."""
@@ -215,7 +263,8 @@ class Kernel:
 
     Subclasses implement :meth:`evaluate_batch` and :meth:`gradient_batch`
     (every kernel this module builds has an analytic gradient); scalar
-    convenience calls and the arithmetic live here.  ``pair_poly`` is set
+    convenience calls, the arithmetic and :meth:`evaluate_grid` (by default
+    ``evaluate_batch`` on a coordinate grid) live here.  ``pair_poly`` is set
     when the kernel is an explicit pair-inner-product polynomial, which
     unlocks fast exact energies.
     """
@@ -235,6 +284,12 @@ class Kernel:
 
     def gradient_batch(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"kernel '{self.name}' has no analytic gradient")
+
+    def evaluate_grid(self, arrays) -> np.ndarray:
+        """The kernel over the product grid of point arrays (..., n_s, d), one
+        per slot (:func:`_grid`): shaped like the grid's tuple index, with
+        the values of ``evaluate_batch`` on the grid's coordinates."""
+        return self.evaluate_batch(_grid(arrays))
 
     def _check_points(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -320,6 +375,13 @@ class PolynomialKernel(Kernel):
 
     def gradient_batch(self, pts):
         return self.pair_poly.gradient(self._check_points(pts))
+
+    def evaluate_grid(self, arrays):
+        """The kernel over the grid of the slot arrays, from their inner
+        products: no coordinate grid is built."""
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        self._check_points(np.empty((len(arrays), arrays[0].shape[-1])))   # arity, pin dimension
+        return self.pair_poly.evaluate_grid(arrays)
 
 
 class _Combination(Kernel):

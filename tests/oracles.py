@@ -142,18 +142,25 @@ def inequality_suite_loop(kernel, d, trials, seed, violation_tol=1e-10):
     }
 
 
+def grid_values_by_coordinates(kernel, arrays):
+    """The kernel over the product grid of the point arrays, from the
+    grid's coordinates: ``evaluate_batch`` on the grid ``_grid`` builds."""
+    from multipot.kernels import _grid
+
+    return kernel.evaluate_batch(_grid(arrays))
+
+
 def _min_eig(mat, conditional):
-    """Smallest (sum-zero-restricted) eigenvalue of one matrix and its
-    coefficient vector, from one ``eigh``."""
+    """Smallest (sum-zero-restricted) eigenvalue of one matrix, from
+    ``eigvalsh``, and its coefficient vector, from ``eigh``."""
     from multipot.certify import _balanced_basis
 
     if conditional:
         basis = _balanced_basis(mat.shape[0])
         restricted = basis.T @ mat @ basis
-        vals, vecs = np.linalg.eigh(0.5 * (restricted + restricted.T))
-        return float(vals[0]), basis @ vecs[:, 0]
-    vals, vecs = np.linalg.eigh(mat)
-    return float(vals[0]), vecs[:, 0]
+        restricted = 0.5 * (restricted + restricted.T)
+        return float(np.linalg.eigvalsh(restricted)[0]), basis @ np.linalg.eigh(restricted)[1][:, 0]
+    return float(np.linalg.eigvalsh(mat)[0]), np.linalg.eigh(mat)[1][:, 0]
 
 
 def _matrix_tol(mat):
@@ -166,7 +173,7 @@ def pd_test_loop(kernel, d, conditional=False, trials=20, set_size=20, seed=0, t
                  include_points=None):
     """``pd_test_2input`` one trial at a time: per trial one
     ``_random_directions`` draw of the set's random points, one
-    ``_kernel_matrix`` and one ``eigh``.  Returns the outcome, the trial
+    ``_kernel_matrix`` and one :func:`_min_eig`.  Returns the outcome, the trial
     count, the least eigenvalue and the witness as (atoms, weights, energy)
     or None."""
     from multipot.certify import _kernel_matrix
@@ -197,7 +204,7 @@ def pd_test_loop(kernel, d, conditional=False, trials=20, set_size=20, seed=0, t
 
 def shift_battery_loop(kernel, d, trials=10, set_size=12, seed=0):
     """``shift_equivalence_battery`` one trial at a time: per trial one
-    draw, one ``_kernel_matrix`` and one ``eigh`` for the kernel and for its
+    draw, one ``_kernel_matrix`` and one :func:`_min_eig` for the kernel and for its
     shift at e_1."""
     from multipot import basis_vector, cpd_shift
     from multipot.certify import _kernel_matrix

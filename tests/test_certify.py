@@ -27,8 +27,10 @@ from multipot import (
     potential_constancy_check,
     prod_f_uvt,
     prod_lift,
+    project_tangent,
     quad_a,
     random_rotation,
+    retract,
     riesz,
     s011,
     s100,
@@ -39,20 +41,27 @@ from multipot import (
     uvt,
     vol2,
 )
-from multipot import certify
+from multipot import certify, kernels
 from multipot.certify import (
     _CHUNK_TUPLES,
     _MAX_ATOMS,
     _balanced_basis,
     _dense_spread,
+    _diagonal_residuals,
     _draw_trials,
+    _eigen_tol,
     _kernel_matrix,
     _matrix_min_eig,
     _moment_spread,
     _potential_stderr,
+    _random_sets,
+    _restricted,
+    _trial_energies,
 )
 from multipot.energy import _spans
+from multipot.geometry import _random_directions
 from oracles import (
+    grid_values_by_coordinates,
     inequality_suite_loop,
     pd_test_loop,
     potential_mixture,
@@ -127,8 +136,8 @@ def test_conditional_restriction_never_below_plain_minimum():
             pts = rng.standard_normal((12, 3))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             mat = _kernel_matrix(kernel, pts)
-            plain, _ = _matrix_min_eig(mat, conditional=False)
-            restricted, _ = _matrix_min_eig(mat, conditional=True)
+            plain = _matrix_min_eig(mat, conditional=False)
+            restricted = _matrix_min_eig(mat, conditional=True)
             assert restricted >= plain - 1e-12
 
 
@@ -493,6 +502,8 @@ def test_dimension_and_grid_checks_name_the_value(capsys):
         (lambda: random_rotation(0, 0), "got 0", None),
         (lambda: quad_a(0.5, shift="no"), "got 'no'", None),
         (lambda: energy_gradient(area2(), sample_sphere(3, 4, 0), 1.5), "got 1.5", None),
+        (lambda: retract(E1, [np.nan, 0.0, 0.0]), "||x + v|| must be finite, got nan", None),
+        (lambda: project_tangent(E1, [np.inf, 0.0, 0.0]), "<g, x> must be finite, got inf", None),
         (lambda: pd_test_2input(inner(), 0), "got 0", ["pdtest", "--kernel", "inner", "--d", "0"]),
         (lambda: pd_test_2input(inner(), 1), "got 1", ["pdtest", "--kernel", "inner", "--d", "1"]),
         (lambda: pd_test_2input(inner(), 3, trials=0), "got 0", pdtest + ["--trials", "0"]),
@@ -654,16 +665,25 @@ class _ZeroFirstNormalRow:
 
 
 def _unit_rows_only(kernel, seen):
-    """``kernel``, with an evaluate_batch that fails on any input row that is
-    not a finite unit vector and appends the shape of each input to ``seen``."""
-    evaluate_batch = kernel.evaluate_batch
+    """``kernel``, with an evaluate_batch and an evaluate_grid that fail on
+    any input row (of any slot array) that is not a finite unit vector and
+    append the shape of each input to ``seen``."""
+    evaluate_batch, evaluate_grid = kernel.evaluate_batch, kernel.evaluate_grid
 
-    def checked(pts):
+    def check(pts):
         assert np.all(np.abs(np.linalg.norm(pts, axis=-1) - 1.0) <= 1e-12)
         seen.append(pts.shape)
+
+    def checked_batch(pts):
+        check(pts)
         return evaluate_batch(pts)
 
-    kernel.evaluate_batch = checked
+    def checked_grid(arrays):
+        for a in arrays:
+            check(a)
+        return evaluate_grid(arrays)
+
+    kernel.evaluate_batch, kernel.evaluate_grid = checked_batch, checked_grid
     return kernel
 
 
@@ -696,3 +716,112 @@ def test_zero_rows_are_redrawn_at_the_end_of_their_block(monkeypatch):
         assert seen
         assert stub.normal_shapes[-1] == (1, 3) and stub.normal_shapes.count((1, 3)) == 1
         assert np.all(np.isfinite(values))
+
+
+# --- pair polynomials on grids: from slot inner products, with the coordinates' bits -----
+
+
+def _unit_point(d, seed):
+    return _random_directions(np.random.default_rng(seed), (d,))
+
+
+_GRID_KERNELS = {
+    "uvt": lambda d: uvt(),
+    "area2": lambda d: area2(),
+    "vol2": lambda d: vol2(),
+    "s011": lambda d: s011(),
+    "s100": lambda d: s100(),
+    "quad_a(0.5)": lambda d: quad_a(0.5),
+    "quad_a(0.5,shift)": lambda d: quad_a(0.5, shift=True),
+    "inner": lambda d: inner(),
+    "frame2": lambda d: frame2(),
+    "pin(vol2)": lambda d: pin(vol2(), _unit_point(d, 1)),
+    "pin(area2)": lambda d: pin(area2(), _unit_point(d, 2)),
+    "pin(s011)": lambda d: pin(s011(), basis_vector(0, d)),
+    "pin(uvt)": lambda d: pin(uvt(), _unit_point(d, 3)),
+    "sum_lift(inner,3)": lambda d: sum_lift(inner(), 3),
+    "sum_lift(inner,4)": lambda d: sum_lift(inner(), 4),
+    "prod_lift(inner,3)": lambda d: prod_lift(inner(), 3),
+    "prod_lift(frame2,3)": lambda d: prod_lift(frame2(), 3),
+}
+
+
+def _on_coordinates(kernel):
+    """``kernel``, evaluating every grid from its coordinates."""
+    kernel.evaluate_grid = lambda arrays: grid_values_by_coordinates(kernel, arrays)
+    return kernel
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_KERNELS))
+def test_grid_evaluation_matches_coordinates_bitwise(name):
+    for d in (2, 3, 5, 9):
+        kernel = _GRID_KERNELS[name](d)
+        reference = _on_coordinates(_GRID_KERNELS[name](d))
+        assert isinstance(kernel, kernels.PolynomialKernel)
+        n, rng = kernel.arity, np.random.default_rng(d)
+        # the suite's padded 5-atom layout, its energies and its diagonal bounds
+        atoms, weights, probes = _draw_trials(rng, 7, n, d)
+        padded = [atoms[:, s] for s in range(n)]
+        assert _same_bits(kernel.evaluate_grid(padded), grid_values_by_coordinates(kernel, padded))
+        assert _same_bits(_trial_energies(kernel, atoms, weights),
+                          _trial_energies(reference, atoms, weights))
+        assert _same_bits(_diagonal_residuals(kernel, probes), _diagonal_residuals(reference, probes))
+        # leading axes that broadcast, and slot arrays of different sizes
+        leads = [(3, 1), (1, 4), (4,), ()]
+        arrays = [_random_directions(rng, leads[s] + (s + 2, d)) for s in range(n)]
+        got = kernel.evaluate_grid(arrays)
+        assert got.shape == (3, 4) + tuple(s + 2 for s in range(n))
+        assert _same_bits(got, grid_values_by_coordinates(kernel, arrays))
+        if n == 2:
+            for pts in (_random_directions(rng, (6, 12, d)), _random_directions(rng, (9, d))):
+                assert _same_bits(_kernel_matrix(kernel, pts), _kernel_matrix(reference, pts))
+
+
+def test_grid_evaluation_checks_its_arrays():
+    pts = _random_directions(np.random.default_rng(0), (4, 3))
+    with pytest.raises(ValueError, match="takes 3 points"):
+        uvt().evaluate_grid([pts, pts])
+    with pytest.raises(ValueError, match="pinned points"):
+        pin(vol2(), E1).evaluate_grid([pts[:, :2], pts[:, :2]])
+
+
+def test_pair_polynomial_batteries_build_no_coordinate_grid(monkeypatch):
+    build = kernels._grid
+
+    def shift_on_coordinates(kernel, x0):
+        # the anchor shift is a combination of kernels: it keeps the coordinate path
+        shifted = cpd_shift(kernel, x0)
+        shifted.evaluate_grid = lambda arrays: shifted.evaluate_batch(build(arrays))
+        return shifted
+
+    def no_grid(arrays):
+        raise AssertionError("a coordinate grid was built")
+
+    monkeypatch.setattr(kernels, "_grid", no_grid)
+    monkeypatch.setattr(certify, "cpd_shift", shift_on_coordinates)
+    assert pd_test_2input(pin(neg_vol2(), E1), 3, trials=3, set_size=8).outcome == "fail"
+    assert pd_test_2input(frame2(), 3, conditional=True, trials=3, set_size=8).passed
+    assert npd_test(s011(), 3, conditional=True, pin_trials=2, inner_trials=2,
+                    set_size=8).outcome == "fail"
+    assert shift_equivalence_battery(pin(s011(), E1), 3, trials=3, set_size=8)["trials"] == 3
+    for kernel in (quad_a(0.5), sum_lift(inner(), 4), inner()):
+        assert inequality_suite(kernel, 3, trials=5).trials == 5
+    for kernel in (riesz(1.0), -riesz(1.0), cpd_shift(inner(), E1)):
+        with pytest.raises(AssertionError, match="coordinate grid"):
+            pd_test_2input(kernel, 3, trials=1, set_size=4)
+
+
+@pytest.mark.parametrize("name", sorted(_BATTERY_KERNELS))
+def test_eigvalsh_least_eigenvalue_is_within_tolerance_of_eigh(name):
+    for d, set_size in [(2, 40), (3, 12), (5, 20)]:
+        kernel = _BATTERY_KERNELS[name](d)
+        mats = _kernel_matrix(kernel, _random_sets(np.random.default_rng(d), 30,
+                                                   np.zeros((0, d)), set_size))
+        for conditional in (False, True):
+            by_eigh = np.linalg.eigh(_restricted(mats, conditional))[0][:, 0]
+            gap = np.abs(_matrix_min_eig(mats, conditional) - by_eigh)
+            assert np.all(gap <= _eigen_tol(mats)), (d, conditional, gap.max())
