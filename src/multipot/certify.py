@@ -9,22 +9,26 @@ can be recomputed independently.
 
 The randomized batteries (:func:`pd_test_2input`, :func:`npd_test`,
 :func:`shift_equivalence_battery`, :func:`inequality_suite`) run their
-trials in blocks of at most ``_CHUNK_TUPLES`` kernel tuples (one trial
-at least), cut by the energy module's block rule.  A block makes the same
-generator calls, in the same order, as one trial at a time would, so a
+trials in blocks of at most ``_CHUNK_TUPLES`` = 24,576 kernel tuples (one
+trial at least), cut by the energy module's block rule.  A block makes the
+same generator calls, in the same order, as one trial at a time would, so a
 seed fixes every report whatever the block size; the block is then
 normalised, evaluated and decomposed in one pass: one
 :meth:`Kernel.evaluate_grid` call per kernel over its slot arrays (a pair
-polynomial takes it from their inner products, any other kernel from a
-coordinate grid, with the same bits) and one stacked ``eigvalsh``.
-Eigenvectors (``eigh``) are computed only for a trial whose least
-eigenvalue makes it a witness candidate.  The one exception to the draw
-order has probability zero: a drawn row of norm below 1e-12 is redrawn at
-the end of its block's draws rather than at once, so no such row ever
-reaches a kernel.
+polynomial takes it from their inner products, a combination such as the
+anchor shift from its terms' grids, any other kernel from a coordinate
+grid, with the same bits) and one stacked ``eigvalsh``.  The block size
+weighs a block's fixed cost, some eight suite trials' worth, against the
+size of its arrays: an arity-3 suite block holds 49 trials, and a PD test
+of five 40-point sets is one block.  Eigenvectors (``eigh``) are
+computed only for a trial whose least eigenvalue makes it a witness
+candidate.  The one exception to the draw order has probability zero: a
+drawn row of norm below 1e-12 is redrawn at the end of its block's draws
+rather than at once, so no such row ever reaches a kernel.
 """
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import asdict, dataclass, field, replace
 
@@ -69,7 +73,13 @@ __all__ = [
 ]
 
 _MAX_ATOMS = 5            # atoms per random measure of the inequality suite
-_CHUNK_TUPLES = 6144      # kernel tuples per block of trials, in every battery
+# Kernel tuples per block of trials, in every battery.  A block's fixed cost
+# (normalisation masks, two diagonal grid calls, residual bookkeeping) is
+# about 0.2 ms, some eight arity-3 suite trials; at 24,576 tuples it is
+# spread over 49 of them, and each of the block's arrays stays near 0.2 MB.
+# Blocks of 49,152 tuples measured no faster, with twice the peak heap; blocks
+# of 98,304 measured slower.
+_CHUNK_TUPLES = 24576
 
 
 @dataclass(frozen=True)
@@ -94,13 +104,17 @@ class PDVerdict:
         return self.outcome == "pass_statistical"
 
 
+@functools.lru_cache(maxsize=64)
 def _balanced_basis(m: int) -> np.ndarray:
-    """Orthonormal basis (as columns) of the sum-zero subspace of R^m."""
+    """Orthonormal basis (as columns) of the sum-zero subspace of R^m: one
+    read-only array per m, cached, since every conditional battery block
+    asks for it."""
     basis = np.zeros((m, m - 1))
     for k in range(1, m):
         basis[:k, k - 1] = 1.0
         basis[k, k - 1] = -float(k)
         basis[:, k - 1] /= np.sqrt(k * (k + 1.0))
+    basis.flags.writeable = False
     return basis
 
 

@@ -13,7 +13,8 @@ and subset lifts) is the sum or the product of terms c * base(view), where
 a view feeds each base slot an input slot or a fixed point.  One builder,
 :func:`_derived`, turns such terms into a single pair polynomial when every
 base is one, and otherwise into the private combination class, which
-evaluates the terms separately; the anchor shift is always a combination.
+evaluates the terms separately (on a product grid, each from its base's own
+grid evaluation); the anchor shift is always a combination.
 A combination's gradient follows from the product rule, so every kernel
 built here has an analytic gradient.
 
@@ -171,15 +172,26 @@ class PairPolynomial:
         return out
 
     def _sum_monomials(self, vals: dict, batch: tuple) -> np.ndarray:
-        """The polynomial from its pair values, which broadcast to ``batch``;
-        each term is a product in monomial order, starting from its coefficient."""
+        """The polynomial from its pair values, which broadcast to ``batch``.
+
+        Each term is its coefficient times vals[pair] ** e, multiplied in
+        monomial order, and the terms are added to a zero total in term
+        order: the products and sums of ``total + coeff * v1 ** e1 * ...``,
+        so the same bits.  They are taken in place, in two arrays of shape
+        ``batch`` owned here; a first power is the pair value itself, and no
+        pair value is written to.
+        """
         total = np.zeros(batch)
+        term = np.empty(batch)
         for mono, coeff in self.terms.items():
-            term = coeff
-            for pair, e in mono:
-                term = term * vals[pair] ** e
-            total = total + term
-        return total
+            if not mono:
+                np.add(total, coeff, out=total)
+                continue
+            for i, (pair, e) in enumerate(mono):
+                factor = vals[pair] if e == 1 else vals[pair] ** e
+                np.multiply(term if i else coeff, factor, out=term)
+            np.add(total, term, out=total)
+        return total if batch else total[()]
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate on points of shape (..., nslots, d)."""
@@ -420,12 +432,47 @@ class _Combination(Kernel):
         return [c * base.evaluate_batch(self._view(layout, pts))
                 for c, base, layout in self._terms]
 
-    def evaluate_batch(self, pts):
-        vals = self._values(self._check_points(pts))
+    def _combine(self, vals):
         out = vals[0] if self._const is None else self._const + vals[0]
         for v in vals[1:]:
             out = self._op(out, v)
         return out
+
+    def evaluate_batch(self, pts):
+        return self._combine(self._values(self._check_points(pts)))
+
+    @staticmethod
+    def _grid_view(base, layout, arrays):
+        """base(view) over the grid of the input slot arrays, from the base's
+        own grid evaluation: a fixed point is a one-row slot array, and the
+        base's slot axes are moved to input-slot order, with size-1 axes for
+        the inputs the view leaves out."""
+        if layout is None:
+            return base.evaluate_grid(arrays)
+        inputs, fixed = layout
+        slots = [None] * (len(inputs) + len(fixed))
+        keep = [slice(None)] * len(slots)      # a fixed point's axis is dropped
+        for k, s in inputs:
+            slots[k] = arrays[s]
+        for k, point in fixed:
+            slots[k], keep[k] = point[None, :], 0
+        vals = base.evaluate_grid(slots)[(..., *keep)]
+        lead = vals.ndim - len(inputs)
+        order = np.argsort([s for _, s in inputs])
+        vals = vals.transpose(*range(lead), *(lead + i for i in order))
+        used = {s for _, s in inputs}
+        return vals.reshape(vals.shape[:lead] + tuple(
+            a.shape[-2] if s in used else 1 for s, a in enumerate(arrays)))
+
+    def evaluate_grid(self, arrays):
+        """The kernel over the grid of the slot arrays, from each term's
+        :meth:`Kernel.evaluate_grid` on its view's slot arrays, combined in
+        the order of :meth:`evaluate_batch`: the same bits, and no coordinate
+        grid unless a base builds one."""
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        self._check_points(np.empty((len(arrays), arrays[0].shape[-1])))
+        return self._combine([c * self._grid_view(base, layout, arrays)
+                              for c, base, layout in self._terms])
 
     def gradient_batch(self, pts):
         pts = self._check_points(pts)

@@ -235,8 +235,7 @@ def _scenario_s011_potential(seed, tuples, tol_scale, d=3, surrogate_size=100_00
     for q in range(queries):
         x, y = pairs[q]
         # direct i.i.d. row evaluation gives an honest standard error
-        rows = kernel.evaluate_batch(energy._grid([surrogate.atoms, pairs[q, :1], pairs[q, 1:]]))
-        rows = rows[:, 0, 0]
+        rows = kernel.evaluate_grid([surrogate.atoms, pairs[q, :1], pairs[q, 1:]])[:, 0, 0]
         stderr = float(rows.std(ddof=1) / math.sqrt(surrogate_size))
         ref = float(x @ y) / d
         band = MC_SIGMA * stderr * tol_scale
@@ -343,7 +342,7 @@ def _potential_mixture(kernel, mu, nu):
     its values on the atom pairs (not from the mixture's exact sums)."""
     two_input = energy.PotentialKernel(kernel, [mu] * (kernel.arity - 2))
     atoms, k = np.vstack([mu.atoms, nu.atoms]), mu.n_atoms
-    vals = two_input.evaluate_batch(energy._grid([atoms, atoms]))
+    vals = two_input.evaluate_grid([atoms, atoms])
     return (float(mu.weights @ vals[:k, :k] @ mu.weights),
             float(mu.weights @ vals[:k, k:] @ nu.weights),
             float(nu.weights @ vals[k:, k:] @ nu.weights))

@@ -150,6 +150,19 @@ def grid_values_by_coordinates(kernel, arrays):
     return kernel.evaluate_batch(_grid(arrays))
 
 
+def sum_monomials_out_of_place(poly, vals, batch):
+    """A pair polynomial from its pair values, which broadcast to ``batch``,
+    as the plain expression ``total + coeff * v1 ** e1 * ...``: every product
+    and sum in a new array, each term in monomial order, terms in order."""
+    total = np.zeros(batch)
+    for mono, coeff in poly.terms.items():
+        term = coeff
+        for pair, e in mono:
+            term = term * vals[pair] ** e
+        total = total + term
+    return total
+
+
 def _min_eig(mat, conditional):
     """Smallest (sum-zero-restricted) eigenvalue of one matrix, from
     ``eigvalsh``, and its coefficient vector, from ``eigh``."""

@@ -1,5 +1,6 @@
 """Positive-definiteness certification, convexity probes, constancy checks."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,7 @@ from oracles import (
     potential_mixture,
     potential_stderr_loop,
     shift_battery_loop,
+    sum_monomials_out_of_place,
 )
 
 E1, E2, E3 = (basis_vector(i, 3) for i in range(3))
@@ -594,11 +596,18 @@ _BATTERY_KERNELS = {
 }
 
 
+# The trial-loop comparisons below run at a block of this many tuples, below the
+# default, so that small trial counts span several blocks; the draws do not
+# depend on the block size (test_block_size_changes_no_bit).
+_SMALL_BLOCK = 6144
+
+
 @pytest.mark.parametrize("name", sorted(_BATTERY_KERNELS))
 @pytest.mark.parametrize("conditional", [False, True])
-def test_pd_test_matches_trial_loop_bitwise(name, conditional):
-    # set_size 12 runs 56 trials a block and set_size 40 five, so the trial
-    # counts below span one, two and three blocks
+def test_pd_test_matches_trial_loop_bitwise(name, conditional, monkeypatch):
+    # set_size 12 runs 42 trials a small block and set_size 40 three, so the
+    # trial counts below span one, two and four blocks
+    monkeypatch.setattr(certify, "_CHUNK_TUPLES", _SMALL_BLOCK)
     for d, trials, set_size, include, tol in [
         (3, 5, 12, None, None), (3, 70, 12, None, None), (2, 12, 40, None, None),
         (5, 60, 12, [basis_vector(0, 5), basis_vector(1, 5)], None),
@@ -614,7 +623,8 @@ def test_pd_test_matches_trial_loop_bitwise(name, conditional):
 
 
 @pytest.mark.parametrize("name", sorted(_BATTERY_KERNELS))
-def test_shift_battery_matches_trial_loop_bitwise(name):
+def test_shift_battery_matches_trial_loop_bitwise(name, monkeypatch):
+    monkeypatch.setattr(certify, "_CHUNK_TUPLES", _SMALL_BLOCK)
     for d, trials, set_size in [(3, 8, 10), (3, 70, 12), (4, 9, 40)]:
         kernel = _BATTERY_KERNELS[name](d)
         got = shift_equivalence_battery(kernel, d, trials=trials, set_size=set_size, seed=trials)
@@ -640,6 +650,23 @@ def test_block_size_changes_no_bit(monkeypatch):
         monkeypatch.setattr(certify, "_CHUNK_TUPLES", chunk)
         results.append(run())
     assert results[0] == results[1] == results[2]
+
+
+def test_battery_blocks_stay_within_their_memory_bounds():
+    # a block's arrays are allocated once per block: the peak is set by the
+    # block size, not by the number of trials
+    for run, bound_mib in [
+        (lambda: inequality_suite(uvt(), 3, trials=1000), 1.0),
+        (lambda: npd_test(uvt(), 3, pin_trials=2, inner_trials=5, set_size=40), 0.5),
+    ]:
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, peak
 
 
 class _ZeroFirstNormalRow:
@@ -743,6 +770,11 @@ _GRID_KERNELS = {
     "sum_lift(inner,4)": lambda d: sum_lift(inner(), 4),
     "prod_lift(inner,3)": lambda d: prod_lift(inner(), 3),
     "prod_lift(frame2,3)": lambda d: prod_lift(frame2(), 3),
+    # anchor shifts are combinations: each term from its base's grid
+    "cpd_shift(inner,e1)": lambda d: cpd_shift(inner(), basis_vector(0, d)),
+    "cpd_shift(pin(neg_vol2,e1),e2)": lambda d: cpd_shift(pin(neg_vol2(), basis_vector(0, d)),
+                                                          basis_vector(1, d)),
+    "cpd_shift(-riesz(1),e2)": lambda d: cpd_shift(-riesz(1.0), basis_vector(1, d)),
 }
 
 
@@ -761,7 +793,7 @@ def test_grid_evaluation_matches_coordinates_bitwise(name):
     for d in (2, 3, 5, 9):
         kernel = _GRID_KERNELS[name](d)
         reference = _on_coordinates(_GRID_KERNELS[name](d))
-        assert isinstance(kernel, kernels.PolynomialKernel)
+        assert isinstance(kernel, (kernels.PolynomialKernel, kernels._Combination))
         n, rng = kernel.arity, np.random.default_rng(d)
         # the suite's padded 5-atom layout, its energies and its diagonal bounds
         atoms, weights, probes = _draw_trials(rng, 7, n, d)
@@ -781,6 +813,37 @@ def test_grid_evaluation_matches_coordinates_bitwise(name):
                 assert _same_bits(_kernel_matrix(kernel, pts), _kernel_matrix(reference, pts))
 
 
+# the pair polynomials of the grid test, and one with powers above 2
+_MONOMIAL_KERNELS = {
+    **{name: make for name, make in _GRID_KERNELS.items() if not name.startswith("cpd_shift")},
+    "prod_f_uvt(cubic)": lambda d: prod_f_uvt([0.5, 1.0, 0.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MONOMIAL_KERNELS))
+def test_in_place_monomial_sum_matches_the_plain_expression(name):
+    # the suite's padded grid, grid pair values that broadcast, and a
+    # Monte-Carlo-sized batch of tuples
+    d, rng = 3, np.random.default_rng(7)
+    poly = _MONOMIAL_KERNELS[name](d).pair_poly
+    n = poly.nslots
+    atoms = _draw_trials(rng, 7, n, d)[0]
+    leads = [(3, 1), (1, 4), (4,), ()]
+    for arrays in ([atoms[:, s] for s in range(n)],
+                   [_random_directions(rng, leads[s] + (s + 2, d)) for s in range(n)]):
+        vals = poly._grid_pair_values(arrays)
+        _check_monomial_sum(poly, vals, kernels._tuple_shape(arrays))
+    pts = _random_directions(rng, (66666, n, d))
+    _check_monomial_sum(poly, poly._pair_values(pts), pts.shape[:-2])
+
+
+def _check_monomial_sum(poly, vals, batch):
+    before = {pair: v.copy() for pair, v in vals.items()}
+    got = poly._sum_monomials(vals, batch)
+    assert _same_bits(got, sum_monomials_out_of_place(poly, vals, batch))
+    assert all(_same_bits(vals[pair], v) for pair, v in before.items())
+
+
 def test_grid_evaluation_checks_its_arrays():
     pts = _random_directions(np.random.default_rng(0), (4, 3))
     with pytest.raises(ValueError, match="takes 3 points"):
@@ -790,19 +853,10 @@ def test_grid_evaluation_checks_its_arrays():
 
 
 def test_pair_polynomial_batteries_build_no_coordinate_grid(monkeypatch):
-    build = kernels._grid
-
-    def shift_on_coordinates(kernel, x0):
-        # the anchor shift is a combination of kernels: it keeps the coordinate path
-        shifted = cpd_shift(kernel, x0)
-        shifted.evaluate_grid = lambda arrays: shifted.evaluate_batch(build(arrays))
-        return shifted
-
     def no_grid(arrays):
         raise AssertionError("a coordinate grid was built")
 
     monkeypatch.setattr(kernels, "_grid", no_grid)
-    monkeypatch.setattr(certify, "cpd_shift", shift_on_coordinates)
     assert pd_test_2input(pin(neg_vol2(), E1), 3, trials=3, set_size=8).outcome == "fail"
     assert pd_test_2input(frame2(), 3, conditional=True, trials=3, set_size=8).passed
     assert npd_test(s011(), 3, conditional=True, pin_trials=2, inner_trials=2,
@@ -810,7 +864,9 @@ def test_pair_polynomial_batteries_build_no_coordinate_grid(monkeypatch):
     assert shift_equivalence_battery(pin(s011(), E1), 3, trials=3, set_size=8)["trials"] == 3
     for kernel in (quad_a(0.5), sum_lift(inner(), 4), inner()):
         assert inequality_suite(kernel, 3, trials=5).trials == 5
-    for kernel in (riesz(1.0), -riesz(1.0), cpd_shift(inner(), E1)):
+    # the anchor shift of a pair polynomial takes its terms from their grids too
+    assert pd_test_2input(cpd_shift(inner(), E1), 3, trials=1, set_size=4).passed
+    for kernel in (riesz(1.0), -riesz(1.0), cpd_shift(-riesz(1.0), E1)):
         with pytest.raises(AssertionError, match="coordinate grid"):
             pd_test_2input(kernel, 3, trials=1, set_size=4)
 
