@@ -417,7 +417,7 @@ def _dense_spread(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarray) 
                          f"test points needs more than {_WORK_LIMIT} kernel values")
     rows = np.empty((len(test_points), m))
     for start, stop in _spans(len(test_points), m * m):
-        vals = _grid_values(kernel.evaluate_batch, [test_points[start:stop], mu.atoms, mu.atoms])
+        vals = _grid_values(kernel.evaluate_grid, [test_points[start:stop], mu.atoms, mu.atoms])
         rows[start:stop] = np.einsum("pkj,k->pj", vals, w)
     return (rows - (rows @ w)[:, None]) ** 2 @ w
 

@@ -3,13 +3,13 @@
 Exact energies of atomic measures are weighted sums of kernel values over
 all atom tuples.  Two routes compute them:
 
-* the dense route enumerates the tuples.  It serves every kernel and is
-  the reference for the other route.  One builder, :func:`_grid` (from
-  the kernel module, whose default grid evaluation uses it), lays out
-  every tuple grid, and one block rule, :func:`_spans`, cuts each into
-  blocks of at most ``_BLOCK_TUPLES`` tuples whatever its shape (a one-atom
-  slot, one query, a stack).  Sums run as over the whole grid, so no block
-  boundary moves a bit;
+* the dense route enumerates the tuples, for kernels that are not pair
+  polynomials and for pair polynomials past the moment route's limit; it is
+  the reference for the other route.  Every dense value comes from
+  :meth:`Kernel.evaluate_grid` on slot arrays (only gradients build
+  coordinate grids), cut by one block rule, :func:`_spans`, into blocks of
+  at most ``_BLOCK_TUPLES`` tuples whatever the grid's shape.  Sums run as
+  over the whole grid, so no block boundary moves a bit;
 * the power-moment route serves pair-polynomial kernels.  A monomial
   prod <x_a, x_b>^e factors through tensor powers: an integrated slot
   becomes the moment tensor M_E = sum_i w_i x_i^{(x)E} (anchor factors
@@ -36,11 +36,10 @@ all atom tuples.  Two routes compute them:
 A stack (B, N, d) of configurations in place of one (N, d) gets B energies
 or gradients from one set of contractions, each with the bits it gets alone;
 on the dense route, B energies and gradients from tuple grids of several
-configurations per kernel call.  One rule, :func:`_moment_size`, picks the
-route for every energy, potential and gradient: the moment route runs when
-the arrays it builds hold no more entries than the dense route reads (per
-tuple: the points, their pair products and one value per monomial).  Neither
-route takes on more than ``_WORK_LIMIT`` tuples or entries.
+configurations per kernel call.  One rule, :func:`_route`, picks the route by
+kernel type: a pair polynomial takes the moment route whenever its program
+exists and its arrays fit ``_WORK_LIMIT`` entries; every other call takes the
+dense route, which raises past ``_WORK_LIMIT`` tuples.
 """
 from __future__ import annotations
 
@@ -107,14 +106,14 @@ def _spans(count: int, per: int, limit: int | None = None):
 
 
 def _grid_blocks(arrays):
-    """The grid of the point arrays in blocks of at most ``_BLOCK_TUPLES``
-    tuples: the block rule along the outermost axis of the tuple index whose
-    trailing sub-grid fits, so each block is a contiguous range of the
-    C-ordered index.  Yields (index, grid), index being the block's slices of
-    the leading tuple axes (the others are whole)."""
+    """The point arrays in blocks of at most ``_BLOCK_TUPLES`` grid tuples: the
+    block rule along the outermost axis of the tuple index whose trailing
+    sub-grid fits, so each block is a contiguous range of the C-ordered index.
+    Yields (index, slot arrays), index being the block's slices of the leading
+    tuple axes (the others are whole)."""
     shape = _tuple_shape(arrays)
     if math.prod(shape) <= _BLOCK_TUPLES:
-        yield (), _grid(arrays)
+        yield (), arrays
         return
     lead = len(shape) - len(arrays)
     arrays = [np.broadcast_to(a, shape[:lead] + a.shape[-2:]) for a in arrays]
@@ -122,21 +121,21 @@ def _grid_blocks(arrays):
     for outer in np.ndindex(*shape[:axis]):
         for start, stop in _spans(shape[axis], math.prod(shape[axis + 1:])):
             index = (*(slice(i, i + 1) for i in outer), slice(start, stop))
-            yield index, _grid([a[index[:lead] + index[lead + s:lead + s + 1]]
-                                for s, a in enumerate(arrays)])
+            yield index, [a[index[:lead] + index[lead + s:lead + s + 1]]
+                          for s, a in enumerate(arrays)]
 
 
-def _grid_values(batch, arrays) -> np.ndarray:
-    """``batch`` (a kernel's ``evaluate_batch``, or any map from a grid to one
-    value or array per tuple) over the grid of the point arrays, block by
-    block: shaped like the tuple index, plus the trailing axes ``batch`` gives."""
-    out = None
-    for index, grid in _grid_blocks(arrays):
-        vals = batch(grid)
+def _grid_values(values, arrays) -> np.ndarray:
+    """``values`` (a kernel's ``evaluate_grid``, or any map from slot arrays to
+    one value or array per grid tuple) over the grid of the point arrays, block
+    by block: shaped like the tuple index, plus the trailing axes it gives."""
+    shape, out = _tuple_shape(arrays), None
+    for index, block in _grid_blocks(arrays):
+        vals = values(block)
         if not index:       # the whole grid in one block
             return vals
         if out is None:
-            out = np.empty(_tuple_shape(arrays) + vals.shape[grid.ndim - 2:])
+            out = np.empty(shape + vals.shape[len(shape):])
         out[index] = vals
     return out
 
@@ -145,7 +144,7 @@ def _dense_mutual(kernel: Kernel, slots):
     """Weighted sum of the kernel over every atom tuple, one slot's atoms and
     weights per kernel slot.  Atoms stacked as (B, N, d) give B sums, each
     with the bits of its configuration alone: one einsum per configuration."""
-    vals = _grid_values(kernel.evaluate_batch, [s.atoms for s in slots])
+    vals = _grid_values(kernel.evaluate_grid, [s.atoms for s in slots])
     letters, weights = _LETTERS[: len(slots)], [s.weights for s in slots]
     spec = letters + "," + ",".join(letters) + "->"
     lead, sizes = vals.shape[:vals.ndim - len(slots)], vals.shape[vals.ndim - len(slots):]
@@ -153,20 +152,17 @@ def _dense_mutual(kernel: Kernel, slots):
     return sums.reshape(lead) if lead else float(sums[0])
 
 
-def _dense_potential(batch, measures, queries: np.ndarray) -> np.ndarray:
+def _dense_potential(values, measures, queries: np.ndarray) -> np.ndarray:
     """Potential by a dense sum over the atom tuples (queries fill the last
-    slots), one einsum per span of whole queries.
-
-    ``batch`` maps a grid of tuples to one value per tuple (a kernel's
-    ``evaluate_batch``) or to one array per tuple, such as the gradient in
-    the free slots; the result keeps those trailing axes per query.
-    """
+    slots), one einsum per span of whole queries.  ``values`` maps slot arrays
+    to one value per grid tuple (a kernel's ``evaluate_grid``) or to one array
+    per tuple, such as the gradient in the free slots, whose axes are kept."""
     j, r = len(measures), queries.shape[1]
     sizes = tuple(m.atoms.shape[0] for m in measures)
     spec = _QUERY + _LETTERS[:j] + "...," + ",".join(_LETTERS[:j]) + "->" + _QUERY + "..."
     out = []
     for start, stop in _spans(len(queries), math.prod(sizes)):
-        vals = _grid_values(batch, [m.atoms for m in measures]
+        vals = _grid_values(values, [m.atoms for m in measures]
                             + [queries[start:stop, t:t + 1] for t in range(r)])
         vals = vals.reshape((stop - start,) + sizes + vals.shape[1 + j + r:])
         out.append(np.einsum(spec, vals, *[m.weights for m in measures]))
@@ -179,11 +175,13 @@ def _dense_potential(batch, measures, queries: np.ndarray) -> np.ndarray:
 # ``tensors`` lists (queried, position among the call's slots or query columns,
 # keys) per distinct measure and query slot, in operand order; ``monomials``
 # are (coefficient, einsum spec, axes kept before a row sum or None, operand
-# positions, block of slot 0's key), ``contractions`` the distinct (spec, kept
-# axes, operand positions) of the environments, ``environments`` (slot,
-# coefficient, index into contractions, key), and ``turns[key]`` the axis
-# orders that bring each position of an environment to the front.
-_Program = namedtuple("_Program", "slot_keys tensors monomials contractions environments turns")
+# positions, block of slot 0's key), ``letters`` the unit exponents each
+# monomial contracts over, ``contractions`` the distinct (spec, kept axes,
+# operand positions) of the environments, ``environments`` (slot, coefficient,
+# index into contractions, key), and ``turns[key]`` the axis orders that bring
+# each position of an environment to the front.
+_Program = namedtuple("_Program",
+                      "slot_keys tensors monomials letters contractions environments turns")
 
 
 def _layout(slots, opened: bool = False, queries: int = 0) -> str:
@@ -265,7 +263,8 @@ def _program(poly, layout: str) -> _Program | None:
                                     *(len(lead) + i for i in range(key[0]) if i != k))
                                    for k in range(key[0]))
     return _Program(tuple(map(tuple, slot_keys)), tuple(tensors), monomials,
-                    tuple(contractions), tuple(environments), turns)
+                    tuple(len(summed) for *_, summed in monos), tuple(contractions),
+                    tuple(environments), turns)
 
 
 def _canonical(spec: str, keep, operands):
@@ -280,49 +279,32 @@ def _canonical(spec: str, keep, operands):
     return min((spec, keep, operands), (f"{second},{first}->{out}", keep, operands[::-1]))
 
 
-@functools.lru_cache(maxsize=64)
-def _route_sizes(poly, d: int):
-    """The terms of :func:`_moment_size`'s size count that depend only on the
-    polynomial and d: the entries of all monomial contractions per query, the
-    entries each slot builds per row, the distinct pairs and the monomial
-    count; None if no program fits."""
-    prog, n = _program(poly, "a" * poly.nslots), poly.nslots
-    if prog is None:
-        return None
-    return (sum(d ** sum(e for (_, b), e in mono if b < n) for mono in poly.terms),
-            tuple(sum(d**e + d * len(anchored) for e, anchored in keys) for keys in prog.slot_keys),
-            len({pair for mono in poly.terms for pair, _ in mono}), len(poly.terms))
-
-
-def _moment_size(kernel: Kernel, slots, queries: int = 1) -> int | None:
-    """The routing rule for every exact sum, potential and gradient: the entries
-    the moment route builds and reads, per configuration of a stack, if it
-    runs; None for the dense route.
-
-    ``slots`` carry the atoms of the integrated (leading) slots; each
-    remaining slot takes one of ``queries`` points or tuples.  The moment
-    route runs for a pair polynomial when the entries it builds and reads
-    (tensor powers of each slot, one d-vector pass over a slot's rows per
-    anchor factor of each of its keys, and one contraction per monomial)
-    are no more than the dense route reads: per tuple, the points, their
-    pair products and one value per monomial.  Raises when the dense route
-    would exceed the work limit.
-    """
+def _route(kernel: Kernel, slots, queries: np.ndarray | None = None):
+    """The routing rule for every exact sum, potential and gradient, by kernel
+    type: (program, work) for the moment route, which a pair polynomial takes
+    whenever its program exists and its work fits ``_WORK_LIMIT``; else None.
+    The work is the entries the program builds and reads per configuration:
+    the tensor powers of each distinct measure or query slot, one d-vector
+    pass over its rows per anchor factor of each key, and one contraction per
+    monomial and query.  ``slots`` carry the atoms of the integrated slots,
+    and each query tuple (Q, r, d) fills the others.  Raises on a pinned dimension
+    other than the slots', and past the dense route's limit."""
     d = slots[0].atoms.shape[-1]
-    rows = [s.atoms.shape[-2] for s in slots]
-    tuples = math.prod(rows)
-    sizes = None if kernel.pair_poly is None else _route_sizes(kernel.pair_poly, d)
-    if sizes is not None:
-        contractions, per_row, pairs, count = sizes
-        rows += [queries] * (kernel.arity - len(slots))
-        size = queries * contractions + sum(n * k for n, k in zip(rows, per_row))
-        if size <= min(tuples * queries * ((kernel.arity + pairs) * d + count), _WORK_LIMIT):
-            return size
+    kernel._check_points(np.empty((kernel.arity, d)))      # pin dimension
+    q, free = (1, 0) if queries is None else queries.shape[:2]
+    prog = None if kernel.pair_poly is None else _program(kernel.pair_poly,
+                                                          _layout(slots, queries=free))
+    if prog is not None:
+        work = q * sum(d**k for k in prog.letters) + sum(
+            (q if queried else slots[pos].atoms.shape[-2])
+            * sum(d**e + d * len(anchored) for e, anchored in keys)
+            for queried, pos, keys in prog.tensors)
+        if work <= _WORK_LIMIT:
+            return prog, work
+    tuples = math.prod(s.atoms.shape[-2] for s in slots)
     if tuples > _WORK_LIMIT:
-        raise ValueError(
-            f"{tuples} atom tuples exceed the dense limit and no moment route "
-            f"fits kernel '{kernel.name}'"
-        )
+        raise ValueError(f"{tuples} atom tuples exceed the dense limit and no moment route "
+                         f"fits kernel '{kernel.name}'")
     return None
 
 
@@ -476,37 +458,36 @@ def _sum(kernel: Kernel, slots, queries: np.ndarray | None = None):
     go through :func:`_bind`."""
     if isinstance(kernel, PotentialKernel):
         return _sum(kernel.base, kernel.measures + list(slots), queries)
-    if _moment_size(kernel, slots, 1 if queries is None else queries.shape[0]) is not None:
-        return _moment_sum(kernel.pair_poly, slots, queries)
+    route = _route(kernel, slots, queries)
+    if route is not None:
+        return _moment_sum(kernel.pair_poly, slots, queries, route[0])
     if queries is None:
         return _dense_mutual(kernel, slots)
-    return _dense_potential(kernel.evaluate_batch, slots, queries)
+    return _dense_potential(kernel.evaluate_grid, slots, queries)
 
 
 def _bind(kernel: Kernel, pts: np.ndarray):
     """The discrete energy and its Euclidean gradient at every row, as functions
     of point arrays shaped like ``pts``: (N, d), or a stack (B, N, d) of any
     length B with one energy and one gradient per configuration; and the work
-    of one configuration's energy, in the units of ``_WORK_LIMIT`` (entries the
-    moment route builds, or tuples the dense route reads).  The route, the
-    call layout and the contraction program are resolved here, once; a potential
-    kernel's measures are fixed slots of its base."""
+    of one configuration's energy in the units of ``_WORK_LIMIT``.  The route
+    (:func:`_route`) and program are resolved once, here; a potential kernel's
+    measures are fixed slots of its base."""
     n, arity = pts.shape[-2], kernel.arity
     weights = np.full(n, 1.0 / n)
     pk = isinstance(kernel, PotentialKernel)
     base, fixed = (kernel.base, kernel.measures) if pk else (kernel, [])
     slots = fixed + [_Atoms(pts, weights)] * arity
-    size = _moment_size(base, slots)
-    if size is not None:
-        poly = base.pair_poly
-        prog = _program(poly, _layout(slots))
+    route = _route(base, slots)
+    if route is not None:
+        poly, (prog, work) = base.pair_poly, route
 
         def energy(x):
             return _moment_sum(poly, fixed + [_Atoms(x, weights)] * arity, None, prog)
 
         def gradient(x):
             return _moment_gradient(poly, _Atoms(x, weights), fixed, prog)
-        return energy, gradient, size
+        return energy, gradient, work
 
     def energy(x):
         return _dense_mutual(base, fixed + [_Atoms(x, weights)] * arity)
@@ -515,8 +496,8 @@ def _bind(kernel: Kernel, pts: np.ndarray):
         # per slot, a point's share sums the slot's gradient over the tuples holding
         # it, in tuple order and on across blocks, so no block boundary moves a bit
         lead, shares = x.ndim - 2, [np.zeros_like(x) for _ in range(arity)]
-        for index, grid in _grid_blocks([x] * arity):
-            g = kernel.gradient_batch(grid)
+        for index, block in _grid_blocks([x] * arity):
+            g = kernel.gradient_batch(_grid(block))
             for s, share in enumerate(shares):
                 part = np.moveaxis(g[..., s, :], lead + s, -2)
                 part = part.reshape(part.shape[:lead] + (-1,) + part.shape[-2:])
@@ -530,14 +511,13 @@ def _bind(kernel: Kernel, pts: np.ndarray):
 # --- public operations -----------------------------------------------------------
 
 
-def _validate_measures(kernel: Kernel, measures) -> list[DiscreteMeasure]:
+def _check_measures(measures) -> list[DiscreteMeasure]:
+    """The measures as a list, each with an atom, all of one dimension."""
     measures = list(measures)
-    if len(measures) != kernel.arity:
-        raise ValueError(
-            f"kernel '{kernel.name}' has arity {kernel.arity}, got {len(measures)} measures"
-        )
-    dims = {m.dimension for m in measures}
-    if len(dims) != 1:
+    for s, m in enumerate(measures):
+        if m.n_atoms == 0:
+            raise ValueError(f"the measure in slot {s} has no atoms")
+    if len({m.dimension for m in measures}) != 1:
         raise ValueError("measures must share a dimension")
     return measures
 
@@ -548,10 +528,13 @@ def mutual_energy(kernel: Kernel, measures) -> EnergyEstimate:
     Computes the full weighted sum of kernel values over all atom tuples,
     one measure per kernel slot.  Exact, so stderr is 0.
     """
-    measures = _validate_measures(kernel, measures)
+    measures = list(measures)
+    if len(measures) != kernel.arity:
+        raise ValueError(f"kernel '{kernel.name}' has arity {kernel.arity}, "
+                         f"got {len(measures)} measures")
     if kernel.arity > _MAX_EXACT_ARITY:
         raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
-    return EnergyEstimate(_sum(kernel, measures), 0.0,
+    return EnergyEstimate(_sum(kernel, _check_measures(measures)), 0.0,
                           math.prod(m.n_atoms for m in measures), True)
 
 
@@ -594,10 +577,7 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
     n = kernel.arity
     if not 1 <= j <= n - 1:
         raise ValueError(f"number of integrated slots must be in [1, {n - 1}], got {j}")
-    dims = {m.dimension for m in measures}
-    if len(dims) != 1:
-        raise ValueError("measures must share a dimension")
-    d = dims.pop()
+    d = _check_measures(measures)[0].dimension
     queries = _coerce_queries(n - j, at)
     if queries.shape[2] != d:
         raise ValueError("query dimension does not match the measures")
@@ -716,7 +696,7 @@ class PotentialKernel(Kernel):
             raise ValueError("potential kernels need 1 <= j <= arity - 2 integrated slots")
         super().__init__(f"potential({base.name},j={j})", base.arity - j)
         self._base = base
-        self._measures = measures
+        self._measures = _check_measures(measures)
 
     @property
     def base(self) -> Kernel:
@@ -742,6 +722,6 @@ class PotentialKernel(Kernel):
         pts = self._check_points(pts)
         flat = pts.reshape((-1,) + pts.shape[-2:])
         j = len(self._measures)
-        grads = _dense_potential(lambda grid: self._base.gradient_batch(grid)[..., j:, :],
+        grads = _dense_potential(lambda a: self._base.gradient_batch(_grid(a))[..., j:, :],
                                  self._measures, flat)
         return grads.reshape(pts.shape)

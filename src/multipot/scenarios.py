@@ -23,7 +23,8 @@ import warnings
 import numpy as np
 
 from . import certify, energy, kernels, optimize
-from .config import GEOMETRIC_TOL, MC_SIGMA, RESIDUAL_TOL
+from .config import (AGREEMENT_TOL, BOUND_SLACK, EIGENVALUE_FLOOR, GEOMETRIC_TOL, IDENTITY_TOL,
+                     MC_SIGMA, RESIDUAL_TOL)
 from .geometry import (
     DiscreteMeasure,
     basis_vector,
@@ -176,7 +177,7 @@ def _witness_assertions(kernel, d, seed, label):
     out.append(_assertion(f"{label}: witness energy negative", w.energy < 0.0, True,
                           None, "definition"))
     out.append(_assertion(f"{label}: witness energy reproduces via mutual energy",
-                          recomputed, w.energy, 1e-12, "definition"))
+                          recomputed, w.energy, AGREEMENT_TOL, "definition"))
     out.append(_assertion(f"{label}: witness measure balanced",
                           w.measure.total_mass, 0.0, GEOMETRIC_TOL, "definition"))
     return out
@@ -189,7 +190,7 @@ def _scenario_s011_counterexample(seed, tuples, tol_scale):
         kernels.s011(), [DiscreteMeasure.dirac(e1), mu, mu]).value
     assertions = [_assertion(
         "pinned energy of the balanced pair measure", value, -1.0,
-        1e-12 * tol_scale, "closed-form", "I(delta_e1, mu, mu) = -1",
+        AGREEMENT_TOL * tol_scale, "closed-form", "I(delta_e1, mu, mu) = -1",
     )]
     assertions += _witness_assertions(kernels.s011(), 3, seed + 13, "s011")
     return _report("s011-counterexample", seed, {"tol_scale": tol_scale}, assertions)
@@ -202,7 +203,7 @@ def _scenario_negvol2_not_cpd(seed, tuples, tol_scale):
         kernels.neg_vol2(), [DiscreteMeasure.dirac(e1), nu, nu]).value
     assertions = [_assertion(
         "pinned energy of the basis-pair measure", value, -2.0,
-        1e-12 * tol_scale, "closed-form", "I(delta_e1, nu, nu) = -2",
+        AGREEMENT_TOL * tol_scale, "closed-form", "I(delta_e1, nu, nu) = -2",
     )]
     assertions += _witness_assertions(kernels.neg_vol2(), 3, seed + 17, "neg_vol2")
     return _report("negvol2-not-cpd", seed, {"tol_scale": tol_scale}, assertions)
@@ -215,7 +216,7 @@ def _scenario_negarea2_not_cpd(seed, tuples, tol_scale):
         kernels.neg_area2(), [DiscreteMeasure.dirac(e1), nu, nu]).value
     assertions = [_assertion(
         "pinned energy of the antipodal-pair measure", value, -2.0,
-        1e-12 * tol_scale, "closed-form", "I(delta_e1, nu, nu) = -2",
+        AGREEMENT_TOL * tol_scale, "closed-form", "I(delta_e1, nu, nu) = -2",
     )]
     assertions += _witness_assertions(kernels.neg_area2(), 3, seed + 19, "neg_area2")
     return _report("negarea2-not-cpd", seed, {"tol_scale": tol_scale}, assertions)
@@ -272,7 +273,7 @@ def _pd_pass_assertions(kernel, dims, conditional, seed, label, pin_trials=10,
         ))
         out.append(_assertion(
             f"{label}: smallest eigenvalue seen in d={d} above -1e-9",
-            verdict.min_eigenvalue_seen >= -1e-9, True, None, "definition",
+            verdict.min_eigenvalue_seen >= EIGENVALUE_FLOOR, True, None, "definition",
         ))
     return out
 
@@ -418,7 +419,7 @@ def _scenario_bcr_shift(seed, tuples, tol_scale, trials=20, set_size=12):
     pts = sample_sphere(3, 40, seed + 97).points.reshape(20, 2, 3)
     diff = float(np.max(np.abs(shifted.evaluate_batch(pts) - pinned.evaluate_batch(pts))))
     assertions.append(_assertion(
-        "shift of pin(neg_vol2,e1) at e1 is the identity", diff, 0.0, 1e-14,
+        "shift of pin(neg_vol2,e1) at e1 is the identity", diff, 0.0, IDENTITY_TOL,
         "closed-form", "K_e1(x,y) + K_e1(e1,e1) - K_e1(e1,y) - K_e1(x,e1) = K_e1(x,y)",
     ))
     # zero-variant shift of the negated squared distance has a closed form
@@ -426,7 +427,7 @@ def _scenario_bcr_shift(seed, tuples, tol_scale, trials=20, set_size=12):
     ref = np.einsum("qd,qd->q", pts[:, 0, :] - e1, pts[:, 1, :] - e1) * 2.0
     diff0 = float(np.max(np.abs(shifted0.evaluate_batch(pts) - ref)))
     assertions.append(_assertion(
-        "zero-variant shift of -||x-y||^2 equals 2<x-e1, y-e1>", diff0, 0.0, 1e-12,
+        "zero-variant shift of -||x-y||^2 equals 2<x-e1, y-e1>", diff0, 0.0, AGREEMENT_TOL,
         "oracle",
     ))
     return _report("bcr-shift", seed, {"trials": trials, "set_size": set_size}, assertions)
@@ -485,7 +486,7 @@ def _scenario_maximize_area2(seed, tuples, tol_scale, n_points=30, d=3, steps=20
                    trace.final_energy >= 0.45, True, None, "closed-form",
                    "sup over measures is 3*(d-1)/(4*d) = 0.5 at d=3"),
         _assertion("energy never exceeds the measure supremum",
-                   trace.final_energy <= 0.5 + 1e-9, True, None, "closed-form",
+                   trace.final_energy <= 0.5 + BOUND_SLACK, True, None, "closed-form",
                    "3*(d-1)/(4*d)"),
     ]
     return _report("maximize-area2", seed,
@@ -502,7 +503,7 @@ def _scenario_maximize_vol2(seed, tuples, tol_scale, n_points=30, d=3, steps=200
         _assertion("best energy reaches 0.19 (supremum 2/9 at d=3)",
                    trace.final_energy >= 0.19, True, None, "oracle"),
         _assertion("energy never exceeds the measure supremum",
-                   trace.final_energy <= (d - 1) * (d - 2) / d**2 + 1e-9, True, None,
+                   trace.final_energy <= (d - 1) * (d - 2) / d**2 + BOUND_SLACK, True, None,
                    "oracle"),
     ]
     return _report("maximize-vol2", seed,
@@ -519,7 +520,7 @@ def _scenario_minimize_s011(seed, tuples, tol_scale, n_points=2, d=3, steps=2000
                    trace.final_energy <= 1e-6, True, None, "closed-form",
                    "I >= 0 with equality at mean-zero configurations"),
         _assertion("optimizer never undershoots the closed-form infimum",
-                   trace.final_energy >= -1e-9, True, None, "closed-form", "inf I = 0"),
+                   trace.final_energy >= -BOUND_SLACK, True, None, "closed-form", "inf I = 0"),
     ]
     return _report("minimize-s011", seed,
                    {"n_points": n_points, "d": d, "steps": steps}, assertions)

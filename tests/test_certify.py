@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import multipot.energy as energy_mod
 from multipot import (
     DiscreteMeasure,
     OptimizerConfig,
@@ -59,7 +60,7 @@ from multipot.certify import (
     _restricted,
     _trial_energies,
 )
-from multipot.energy import _spans
+from multipot.energy import _dense_mutual, _dense_potential, _spans
 from multipot.geometry import _random_directions
 from oracles import (
     grid_values_by_coordinates,
@@ -857,6 +858,7 @@ def test_pair_polynomial_batteries_build_no_coordinate_grid(monkeypatch):
         raise AssertionError("a coordinate grid was built")
 
     monkeypatch.setattr(kernels, "_grid", no_grid)
+    monkeypatch.setattr(energy_mod, "_grid", no_grid)
     assert pd_test_2input(pin(neg_vol2(), E1), 3, trials=3, set_size=8).outcome == "fail"
     assert pd_test_2input(frame2(), 3, conditional=True, trials=3, set_size=8).passed
     assert npd_test(s011(), 3, conditional=True, pin_trials=2, inner_trials=2,
@@ -869,6 +871,13 @@ def test_pair_polynomial_batteries_build_no_coordinate_grid(monkeypatch):
     for kernel in (riesz(1.0), -riesz(1.0), cpd_shift(-riesz(1.0), E1)):
         with pytest.raises(AssertionError, match="coordinate grid"):
             pd_test_2input(kernel, 3, trials=1, set_size=4)
+    # nor do the energy module's dense sums and the dense noise estimate
+    mu, pts = uniform_surrogate(3, 12, 1), sample_sphere(3, 4, 2).points
+    for kernel in (area2(), pin(vol2(), E1)):
+        _dense_mutual(kernel, [mu] * kernel.arity)
+        _dense_potential(kernel.evaluate_grid, [mu] * (kernel.arity - 1), pts[:, None, :])
+    for kernel in (area2(), pin(sum_lift(frame2(), 4), E1)):
+        _dense_spread(kernel, mu, pts)
 
 
 @pytest.mark.parametrize("name", sorted(_BATTERY_KERNELS))

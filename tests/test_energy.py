@@ -20,6 +20,7 @@ from multipot import (
     area2,
     basis_vector,
     combine,
+    cpd_shift,
     discrete_energy,
     frame2,
     inner,
@@ -161,13 +162,43 @@ def test_mutual_validation_errors():
         mutual_energy(sum_lift(inner(), 5), [m3] * 5)
 
 
+def test_pinned_dimension_is_checked_on_every_route():
+    # points in R^4 against a pin in R^3, on the moment route (2 and 50 atoms)
+    # and through the potential kernel's own evaluation
+    pinned = pin(vol2(), E1)
+    for n_atoms in (2, 50):
+        m = _random_measure(n_atoms, 4, 80 + n_atoms)
+        with pytest.raises(ValueError, match="pinned points"):
+            mutual_energy(pinned, [m, m])
+    m = _random_measure(5, 4, 83)
+    with pytest.raises(ValueError, match="pinned points"):
+        potential(pinned, [m], basis_vector(0, 4))
+    with pytest.raises(ValueError, match="pinned points"):
+        discrete_energy(pinned, sample_sphere(4, 6, 84))
+    kernel = PotentialKernel(pin(sum_lift(inner(), 4), E1), [m])
+    with pytest.raises(ValueError, match="pinned points"):
+        kernel.evaluate_batch(sample_sphere(4, 4, 85).points.reshape(2, 2, 4))
+
+
+def test_empty_measures_are_rejected():
+    empty, m = DiscreteMeasure(np.empty((0, 3))), _random_measure(3, 3, 86)
+    with pytest.raises(ValueError, match="slot 0 has no atoms"):
+        mutual_energy(area2(), [empty] * 3)
+    with pytest.raises(ValueError, match="slot 1 has no atoms"):
+        mutual_energy(area2(), [m, empty, m])
+    with pytest.raises(ValueError, match="slot 1 has no atoms"):
+        potential(area2(), [m, empty], E1)
+    with pytest.raises(ValueError, match="slot 0 has no atoms"):
+        PotentialKernel(vol2(), [empty])
+
+
 def test_contraction_route_matches_dense_route():
     kernels_under_test = [uvt(), vol2(), area2(), s011(), s100(),
                           quad_a(0.5, shift=True), prod_f_uvt(coeffs=[0.5, 0.0, 2.0]),
                           pin(sum_lift(inner(), 4), E1)]
     measures = [_random_measure(41, 3, s, probability=False) for s in (7, 8, 9)]
     for kernel in kernels_under_test:
-        assert energy_mod._moment_size(kernel, measures) is not None
+        assert energy_mod._route(kernel, measures) is not None
         fast = mutual_energy(kernel, measures).value
         dense = energy_mod._dense_mutual(kernel, measures)
         assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
@@ -179,25 +210,36 @@ def test_contraction_route_two_input_with_anchor():
     # one anchor; two anchors from a two-point pin; two anchors from a sum
     for pinned in (pin(neg_vol2(), E1), pin(sum_lift(frame2(), 4), np.stack([E1, E2])),
                    pin(vol2(), E1) + pin(area2(), E2)):
-        assert energy_mod._moment_size(pinned, [m1, m2]) is not None
+        assert energy_mod._route(pinned, [m1, m2]) is not None
         fast = mutual_energy(pinned, [m1, m2]).value
         dense = energy_mod._dense_mutual(pinned, [m1, m2])
         assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
 
 def test_anchored_kernels_route_by_size():
-    # the anchor-factor passes count against the moment route: pinned
-    # 2-atom measures, where it measured slower, take the dense route,
-    # while large measures keep the moment route
+    # pair polynomials take the moment route whatever the measures' size,
+    # pinned 2-atom measures included
     for kernel in (pin(vol2(), E1), pin(neg_area2(), E1)):
         small = [_random_measure(2, 3, s) for s in (16, 17)]
-        assert energy_mod._moment_size(kernel, small) is None
+        assert energy_mod._route(kernel, small) is not None
         assert mutual_energy(kernel, small).value == pytest.approx(
-            energy_mod._moment_sum(kernel.pair_poly, small), rel=1e-12, abs=1e-12)
+            energy_mod._dense_mutual(kernel, small), rel=1e-12, abs=1e-12)
     large = [_random_measure(1000, 3, s) for s in (18, 19, 20)]
     for kernel in (pin(vol2(), E1), pin(neg_area2(), E1), pin(s011(), E1),
                    pin(uvt(), E1), pin(sum_lift(inner(), 4), E1)):
-        assert energy_mod._moment_size(kernel, large[:kernel.arity]) is not None
+        assert energy_mod._route(kernel, large[:kernel.arity]) is not None
+    # kernels that are not pair polynomials take the dense route
+    measures = [_random_measure(5, 3, s) for s in (21, 22, 23)]
+    for kernel in (riesz(1.0), prod_f_uvt(f="exp"), cpd_shift(-riesz(1.0), E1)):
+        assert energy_mod._route(kernel, measures[:kernel.arity]) is None
+    # so does a pair polynomial whose moment arrays pass the work limit:
+    # uvt^3 contracts 9 letters, 10^9 entries at d = 10
+    cubed = prod_f_uvt(coeffs=[0, 0, 0, 1])
+    measures = [_random_measure(5, 10, s) for s in (24, 25, 26)]
+    assert energy_mod._route(cubed, measures) is None
+    expected = brute_mutual(lambda x, y, z: uvt_fn(x, y, z) ** 3,
+                            [measure_as_pairs(m) for m in measures])
+    assert mutual_energy(cubed, measures).value == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_arity_four_lifts_take_moment_route():
@@ -205,7 +247,7 @@ def test_arity_four_lifts_take_moment_route():
     with pytest.warns(UserWarning):
         product = prod_lift(inner(), 4)
     for kernel in (sum_lift(inner(), 4), product):
-        assert energy_mod._moment_size(kernel, measures) is not None
+        assert energy_mod._route(kernel, measures) is not None
         fast = mutual_energy(kernel, measures).value
         dense = energy_mod._dense_mutual(kernel, measures)
         assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12)
@@ -258,15 +300,15 @@ def test_potential_then_integrate_equals_mutual():
 def test_potential_fast_route_matches_dense_route():
     mu = uniform_surrogate(3, 120, 3)
     queries = sample_sphere(3, 5, 31).points[:, None, :]
-    assert energy_mod._moment_size(area2(), [mu, mu], len(queries)) is not None
+    assert energy_mod._route(area2(), [mu, mu], queries) is not None
     fast = potential(area2(), [mu, mu], queries)
-    dense = energy_mod._dense_potential(area2().evaluate_batch, [mu, mu], queries)
+    dense = energy_mod._dense_potential(area2().evaluate_grid, [mu, mu], queries)
     assert np.max(np.abs(fast - dense)) <= 1e-12
 
     pair_queries = sample_sphere(3, 8, 33).points.reshape(4, 2, 3)
-    assert energy_mod._moment_size(s011(), [mu], len(pair_queries)) is not None
+    assert energy_mod._route(s011(), [mu], pair_queries) is not None
     fast1 = potential(s011(), [mu], pair_queries)
-    dense1 = energy_mod._dense_potential(s011().evaluate_batch, [mu], pair_queries)
+    dense1 = energy_mod._dense_potential(s011().evaluate_grid, [mu], pair_queries)
     assert np.max(np.abs(fast1 - dense1)) <= 1e-12
 
 
@@ -380,7 +422,7 @@ def test_potential_kernel_evaluates_off_the_sphere():
     mu = _random_measure(4, 3, 73)
     pair = np.stack([2.0 * E1, E2 + E3])[None]
     value = PotentialKernel(area2(), [mu]).evaluate_batch(pair)
-    dense = energy_mod._dense_potential(area2().evaluate_batch, [mu], pair)
+    dense = energy_mod._dense_potential(area2().evaluate_grid, [mu], pair)
     np.testing.assert_allclose(value, dense, rtol=1e-12)
     with pytest.raises(ValueError, match="dimension"):
         PotentialKernel(area2(), [mu]).evaluate_batch(np.ones((1, 2, 2)))

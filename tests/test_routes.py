@@ -67,7 +67,7 @@ def test_potential_routes_agree(seed, free):
     ref = [brute_mutual(lambda *xs, q=q: fn(*xs, *q), [measure_as_pairs(m) for m in measures[:j]])
            for q in queries]
     moment = energy_mod._moment_sum(kernel.pair_poly, measures[:j], queries)
-    dense = energy_mod._dense_potential(kernel.evaluate_batch, measures[:j], queries)
+    dense = energy_mod._dense_potential(kernel.evaluate_grid, measures[:j], queries)
     routed = potential(kernel, measures[:j], queries)
     for values in (moment, dense, routed):
         assert all(_close(v, r) for v, r in zip(values, ref))
@@ -138,7 +138,7 @@ def test_fixed_slot_gradients(seed, monkeypatch):
     assert np.array_equal(stacked[:1], alone)
     for grad in (stacked[0], stacked[1][::-1]):
         assert np.allclose(grad, moment, rtol=1e-12, atol=1e-12)
-    monkeypatch.setattr(energy_mod, "_moment_size", lambda *args: None)
+    monkeypatch.setattr(energy_mod, "_route", lambda *args: None)
     dense = energy_mod._bind(PotentialKernel(kernel, fixed), pts)[1](pts)
     assert np.allclose(moment, dense, rtol=1e-12, atol=1e-12)
 
