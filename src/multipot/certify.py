@@ -46,13 +46,11 @@ from .geometry import (
 from .kernels import Kernel, cpd_shift, pin
 from .energy import (
     _MAX_EXACT_ARITY,
-    _WORK_LIMIT,
     _features,
-    _grid_values,
-    _layout,
     _open_slot,
-    _program,
+    _route,
     _spans,
+    _sum,
     MixturePolynomial,
     mixture_polynomial,
     potential,
@@ -366,25 +364,30 @@ def _potential_stderr(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarr
     potential of an M-atom surrogate measure, averaged over test points.
 
     Projects the degree-2 sum onto single atoms: with row means
-    r_j(x) = sum_k w_k K(x, y_k, y_j) and rbar = sum_j w_j r_j, the
+    r_j(x) = sum_k w_k K(y_k, y_j, x) and rbar = sum_j w_j r_j, the
     potential's variance is approximately 4 * zeta * sum_j w_j^2, where
-    zeta(x) = sum_j w_j (r_j - rbar)^2.  Pair polynomials the moment engine
-    contracts take zeta from it (:func:`_moment_spread`); other kernels from
-    dense rows (:func:`_dense_spread`).  Only arity 3 gets an estimate; a
-    polynomial whose terms all cancel (slot 0 has no keys) has no noise.
+    zeta(x) = sum_j w_j (r_j - rbar)^2.  On the potential's own route
+    (:func:`energy._route`), a pair polynomial takes zeta from the moment
+    engine (:func:`_moment_spread`), any other kernel from the rows: the
+    potentials of (atom, test point) pairs, a block of them at a time.  Only
+    arity 3 gets an estimate; a polynomial whose terms all cancel (slot 0 has
+    no keys) has no noise.
     """
     if mu.n_atoms < 2 or kernel.arity != 3:
         return 0.0
-    poly = kernel.pair_poly
-    prog = None if poly is None else _program(poly, _layout([mu, mu], True))
-    if prog is None:
-        zeta = _dense_spread(kernel, mu, test_points)
-    elif not prog.slot_keys[0]:
+    poly, (m, d), w = kernel.pair_poly, mu.atoms.shape, mu.weights
+    route = None if poly is None else _route(kernel, [mu, mu], test_points[:, None])
+    if route is None:
+        rows = np.empty((len(test_points), m))
+        for start, stop in _spans(len(test_points), m * m):
+            pairs = np.stack(np.broadcast_arrays(mu.atoms, test_points[start:stop, None]), 2)
+            rows[start:stop] = _sum(kernel, [mu], pairs.reshape(-1, 2, d)).reshape(-1, m)
+        zeta = (rows - (rows @ w)[:, None]) ** 2 @ w
+    elif not route[0].slot_keys[0]:
         return 0.0
     else:
         zeta = _moment_spread(poly, mu, test_points)
-    w2 = float(np.sum(mu.weights**2))
-    return float(np.mean(2.0 * np.sqrt(np.maximum(zeta, 0.0) * w2)))
+    return float(np.mean(2.0 * np.sqrt(np.maximum(zeta, 0.0) * float(np.sum(w**2)))))
 
 
 def _moment_spread(poly, mu: DiscreteMeasure, test_points: np.ndarray) -> np.ndarray:
@@ -407,21 +410,6 @@ def _moment_spread(poly, mu: DiscreteMeasure, test_points: np.ndarray) -> np.nda
     return zeta
 
 
-def _dense_spread(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarray) -> np.ndarray:
-    """zeta at each test point from the dense rows r_j(x), one einsum per span
-    of whole test points; raises if they need more than the work limit of
-    |test points| * M^2 values."""
-    m, w = mu.n_atoms, mu.weights
-    if len(test_points) * m * m > _WORK_LIMIT:
-        raise ValueError(f"the noise estimate of a {m}-atom measure at {len(test_points)} "
-                         f"test points needs more than {_WORK_LIMIT} kernel values")
-    rows = np.empty((len(test_points), m))
-    for start, stop in _spans(len(test_points), m * m):
-        vals = _grid_values(kernel.evaluate_grid, [test_points[start:stop], mu.atoms, mu.atoms])
-        rows[start:stop] = np.einsum("pkj,k->pj", vals, w)
-    return (rows - (rows @ w)[:, None]) ** 2 @ w
-
-
 def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
                               test_points) -> ConstancyReport:
     """Check whether the (n-1)-fold potential of mu is constant.
@@ -429,17 +417,16 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
     Evaluates U at each test point and compares the worst deviation from
     the mean against five estimated standard errors of the sampled
     potential (plus a small floor so exactly-constant potentials pass).
-    An arity-3 kernel the moment engine cannot contract estimates that
-    noise from |test points| * M^2 kernel values, and raises ValueError
-    when they exceed the exact-sum work limit.
+    The noise estimate of an arity-3 kernel takes the route of the
+    potential itself; off the moment route it sums |test points| * M^2
+    kernel values.
     """
     if mu.n_atoms < 1:
         raise ValueError("measure needs at least one atom")
     pts = np.atleast_2d(np.asarray(getattr(test_points, "points", test_points), dtype=float))
     if pts.size == 0:
         raise ValueError("need at least one test point")
-    n = kernel.arity
-    values = potential(kernel, [mu] * (n - 1), pts)
+    values = potential(kernel, [mu] * (kernel.arity - 1), pts)
     mean = float(np.mean(values))
     max_dev = float(np.max(np.abs(values - mean)))
     stderr = _potential_stderr(kernel, mu, pts)

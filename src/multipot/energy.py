@@ -3,13 +3,12 @@
 Exact energies of atomic measures are weighted sums of kernel values over
 all atom tuples.  Two routes compute them:
 
-* the dense route enumerates the tuples, for kernels that are not pair
-  polynomials and for pair polynomials past the moment route's limit; it is
-  the reference for the other route.  Every dense value comes from
-  :meth:`Kernel.evaluate_grid` on slot arrays (only gradients build
-  coordinate grids), cut by one block rule, :func:`_spans`, into blocks of
-  at most ``_BLOCK_TUPLES`` tuples whatever the grid's shape.  Sums run as
-  over the whole grid, so no block boundary moves a bit;
+* the dense route enumerates the tuples; it is the reference for the other
+  route.  Every dense value comes from :meth:`Kernel.evaluate_grid` on slot
+  arrays (only gradients build coordinate grids), cut by one block rule,
+  :func:`_spans`, into blocks of at most ``_BLOCK_TUPLES`` tuples whatever
+  the grid's shape.  Sums run as over the whole grid, so no block boundary
+  moves a bit;
 * the power-moment route serves pair-polynomial kernels.  A monomial
   prod <x_a, x_b>^e factors through tensor powers: an integrated slot
   becomes the moment tensor M_E = sum_i w_i x_i^{(x)E} (anchor factors
@@ -34,12 +33,14 @@ all atom tuples.  Two routes compute them:
   program are resolved before its first step, not on every call.
 
 A stack (B, N, d) of configurations in place of one (N, d) gets B energies
-or gradients from one set of contractions, each with the bits it gets alone;
-on the dense route, B energies and gradients from tuple grids of several
-configurations per kernel call.  One rule, :func:`_route`, picks the route by
-kernel type: a pair polynomial takes the moment route whenever its program
-exists and its arrays fit ``_WORK_LIMIT`` entries; every other call takes the
-dense route, which raises past ``_WORK_LIMIT`` tuples.
+or gradients, each with the bits it gets alone: from one set of contractions
+per span, or on the dense route from tuple grids of several configurations
+per kernel call.  One rule, :func:`_route`, picks the route by kernel type: a
+pair polynomial takes the moment route whenever its program exists and one
+configuration or query fits ``_WORK_LIMIT`` entries with its measures'
+tensors; every other call takes the dense route, which raises past
+``_WORK_LIMIT`` tuples per configuration or query.  Past the limit, stacks
+and moment-route query arrays run in spans (:func:`_spanned`).
 """
 from __future__ import annotations
 
@@ -105,6 +106,17 @@ def _spans(count: int, per: int, limit: int | None = None):
         yield start, min(start + step, count)
 
 
+def _spanned(run, per: int, limit: int):
+    """``run`` on the spans (:func:`_spans`) of its argument's first axis (a
+    stack's configurations or query tuples), joined: one call if all fit.  No
+    configuration's bits move; that no query's do is tested, not guaranteed."""
+    def spanned(items):
+        if len(items) * per <= limit:
+            return run(items)
+        return np.concatenate([run(items[a:b]) for a, b in _spans(len(items), per, limit)])
+    return spanned
+
+
 def _grid_blocks(arrays):
     """The point arrays in blocks of at most ``_BLOCK_TUPLES`` grid tuples: the
     block rule along the outermost axis of the tuple index whose trailing
@@ -160,13 +172,12 @@ def _dense_potential(values, measures, queries: np.ndarray) -> np.ndarray:
     j, r = len(measures), queries.shape[1]
     sizes = tuple(m.atoms.shape[0] for m in measures)
     spec = _QUERY + _LETTERS[:j] + "...," + ",".join(_LETTERS[:j]) + "->" + _QUERY + "..."
-    out = []
-    for start, stop in _spans(len(queries), math.prod(sizes)):
-        vals = _grid_values(values, [m.atoms for m in measures]
-                            + [queries[start:stop, t:t + 1] for t in range(r)])
-        vals = vals.reshape((stop - start,) + sizes + vals.shape[1 + j + r:])
-        out.append(np.einsum(spec, vals, *[m.weights for m in measures]))
-    return np.concatenate(out)
+
+    def run(q):
+        vals = _grid_values(values, [m.atoms for m in measures] + [q[:, t:t + 1] for t in range(r)])
+        vals = vals.reshape((len(q),) + sizes + vals.shape[1 + j + r:])
+        return np.einsum(spec, vals, *[m.weights for m in measures])
+    return _spanned(run, math.prod(sizes), _BLOCK_TUPLES)(queries)
 
 
 # --- power-moment route --------------------------------------------------------
@@ -280,27 +291,32 @@ def _canonical(spec: str, keep, operands):
 
 
 def _route(kernel: Kernel, slots, queries: np.ndarray | None = None):
-    """The routing rule for every exact sum, potential and gradient, by kernel
-    type: (program, work) for the moment route, which a pair polynomial takes
-    whenever its program exists and its work fits ``_WORK_LIMIT``; else None.
-    The work is the entries the program builds and reads per configuration:
-    the tensor powers of each distinct measure or query slot, one d-vector
-    pass over its rows per anchor factor of each key, and one contraction per
-    monomial and query.  ``slots`` carry the atoms of the integrated slots,
-    and each query tuple (Q, r, d) fills the others.  Raises on a pinned dimension
-    other than the slots', and past the dense route's limit."""
+    """The one routing rule, by kernel type, for every exact sum, potential and
+    gradient; ``slots`` carry the integrated atoms, and each query tuple (Q, r,
+    d) fills the other slots.  A pair polynomial takes the moment route whenever
+    its program exists and one item (a configuration of a stack (B, N, d), or a
+    query) fits ``_WORK_LIMIT`` with the measures' tensors: (program, work per
+    item, work limit of a span), whatever the item count.  The work counts the
+    tensor powers of each distinct measure or query slot, a d-vector pass over
+    its rows per anchor factor of each key, and a contraction per monomial.
+    All else takes the dense route (None), which raises past ``_WORK_LIMIT``
+    atom tuples per item; so do slot, query or pin dimensions other than slot 0's."""
     d = slots[0].atoms.shape[-1]
+    for s, x in enumerate([slot.atoms for slot in slots] + [queries]):
+        if x is not None and x.shape[-1] != d:
+            what = "the queries" if s == len(slots) else f"slot {s}"
+            raise ValueError(f"dimension {x.shape[-1]} of {what} differs from {d} of slot 0")
     kernel._check_points(np.empty((kernel.arity, d)))      # pin dimension
-    q, free = (1, 0) if queries is None else queries.shape[:2]
-    prog = None if kernel.pair_poly is None else _program(kernel.pair_poly,
-                                                          _layout(slots, queries=free))
+    layout = _layout(slots, queries=0 if queries is None else queries.shape[1])
+    prog = None if kernel.pair_poly is None else _program(kernel.pair_poly, layout)
     if prog is not None:
-        work = q * sum(d**k for k in prog.letters) + sum(
-            (q if queried else slots[pos].atoms.shape[-2])
-            * sum(d**e + d * len(anchored) for e, anchored in keys)
-            for queried, pos, keys in prog.tensors)
-        if work <= _WORK_LIMIT:
-            return prog, work
+        work = [0, sum(d**k for k in prog.letters)]     # shared by all items, and per item
+        for queried, pos, keys in prog.tensors:
+            rows = 1 if queried else slots[pos].atoms.shape[-2]
+            work[queried or slots[pos].atoms.ndim == 3] += rows * sum(
+                d**e + d * len(anchored) for e, anchored in keys)
+        if sum(work) <= _WORK_LIMIT:
+            return prog, work[1], _WORK_LIMIT - work[0]
     tuples = math.prod(s.atoms.shape[-2] for s in slots)
     if tuples > _WORK_LIMIT:
         raise ValueError(f"{tuples} atom tuples exceed the dense limit and no moment route "
@@ -316,7 +332,7 @@ def _powers(x: np.ndarray, keys) -> list:
     p = [np.ones_like(xt[..., :1, :]) if any(e == 0 for e, _ in keys) else None, xt]
     for _ in range(max(e for e, _ in keys) - 1):
         p.append((p[-1][..., :, None, :] * xt[..., None, :, :]).reshape(
-            xt.shape[:-2] + (-1, xt.shape[-1])))
+            xt.shape[:-2] + (p[-1].shape[-2] * xt.shape[-2], xt.shape[-1])))
     return p
 
 
@@ -459,18 +475,22 @@ def _sum(kernel: Kernel, slots, queries: np.ndarray | None = None):
     if isinstance(kernel, PotentialKernel):
         return _sum(kernel.base, kernel.measures + list(slots), queries)
     route = _route(kernel, slots, queries)
-    if route is not None:
-        return _moment_sum(kernel.pair_poly, slots, queries, route[0])
+    if route is None:
+        if queries is None:
+            return _dense_mutual(kernel, slots)
+        return _dense_potential(kernel.evaluate_grid, slots, queries)
+    prog, per, limit = route
     if queries is None:
-        return _dense_mutual(kernel, slots)
-    return _dense_potential(kernel.evaluate_grid, slots, queries)
+        return _moment_sum(kernel.pair_poly, slots, None, prog)
+    return _spanned(lambda q: _moment_sum(kernel.pair_poly, slots, q, prog), per, limit)(queries)
 
 
 def _bind(kernel: Kernel, pts: np.ndarray):
     """The discrete energy and its Euclidean gradient at every row, as functions
     of point arrays shaped like ``pts``: (N, d), or a stack (B, N, d) of any
-    length B with one energy and one gradient per configuration; and the work
-    of one configuration's energy in the units of ``_WORK_LIMIT``.  The route
+    length B with one energy and one gradient per configuration, run in spans
+    of configurations (:func:`_spanned`): on the moment route of the work its
+    route gives, on the dense route of ``_WORK_LIMIT`` atom tuples.  The route
     (:func:`_route`) and program are resolved once, here; a potential kernel's
     measures are fixed slots of its base."""
     n, arity = pts.shape[-2], kernel.arity
@@ -480,32 +500,35 @@ def _bind(kernel: Kernel, pts: np.ndarray):
     slots = fixed + [_Atoms(pts, weights)] * arity
     route = _route(base, slots)
     if route is not None:
-        poly, (prog, work) = base.pair_poly, route
+        poly, (prog, per, limit) = base.pair_poly, route
 
         def energy(x):
             return _moment_sum(poly, fixed + [_Atoms(x, weights)] * arity, None, prog)
 
         def gradient(x):
             return _moment_gradient(poly, _Atoms(x, weights), fixed, prog)
-        return energy, gradient, work
+    else:
+        per, limit = math.prod(s.atoms.shape[-2] for s in slots), _WORK_LIMIT
 
-    def energy(x):
-        return _dense_mutual(base, fixed + [_Atoms(x, weights)] * arity)
+        def energy(x):
+            return _dense_mutual(base, fixed + [_Atoms(x, weights)] * arity)
 
-    def gradient(x):
-        # per slot, a point's share sums the slot's gradient over the tuples holding
-        # it, in tuple order and on across blocks, so no block boundary moves a bit
-        lead, shares = x.ndim - 2, [np.zeros_like(x) for _ in range(arity)]
-        for index, block in _grid_blocks([x] * arity):
-            g = kernel.gradient_batch(_grid(block))
-            for s, share in enumerate(shares):
-                part = np.moveaxis(g[..., s, :], lead + s, -2)
-                part = part.reshape(part.shape[:lead] + (-1,) + part.shape[-2:])
-                rows = index[:lead] + index[lead + s:lead + s + 1]
-                share[rows] = np.add.reduce(
-                    np.concatenate([share[rows][..., None, :, :], part], -3), -3)
-        return sum(shares) / n**arity
-    return energy, gradient, math.prod(s.atoms.shape[-2] for s in slots)
+        def gradient(x):
+            # per slot, a point's share sums the slot's gradient over the tuples holding
+            # it, in tuple order and on across blocks, so no block boundary moves a bit
+            lead, shares = x.ndim - 2, [np.zeros_like(x) for _ in range(arity)]
+            for index, block in _grid_blocks([x] * arity):
+                g = kernel.gradient_batch(_grid(block))
+                for s, share in enumerate(shares):
+                    part = np.moveaxis(g[..., s, :], lead + s, -2)
+                    part = part.reshape(part.shape[:lead] + (-1,) + part.shape[-2:])
+                    rows = index[:lead] + index[lead + s:lead + s + 1]
+                    share[rows] = np.add.reduce(
+                        np.concatenate([share[rows][..., None, :, :], part], -3), -3)
+            return sum(shares) / n**arity
+    if pts.ndim == 2:
+        return energy, gradient
+    return _spanned(energy, per, limit), _spanned(gradient, per, limit)
 
 
 # --- public operations -----------------------------------------------------------
@@ -555,9 +578,8 @@ def _coerce_queries(r: int, at) -> np.ndarray:
         q = q[None, :]
     if q.ndim == 2:
         if r != 1:
-            raise ValueError(
-                f"this potential leaves {r} free slots; pass query tuples of shape (Q, {r}, d)"
-            )
+            raise ValueError(f"this potential leaves {r} free slots; "
+                             f"pass query tuples of shape (Q, {r}, d)")
         q = q[:, None, :]
     if q.ndim != 3 or q.shape[1] != r:
         raise ValueError(f"queries must have shape (Q, {r}, d)")
@@ -572,17 +594,12 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
     returned; for smaller j pass query tuples of shape (Q, arity-j, d).
     Query points must be finite and of unit norm to within GEOMETRIC_TOL.
     """
-    measures = list(measures)
+    measures, n = list(measures), kernel.arity
     j = len(measures)
-    n = kernel.arity
     if not 1 <= j <= n - 1:
         raise ValueError(f"number of integrated slots must be in [1, {n - 1}], got {j}")
-    d = _check_measures(measures)[0].dimension
+    measures = _check_measures(measures)
     queries = _coerce_queries(n - j, at)
-    if queries.shape[2] != d:
-        raise ValueError("query dimension does not match the measures")
-    if queries.shape[0] == 0:
-        return np.empty(0)
     if not np.all(np.isfinite(queries)):
         raise ValueError("query points must be finite")
     _check_on_sphere(queries, "query points")
@@ -602,8 +619,7 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     _check_count("tuples", tuples, 100)
     n = kernel.arity
     rng = np.random.default_rng(seed)
-    acc = 0.0
-    m2 = 0.0        # sum of squared deviations from the running mean
+    acc, m2 = 0.0, 0.0      # the sum, and squared deviations from the running mean
     for done, stop in _spans(tuples, n, _SAMPLE_POINTS):
         count = stop - done
         vals = kernel.evaluate_batch(_random_directions(rng, (count, n, d)))
@@ -676,8 +692,6 @@ def mixture_polynomial(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure)
     """Exact mixed energies of (1-t) mu + t nu, as a Bernstein polynomial."""
     if not (mu.is_probability and nu.is_probability):
         raise ValueError("mixture polynomials are defined for probability measures")
-    if mu.dimension != nu.dimension:
-        raise ValueError("measures must share a dimension")
     n = kernel.arity
     coeffs = np.array([
         mutual_energy(kernel, [mu] * (n - k) + [nu] * k).value for k in range(n + 1)
@@ -711,8 +725,6 @@ class PotentialKernel(Kernel):
         point is accepted, as by every other kernel: a kernel is a function on
         the ambient space, where its Euclidean gradient is taken."""
         pts = self._check_points(pts)
-        if pts.shape[-1] != self._measures[0].dimension:
-            raise ValueError("point dimension does not match the measures")
         flat = pts.reshape((-1,) + pts.shape[-2:])
         return np.asarray(_sum(self._base, self._measures, flat)).reshape(pts.shape[:-2])
 

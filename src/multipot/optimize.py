@@ -12,7 +12,8 @@ gradients, both in ambient coordinates, so no vector transport is needed
 engine at once, each with its own step and stopping test, so each start's
 trace is its single run's, bit for bit.  The engine is bound to the kernel
 and the stack's shape once per descent (route, call layout and contraction
-program), and every step calls the bound energy and gradient.  A line
+program), and every step calls the bound energy and gradient, which run a
+stack past the engine's work limit in spans of configurations.  A line
 search evaluates its trial steps in blocks, each block of every searching
 start in one energy call, and changes no bit of a trace by it: the blocks
 only save calls, most of all when a search fails at rounding level (7
@@ -30,7 +31,7 @@ from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _squar
                        project_tangent, retract, sample_sphere)
 from .config import RESIDUAL_TOL
 from .kernels import Kernel
-from .energy import _WORK_LIMIT, MixturePolynomial, _bind, mixture_polynomial
+from .energy import MixturePolynomial, _bind, mixture_polynomial
 
 __all__ = [
     "OptimizerConfig",
@@ -128,18 +129,17 @@ def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[Op
     is halved until the energy improves by the Armijo margin, over at most 60
     trials.  The trials are evaluated in blocks: one energy call takes the
     next k trials of every searching start, stacked as (S·k, N, d), with k
-    = 1, 1, 2, 4, 8, 16, 28 (fewer if S·k configurations would exceed the
-    engine's work limit, down to 1), and each start takes its first passing
-    trial.  Trial j is the step halved j times, as in a serial search, so a
-    search selects the serial search's trial and evaluates at most twice
-    its trials.  A start drops out of the evaluations once it has converged,
-    failed its line search or run out of steps.  The energy engine sums each
-    configuration on its own, so a start's trace does not depend on the other
-    starts or on the blocks; it is bound to the kernel and the stack's shape
-    once, before the first step.
+    = 1, 1, 2, 4, 8, 16, 28, and each start takes its first passing trial.
+    Trial j is the step halved j times, as in a serial search, so a search
+    selects the serial search's trial and evaluates at most twice its trials.
+    A start drops out of the evaluations once it has converged, failed its
+    line search or run out of steps.  The energy engine sums each
+    configuration on its own, and runs a stack past its work limit in spans,
+    so a start's trace does not depend on the other starts or on the blocks;
+    it is bound to the kernel and the stack's shape once, before the first step.
     """
     pts, sign = np.array(stack), -1.0 if cfg.maximize else 1.0   # descend on sign * E
-    energy_of, gradient_of, size = _bind(kernel, pts)
+    energy_of, gradient_of = _bind(kernel, pts)
     energy = energy_of(pts)
     energies = [[e] for e in energy.tolist()]
     reasons = ["steps"] * len(pts)
@@ -167,7 +167,7 @@ def _descend(kernel: Kernel, stack: np.ndarray, cfg: OptimizerConfig) -> list[Op
         search, tried = np.arange(active.size), 0     # positions in active still searching
         while search.size and tried < _TRIALS:
             # the next k trials of every searching start, in one energy call
-            k = min(max(tried, 1), _TRIALS - tried, max(1, _WORK_LIMIT // (search.size * size)))
+            k = min(max(tried, 1), _TRIALS - tried)
             rows = active[search]
             halvings = np.full((search.size, k), _BACKTRACK)
             halvings[:, 0] = t[search]

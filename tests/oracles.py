@@ -351,7 +351,7 @@ def serial_descent(kernel, stack, cfg):
     from multipot.optimize import _ARMIJO, _BACKTRACK, _TRIALS, _spectral_step
 
     pts, sign = np.array(stack), -1.0 if cfg.maximize else 1.0
-    energy_of, gradient_of, _ = _bind(kernel, pts)
+    energy_of, gradient_of = _bind(kernel, pts)
     energy = energy_of(pts)
     energies = [[e] for e in energy.tolist()]
     reasons = ["steps"] * len(pts)

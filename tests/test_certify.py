@@ -48,7 +48,6 @@ from multipot.certify import (
     _CHUNK_TUPLES,
     _MAX_ATOMS,
     _balanced_basis,
-    _dense_spread,
     _diagonal_residuals,
     _draw_trials,
     _eigen_tol,
@@ -352,12 +351,16 @@ _STDERR_KERNELS = {
     "vol2": lambda d: vol2(),
     "s011": lambda d: s011(),
     "pinned-lift": lambda d: pin(sum_lift(area2(), 4), sample_sphere(d, 1, 22).points[0]),
+    "exp-uvt": lambda d: prod_f_uvt(f="exp"),     # no pair polynomial: dense rows
 }
+# every pair polynomial at each d and weighting; the dense rows, which take
+# 1-2 s a case, at one of them
+_STDERR_CASES = [(name, d, weights) for name in list(_STDERR_KERNELS)[:-1]
+                 for d in (2, 3, 5) for weights in ("random", "uniform")]
+_STDERR_CASES.append(("exp-uvt", 3, "random"))
 
 
-@pytest.mark.parametrize("weights", ["uniform", "random"])
-@pytest.mark.parametrize("d", [2, 3, 5])
-@pytest.mark.parametrize("name", list(_STDERR_KERNELS))
+@pytest.mark.parametrize("name, d, weights", _STDERR_CASES)
 def test_potential_stderr_matches_per_point_loop(name, d, weights):
     kernel = _STDERR_KERNELS[name](d)
     atoms = sample_sphere(d, 600, 23).points
@@ -391,20 +394,21 @@ def test_constancy_of_a_cancelled_polynomial():
     assert report.passed
 
 
+def _force_dense_route(monkeypatch):
+    """Send every exact sum, and the noise estimate with them, to the dense route."""
+    for module in (energy_mod, certify):
+        monkeypatch.setattr(module, "_route", lambda *args: None)
+
+
 @pytest.mark.parametrize("kernel", [area2(), uvt(), vol2()], ids=["area2", "uvt", "vol2"])
-def test_dense_rows_match_the_moment_spread(kernel):
+def test_dense_rows_match_the_moment_spread(kernel, monkeypatch):
     w = (np.random.default_rng(26).random(40) + 0.1) / 30
     mu = DiscreteMeasure(sample_sphere(3, 40, 27).points, w)
     pts = sample_sphere(3, 12, 28).points
-    moment = _moment_spread(kernel.pair_poly, mu, pts)
-    assert np.all(moment > 0)
-    np.testing.assert_allclose(_dense_spread(kernel, mu, pts), moment, rtol=1e-12, atol=0)
-
-
-def test_dense_rows_respect_the_work_limit():
-    with pytest.raises(ValueError, match="2000-atom"):
-        _dense_spread(prod_f_uvt(f="exp"), uniform_surrogate(3, 2000, 1),
-                      sample_sphere(3, 10, 2).points)
+    assert np.all(_moment_spread(kernel.pair_poly, mu, pts) > 0)
+    moment = _potential_stderr(kernel, mu, pts)
+    _force_dense_route(monkeypatch)
+    np.testing.assert_allclose(_potential_stderr(kernel, mu, pts), moment, rtol=1e-12, atol=0)
 
 
 # --- inequality suite ---------------------------------------------------------------------
@@ -876,8 +880,9 @@ def test_pair_polynomial_batteries_build_no_coordinate_grid(monkeypatch):
     for kernel in (area2(), pin(vol2(), E1)):
         _dense_mutual(kernel, [mu] * kernel.arity)
         _dense_potential(kernel.evaluate_grid, [mu] * (kernel.arity - 1), pts[:, None, :])
+    _force_dense_route(monkeypatch)
     for kernel in (area2(), pin(sum_lift(frame2(), 4), E1)):
-        _dense_spread(kernel, mu, pts)
+        assert _potential_stderr(kernel, mu, pts) > 0
 
 
 @pytest.mark.parametrize("name", sorted(_BATTERY_KERNELS))

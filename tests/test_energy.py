@@ -15,6 +15,7 @@ import multipot.energy as energy_mod
 from multipot.kernels import PairPolynomial, PolynomialKernel
 from multipot import (
     DiscreteMeasure,
+    OptimizerConfig,
     PointConfiguration,
     PotentialKernel,
     area2,
@@ -30,6 +31,7 @@ from multipot import (
     mutual_energy,
     neg_area2,
     neg_vol2,
+    optimize_discrete,
     pin,
     potential,
     potential_constancy_check,
@@ -312,6 +314,92 @@ def test_potential_fast_route_matches_dense_route():
     assert np.max(np.abs(fast1 - dense1)) <= 1e-12
 
 
+def _spans_of(kernel, slots, queries, count, monkeypatch):
+    """Patch the work limit so that the moment route holds ``count`` items
+    (queries, or configurations of a stack) to a span."""
+    _, per, room = energy_mod._route(kernel, slots, queries)
+    monkeypatch.setattr(energy_mod, "_WORK_LIMIT", energy_mod._WORK_LIMIT - room + count * per)
+
+
+def test_large_potentials_take_the_moment_route_in_spans(monkeypatch):
+    # a work limit of 7 queries: every query count takes the moment route,
+    # in spans, with the bits of one call at the default limit (einsum does
+    # not promise these bits, so d = 3 and 5 and an anchored kernel check them)
+    cases = []
+    for d in (3, 5):
+        mu = uniform_surrogate(d, 200, 1)
+        cases += [(area2(), [mu, mu], sample_sphere(d, 500, 2).points[:, None, :]),
+                  (s011(), [mu], sample_sphere(d, 1000, 3).points.reshape(500, 2, d)),
+                  (pin(sum_lift(area2(), 4), sample_sphere(d, 1, 4).points[0]), [mu, mu],
+                   sample_sphere(d, 500, 5).points[:, None, :])]
+    default = [potential(k, measures, q) for k, measures, q in cases]
+    moment_sum, spans = energy_mod._moment_sum, []
+    for (kernel, measures, queries), ref in zip(cases, default):
+        _spans_of(kernel, measures, queries, 7, monkeypatch)
+        routes = [energy_mod._route(kernel, measures, queries[:q]) for q in (1, 7, 8, 500)]
+        assert all(route == routes[0] for route in routes)
+        monkeypatch.setattr(energy_mod, "_dense_potential", None)
+        monkeypatch.setattr(energy_mod, "_moment_sum", lambda poly, slots, q, prog: spans.append(
+            len(q)) or moment_sum(poly, slots, q, prog))
+        assert np.array_equal(potential(kernel, measures, queries), ref)
+        assert spans == [7] * 71 + [3]
+        monkeypatch.undo()
+        spans.clear()
+
+
+def test_bound_energy_of_a_long_stack_runs_in_spans(monkeypatch):
+    # spans of 2 configurations give each configuration the bits it gets alone
+    stack = np.stack([sample_sphere(3, 6, seed).points for seed in range(5)])
+    slot, sigma = energy_mod._Atoms(stack, np.full(6, 1.0 / 6)), uniform_surrogate(3, 9, 1)
+    for kernel, slots in ((area2(), [slot] * 3),
+                          (PotentialKernel(area2(), [sigma]), [sigma, slot, slot])):
+        energy, gradient = energy_mod._bind(kernel, stack)
+        default = energy(stack), gradient(stack)
+        _spans_of(area2(), slots, None, 2, monkeypatch)
+        energy, gradient = energy_mod._bind(kernel, stack)
+        calls, moment_sum = [], energy_mod._moment_sum
+        monkeypatch.setattr(energy_mod, "_moment_sum", lambda poly, slots, *args: calls.append(
+            len(slots[-1].atoms)) or moment_sum(poly, slots, *args))
+        assert np.array_equal(energy(stack), default[0]) and calls == [2, 2, 1]
+        assert np.array_equal(gradient(stack), default[1])
+        assert energy(stack).tolist() == [energy(p[None])[0] for p in stack]
+        monkeypatch.undo()
+
+
+def test_empty_query_batches_give_empty_arrays():
+    mu = uniform_surrogate(3, 7, 1)
+    for base in (area2(), prod_f_uvt(f="exp")):
+        kernel = PotentialKernel(base, [mu])
+        assert kernel.evaluate_batch(np.empty((0, 2, 3))).shape == (0,)
+        assert kernel.gradient_batch(np.empty((0, 2, 3))).shape == (0, 2, 3)
+        assert potential(base, [mu, mu], np.empty((0, 3))).shape == (0,)
+
+
+def test_measures_of_another_dimension_are_rejected():
+    # a potential kernel whose measures live in R^3, on points in R^4
+    kernel = PotentialKernel(sum_lift(inner(), 4), [_random_measure(5, 3, 87)])
+    m4, config = _random_measure(5, 4, 88), sample_sphere(4, 6, 89)
+    message = "dimension 4 of slot 1 differs from 3 of slot 0"
+    with pytest.raises(ValueError, match=message):
+        discrete_energy(kernel, config)
+    with pytest.raises(ValueError, match=message):
+        mutual_energy(kernel, [m4] * 3)
+    with pytest.raises(ValueError, match=message):
+        potential(kernel, [m4, m4], basis_vector(0, 4))
+    with pytest.raises(ValueError, match=message):
+        optimize_discrete(kernel, 6, 4, OptimizerConfig(steps=2), initial=config)
+    with pytest.raises(ValueError, match="dimension 4 of the queries"):
+        energy_mod._route(area2(), [_random_measure(5, 3, 90)] * 2, np.ones((1, 1, 4)))
+
+
+def test_only_the_energy_module_decides_routes():
+    import multipot.certify as certify_mod
+    import multipot.optimize as optimize_mod
+    for module in (certify_mod, optimize_mod):
+        for name in ("_WORK_LIMIT", "_program", "_layout"):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
 def test_s011_potential_matches_closed_form():
     mu = uniform_surrogate(3, 50_000, 5)
     pairs = sample_sphere(3, 10, 35).points.reshape(5, 2, 3)
@@ -357,7 +445,7 @@ def test_dense_grids_keep_their_block_bound(limit, monkeypatch):
         report = potential_constancy_check(exp3, mu, x)
         out += [report.values, report.stderr_estimate]
         for kernel in (r05, pk):
-            energy, gradient, _ = energy_mod._bind(kernel, stack)
+            energy, gradient = energy_mod._bind(kernel, stack)
             out += [energy(stack), gradient(stack), gradient(stack[0])]
         return [np.asarray(v).tolist() for v in out]
 

@@ -475,9 +475,9 @@ def _count_bind(monkeypatch):
     log, bind = [], optimize_mod._bind
 
     def counted(kernel, pts):
-        energy, gradient, size = bind(kernel, pts)
+        energy, gradient = bind(kernel, pts)
         return (lambda x: log.append(len(x)) or energy(x),
-                lambda x: log.append("g") or gradient(x), size)
+                lambda x: log.append("g") or gradient(x))
     monkeypatch.setattr(optimize_mod, "_bind", counted)
     return log
 
@@ -522,22 +522,41 @@ def test_block_search_matches_the_serial_search(name, monkeypatch):
 
 @pytest.mark.parametrize("blocks, last", [
     (1, [1] * 60),
-    (5, [1, 1, 2, 4] + [5] * 10 + [2]),
+    (5, [1, 1, 2, 4, 5, 3, 5, 5, 5, 1, 5, 5, 5, 5, 5, 3]),
 ])
 def test_block_search_stays_within_the_work_limit(blocks, last, monkeypatch):
-    # a work limit of ``blocks`` configurations caps every block, down to
-    # one trial per call, without moving a bit; the start's last line search
-    # fails after all 60 trials
+    # a work limit of ``blocks`` configurations cuts every block of the line
+    # search into contractions of at most that many, down to one, without
+    # moving a bit; the start's last line search fails after all 60 trials,
+    # in blocks of 1, 1, 2, 4, 8, 16 and 28
     kernel, stack, cfg = _block_case("area2")
     stack = stack[1:2]
-    monkeypatch.setattr(optimize_mod, "_WORK_LIMIT", blocks * energy_mod._bind(kernel, stack)[2])
+    reference, searches = serial_descent(kernel, stack, cfg)
+    slots = [energy_mod._Atoms(stack, np.full(stack.shape[1], 1.0 / stack.shape[1]))] * 3
+    monkeypatch.setattr(energy_mod, "_WORK_LIMIT", blocks * energy_mod._route(kernel, slots)[1])
+    sums, moment_sum = [], energy_mod._moment_sum
+    monkeypatch.setattr(energy_mod, "_moment_sum", lambda poly, slots, *args: sums.append(
+        len(slots[-1].atoms)) or moment_sum(poly, slots, *args))
     log = _count_bind(monkeypatch)
     trace = optimize_mod._descend(kernel, stack, cfg)[0]
-    reference, searches = serial_descent(kernel, stack, cfg)
     assert _same_trace(trace, reference[0]) and trace.stop_reason == "line_search"
-    calls = _search_calls(log)
-    assert all(max(sizes) <= blocks for sizes in calls if sizes)
-    assert calls[len(searches) - 1] == last
+    assert max(sums) <= blocks and sums[-len(last):] == last
+    assert _search_calls(log)[len(searches) - 1] == [1, 1, 2, 4, 8, 16, 28]
+
+
+def test_dense_block_search_stays_within_the_work_limit(monkeypatch):
+    # a work limit of 3 configurations' atom tuples cuts the dense energies and
+    # gradients of the Riesz starts into stacks of at most 3, without moving a bit
+    kernel, stack, cfg = _block_case("riesz-dense")
+    reference, _ = serial_descent(kernel, stack, cfg)
+    monkeypatch.setattr(energy_mod, "_WORK_LIMIT", 3 * stack.shape[1] ** kernel.arity)
+    stacks, grid_blocks = [], energy_mod._grid_blocks
+    monkeypatch.setattr(energy_mod, "_grid_blocks", lambda arrays: stacks.append(
+        len(arrays[-1]) if arrays[-1].ndim == 3 else 1) or grid_blocks(arrays))
+    log = _count_bind(monkeypatch)
+    traces = optimize_mod._descend(kernel, stack, cfg)
+    assert all(_same_trace(trace, ref) for trace, ref in zip(traces, reference))
+    assert max(stacks) == 3 and max(n for n in log if n != "g") > 3
 
 
 def test_multistart_makes_no_more_gradient_calls_than_its_longest_start(monkeypatch):
@@ -617,7 +636,7 @@ def test_bound_engine_matches_the_unbound_path(name):
     # bits of a fresh route, layout and program per call
     kernel, n = (riesz(0.5), 5) if name == "riesz" else DESCENT_BITS[name][:2]
     stack = np.stack([sample_sphere(3, n, 40 + k).points for k in range(4)])
-    energy, gradient, _ = energy_mod._bind(kernel, stack[:2])
+    energy, gradient = energy_mod._bind(kernel, stack[:2])
     for pts in (stack[:1], stack):
         fresh = energy_mod._bind(kernel, pts)
         assert np.array_equal(energy(pts), fresh[0](pts))
@@ -643,7 +662,8 @@ def test_dense_energy_of_a_stack_matches_each_configuration_alone(grids, monkeyp
     for kernel in (riesz(0.5), riesz(1.0) + inner(), prod_f_uvt(f="exp"),
                    PotentialKernel(prod_f_uvt(f="exp"), [surrogate])):
         stack = np.stack([sample_sphere(3, 5, 60 + k).points for k in range(7)])
-        energy, gradient, tuples = energy_mod._bind(kernel, stack)
+        energy, gradient = energy_mod._bind(kernel, stack)
+        tuples = 5 ** kernel.arity * (7 if isinstance(kernel, PotentialKernel) else 1)
         if grids != "default":
             monkeypatch.setattr(energy_mod, "_BLOCK_TUPLES",
                                 3 * tuples if grids == "three configurations" else tuples - 1)
