@@ -614,15 +614,23 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     (sample standard deviation / sqrt(tuples)).  Each chunk's squared
     deviations are taken about its own mean and merged by Chan, Golub &
     LeVeque (1979), so a large constant offset cannot cancel the variance.
+
+    An unanchored pair polynomial sees only inner products, so K(x_1..x_n) has
+    the law of K(x_1..x_{n-1}, e_1) (rotate x_n to e_1): it draws n-1 points per
+    tuple, with the bits of ``evaluate_batch`` on them plus e_1, and its stderr
+    stays honest.  Other kernels (anchored, riesz, exp(uvt), potentials) draw n.
     """
     _check_count("dimension", d, 2)
     _check_count("tuples", tuples, 100)
-    n = kernel.arity
+    n, poly = kernel.arity, kernel.pair_poly
+    evaluate, drawn = kernel.evaluate_batch, n
+    if poly is not None and not poly.n_anchors:     # pin the last slot at e_1
+        evaluate, drawn = poly.viewed([*range(n - 1), np.eye(d)[0]], n - 1).evaluate, n - 1
     rng = np.random.default_rng(seed)
     acc, m2 = 0.0, 0.0      # the sum, and squared deviations from the running mean
     for done, stop in _spans(tuples, n, _SAMPLE_POINTS):
         count = stop - done
-        vals = kernel.evaluate_batch(_random_directions(rng, (count, n, d)))
+        vals = evaluate(_random_directions(rng, (count, drawn, d)))
         total = float(vals.sum())
         m2 += float(np.sum((vals - total / count) ** 2))
         if done:
@@ -733,6 +741,7 @@ class PotentialKernel(Kernel):
         base kernel's gradient over the integrated atoms."""
         pts = self._check_points(pts)
         flat = pts.reshape((-1,) + pts.shape[-2:])
+        _route(self._base, self._measures, flat)    # evaluate_batch's checks
         j = len(self._measures)
         grads = _dense_potential(lambda a: self._base.gradient_batch(_grid(a))[..., j:, :],
                                  self._measures, flat)

@@ -2,11 +2,13 @@
 
 Most are deliberately naive: plain Python loops over ordered tuples and
 raw-moment Monte Carlo, which never call the library paths they check.
-Two check one layer against the layer below it.  :func:`fd_point_gradient`
+Three check one layer against the layer below it.  :func:`fd_point_gradient`
 takes central differences of the library's energy, itself checked against
 the loops, to check the analytic gradients.  :func:`serial_descent` runs
 the library's energy, tangent projection and retraction one line-search
 trial per energy call, to check how the descent groups its trials.
+:func:`mc_energy_loop` runs the Monte-Carlo sampler's chunks and merge on
+full tuples through ``evaluate_batch``, to check which points it draws.
 """
 import itertools
 import math
@@ -67,6 +69,32 @@ def moment_mc(d, samples, seed):
     v = np.einsum("ij,ij->i", y, z)
     t = np.einsum("ij,ij->i", z, x)
     return float(np.mean(u * u)), float(np.mean(u * v * t))
+
+
+def mc_energy_loop(kernel, d, tuples, seed, pinned):
+    """:func:`mc_energy_uniform`'s (value, stderr) by its chunks and merge, from
+    ``kernel.evaluate_batch`` on each chunk's tuples: all n points drawn, or
+    n-1 drawn and e_1 appended as the last point (``pinned``)."""
+    from multipot.energy import _SAMPLE_POINTS, _spans
+    from multipot.geometry import _random_directions
+
+    n, rng = kernel.arity, np.random.default_rng(seed)
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    acc = m2 = 0.0
+    for done, stop in _spans(tuples, n, _SAMPLE_POINTS):
+        count = stop - done
+        pts = _random_directions(rng, (count, n - pinned, d))
+        if pinned:
+            pts = np.concatenate([pts, np.broadcast_to(e1, (count, 1, d))], axis=1)
+        vals = kernel.evaluate_batch(pts)
+        total = float(vals.sum())
+        m2 += float(np.sum((vals - total / count) ** 2))
+        if done:
+            delta = total / count - acc / done
+            m2 += delta * delta * done * count / stop
+        acc += total
+    return acc / tuples, math.sqrt(m2 / (tuples - 1) / tuples)
 
 
 def measure_as_pairs(measure):

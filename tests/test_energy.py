@@ -51,6 +51,7 @@ from oracles import (
     area2_fn,
     brute_discrete,
     brute_mutual,
+    mc_energy_loop,
     measure_as_pairs,
     moment_mc,
     s011_fn,
@@ -390,6 +391,10 @@ def test_measures_of_another_dimension_are_rejected():
         optimize_discrete(kernel, 6, 4, OptimizerConfig(steps=2), initial=config)
     with pytest.raises(ValueError, match="dimension 4 of the queries"):
         energy_mod._route(area2(), [_random_measure(5, 3, 90)] * 2, np.ones((1, 1, 4)))
+    pk = PotentialKernel(area2(), [_random_measure(5, 3, 91)])
+    for method in (pk.evaluate_batch, pk.gradient_batch):
+        with pytest.raises(ValueError, match="dimension 4 of the queries differs from 3 of slot 0"):
+            method(np.full((2, 2, 4), 0.5))
 
 
 def test_only_the_energy_module_decides_routes():
@@ -539,6 +544,37 @@ def test_mc_area2_matches_closed_form():
     for d in (2, 3, 5):
         est = mc_energy_uniform(area2(), d, 150_000, 13 + d)
         assert abs(est.value - 0.75 * (d - 1) / d) <= 4 * est.stderr
+
+
+@pytest.mark.parametrize("kernel, d, pinned", [
+    (area2(), 2, True), (area2(), 3, True), (vol2(), 4, True), (frame2(), 5, True),
+    (pin(area2(), E1), 3, False), (pin(vol2(), basis_vector(0, 4)), 4, False),
+    (riesz(1), 3, False), (prod_f_uvt(f="exp"), 3, False),
+])
+def test_mc_energy_matches_its_reference_loop_bit_for_bit(kernel, d, pinned):
+    # unanchored pair polynomials pin their last slot at e1 and draw n-1
+    # points per tuple; every other kernel draws all n, as before
+    for tuples, seed in [(1_000, 3), (250_001, 4)]:
+        est = mc_energy_uniform(kernel, d, tuples, seed)
+        assert (est.value, est.stderr) == mc_energy_loop(kernel, d, tuples, seed, pinned)
+
+
+# chi-square quantiles of 20 degrees of freedom at 1e-4 and 1 - 1e-4: over the
+# four kernels below a correct estimator trips a bound with probability 8e-4
+_CHI2_20 = (4.3952, 52.3860)
+
+
+@pytest.mark.parametrize("kernel, d, closed", [
+    (area2(), 3, 3 * 2 / 12), (vol2(), 4, 3 * 2 / 16), (frame2(), 5, 1 / 5),
+    (pin(area2(), E1), 3, 3 * 2 / 12),
+])
+def test_mc_stderr_is_calibrated_over_seeds(kernel, d, closed):
+    # the z-scores of 20 seeded estimates against the closed form: their
+    # squares sum to a chi-square of 20 degrees of freedom if each estimate
+    # is unbiased and its stderr honest (pinned path: the first three)
+    z = [(est.value - closed) / est.stderr
+         for est in (mc_energy_uniform(kernel, d, 20_000, 500 + s) for s in range(20))]
+    assert _CHI2_20[0] <= sum(x * x for x in z) <= _CHI2_20[1]
 
 
 def test_mc_requires_minimum_tuples_and_dimension():

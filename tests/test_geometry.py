@@ -22,7 +22,7 @@ from multipot import (
     write_measure_csv,
     write_points_csv,
 )
-from multipot import area2, mc_energy_uniform
+from multipot import area2, mc_energy_uniform, pin, riesz
 from multipot.geometry import _COLUMN_ROWS, _random_directions
 
 
@@ -60,9 +60,20 @@ def test_random_directions_equal_normalized_draws_bit_for_bit(d, lead):
 
 
 def test_mc_energy_bits_are_fixed():
+    # area2 draws two points per tuple and pins the third at e1
     est = mc_energy_uniform(area2(), 3, 250_001, 7)
-    assert est.value.hex() == "0x1.00466792c2b73p-1"
-    assert est.stderr.hex() == "0x1.c12e9046e627fp-11"
+    assert est.value.hex() == "0x1.00dd460edb171p-1"
+    assert est.stderr.hex() == "0x1.c1dfebee45594p-11"
+
+
+@pytest.mark.parametrize("kernel, value, stderr", [
+    (pin(area2(), [1.0, 0.0, 0.0]), "0x1.00dd460edb171p-1", "0x1.c1dfebee45594p-11"),
+    (riesz(1), "0x1.558bb70834241p+0", "0x1.ee83734d0be7dp-11"),
+])
+def test_mc_energy_bits_of_kernels_drawing_every_point_are_fixed(kernel, value, stderr):
+    est = mc_energy_uniform(kernel, 3, 250_001, 7)
+    assert est.value.hex() == value
+    assert est.stderr.hex() == stderr
 
 
 def test_sample_sphere_unit_norms():
