@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import string
 from collections import namedtuple
 from dataclasses import dataclass
@@ -70,7 +71,10 @@ __all__ = [
 _MAX_EXACT_ARITY = 4
 _WORK_LIMIT = 20_000_000               # dense tuples, or moment-route array entries
 _BLOCK_TUPLES = 2_000_000              # tuples per dense grid block: bounds every grid's memory
-_SAMPLE_POINTS = 200_000               # points per Monte-Carlo chunk: a few MiB at small d
+# Points per Monte-Carlo chunk (0.6 MiB of draws at d = 3): small enough to
+# stay in cache, and each worker thread holds one chunk's arrays at a time.
+# Fixed, not sized by the worker count, so the draws do not depend on the machine.
+_SAMPLE_POINTS = 25_000
 _LETTERS = string.ascii_letters[:-2]   # one per unit exponent
 _BATCH = string.ascii_letters[-2]      # the index of a stack of configurations
 _QUERY = string.ascii_letters[-1]      # the query index of free slots
@@ -206,10 +210,17 @@ def _layout(slots, opened: bool = False, queries: int = 0) -> str:
                                   for m, s in zip(marks, slots)) + "?" * queries
 
 
-@functools.lru_cache(maxsize=64)
 def _program(poly, layout: str) -> _Program | None:
     """The contraction program of a pair polynomial for a call layout; None if
-    einsum lacks letters.
+    einsum lacks letters.  Cached by the polynomial's slot count and terms,
+    all a program reads of it: equal polynomials built apart share one entry."""
+    return _plan(poly.nslots, tuple(poly.terms.items()), layout)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(n: int, terms: tuple, layout: str) -> _Program | None:
+    """The program of :func:`_program`, from ``n`` slots and the (monomial,
+    coefficient) terms.
 
     A slot pair with exponent e shares e letters.  Each slot needs one tensor
     per (degree, anchor powers) key of its monomials: a moment tensor of its
@@ -220,9 +231,8 @@ def _program(poly, layout: str) -> _Program | None:
     and summed after it, one row per entry: a row sum's order, unlike
     einsum's, does not depend on the stack's length.
     """
-    n = poly.nslots
     monos, slot_keys = [], [[] for _ in range(n)]
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in terms:
         letters, anchored, used = [""] * n, [()] * n, 0
         for (a, b), e in mono:
             if b >= n:
@@ -606,6 +616,11 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
     return np.asarray(_sum(kernel, measures, queries))
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may use."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyEstimate:
     """Monte-Carlo estimate of the kernel energy of the uniform measure.
 
@@ -614,6 +629,13 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     (sample standard deviation / sqrt(tuples)).  Each chunk's squared
     deviations are taken about its own mean and merged by Chan, Golub &
     LeVeque (1979), so a large constant offset cannot cancel the variance.
+
+    The tuples are cut into chunks of ``_SAMPLE_POINTS`` points, and chunk i
+    draws from its own generator, spawned as child i of ``SeedSequence(seed)``.
+    The chunks run on threads, at most one per CPU the process may use (a
+    one-chunk call runs inline), and are merged in chunk order, so the result
+    does not depend on the CPU count, bit for bit.  Kernels are therefore
+    evaluated from worker threads: ``evaluate_batch`` must be re-entrant.
 
     An unanchored pair polynomial sees only inner products, so K(x_1..x_n) has
     the law of K(x_1..x_{n-1}, e_1) (rotate x_n to e_1): it draws n-1 points per
@@ -626,13 +648,30 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     evaluate, drawn = kernel.evaluate_batch, n
     if poly is not None and not poly.n_anchors:     # pin the last slot at e_1
         evaluate, drawn = poly.viewed([*range(n - 1), np.eye(d)[0]], n - 1).evaluate, n - 1
-    rng = np.random.default_rng(seed)
-    acc, m2 = 0.0, 0.0      # the sum, and squared deviations from the running mean
-    for done, stop in _spans(tuples, n, _SAMPLE_POINTS):
-        count = stop - done
-        vals = evaluate(_random_directions(rng, (count, drawn, d)))
+    spans = list(_spans(tuples, n, _SAMPLE_POINTS))
+    streams = np.random.SeedSequence(seed).spawn(len(spans))
+
+    def chunk(span, stream):
+        """The chunk's sum, and its squared deviations about its own mean."""
+        count = span[1] - span[0]
+        vals = evaluate(_random_directions(np.random.default_rng(stream), (count, drawn, d)))
         total = float(vals.sum())
-        m2 += float(np.sum((vals - total / count) ** 2))
+        return total, float(np.sum((vals - total / count) ** 2))
+
+    workers = min(len(spans), _cpus())
+    if workers == 1:
+        parts = list(map(chunk, spans, streams))
+    else:
+        from concurrent.futures import ThreadPoolExecutor   # not on import: ~5 ms
+        pool = ThreadPoolExecutor(workers)
+        try:
+            parts = list(pool.map(chunk, spans, streams))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    acc, m2 = 0.0, 0.0      # the sum, and squared deviations from the running mean
+    for (done, stop), (total, dev) in zip(spans, parts):
+        count = stop - done
+        m2 += dev
         if done:
             delta = total / count - acc / done
             m2 += delta * delta * done * count / stop

@@ -550,6 +550,13 @@ class ExpUvtKernel(Kernel):
     def evaluate_batch(self, pts):
         return np.exp(self._uvt.evaluate(self._check_points(pts)))
 
+    def evaluate_grid(self, arrays):
+        """The kernel over the grid of the slot arrays, from their inner
+        products: no coordinate grid is built."""
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        self._check_points(np.empty((len(arrays), arrays[0].shape[-1])))
+        return np.exp(self._uvt.evaluate_grid(arrays))
+
     def gradient_batch(self, pts):
         pts = self._check_points(pts)
         val = np.exp(self._uvt.evaluate(pts))

@@ -7,8 +7,9 @@ takes central differences of the library's energy, itself checked against
 the loops, to check the analytic gradients.  :func:`serial_descent` runs
 the library's energy, tangent projection and retraction one line-search
 trial per energy call, to check how the descent groups its trials.
-:func:`mc_energy_loop` runs the Monte-Carlo sampler's chunks and merge on
-full tuples through ``evaluate_batch``, to check which points it draws.
+:func:`mc_energy_loop` runs the Monte-Carlo sampler's chunks and merge in
+order, on one thread, on full tuples through ``evaluate_batch``, to check
+which points it draws.
 """
 import itertools
 import math
@@ -72,19 +73,22 @@ def moment_mc(d, samples, seed):
 
 
 def mc_energy_loop(kernel, d, tuples, seed, pinned):
-    """:func:`mc_energy_uniform`'s (value, stderr) by its chunks and merge, from
-    ``kernel.evaluate_batch`` on each chunk's tuples: all n points drawn, or
-    n-1 drawn and e_1 appended as the last point (``pinned``)."""
+    """:func:`mc_energy_uniform`'s (value, stderr) by its chunks and merge, one
+    after another, from ``kernel.evaluate_batch`` on each chunk's tuples: all n
+    points drawn, or n-1 drawn and e_1 appended as the last point (``pinned``),
+    chunk i from child i of ``SeedSequence(seed)``."""
     from multipot.energy import _SAMPLE_POINTS, _spans
     from multipot.geometry import _random_directions
 
-    n, rng = kernel.arity, np.random.default_rng(seed)
+    n = kernel.arity
+    spans = list(_spans(tuples, n, _SAMPLE_POINTS))
+    streams = np.random.SeedSequence(seed).spawn(len(spans))
     e1 = np.zeros(d)
     e1[0] = 1.0
     acc = m2 = 0.0
-    for done, stop in _spans(tuples, n, _SAMPLE_POINTS):
+    for (done, stop), stream in zip(spans, streams):
         count = stop - done
-        pts = _random_directions(rng, (count, n - pinned, d))
+        pts = _random_directions(np.random.default_rng(stream), (count, n - pinned, d))
         if pinned:
             pts = np.concatenate([pts, np.broadcast_to(e1, (count, 1, d))], axis=1)
         vals = kernel.evaluate_batch(pts)

@@ -7,6 +7,7 @@ closed forms.
 import itertools
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -557,6 +558,48 @@ def test_mc_energy_matches_its_reference_loop_bit_for_bit(kernel, d, pinned):
     for tuples, seed in [(1_000, 3), (250_001, 4)]:
         est = mc_energy_uniform(kernel, d, tuples, seed)
         assert (est.value, est.stderr) == mc_energy_loop(kernel, d, tuples, seed, pinned)
+
+
+# four full chunks of arity-3 tuples and a short fifth; riesz(1) takes three chunks
+_CHUNKED_TUPLES = 4 * (energy_mod._SAMPLE_POINTS // 3) + 17
+
+
+@pytest.mark.parametrize("kernel", [area2(), pin(area2(), E1), riesz(1)],
+                         ids=["area2", "pin(area2)", "riesz(1)"])
+def test_mc_energy_bits_do_not_depend_on_the_worker_count(kernel, monkeypatch):
+    # each chunk draws from its own stream and the merge runs in chunk order,
+    # so 1, 2 or 3 threads give the same bits; pin(area2) and riesz(1) call
+    # evaluate_batch from the worker threads
+    results = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(energy_mod, "_cpus", lambda: cpus)
+        est = mc_energy_uniform(kernel, 3, _CHUNKED_TUPLES, 21)
+        results.add((est.value.hex(), est.stderr.hex(), est.samples_used))
+    assert len(results) == 1
+
+
+class _Failing(PolynomialKernel):
+    """pin(area2(), e1), whose every evaluation raises ``error``; it has an
+    anchor, so the sampler calls its ``evaluate_batch`` in the workers."""
+
+    error = ArithmeticError("raised inside a worker")
+
+    def __init__(self):
+        super().__init__("failing", area2().pair_poly.viewed([0, 1, E1], 2))
+
+    def evaluate_batch(self, pts):
+        raise self.error
+
+
+def test_mc_energy_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(energy_mod, "_cpus", lambda: 2)
+    before = threading.active_count()
+    mc_energy_uniform(area2(), 3, _CHUNKED_TUPLES, 22)
+    assert threading.active_count() == before
+    with pytest.raises(ArithmeticError) as raised:
+        mc_energy_uniform(_Failing(), 3, _CHUNKED_TUPLES, 22)
+    assert raised.value is _Failing.error
+    assert threading.active_count() == before
 
 
 # chi-square quantiles of 20 degrees of freedom at 1e-4 and 1 - 1e-4: over the

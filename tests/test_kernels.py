@@ -32,7 +32,9 @@ from multipot import (
     vol2,
 )
 from multipot.kernels import PairPolynomial
-from oracles import lift_fn, pin_fn, product_fn, scaled_fn, shift_fn, sum_fn
+from multipot.geometry import _random_directions
+from oracles import (grid_values_by_coordinates, lift_fn, pin_fn, product_fn, scaled_fn, shift_fn,
+                     sum_fn)
 
 E1, E2, E3 = (basis_vector(i, 3) for i in range(3))
 
@@ -330,6 +332,19 @@ def test_exp_kernel_value():
     pts = sample_sphere(3, 3, 31).points
     u, v, t = pts[0] @ pts[1], pts[1] @ pts[2], pts[2] @ pts[0]
     assert prod_f_uvt(f="exp").evaluate(pts) == pytest.approx(np.exp(u * v * t), abs=1e-14)
+
+
+def test_exp_kernel_grid_matches_coordinates_bitwise():
+    # exp(uvt) evaluates a grid from the slot arrays' inner products; a pin
+    # and a lift of it take that grid through their views
+    exp, rng = prod_f_uvt(f="exp"), np.random.default_rng(17)
+    for kernel, d in [(exp, 2), (exp, 3), (exp, 5), (pin(exp, E1), 3), (sum_lift(exp, 4), 3)]:
+        leads = [(3, 1), (1, 4), (4,), ()]
+        arrays = [_random_directions(rng, leads[s] + (s + 2, d)) for s in range(kernel.arity)]
+        got, want = kernel.evaluate_grid(arrays), grid_values_by_coordinates(kernel, arrays)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="takes 3 points"):
+        exp.evaluate_grid(arrays[:2])
 
 
 def test_prod_f_uvt_coefficient_checks():

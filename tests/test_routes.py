@@ -181,13 +181,28 @@ def test_cached_programs_match_fresh_ones(seed):
         lambda: energy_mod._open_slot(poly, measures[1:]),
         lambda: energy_mod._open_slot(poly, measures[1:n - 1], queries[0]),
     ]
-    energy_mod._program.cache_clear()
+    energy_mod._plan.cache_clear()
     forward = [call() for call in calls]
     backward = [call() for call in calls[::-1]][::-1]
     for call, a, b in zip(calls, forward, backward):
-        energy_mod._program.cache_clear()
+        energy_mod._plan.cache_clear()
         fresh = np.asarray(call()).tobytes()
         assert np.asarray(a).tobytes() == fresh and np.asarray(b).tobytes() == fresh
+
+
+def test_equal_polynomials_built_apart_share_one_program():
+    # programs are keyed by slot count and terms, not by the polynomial
+    # object: a second area2() finds the first one's program
+    pts = _unit_rows(np.random.default_rng(5), 6, 3)
+    energy_mod._plan.cache_clear()
+    first, second = area2(), area2()
+    assert first.pair_poly is not second.pair_poly
+    (energy_a, gradient_a), (energy_b, gradient_b) = [energy_mod._bind(k, pts)
+                                                      for k in (first, second)]
+    info = energy_mod._plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert energy_a(pts) == energy_b(pts)
+    assert gradient_a(pts).tobytes() == gradient_b(pts).tobytes()
 
 
 @pytest.mark.parametrize("kernel, layout, environments, distinct", [
