@@ -25,6 +25,9 @@ computed only for a trial whose least eigenvalue makes it a witness
 candidate.  The one exception to the draw order has probability zero: a
 drawn row of norm below 1e-12 is redrawn at the end of its block's draws
 rather than at once, so no such row ever reaches a kernel.
+
+Exact sums, potentials and the constancy check's noise spread come from
+:mod:`multipot.energy`, which alone picks their route.
 """
 from __future__ import annotations
 
@@ -45,12 +48,9 @@ from .geometry import (
 )
 from .kernels import Kernel, cpd_shift, pin
 from .energy import (
-    _MAX_EXACT_ARITY,
-    _features,
-    _open_slot,
-    _route,
+    _BLOCK_TUPLES,
+    _potential_spread,
     _spans,
-    _sum,
     MixturePolynomial,
     mixture_polynomial,
     potential,
@@ -360,54 +360,16 @@ class ConstancyReport:
 
 
 def _potential_stderr(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarray) -> float:
-    """First-order estimate of the sampling noise of the (n-1)-fold
-    potential of an M-atom surrogate measure, averaged over test points.
-
-    Projects the degree-2 sum onto single atoms: with row means
-    r_j(x) = sum_k w_k K(y_k, y_j, x) and rbar = sum_j w_j r_j, the
-    potential's variance is approximately 4 * zeta * sum_j w_j^2, where
-    zeta(x) = sum_j w_j (r_j - rbar)^2.  On the potential's own route
-    (:func:`energy._route`), a pair polynomial takes zeta from the moment
-    engine (:func:`_moment_spread`), any other kernel from the rows: the
-    potentials of (atom, test point) pairs, a block of them at a time.  Only
-    arity 3 gets an estimate; a polynomial whose terms all cancel (slot 0 has
-    no keys) has no noise.
+    """First-order estimate of the sampling noise of the (n-1)-fold potential
+    of an M-atom surrogate measure, averaged over test points: projected onto
+    single atoms, the potential's variance is about 4 * zeta * sum_j w_j^2, with
+    zeta the spread of its per-atom rows (:func:`energy._potential_spread`).
+    Only arity 3 gets an estimate.
     """
     if mu.n_atoms < 2 or kernel.arity != 3:
         return 0.0
-    poly, (m, d), w = kernel.pair_poly, mu.atoms.shape, mu.weights
-    route = None if poly is None else _route(kernel, [mu, mu], test_points[:, None])
-    if route is None:
-        rows = np.empty((len(test_points), m))
-        for start, stop in _spans(len(test_points), m * m):
-            pairs = np.stack(np.broadcast_arrays(mu.atoms, test_points[start:stop, None]), 2)
-            rows[start:stop] = _sum(kernel, [mu], pairs.reshape(-1, 2, d)).reshape(-1, m)
-        zeta = (rows - (rows @ w)[:, None]) ** 2 @ w
-    elif not route[0].slot_keys[0]:
-        return 0.0
-    else:
-        zeta = _moment_spread(poly, mu, test_points)
-    return float(np.mean(2.0 * np.sqrt(np.maximum(zeta, 0.0) * float(np.sum(w**2)))))
-
-
-def _moment_spread(poly, mu: DiscreteMeasure, test_points: np.ndarray) -> np.ndarray:
-    """zeta at each test point for a pair polynomial.
-
-    r_j(x) = Phi(x)^T a_j, with Phi(x) the tensor powers of x times their
-    anchor factors (slot 0's keys of the moment engine) and a_j the other two
-    slots contracted with y_j kept per atom.  So zeta(x) = Phi(x)^T C Phi(x),
-    C = sum_j w_j (a_j - abar)(a_j - abar)^T, and abar = sum_j w_j a_j comes
-    from the moments alone.  It is summed as sum_j w_j (Phi(x)^T (a_j - abar))^2
-    over blocks of atoms, for every test point at once: one pass over the
-    atoms, and no F x F array for C.
-    """
-    phi = _features(poly, test_points)
-    abar = _open_slot(poly, [mu, mu])
-    zeta = np.zeros(phi.shape[0])
-    for start, stop in _spans(mu.n_atoms, max(phi.shape)):
-        a = _open_slot(poly, [mu], mu.atoms[start:stop, None, :]) - abar
-        zeta += (phi @ a.T) ** 2 @ mu.weights[start:stop]
-    return zeta
+    zeta = _potential_spread(kernel, mu, test_points)
+    return float(np.mean(2.0 * np.sqrt(np.maximum(zeta, 0.0) * float(np.sum(mu.weights**2)))))
 
 
 def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
@@ -540,18 +502,21 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
     n + 1 energies of every trial in a block come from one grid evaluation
     and one weighted contraction.  A padded tuple repeats a tuple the
     unpadded sum already contains, so the kernel is finite there, and its
-    weight 0 leaves each energy unchanged up to summation order.
+    weight 0 leaves each energy unchanged up to summation order.  One
+    trial's (n + 1) * 5^n tuples must fit one dense grid block
+    (``energy._BLOCK_TUPLES``), which admits arity n <= 7.
     """
     _check_count("trials", trials, 1)
     _check_count("dimension d", d, 2)
     n = kernel.arity
-    if n > _MAX_EXACT_ARITY:
-        raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
+    per = (n + 1) * _MAX_ATOMS**n
+    if per > _BLOCK_TUPLES:
+        raise ValueError(f"arity {n}: a trial's {per} tuples exceed a grid block's {_BLOCK_TUPLES}")
     rng = np.random.default_rng(seed)
     worst = dict.fromkeys(("am", "gm", "lower", "diagonal"), -np.inf)
     bad = dict.fromkeys(worst, 0)
     gm_trials = 0
-    for start, stop in _spans(trials, (n + 1) * _MAX_ATOMS**n, _CHUNK_TUPLES):
+    for start, stop in _spans(trials, per, _CHUNK_TUPLES):
         atoms, weights, probes = _draw_trials(rng, stop - start, n, d)
         energies = _trial_energies(kernel, atoms, weights)
         singles, mixed = energies[:, :n], energies[:, n]

@@ -18,7 +18,7 @@ all atom tuples.  Two routes compute them:
   differentiates the result against x^{(x)E}, in O(N d^E) work; the
   measures of a potential kernel are fixed slots in these contractions.
   Leaving slot 0 open instead writes the polynomial as Phi(x)^T A, with
-  Phi(x) the tensor powers of x (certify's noise estimate uses this).
+  Phi(x) the tensor powers of x (:func:`_potential_spread` uses this).
   All of this is planned once per polynomial and call layout, and cached
   as a program: the moment keys each measure or query slot needs, every
   einsum spec with its operands, and the axis orders of the gradient.
@@ -40,7 +40,8 @@ pair polynomial takes the moment route whenever its program exists and one
 configuration or query fits ``_WORK_LIMIT`` entries with its measures'
 tensors; every other call takes the dense route, which raises past
 ``_WORK_LIMIT`` tuples per configuration or query.  Past the limit, stacks
-and moment-route query arrays run in spans (:func:`_spanned`).
+and moment-route query arrays run in spans (:func:`_spanned`).  No other
+bound caps an exact sum, whatever its arity.
 """
 from __future__ import annotations
 
@@ -68,12 +69,11 @@ __all__ = [
     "mixture_polynomial",
 ]
 
-_MAX_EXACT_ARITY = 4
 _WORK_LIMIT = 20_000_000               # dense tuples, or moment-route array entries
 _BLOCK_TUPLES = 2_000_000              # tuples per dense grid block: bounds every grid's memory
-# Points per Monte-Carlo chunk (0.6 MiB of draws at d = 3): small enough to
-# stay in cache, and each worker thread holds one chunk's arrays at a time.
-# Fixed, not sized by the worker count, so the draws do not depend on the machine.
+# A Monte-Carlo chunk holds _SAMPLE_POINTS // n tuples, at most this many points (0.6 MiB
+# at d = 3; 16,666 at arity 3 if n - 1 are drawn per tuple): small enough to stay in cache,
+# one chunk's arrays per worker thread; fixed, so the draws do not depend on the machine.
 _SAMPLE_POINTS = 25_000
 _LETTERS = string.ascii_letters[:-2]   # one per unit exponent
 _BATCH = string.ascii_letters[-2]      # the index of a stack of configurations
@@ -399,19 +399,13 @@ def _term(coeff: float, spec: str, keep, operands) -> np.ndarray:
     return full if coeff == 1.0 else coeff * full
 
 
-def _features(poly, x: np.ndarray) -> np.ndarray:
-    """Phi(x) for the rows of x (P, d): slot 0's tensors a(x) x^{(x)e}, one block
-    per key of slot 0, flattened into (P, F)."""
-    tensors = _free_tensors(poly, x, _program(poly, "a" * poly.nslots).slot_keys[0])
-    return np.concatenate([t.reshape(-1, x.shape[0]) for t in tensors]).T
-
-
 def _open_slot(poly, slots, queries: np.ndarray | None = None) -> np.ndarray:
     """The polynomial with slot 0 left open, the next len(slots) slots summed
     over their weighted atoms and the others at each query tuple (Q, r, d), as
-    A (Q, F) with value ``_features(poly, x) @ A[q]`` at x and query q; (F,)
-    without queries.  Each monomial contracts the other slots onto slot 0's
-    letters, and monomials with equal slot-0 keys add into one block."""
+    A (Q, F) with value ``Phi(x) @ A[q]`` at x and query q (Phi as in
+    :func:`_potential_spread`); (F,) without queries.  Each monomial contracts
+    the other slots onto slot 0's letters, and monomials with equal slot-0 keys
+    add into one block."""
     free = 0 if queries is None else queries.shape[1]
     prog = _program(poly, _layout(slots, True, free))
     ops, blocks = _operands(prog, poly, slots, queries)[0], [None] * len(prog.slot_keys[0])
@@ -420,6 +414,39 @@ def _open_slot(poly, slots, queries: np.ndarray | None = None) -> np.ndarray:
         blocks[block] = term if blocks[block] is None else blocks[block] + term
     tail = (queries.shape[0],) if free else ()
     return np.concatenate([b.reshape((-1,) + tail) for b in blocks]).T
+
+
+def _potential_spread(kernel: Kernel, mu, test_points: np.ndarray) -> np.ndarray:
+    """zeta(x) = sum_j w_j (r_j(x) - rbar(x))^2 at each test point x of an
+    arity-3 kernel, over the atoms y_j and weights w_j of mu, with row means
+    r_j(x) = sum_k w_k K(y_k, y_j, x) and rbar = sum_j w_j r_j.
+
+    Taken on the potential's own route: off the moment route, from the rows,
+    the potentials of (atom, test point) pairs, a block at a time.  On it,
+    r_j(x) = Phi(x)^T a_j, with Phi(x) slot 0's tensors a(x) x^{(x)e} flattened
+    (a block per key) and a_j the other slots contracted with y_j kept; zeta(x)
+    is then sum_j w_j (Phi(x)^T (a_j - abar))^2, summed over blocks of atoms in
+    one pass.  A polynomial whose terms all cancel (slot 0 has no keys) has zeta 0.
+    """
+    poly, (m, d), w = kernel.pair_poly, mu.atoms.shape, mu.weights
+    route = None if poly is None else _route(kernel, [mu, mu], test_points[:, None])
+    if route is None:
+        rows = np.empty((len(test_points), m))
+        for start, stop in _spans(len(test_points), m * m):
+            pairs = np.stack(np.broadcast_arrays(mu.atoms, test_points[start:stop, None]), 2)
+            rows[start:stop] = _sum(kernel, [mu], pairs.reshape(-1, 2, d)).reshape(-1, m)
+        return (rows - (rows @ w)[:, None]) ** 2 @ w
+    keys = route[0].slot_keys[0]
+    if not keys:
+        return np.zeros(len(test_points))
+    phi = np.concatenate([t.reshape(-1, len(test_points))
+                          for t in _free_tensors(poly, test_points, keys)]).T
+    abar = _open_slot(poly, [mu, mu])
+    zeta = np.zeros(phi.shape[0])
+    for start, stop in _spans(m, max(phi.shape)):
+        a = _open_slot(poly, [mu], mu.atoms[start:stop, None, :]) - abar
+        zeta += (phi @ a.T) ** 2 @ w[start:stop]
+    return zeta
 
 
 def _moment_sum(poly, slots, queries: np.ndarray | None = None, prog: _Program | None = None):
@@ -477,13 +504,19 @@ def _moment_gradient(poly, slot, fixed=(), prog: _Program | None = None) -> np.n
 # --- exact sums ------------------------------------------------------------------
 
 
+def _unfolded(kernel: Kernel, slots):
+    """A potential kernel's base, its measures leading the slots (the base is
+    never a potential kernel itself); any other kernel and slots as they are."""
+    pk = isinstance(kernel, PotentialKernel)
+    return (kernel.base, kernel.measures + list(slots)) if pk else (kernel, list(slots))
+
+
 def _sum(kernel: Kernel, slots, queries: np.ndarray | None = None):
     """Exact weighted sum of the kernel over the atom tuples of the leading slots, the
     others at each query tuple (Q, r, d): a float without queries, else Q values.  A
     potential kernel unfolds into its base's.  Discrete energies of point arrays
     go through :func:`_bind`."""
-    if isinstance(kernel, PotentialKernel):
-        return _sum(kernel.base, kernel.measures + list(slots), queries)
+    kernel, slots = _unfolded(kernel, slots)
     route = _route(kernel, slots, queries)
     if route is None:
         if queries is None:
@@ -505,8 +538,7 @@ def _bind(kernel: Kernel, pts: np.ndarray):
     measures are fixed slots of its base."""
     n, arity = pts.shape[-2], kernel.arity
     weights = np.full(n, 1.0 / n)
-    pk = isinstance(kernel, PotentialKernel)
-    base, fixed = (kernel.base, kernel.measures) if pk else (kernel, [])
+    base, fixed = _unfolded(kernel, [])
     slots = fixed + [_Atoms(pts, weights)] * arity
     route = _route(base, slots)
     if route is not None:
@@ -565,8 +597,6 @@ def mutual_energy(kernel: Kernel, measures) -> EnergyEstimate:
     if len(measures) != kernel.arity:
         raise ValueError(f"kernel '{kernel.name}' has arity {kernel.arity}, "
                          f"got {len(measures)} measures")
-    if kernel.arity > _MAX_EXACT_ARITY:
-        raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
     return EnergyEstimate(_sum(kernel, _check_measures(measures)), 0.0,
                           math.prod(m.n_atoms for m in measures), True)
 
@@ -574,8 +604,6 @@ def mutual_energy(kernel: Kernel, measures) -> EnergyEstimate:
 def discrete_energy(kernel: Kernel, config: PointConfiguration) -> EnergyEstimate:
     """Discrete energy of an N-point multiset: the average of the kernel
     over all N^n ordered tuples, repeats included."""
-    if kernel.arity > _MAX_EXACT_ARITY:
-        raise ValueError(f"exact sums support arity <= {_MAX_EXACT_ARITY}")
     return EnergyEstimate(_bind(kernel, config.points)[0](config.points), 0.0,
                           config.n_points ** kernel.arity, True)
 
@@ -630,8 +658,8 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     deviations are taken about its own mean and merged by Chan, Golub &
     LeVeque (1979), so a large constant offset cannot cancel the variance.
 
-    The tuples are cut into chunks of ``_SAMPLE_POINTS`` points, and chunk i
-    draws from its own generator, spawned as child i of ``SeedSequence(seed)``.
+    The tuples are cut into chunks of ``_SAMPLE_POINTS // n`` tuples, and chunk
+    i draws from its own generator, spawned as child i of ``SeedSequence(seed)``.
     The chunks run on threads, at most one per CPU the process may use (a
     one-chunk call runs inline), and are merged in chunk order, so the result
     does not depend on the CPU count, bit for bit.  Kernels are therefore
@@ -747,8 +775,8 @@ def mixture_polynomial(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure)
 
 
 class PotentialKernel(Kernel):
-    """Lower-arity kernel obtained by integrating leading slots of a base
-    kernel against fixed measures."""
+    """Lower-arity kernel obtained by integrating leading slots of a base kernel
+    against fixed measures; a potential-kernel base is flattened into its own."""
 
     def __init__(self, base: Kernel, measures):
         measures = list(measures)
@@ -756,6 +784,8 @@ class PotentialKernel(Kernel):
         if not 1 <= j <= base.arity - 2:
             raise ValueError("potential kernels need 1 <= j <= arity - 2 integrated slots")
         super().__init__(f"potential({base.name},j={j})", base.arity - j)
+        if isinstance(base, PotentialKernel):   # a potential of a potential: one flat level
+            base, measures = base.base, base.measures + measures
         self._base = base
         self._measures = _check_measures(measures)
 

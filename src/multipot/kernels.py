@@ -357,9 +357,13 @@ class Kernel:
                         [(c, self, range(self.arity))], nonnegative=self.nonnegative and c >= 0)
 
     def spec_string(self) -> str:
-        """Canonical ``name[:key=value,...]`` rendering for reports."""
+        """Canonical ``name[:key=value,...]`` rendering for reports; a lift
+        renders as the string :func:`parse_kernel` reads, such as
+        ``sum_lift:base=inner,n=3``."""
         if not self.params:
             return self.name
+        head = self.name.partition("(")[0]
+        head = head if head in _LIFTS else self.name
         parts = []
         for k in sorted(self.params):
             v = self.params[k]
@@ -369,7 +373,7 @@ class Kernel:
                 parts.append(f"{k}={'true' if v else 'false'}")
             else:
                 parts.append(f"{k}={v}")
-        return self.name + ":" + ",".join(parts)
+        return head + ":" + ",".join(parts)
 
     def __repr__(self) -> str:
         return f"<Kernel {self.name} arity={self.arity}>"

@@ -53,13 +53,12 @@ from multipot.certify import (
     _eigen_tol,
     _kernel_matrix,
     _matrix_min_eig,
-    _moment_spread,
     _potential_stderr,
     _random_sets,
     _restricted,
     _trial_energies,
 )
-from multipot.energy import _dense_mutual, _dense_potential, _spans
+from multipot.energy import _dense_mutual, _dense_potential, _potential_spread, _spans
 from multipot.geometry import _random_directions
 from oracles import (
     grid_values_by_coordinates,
@@ -396,8 +395,7 @@ def test_constancy_of_a_cancelled_polynomial():
 
 def _force_dense_route(monkeypatch):
     """Send every exact sum, and the noise estimate with them, to the dense route."""
-    for module in (energy_mod, certify):
-        monkeypatch.setattr(module, "_route", lambda *args: None)
+    monkeypatch.setattr(energy_mod, "_route", lambda *args: None)
 
 
 @pytest.mark.parametrize("kernel", [area2(), uvt(), vol2()], ids=["area2", "uvt", "vol2"])
@@ -405,7 +403,7 @@ def test_dense_rows_match_the_moment_spread(kernel, monkeypatch):
     w = (np.random.default_rng(26).random(40) + 0.1) / 30
     mu = DiscreteMeasure(sample_sphere(3, 40, 27).points, w)
     pts = sample_sphere(3, 12, 28).points
-    assert np.all(_moment_spread(kernel.pair_poly, mu, pts) > 0)
+    assert np.all(_potential_spread(kernel, mu, pts) > 0)
     moment = _potential_stderr(kernel, mu, pts)
     _force_dense_route(monkeypatch)
     np.testing.assert_allclose(_potential_stderr(kernel, mu, pts), moment, rtol=1e-12, atol=0)
@@ -477,8 +475,20 @@ def test_inequality_suite_matches_trial_loop(name):
 def test_inequality_suite_validation():
     with pytest.raises(ValueError):
         inequality_suite(uvt(), 3, trials=0)
-    with pytest.raises(ValueError):
-        inequality_suite(sum_lift(inner(), 5), 3, trials=1)
+    # one arity-8 trial is 9 * 5^8 tuples, more than one grid block
+    with pytest.raises(ValueError, match="arity 8: a trial.s 3515625 tuples exceed"):
+        inequality_suite(sum_lift(inner(), 8), 3, trials=1)
+
+
+def test_inequality_suite_runs_past_arity_four():
+    kernel = sum_lift(inner(), 5)
+    got = inequality_suite(kernel, 3, trials=3, seed=27).as_dict()
+    want = inequality_suite_loop(kernel, 3, 3, 27)
+    for key, value in want.items():
+        if key.endswith("_worst") and value is not None:
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+        else:
+            assert got[key] == value, key
 
 
 def test_dimension_and_grid_checks_name_the_value(capsys):

@@ -52,6 +52,7 @@ from oracles import (
     area2_fn,
     brute_discrete,
     brute_mutual,
+    lift_fn,
     mc_energy_loop,
     measure_as_pairs,
     moment_mc,
@@ -115,9 +116,35 @@ def test_discrete_equals_mutual_of_empirical_measure():
         assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_exact_sum_arity_capped():
-    with pytest.raises(ValueError):
-        discrete_energy(sum_lift(inner(), 5), sample_sphere(3, 4, 1))
+def _with_arity(fn, n):
+    """fn with n named arguments, as brute_discrete reads the arity off them."""
+    return {5: lambda a, b, c, d, e: fn(a, b, c, d, e),
+            6: lambda a, b, c, d, e, f: fn(a, b, c, d, e, f)}[n]
+
+
+def test_exact_sums_of_any_arity_match_brute_force():
+    # no arity cap: arity-5 and -6 lifts match tuple enumeration of their base
+    with pytest.warns(UserWarning):
+        product = prod_lift(inner(), 5)
+    lifts = [(sum_lift(inner(), 5), lift_fn(inner(), 5, sum)),
+             (sum_lift(area2(), 5), lift_fn(area2(), 5, sum)),
+             (product, lift_fn(inner(), 5, math.prod)),
+             (sum_lift(vol2(), 6), lift_fn(vol2(), 6, sum))]
+    for seed, (kernel, fn) in enumerate(lifts):
+        n = kernel.arity
+        size = 2 if n == 6 else 3
+        measures = [_random_measure(size, 3, 10 * seed + s, probability=False) for s in range(n)]
+        expected = brute_mutual(fn, [measure_as_pairs(m) for m in measures])
+        assert mutual_energy(kernel, measures).value == pytest.approx(expected, abs=1e-12)
+        config = sample_sphere(3, size, 50 + seed)
+        expected = brute_discrete(_with_arity(fn, n), list(config.points))
+        assert discrete_energy(kernel, config).value == pytest.approx(expected, abs=1e-12)
+
+
+def test_dense_limit_is_the_only_bound_on_an_exact_sum():
+    # 30^5 tuples of a kernel without a moment route: refused by the dense limit
+    with pytest.raises(ValueError, match="24300000 atom tuples exceed the dense limit"):
+        discrete_energy(sum_lift(riesz(1.0), 5), sample_sphere(3, 30, 1))
 
 
 # --- mutual energy ---------------------------------------------------------------
@@ -162,8 +189,6 @@ def test_mutual_validation_errors():
         mutual_energy(uvt(), [m3, m3])
     with pytest.raises(ValueError):
         mutual_energy(uvt(), [m3, m3, m4])
-    with pytest.raises(ValueError):
-        mutual_energy(sum_lift(inner(), 5), [m3] * 5)
 
 
 def test_pinned_dimension_is_checked_on_every_route():
@@ -781,6 +806,23 @@ def test_potential_of_potential_kernel_unfolds(monkeypatch):
     monkeypatch.setattr(PotentialKernel, "evaluate_batch", pointwise)
     unfolded = potential(PotentialKernel(area2(), [mu]), [nu], queries)
     np.testing.assert_allclose(unfolded, direct, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("route", ["moment", "dense"])
+def test_potential_of_a_potential_kernel_is_flat(route):
+    # on either route, the nested kernel is the flat one: same base, same
+    # measures, and bound energies and gradients with the same bits
+    k4 = sum_lift(area2() if route == "moment" else prod_f_uvt(f="exp"), 4)
+    mu, nu = _random_measure(4, 3, 106), _random_measure(3, 3, 107)
+    outer = PotentialKernel(PotentialKernel(k4, [mu]), [nu])
+    flat = PotentialKernel(k4, [mu, nu])
+    assert outer.base is k4 and outer.arity == 2
+    assert [m is n for m, n in zip(outer.measures, [mu, nu])] == [True, True]
+    stack = np.stack([sample_sphere(3, 5, seed).points for seed in range(3)])
+    for pts in (stack[0], stack):
+        for nested, plain in zip(energy_mod._bind(outer, pts), energy_mod._bind(flat, pts)):
+            assert np.array_equal(nested(pts), plain(pts))
+    assert (energy_mod._route(k4, [mu, nu, mu, mu]) is None) == (route == "dense")
 
 
 @pytest.mark.parametrize("base", [area2(), prod_f_uvt(f="exp")], ids=["area2", "exp"])

@@ -31,7 +31,7 @@ from multipot import (
     uvt,
     vol2,
 )
-from multipot.kernels import PairPolynomial
+from multipot.kernels import KERNEL_REGISTRY, PairPolynomial
 from multipot.geometry import _random_directions
 from oracles import (grid_values_by_coordinates, lift_fn, pin_fn, product_fn, scaled_fn, shift_fn,
                      sum_fn)
@@ -383,7 +383,17 @@ def test_parse_kernel_grammar():
 
 
 def test_spec_string_round_trips():
-    kernel = quad_a(0.5, shift=True)
-    again = parse_kernel(kernel.spec_string())
-    pts = sample_sphere(3, 3, 41).points
-    assert again.evaluate(pts) == pytest.approx(kernel.evaluate(pts))
+    # every form the parser accepts prints as a string it parses back
+    specs = [*(name for name in KERNEL_REGISTRY if name not in ("riesz", "prod_f_uvt", "quad_a")),
+             "riesz:s=0.5", "riesz:s=1", "quad_a:a=0.5,shift=true", "quad_a:a=-2",
+             "prod_f_uvt:coeffs=0,1,0.5", "prod_f_uvt:exp",
+             "sum_lift:base=inner,n=3", "sum_lift:base=area2,n=5", "prod_lift:base=frame2,n=4"]
+    for spec in specs:
+        kernel = parse_kernel(spec)
+        printed = kernel.spec_string()
+        again = parse_kernel(printed)
+        assert again.spec_string() == printed, spec
+        pts = sample_sphere(3, kernel.arity, 41).points
+        assert again.evaluate(pts) == kernel.evaluate(pts), spec
+    assert parse_kernel("sum_lift:base=inner,n=3").spec_string() == "sum_lift:base=inner,n=3"
+    assert parse_kernel("prod_f_uvt:exp").spec_string() == "prod_f_uvt:f=exp"

@@ -7,9 +7,13 @@ energies and for potentials with one and two free slots.  Analytic
 gradients are checked against central differences of the oracle, and the
 moment route's cached programs against freshly built ones.
 """
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import multipot
 from multipot import DiscreteMeasure, area2, mutual_energy, potential, s011, sum_lift, vol2
 from multipot import energy as energy_mod
 from multipot.energy import PotentialKernel
@@ -218,3 +222,29 @@ def test_programs_list_each_distinct_contraction_once(kernel, layout, environmen
     assert sorted({c for _, _, c, _ in prog.environments}) == list(range(distinct))
     if kernel.arity == 4:
         assert all(len(operands) == 3 for _, _, operands in prog.contractions)
+
+
+_ENERGY_INTERNALS = {"_route", "_program", "_plan", "slot_keys"}
+
+
+def _names(path: pathlib.Path) -> set:
+    """Every name, attribute and imported name the module's code references."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_only_the_energy_module_sees_routes_and_programs():
+    # the routing rule and its programs stay inside energy.py: other modules
+    # consume exact sums without deciding anything about them
+    package = pathlib.Path(multipot.__file__).parent
+    assert _ENERGY_INTERNALS <= _names(package / "energy.py")
+    leaks = {path.name: sorted(_names(path) & _ENERGY_INTERNALS)
+             for path in sorted(package.glob("*.py")) if path.name != "energy.py"}
+    assert {name: used for name, used in leaks.items() if used} == {}

@@ -113,7 +113,8 @@ def test_cli_minimize_writes_trace_and_points(tmp_path):
     assert payload["final_energy"] <= 1e-4
     trace = (tmp_path / "run_trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,energy"
-    assert len(trace) == len(trace) and len(trace) >= 2
+    # the header, then one line per recorded energy: the start and each iteration
+    assert len(trace) == payload["iterations_run"] + 2
     assert (tmp_path / "run_points.csv").read_text().startswith("w,x1,x2,x3")
 
 
