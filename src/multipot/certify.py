@@ -26,8 +26,9 @@ candidate.  The one exception to the draw order has probability zero: a
 drawn row of norm below 1e-12 is redrawn at the end of its block's draws
 rather than at once, so no such row ever reaches a kernel.
 
-Exact sums, potentials and the constancy check's noise spread come from
-:mod:`multipot.energy`, which alone picks their route.
+Exact sums and potentials, the fold potentials of the constancy check's
+noise estimate among them, come from :mod:`multipot.energy`, which alone
+picks their route.
 """
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ from .geometry import (
 from .kernels import Kernel, cpd_shift, pin
 from .energy import (
     _BLOCK_TUPLES,
-    _potential_spread,
     _spans,
     MixturePolynomial,
     mixture_polynomial,
@@ -78,6 +78,9 @@ _MAX_ATOMS = 5            # atoms per random measure of the inequality suite
 # Blocks of 49,152 tuples measured no faster, with twice the peak heap; blocks
 # of 98,304 measured slower.
 _CHUNK_TUPLES = 24576
+# Contiguous folds of a surrogate's atoms whose potentials give the constancy
+# check its noise estimate.
+_FOLDS = 16
 
 
 @dataclass(frozen=True)
@@ -360,16 +363,22 @@ class ConstancyReport:
 
 
 def _potential_stderr(kernel: Kernel, mu: DiscreteMeasure, test_points: np.ndarray) -> float:
-    """First-order estimate of the sampling noise of the (n-1)-fold potential
-    of an M-atom surrogate measure, averaged over test points: projected onto
-    single atoms, the potential's variance is about 4 * zeta * sum_j w_j^2, with
-    zeta the spread of its per-atom rows (:func:`energy._potential_spread`).
-    Only arity 3 gets an estimate.
+    """Sampling noise of the (n-1)-fold potential of a surrogate measure,
+    averaged over test points: mu's atoms cut into ``_FOLDS`` contiguous folds
+    (``np.array_split`` order), each fold's weights rescaled to mu's mass, and
+    the std (ddof 1) over the folds' potentials (:func:`energy.potential`)
+    divided by sqrt(_FOLDS).  No random number is drawn, and any arity fits.
+
+    A measure is no sample when it has fewer than _FOLDS**2 atoms (a fold of
+    fewer than _FOLDS atoms), a negative weight or a fold without mass; its
+    estimate is 0, so the check demands constancy to RESIDUAL_TOL.
     """
-    if mu.n_atoms < 2 or kernel.arity != 3:
+    folds = list(zip(np.array_split(mu.atoms, _FOLDS), np.array_split(mu.weights, _FOLDS)))
+    if mu.n_atoms < _FOLDS**2 or np.any(mu.weights < 0) or not all(w.sum() > 0 for _, w in folds):
         return 0.0
-    zeta = _potential_spread(kernel, mu, test_points)
-    return float(np.mean(2.0 * np.sqrt(np.maximum(zeta, 0.0) * float(np.sum(mu.weights**2)))))
+    values = [potential(kernel, [DiscreteMeasure(atoms, w * (mu.total_mass / w.sum()))]
+                        * (kernel.arity - 1), test_points) for atoms, w in folds]
+    return float(np.mean(np.std(values, axis=0, ddof=1)) / np.sqrt(_FOLDS))
 
 
 def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
@@ -379,9 +388,8 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
     Evaluates U at each test point and compares the worst deviation from
     the mean against five estimated standard errors of the sampled
     potential (plus a small floor so exactly-constant potentials pass).
-    The noise estimate of an arity-3 kernel takes the route of the
-    potential itself; off the moment route it sums |test points| * M^2
-    kernel values.
+    The standard error comes from the potentials of contiguous folds of mu
+    (:func:`_potential_stderr`), for a kernel of any arity.
     """
     if mu.n_atoms < 1:
         raise ValueError("measure needs at least one atom")

@@ -17,13 +17,11 @@ all atom tuples.  Two routes compute them:
   The gradient of a discrete energy contracts all slots but one and
   differentiates the result against x^{(x)E}, in O(N d^E) work; the
   measures of a potential kernel are fixed slots in these contractions.
-  Leaving slot 0 open instead writes the polynomial as Phi(x)^T A, with
-  Phi(x) the tensor powers of x (:func:`_potential_spread` uses this).
   All of this is planned once per polynomial and call layout, and cached
   as a program: the moment keys each measure or query slot needs, every
   einsum spec with its operands, and the axis orders of the gradient.
   The layout is what the call's arguments decide: which slots are
-  integrated, queried or open, which integrated slots hold equal measures,
+  integrated or queried, which integrated slots hold equal measures,
   and which hold a stack.  A call only computes its tensors and runs the
   program.  A program lists each distinct environment contraction once
   (by spec, kept axes and operands; a product of two operands also
@@ -190,24 +188,23 @@ def _dense_potential(values, measures, queries: np.ndarray) -> np.ndarray:
 # ``tensors`` lists (queried, position among the call's slots or query columns,
 # keys) per distinct measure and query slot, in operand order; ``monomials``
 # are (coefficient, einsum spec, axes kept before a row sum or None, operand
-# positions, block of slot 0's key), ``letters`` the unit exponents each
-# monomial contracts over, ``contractions`` the distinct (spec, kept axes,
-# operand positions) of the environments, ``environments`` (slot, coefficient,
-# index into contractions, key), and ``turns[key]`` the axis orders that bring
-# each position of an environment to the front.
-_Program = namedtuple("_Program",
-                      "slot_keys tensors monomials letters contractions environments turns")
+# positions), ``letters`` the unit exponents each monomial contracts over,
+# ``contractions`` the distinct (spec, kept axes, operand positions) of the
+# environments, ``environments`` (slot, coefficient, index into contractions,
+# key), and ``turns[key]`` the axis orders that bring each position of an
+# environment to the front.
+_Program = namedtuple("_Program", "tensors monomials letters contractions environments turns")
 
 
-def _layout(slots, opened: bool = False, queries: int = 0) -> str:
-    """The layout of a call, one character per slot of the polynomial: '*' for an
-    open slot 0, then for each of ``slots`` the letter of the first slot holding
-    the same atoms and weights (upper case for a stack (B, N, d)), then '?' for
-    each of ``queries`` query slots."""
+def _layout(slots, queries: int = 0) -> str:
+    """The layout of a call, one character per slot of the polynomial: for each
+    of ``slots`` the letter of the first slot holding the same atoms and weights
+    (upper case for a stack (B, N, d)), then '?' for each of ``queries`` query
+    slots."""
     ids = [(id(s.atoms), id(s.weights)) for s in slots]
-    marks = (string.ascii_lowercase[opened + ids.index(i)] for i in ids)
-    return "*" * opened + "".join(m.upper() if s.atoms.ndim == 3 else m
-                                  for m, s in zip(marks, slots)) + "?" * queries
+    marks = (string.ascii_lowercase[ids.index(i)] for i in ids)
+    return "".join(m.upper() if s.atoms.ndim == 3 else m
+                   for m, s in zip(marks, slots)) + "?" * queries
 
 
 def _program(poly, layout: str) -> _Program | None:
@@ -225,11 +222,11 @@ def _plan(n: int, terms: tuple, layout: str) -> _Program | None:
     A slot pair with exponent e shares e letters.  Each slot needs one tensor
     per (degree, anchor powers) key of its monomials: a moment tensor of its
     measure (equal measures share them) or a tensor power per query.  A
-    monomial contracts them onto the open slot's letters, the stack index and
-    the query index; an environment contracts all slots but s onto slot s's
-    letters, for gradients.  On a stack the letters an einsum sums are kept
-    and summed after it, one row per entry: a row sum's order, unlike
-    einsum's, does not depend on the stack's length.
+    monomial contracts them onto the stack index and the query index; an
+    environment contracts all slots but s onto slot s's letters, for
+    gradients.  On a stack the letters an einsum sums are kept and summed
+    after it, one row per entry: a row sum's order, unlike einsum's, does
+    not depend on the stack's length.
     """
     monos, slot_keys = [], [[] for _ in range(n)]
     for mono, coeff in terms:
@@ -249,15 +246,15 @@ def _plan(n: int, terms: tuple, layout: str) -> _Program | None:
                 slot_keys[s].append(key)
         monos.append((coeff, letters, keys, _LETTERS[:used]))
 
-    opened, free = layout[0] == "*", layout.count("?")
-    owner = [s if m in "*?" else string.ascii_lowercase.index(m.lower())
+    free = layout.count("?")
+    owner = [s if m == "?" else string.ascii_lowercase.index(m.lower())
              for s, m in enumerate(layout)]
     index, tensors = {}, []
-    for s in range(opened, n):
+    for s in range(n):
         keys = tuple(dict.fromkeys(k for t in range(s, n) if owner[t] == s for k in slot_keys[t]))
         if owner[s] == s and keys:
             index.update({(s, key): len(index) + i for i, key in enumerate(keys)})
-            tensors.append((layout[s] == "?", s - (n - free if layout[s] == "?" else opened), keys))
+            tensors.append((layout[s] == "?", s - (n - free) if layout[s] == "?" else s, keys))
 
     def contraction(slots, out, letters, keys, summed):
         subs = ",".join(_BATCH * layout[t].isupper() + letters[t] + _QUERY * (layout[t] == "?")
@@ -268,9 +265,8 @@ def _plan(n: int, terms: tuple, layout: str) -> _Program | None:
                 tuple(index[owner[t], keys[t]] for t in slots))
 
     lead = _BATCH * (layout.lower() != layout)
-    monomials = tuple((coeff, *contraction(range(opened, n), lead + letters[0] * opened
-                                           + _QUERY * bool(free), letters, keys, summed),
-                       slot_keys[0].index(keys[0])) for coeff, letters, keys, summed in monos)
+    monomials = tuple((coeff, *contraction(range(n), lead + _QUERY * bool(free), letters, keys,
+                                           summed)) for coeff, letters, keys, summed in monos)
     contractions, environments, turns = {}, [], {}
     for coeff, letters, keys, summed in monos if layout.isalpha() else ():
         for s, key in enumerate(keys):
@@ -283,9 +279,8 @@ def _plan(n: int, terms: tuple, layout: str) -> _Program | None:
                 turns[key] = tuple((*range(len(lead)), len(lead) + k,
                                     *(len(lead) + i for i in range(key[0]) if i != k))
                                    for k in range(key[0]))
-    return _Program(tuple(map(tuple, slot_keys)), tuple(tensors), monomials,
-                    tuple(len(summed) for *_, summed in monos), tuple(contractions),
-                    tuple(environments), turns)
+    return _Program(tuple(tensors), monomials, tuple(len(summed) for *_, summed in monos),
+                    tuple(contractions), tuple(environments), turns)
 
 
 def _canonical(spec: str, keep, operands):
@@ -363,26 +358,21 @@ def _anchor_gradient(x: np.ndarray, anchors: np.ndarray, anchored) -> np.ndarray
     return g
 
 
-def _free_tensors(poly, x: np.ndarray, keys) -> list:
-    """a(x) x^{(x)e} for each key (e, anchor powers) and each row of x (Q, d), as
-    (d, ..., d, Q) arrays: the operands of a slot that takes one point per query."""
-    p = _powers(x, keys)
-    return [(p[e] * _anchor_factor(x, poly.anchors, anchored) if anchored else p[e]).reshape(
-        (x.shape[1],) * e + (x.shape[0],)) for e, anchored in keys]
-
-
 def _operands(prog: _Program, poly, slots, queries: np.ndarray | None = None):
     """The program's operands, and the powers of the last slot's atoms.  A
-    measure gives its moment tensors sum_i w_i a(x_i) x_i^{(x)e} by key, shape
+    query slot gives a(x) x^{(x)e} by key at each of its points x, shape (d,
+    ..., d, Q); a measure its moment tensors sum_i w_i a(x_i) x_i^{(x)e}, shape
     (..., d, ..., d), all of them before the next measure's powers (holding
     several measures' powers raised the peak memory on 100k-atom measures)."""
     ops, last = [], None
     for queried, pos, keys in prog.tensors:
-        if queried:
-            ops += _free_tensors(poly, queries[:, pos], keys)
-            continue
-        x, w = slots[pos].atoms, slots[pos].weights
+        x = queries[:, pos] if queried else slots[pos].atoms
         p = _powers(x, keys)
+        if queried:
+            ops += [(p[e] * _anchor_factor(x, poly.anchors, anchored) if anchored else p[e])
+                    .reshape((x.shape[1],) * e + (x.shape[0],)) for e, anchored in keys]
+            continue
+        w = slots[pos].weights
         last = p if x is slots[-1].atoms else last
         for e, anchored in keys:
             wa = w * _anchor_factor(x, poly.anchors, anchored) if anchored else w
@@ -399,56 +389,6 @@ def _term(coeff: float, spec: str, keep, operands) -> np.ndarray:
     return full if coeff == 1.0 else coeff * full
 
 
-def _open_slot(poly, slots, queries: np.ndarray | None = None) -> np.ndarray:
-    """The polynomial with slot 0 left open, the next len(slots) slots summed
-    over their weighted atoms and the others at each query tuple (Q, r, d), as
-    A (Q, F) with value ``Phi(x) @ A[q]`` at x and query q (Phi as in
-    :func:`_potential_spread`); (F,) without queries.  Each monomial contracts
-    the other slots onto slot 0's letters, and monomials with equal slot-0 keys
-    add into one block."""
-    free = 0 if queries is None else queries.shape[1]
-    prog = _program(poly, _layout(slots, True, free))
-    ops, blocks = _operands(prog, poly, slots, queries)[0], [None] * len(prog.slot_keys[0])
-    for coeff, spec, keep, operands, block in prog.monomials:
-        term = _term(coeff, spec, keep, [ops[i] for i in operands])
-        blocks[block] = term if blocks[block] is None else blocks[block] + term
-    tail = (queries.shape[0],) if free else ()
-    return np.concatenate([b.reshape((-1,) + tail) for b in blocks]).T
-
-
-def _potential_spread(kernel: Kernel, mu, test_points: np.ndarray) -> np.ndarray:
-    """zeta(x) = sum_j w_j (r_j(x) - rbar(x))^2 at each test point x of an
-    arity-3 kernel, over the atoms y_j and weights w_j of mu, with row means
-    r_j(x) = sum_k w_k K(y_k, y_j, x) and rbar = sum_j w_j r_j.
-
-    Taken on the potential's own route: off the moment route, from the rows,
-    the potentials of (atom, test point) pairs, a block at a time.  On it,
-    r_j(x) = Phi(x)^T a_j, with Phi(x) slot 0's tensors a(x) x^{(x)e} flattened
-    (a block per key) and a_j the other slots contracted with y_j kept; zeta(x)
-    is then sum_j w_j (Phi(x)^T (a_j - abar))^2, summed over blocks of atoms in
-    one pass.  A polynomial whose terms all cancel (slot 0 has no keys) has zeta 0.
-    """
-    poly, (m, d), w = kernel.pair_poly, mu.atoms.shape, mu.weights
-    route = None if poly is None else _route(kernel, [mu, mu], test_points[:, None])
-    if route is None:
-        rows = np.empty((len(test_points), m))
-        for start, stop in _spans(len(test_points), m * m):
-            pairs = np.stack(np.broadcast_arrays(mu.atoms, test_points[start:stop, None]), 2)
-            rows[start:stop] = _sum(kernel, [mu], pairs.reshape(-1, 2, d)).reshape(-1, m)
-        return (rows - (rows @ w)[:, None]) ** 2 @ w
-    keys = route[0].slot_keys[0]
-    if not keys:
-        return np.zeros(len(test_points))
-    phi = np.concatenate([t.reshape(-1, len(test_points))
-                          for t in _free_tensors(poly, test_points, keys)]).T
-    abar = _open_slot(poly, [mu, mu])
-    zeta = np.zeros(phi.shape[0])
-    for start, stop in _spans(m, max(phi.shape)):
-        a = _open_slot(poly, [mu], mu.atoms[start:stop, None, :]) - abar
-        zeta += (phi @ a.T) ** 2 @ w[start:stop]
-    return zeta
-
-
 def _moment_sum(poly, slots, queries: np.ndarray | None = None, prog: _Program | None = None):
     """A pair polynomial summed over the weighted atoms of its leading len(slots) slots,
     the others at each query tuple (Q, r, d): a float without queries, else Q values; a
@@ -458,7 +398,7 @@ def _moment_sum(poly, slots, queries: np.ndarray | None = None, prog: _Program |
         prog = _program(poly, _layout(slots, queries=0 if queries is None else queries.shape[1]))
     ops = _operands(prog, poly, slots, queries)[0]
     total = np.zeros(slots[-1].atoms.shape[:-2] + (() if queries is None else queries.shape[:1]))
-    for coeff, spec, keep, operands, _ in prog.monomials:
+    for coeff, spec, keep, operands in prog.monomials:
         total = total + _term(coeff, spec, keep, [ops[i] for i in operands])
     return total if total.ndim else float(total)
 

@@ -311,7 +311,8 @@ class Kernel:
             )
         if self.pair_poly is not None and self.pair_poly.n_anchors:
             if pts.shape[-1] != self.pair_poly.anchors.shape[1]:
-                raise ValueError("point dimension does not match pinned points")
+                raise ValueError(f"point dimension {pts.shape[-1]} does not match dimension "
+                                 f"{self.pair_poly.anchors.shape[1]} of the pinned points")
         return pts
 
     def evaluate(self, pts) -> float:
@@ -721,6 +722,7 @@ def pin(kernel: Kernel, pins) -> Kernel:
     if not 1 <= m <= n - 2:
         raise ValueError(f"pin count must satisfy 1 <= m <= arity-2, got {m} for arity {n}")
     _check_on_sphere(pins, "pins")
+    kernel._check_points(np.empty((n, pins.shape[1])))     # the dimension of earlier pins
     return _derived(f"pin({kernel.name})", n - m, "prod", [(1.0, kernel, [*pins, *range(n - m)])],
                     params=dict(kernel.params, pins=m))
 

@@ -264,6 +264,8 @@ def local_min_probe(kernel: Kernel, mu: DiscreteMeasure, directions) -> list[Dir
     alphas = np.linspace(0.0, 1.0, 101)[1:-1]
     out = []
     for nu in directions:
+        if not isinstance(nu, DiscreteMeasure):
+            raise TypeError(f"directions must be DiscreteMeasures, got {type(nu).__name__}")
         if not nu.is_probability:
             raise ValueError("probe directions must be probability measures")
         g = mixture_polynomial(kernel, mu, nu)

@@ -327,20 +327,25 @@ def potential_mixture(kernel, mu, nu):
     return pair_energy(mu, mu), pair_energy(mu, nu), pair_energy(nu, nu)
 
 
-def potential_stderr_loop(kernel, mu, test_points):
-    """The sampling-noise estimate of ``certify._potential_stderr`` one test
-    point at a time: pin x, take the potential of the pinned kernel at every
-    atom (r_j = sum_k w_k K(x, y_k, y_j)), and average 2 * sqrt(zeta * sum w^2)
-    with zeta the w-weighted squared spread of the r_j."""
-    from multipot import pin, potential
+def potential_stderr_loop(kernel, mu, test_points, folds=16):
+    """The fold noise estimate of ``certify._potential_stderr`` one test point
+    and one fold at a time: a fold's potential at x is the mutual energy of
+    the fold (weights rescaled to mu's mass) in the leading slots and the
+    point mass at x in the last; the std over folds (ddof 1) / sqrt(folds) is
+    summed by hand and averaged over the points."""
+    from multipot import DiscreteMeasure, mutual_energy
 
-    w2 = float(np.sum(mu.weights**2))
+    parts = np.array_split(np.arange(mu.n_atoms), folds)
     acc = 0.0
     for x in test_points:
-        rows = potential(pin(kernel, x), [mu], mu.atoms)
-        mean = float(mu.weights @ rows)
-        zeta = float(mu.weights @ (rows - mean) ** 2)
-        acc += 2.0 * np.sqrt(max(zeta, 0.0) * w2)
+        vals = []
+        for idx in parts:
+            w = mu.weights[idx]
+            fold = DiscreteMeasure(mu.atoms[idx], w * (mu.total_mass / w.sum()))
+            slots = [fold] * (kernel.arity - 1) + [DiscreteMeasure.dirac(x)]
+            vals.append(mutual_energy(kernel, slots).value)
+        mean = sum(vals) / folds
+        acc += math.sqrt(sum((v - mean) ** 2 for v in vals) / (folds - 1) / folds)
     return acc / len(test_points)
 
 

@@ -46,6 +46,7 @@ from multipot import (
 from multipot import certify, kernels
 from multipot.certify import (
     _CHUNK_TUPLES,
+    _FOLDS,
     _MAX_ATOMS,
     _balanced_basis,
     _diagonal_residuals,
@@ -58,7 +59,7 @@ from multipot.certify import (
     _restricted,
     _trial_energies,
 )
-from multipot.energy import _dense_mutual, _dense_potential, _potential_spread, _spans
+from multipot.energy import _dense_mutual, _dense_potential, _spans
 from multipot.geometry import _random_directions
 from oracles import (
     grid_values_by_coordinates,
@@ -187,6 +188,14 @@ def test_sum_lift_of_inner_is_not_plainly_pd():
 def test_npd_requires_three_inputs():
     with pytest.raises(ValueError):
         npd_test(inner(), 3)
+
+
+def test_npd_refuses_pins_of_another_dimension():
+    # the kernel is pinned in R^3, the test pins in R^4: the message names both
+    with pytest.raises(ValueError, match="point dimension 4 does not match dimension 3"):
+        npd_test(pin(sum_lift(inner(), 4), E1), 4)
+    with pytest.raises(ValueError, match="point dimension 4 does not match dimension 3"):
+        pin(pin(sum_lift(inner(), 4), E1), basis_vector(0, 4))
 
 
 def test_potential_of_pd_kernel_inherits_positive_definiteness():
@@ -350,10 +359,9 @@ _STDERR_KERNELS = {
     "vol2": lambda d: vol2(),
     "s011": lambda d: s011(),
     "pinned-lift": lambda d: pin(sum_lift(area2(), 4), sample_sphere(d, 1, 22).points[0]),
-    "exp-uvt": lambda d: prod_f_uvt(f="exp"),     # no pair polynomial: dense rows
+    "exp-uvt": lambda d: prod_f_uvt(f="exp"),     # no pair polynomial: the dense route
 }
-# every pair polynomial at each d and weighting; the dense rows, which take
-# 1-2 s a case, at one of them
+# every pair polynomial at each d and weighting; exp(uvt) at one of them
 _STDERR_CASES = [(name, d, weights) for name in list(_STDERR_KERNELS)[:-1]
                  for d in (2, 3, 5) for weights in ("random", "uniform")]
 _STDERR_CASES.append(("exp-uvt", 3, "random"))
@@ -377,7 +385,7 @@ def test_potential_stderr_matches_per_point_loop(name, d, weights):
 
 
 def test_constancy_noise_of_a_kernel_without_contraction():
-    # prod_f_uvt(exp) is no pair polynomial: its noise comes from dense rows
+    # prod_f_uvt(exp) is no pair polynomial: its fold potentials take the dense route
     report = potential_constancy_check(prod_f_uvt(f="exp"), uniform_surrogate(3, 400, 1),
                                        sample_sphere(3, 10, 2))
     assert report.stderr_estimate > 0
@@ -385,8 +393,9 @@ def test_constancy_noise_of_a_kernel_without_contraction():
 
 
 def test_constancy_of_a_cancelled_polynomial():
-    # no monomial is left, so slot 0 has no keys: the potential is 0, with no noise
-    report = potential_constancy_check(area2() + (-1.0) * area2(), uniform_surrogate(3, 50, 1),
+    # no monomial is left, so the potential is 0 at every point, and so are
+    # the folds' potentials: no noise
+    report = potential_constancy_check(area2() + (-1.0) * area2(), uniform_surrogate(3, 300, 1),
                                        sample_sphere(3, 4, 2))
     assert report.values.shape == (4,) and not np.any(report.values)
     assert report.stderr_estimate == 0.0
@@ -394,19 +403,101 @@ def test_constancy_of_a_cancelled_polynomial():
 
 
 def _force_dense_route(monkeypatch):
-    """Send every exact sum, and the noise estimate with them, to the dense route."""
+    """Send every exact sum and potential to the dense route."""
     monkeypatch.setattr(energy_mod, "_route", lambda *args: None)
 
 
 @pytest.mark.parametrize("kernel", [area2(), uvt(), vol2()], ids=["area2", "uvt", "vol2"])
-def test_dense_rows_match_the_moment_spread(kernel, monkeypatch):
-    w = (np.random.default_rng(26).random(40) + 0.1) / 30
-    mu = DiscreteMeasure(sample_sphere(3, 40, 27).points, w)
+def test_fold_noise_is_the_same_on_either_route(kernel, monkeypatch):
+    w = (np.random.default_rng(26).random(300) + 0.1) / 200
+    mu = DiscreteMeasure(sample_sphere(3, 300, 27).points, w)
     pts = sample_sphere(3, 12, 28).points
-    assert np.all(_potential_spread(kernel, mu, pts) > 0)
     moment = _potential_stderr(kernel, mu, pts)
+    assert moment > 0
     _force_dense_route(monkeypatch)
     np.testing.assert_allclose(_potential_stderr(kernel, mu, pts), moment, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kernel", [inner(), frame2(), sum_lift(area2(), 4)],
+                         ids=["inner", "frame2", "sum_lift(area2,4)"])
+def test_constancy_holds_for_sigma_at_arities_two_and_four(kernel):
+    # sigma's potential is constant for every rotation-invariant kernel, at
+    # any arity: the fold noise covers them all
+    report = potential_constancy_check(kernel, uniform_surrogate(3, 20_000, 1),
+                                       sample_sphere(3, 50, 2))
+    assert report.stderr_estimate > 0
+    assert report.passed
+
+
+# chi-square quantiles of 40 degrees of freedom at 1e-4 and 1 - 1e-4: a correct
+# noise estimate trips one of them with probability 2e-4 per kernel
+_CHI2_40 = (14.883, 82.062)
+
+
+@pytest.mark.parametrize("kernel, d, constant", [
+    (inner(), 3, 0.0), (frame2(), 3, 1 / 3), (area2(), 3, 0.5), (uvt(), 5, 1 / 25),
+    (vol2(), 4, 6 / 16), (sum_lift(area2(), 4), 3, 2.0),
+], ids=["inner", "frame2", "area2", "uvt", "vol2", "sum_lift(area2,4)"])
+def test_fold_stderr_is_calibrated_over_seeds(kernel, d, constant):
+    # 40 seeded 1,000-atom surrogates of sigma, whose potential is the constant
+    # energy.  (1) At the first test point, the z-scores of the potential
+    # against the constant, over the folds' stderr, have squares that sum to
+    # a chi-square of 40 degrees of freedom if the stderr is honest.  (2) The
+    # false-alarm bound: at most one of the 40 checks may call the potential
+    # not constant.  In 1,920 checks on other seeds 2 did (0.1 %);
+    # at that rate a correct check has two or more with probability 8e-4.
+    pts = sample_sphere(d, 50, 31).points
+    z, alarms = [], 0
+    for s in range(40):
+        report = potential_constancy_check(kernel, uniform_surrogate(d, 1000, 600 + s), pts)
+        z.append((report.values[0] - constant) / report.stderr_estimate)
+        alarms += not report.passed
+    assert _CHI2_40[0] <= sum(x * x for x in z) <= _CHI2_40[1]
+    assert alarms <= 1
+
+
+def test_constancy_fails_for_a_point_mass_in_a_surrogate():
+    # a 20k-atom sample of 0.95 sigma + 0.05 delta(e1): each atom is e1 with
+    # probability 0.05, so every fold sees the point mass and its potential's
+    # tilt is not noise.  (One atom of weight 0.05 would be one heavy draw,
+    # which any noise estimate from the atoms' spread counts as noise.)
+    sigma = uniform_surrogate(3, 20_000, 1)
+    atoms = sigma.atoms.copy()
+    atoms[np.random.default_rng(3).random(sigma.n_atoms) < 0.05] = E1
+    biased = DiscreteMeasure(atoms)
+    pts = sample_sphere(3, 50, 2)
+    for kernel in (area2(), uvt(), inner(), frame2()):
+        assert potential_constancy_check(kernel, sigma, pts).passed, kernel.name
+        report = potential_constancy_check(kernel, biased, pts)
+        assert report.stderr_estimate > 0 and not report.passed, kernel.name
+
+
+@pytest.mark.parametrize("atoms", [5, 12])
+def test_constancy_fails_for_tiny_random_measures(atoms):
+    # fewer than _FOLDS**2 atoms are no sample: the noise estimate is 0, so
+    # the check asks for constancy to rounding, and no small measure has it
+    pts = sample_sphere(3, 30, 3)
+    for seed in range(5):
+        mu = _random_probability(atoms, 3, 40 + seed)
+        for kernel in (uvt(), area2(), inner()):
+            report = potential_constancy_check(kernel, mu, pts)
+            assert report.stderr_estimate == 0.0
+            assert not report.passed, (kernel.name, seed)
+
+
+def test_measures_that_are_no_sample_get_no_noise_estimate():
+    # a negative weight, a fold without mass, or fewer than _FOLDS**2 atoms
+    sigma = uniform_surrogate(3, _FOLDS**2 * 4, 5)
+    pts = sample_sphere(3, 10, 6).points
+    assert _potential_stderr(area2(), sigma, pts) > 0
+    signed = DiscreteMeasure(sigma.atoms, sigma.weights * np.where(np.arange(sigma.n_atoms) == 7,
+                                                                   -1.0, 1.0))
+    assert _potential_stderr(area2(), signed, pts) == 0.0
+    massless = DiscreteMeasure(sigma.atoms, np.where(np.arange(sigma.n_atoms) < 64, 0.0, 1.0))
+    assert _potential_stderr(area2(), massless, pts) == 0.0     # its first fold has no mass
+    small = DiscreteMeasure(sigma.atoms[:_FOLDS**2 - 1])
+    assert _potential_stderr(area2(), small, pts) == 0.0
+    assert _potential_stderr(area2(), DiscreteMeasure(sigma.atoms[:_FOLDS**2]), pts) > 0
 
 
 # --- inequality suite ---------------------------------------------------------------------
@@ -885,14 +976,11 @@ def test_pair_polynomial_batteries_build_no_coordinate_grid(monkeypatch):
     for kernel in (riesz(1.0), -riesz(1.0), cpd_shift(-riesz(1.0), E1)):
         with pytest.raises(AssertionError, match="coordinate grid"):
             pd_test_2input(kernel, 3, trials=1, set_size=4)
-    # nor do the energy module's dense sums and the dense noise estimate
+    # nor do the energy module's dense sums
     mu, pts = uniform_surrogate(3, 12, 1), sample_sphere(3, 4, 2).points
     for kernel in (area2(), pin(vol2(), E1)):
         _dense_mutual(kernel, [mu] * kernel.arity)
         _dense_potential(kernel.evaluate_grid, [mu] * (kernel.arity - 1), pts[:, None, :])
-    _force_dense_route(monkeypatch)
-    for kernel in (area2(), pin(sum_lift(frame2(), 4), E1)):
-        assert _potential_stderr(kernel, mu, pts) > 0
 
 
 @pytest.mark.parametrize("name", sorted(_BATTERY_KERNELS))

@@ -289,6 +289,12 @@ def test_local_min_probe_requires_probability():
         local_min_probe(area2(), mu, [signed])
 
 
+def test_local_min_probe_requires_measures_as_directions():
+    mu = uniform_surrogate(3, 50, 16)
+    with pytest.raises(TypeError, match="directions must be DiscreteMeasures, got ndarray"):
+        local_min_probe(area2(), mu, [mu.atoms])
+
+
 @pytest.mark.parametrize("kernel", [area2(), vol2()], ids=["area2", "vol2"])
 def test_descent_final_energy_matches_dense_sum(kernel):
     # the optimizer's energies come from the moment engine; the dense tuple

@@ -162,7 +162,7 @@ def test_fixed_slot_gradients(seed, monkeypatch):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cached_programs_match_fresh_ones(seed):
     # one polynomial through every call layout -- unstacked, stacked, with
-    # fixed slots, with queries and with an open slot -- in two interleaved
+    # fixed slots and with queries -- in two interleaved
     # orders on a shared cache; each result equals its value from an empty
     # cache, bit for bit
     kernel, _, measures, rng = _random_case(seed, min_arity=3)
@@ -182,8 +182,6 @@ def test_cached_programs_match_fresh_ones(seed):
         lambda: energy_mod._moment_gradient(poly, plain, measures[:1]),
         lambda: energy_mod._moment_sum(poly, measures[:n - 1], queries[0]),
         lambda: energy_mod._moment_sum(poly, measures[:n - 2], queries[1]),
-        lambda: energy_mod._open_slot(poly, measures[1:]),
-        lambda: energy_mod._open_slot(poly, measures[1:n - 1], queries[0]),
     ]
     energy_mod._plan.cache_clear()
     forward = [call() for call in calls]

@@ -71,6 +71,15 @@ def _run_cli(*args, **kwargs):
                           capture_output=True, text=True, **kwargs)
 
 
+def test_package_runs_as_a_module():
+    # python -m multipot is the multipot command, with no install
+    out = subprocess.run([sys.executable, "-m", "multipot", "scenarios"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == _run_cli("scenarios").stdout
+    assert "area2-sigma" in out.stdout.split()
+
+
 def test_cli_energy_json(tmp_path):
     path = tmp_path / "pts.csv"
     write_points_csv(path, sample_sphere(3, 3, 1))
