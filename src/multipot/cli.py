@@ -44,7 +44,10 @@ def _emit(obj) -> None:
 
 def _load_measure(spec: str, d: int | None, seed: int) -> DiscreteMeasure:
     if spec.startswith("uniform:"):
-        size = int(spec.split(":", 1)[1])
+        try:
+            size = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"measure '{spec}': M in uniform:M must be an integer") from None
         if d is None:
             raise ValueError("uniform:M measures need --d")
         return uniform_surrogate(d, size, seed)

@@ -305,13 +305,13 @@ def _route(kernel: Kernel, slots, queries: np.ndarray | None = None):
     tensor powers of each distinct measure or query slot, a d-vector pass over
     its rows per anchor factor of each key, and a contraction per monomial.
     All else takes the dense route (None), which raises past ``_WORK_LIMIT``
-    atom tuples per item; so do slot, query or pin dimensions other than slot 0's."""
+    atom tuples per item; so do slot, query or kernel dimensions other than slot 0's."""
     d = slots[0].atoms.shape[-1]
     for s, x in enumerate([slot.atoms for slot in slots] + [queries]):
         if x is not None and x.shape[-1] != d:
             what = "the queries" if s == len(slots) else f"slot {s}"
             raise ValueError(f"dimension {x.shape[-1]} of {what} differs from {d} of slot 0")
-    kernel._check_points(np.empty((kernel.arity, d)))      # pin dimension
+    kernel._check_shape((kernel.arity, d))
     layout = _layout(slots, queries=0 if queries is None else queries.shape[1])
     prog = None if kernel.pair_poly is None else _program(kernel.pair_poly, layout)
     if prog is not None:
@@ -716,7 +716,10 @@ def mixture_polynomial(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure)
 
 class PotentialKernel(Kernel):
     """Lower-arity kernel obtained by integrating leading slots of a base kernel
-    against fixed measures; a potential-kernel base is flattened into its own."""
+    against fixed measures; a potential-kernel base is flattened into its own.
+    Its dimension is the measures'."""
+
+    _fixed = "the measures"
 
     def __init__(self, base: Kernel, measures):
         measures = list(measures)
@@ -728,6 +731,7 @@ class PotentialKernel(Kernel):
             base, measures = base.base, base.measures + measures
         self._base = base
         self._measures = _check_measures(measures)
+        self._dimension = self._measures[0].dimension
 
     @property
     def base(self) -> Kernel:

@@ -95,6 +95,14 @@ def basis_vector(i: int, d: int) -> np.ndarray:
     return v
 
 
+def _freeze(obj, **arrays) -> None:
+    """Set each field of the frozen dataclass ``obj`` to a read-only copy of its array."""
+    for name, a in arrays.items():
+        a = a.copy()
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
+
+
 @dataclass(frozen=True)
 class PointConfiguration:
     """An ordered multiset of N points on S^{d-1} (repeats allowed)."""
@@ -106,9 +114,7 @@ class PointConfiguration:
         if pts.shape[0] < 1:
             raise ValueError("a point configuration needs at least one point")
         _check_on_sphere(pts, "all points")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        _freeze(self, points=pts)
 
     @property
     def dimension(self) -> int:
@@ -146,12 +152,7 @@ class DiscreteMeasure:
             raise ValueError("atoms and weights must have matching lengths")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        atoms = atoms.copy()
-        atoms.setflags(write=False)
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", w)
+        _freeze(self, atoms=atoms, weights=w)
 
     @property
     def dimension(self) -> int:
@@ -292,18 +293,14 @@ def retract(x, v) -> np.ndarray:
 
 
 def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
-    """Convex mixture (1-t) mu + t nu.
+    """Convex mixture (1-t) mu + t nu, as :func:`combine` builds it.
 
     Atom lists are concatenated (zero weights kept); for probability inputs
     and t in [0, 1] the result is again a probability measure.
     """
-    if mu.dimension != nu.dimension:
-        raise ValueError("measures must share a dimension")
     if mu.is_probability and nu.is_probability and not 0.0 <= t <= 1.0:
         raise ValueError(f"mixture parameter must lie in [0, 1], got {t}")
-    atoms = np.vstack([mu.atoms, nu.atoms])
-    weights = np.concatenate([(1.0 - t) * mu.weights, t * nu.weights])
-    return DiscreteMeasure(atoms, weights)
+    return combine(mu, nu, 1.0 - t, t)
 
 
 def combine(mu: DiscreteMeasure, nu: DiscreteMeasure, a: float, b: float) -> DiscreteMeasure:

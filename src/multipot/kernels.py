@@ -16,7 +16,9 @@ base is one, and otherwise into the private combination class, which
 evaluates the terms separately (on a product grid, each from its base's own
 grid evaluation); the anchor shift is always a combination.
 A combination's gradient follows from the product rule, so every kernel
-built here has an analytic gradient.
+built here has an analytic gradient.  A kernel with fixed points (pins,
+anchors, or a potential kernel's measures) has their ``dimension``, checked
+to agree when it is built and against every input it evaluates.
 
 Gram-variable naming for three inputs (x, y, z):
 
@@ -39,9 +41,6 @@ from .geometry import _check_on_sphere
 
 __all__ = [
     "Kernel",
-    "PolynomialKernel",
-    "RieszKernel",
-    "ExpUvtKernel",
     "inner",
     "riesz",
     "frame2",
@@ -59,7 +58,6 @@ __all__ = [
     "pin",
     "cpd_shift",
     "parse_kernel",
-    "KERNEL_REGISTRY",
 ]
 
 # Hard cap on the terms of a polynomial product; beyond it, products and
@@ -253,12 +251,10 @@ class PairPolynomial:
 
     def combined(self, other: "PairPolynomial", mode: str) -> "PairPolynomial":
         """self + other (mode "sum") or self * other ("prod"); other's
-        anchors follow self's."""
+        anchors, of the same dimension as self's, follow self's."""
         ns, shift = self.nslots, self.n_anchors
         if other.nslots != ns:
             raise ValueError("polynomials must share slot count")
-        if shift and other.n_anchors and self.anchors.shape[1] != other.anchors.shape[1]:
-            raise ValueError("anchor dimensions differ")
         others = [(tuple(((a, b if b < ns else b + shift), e) for (a, b), e in mono), c)
                   for mono, c in other.terms.items()]
         if mode == "sum":
@@ -281,6 +277,11 @@ class Kernel:
     unlocks fast exact energies.
     """
 
+    # The dimension of the points fixed into the kernel, set when a kernel
+    # that fixes points is built, and what those points are.
+    _dimension: int | None = None
+    _fixed = "the pinned points"
+
     def __init__(self, name: str, arity: int, *, params: dict | None = None,
                  nonnegative: bool = False, pair_poly: PairPolynomial | None = None):
         self.name = name
@@ -288,6 +289,13 @@ class Kernel:
         self.params = dict(params or {})
         self.nonnegative = bool(nonnegative)
         self.pair_poly = pair_poly
+
+    @property
+    def dimension(self) -> int | None:
+        """The dimension of the points fixed into the kernel (pins, anchors or
+        measures), which every input point must have; None when the kernel
+        takes points of any dimension."""
+        return self._dimension
 
     # -- evaluation ----------------------------------------------------------
 
@@ -305,15 +313,17 @@ class Kernel:
 
     def _check_points(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        if pts.ndim < 2 or pts.shape[-2] != self.arity:
-            raise ValueError(
-                f"kernel '{self.name}' takes {self.arity} points, got shape {pts.shape}"
-            )
-        if self.pair_poly is not None and self.pair_poly.n_anchors:
-            if pts.shape[-1] != self.pair_poly.anchors.shape[1]:
-                raise ValueError(f"point dimension {pts.shape[-1]} does not match dimension "
-                                 f"{self.pair_poly.anchors.shape[1]} of the pinned points")
+        self._check_shape(pts.shape)
         return pts
+
+    def _check_shape(self, shape: tuple) -> None:
+        """Reject points of ``shape`` (..., n, d) unless n is the arity and d
+        the kernel's dimension (any d if it has none)."""
+        if len(shape) < 2 or shape[-2] != self.arity:
+            raise ValueError(f"kernel '{self.name}' takes {self.arity} points, got shape {shape}")
+        if self._dimension is not None and shape[-1] != self._dimension:
+            raise ValueError(f"point dimension {shape[-1]} does not match dimension "
+                             f"{self._dimension} of {self._fixed}")
 
     def evaluate(self, pts) -> float:
         """Evaluate on one n-tuple of points given as an (n, d) array."""
@@ -386,6 +396,8 @@ class PolynomialKernel(Kernel):
     def __init__(self, name, poly: PairPolynomial, *, params=None, nonnegative=False):
         super().__init__(name, poly.nslots, params=params, nonnegative=nonnegative,
                          pair_poly=poly)
+        if poly.n_anchors:
+            self._dimension = poly.anchors.shape[1]
 
     def evaluate_batch(self, pts):
         return self.pair_poly.evaluate(self._check_points(pts))
@@ -397,7 +409,7 @@ class PolynomialKernel(Kernel):
         """The kernel over the grid of the slot arrays, from their inner
         products: no coordinate grid is built."""
         arrays = [np.asarray(a, dtype=float) for a in arrays]
-        self._check_points(np.empty((len(arrays), arrays[0].shape[-1])))   # arity, pin dimension
+        self._check_shape((len(arrays), arrays[0].shape[-1]))
         return self.pair_poly.evaluate_grid(arrays)
 
 
@@ -413,6 +425,8 @@ class _Combination(Kernel):
     left to right.
     """
 
+    _fixed = "the fixed points"
+
     def __init__(self, name: str, arity: int, mode: str, terms, *,
                  const: float | None = None, params: dict | None = None,
                  nonnegative: bool = False):
@@ -420,6 +434,7 @@ class _Combination(Kernel):
         self._op = np.add if mode == "sum" else np.multiply
         self._const = const
         self._terms = [(float(c), base, _layout(view, arity)) for c, base, view in terms]
+        self._dimension = _fixed_dimension(name, terms)
 
     @staticmethod
     def _view(layout, pts):
@@ -475,7 +490,7 @@ class _Combination(Kernel):
         the order of :meth:`evaluate_batch`: the same bits, and no coordinate
         grid unless a base builds one."""
         arrays = [np.asarray(a, dtype=float) for a in arrays]
-        self._check_points(np.empty((len(arrays), arrays[0].shape[-1])))
+        self._check_shape((len(arrays), arrays[0].shape[-1]))
         return self._combine([c * self._grid_view(base, layout, arrays)
                               for c, base, layout in self._terms])
 
@@ -497,13 +512,26 @@ class _Combination(Kernel):
                    for i, g in enumerate(grads))
 
 
+def _fixed_dimension(name: str, terms) -> int | None:
+    """The dimension of the points fixed into the terms ``c * base(view)`` (views
+    as in :class:`_Combination`) and into their bases; None if there are none.
+    Raises ValueError, naming them, if they differ."""
+    dims = {np.shape(v)[-1] for _, _, view in terms for v in view if not isinstance(v, int)}
+    dims |= {base.dimension for _, base, _ in terms} - {None}
+    if len(dims) > 1:
+        raise ValueError(f"kernel '{name}' fixes points of dimensions {sorted(dims)}")
+    return dims.pop() if dims else None
+
+
 def _derived(name: str, arity: int, mode: str, terms, *, params: dict | None = None,
              nonnegative: bool = False) -> Kernel:
     """The sum or the product of terms ``c * base(view)`` (views as in
     :class:`_Combination`): one :class:`PolynomialKernel` when every base
     is a pair polynomial and a product stays within ``_MAX_TERMS``, else a
-    :class:`_Combination`."""
+    :class:`_Combination`.  Either way, the points fixed into the terms must
+    share a dimension (:func:`_fixed_dimension`)."""
     if all(base.pair_poly is not None for _, base, _ in terms):
+        _fixed_dimension(name, terms)
         polys = [base.pair_poly.viewed(view, arity) for _, base, view in terms]
         polys = [p if c == 1.0 else p.scaled(c) for (c, _, _), p in zip(terms, polys)]
         try:
@@ -559,7 +587,7 @@ class ExpUvtKernel(Kernel):
         """The kernel over the grid of the slot arrays, from their inner
         products: no coordinate grid is built."""
         arrays = [np.asarray(a, dtype=float) for a in arrays]
-        self._check_points(np.empty((len(arrays), arrays[0].shape[-1])))
+        self._check_shape((len(arrays), arrays[0].shape[-1]))
         return np.exp(self._uvt.evaluate_grid(arrays))
 
     def gradient_batch(self, pts):
@@ -722,7 +750,7 @@ def pin(kernel: Kernel, pins) -> Kernel:
     if not 1 <= m <= n - 2:
         raise ValueError(f"pin count must satisfy 1 <= m <= arity-2, got {m} for arity {n}")
     _check_on_sphere(pins, "pins")
-    kernel._check_points(np.empty((n, pins.shape[1])))     # the dimension of earlier pins
+    kernel._check_shape((n, pins.shape[1]))
     return _derived(f"pin({kernel.name})", n - m, "prod", [(1.0, kernel, [*pins, *range(n - m)])],
                     params=dict(kernel.params, pins=m))
 

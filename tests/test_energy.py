@@ -419,7 +419,8 @@ def test_measures_of_another_dimension_are_rejected():
         energy_mod._route(area2(), [_random_measure(5, 3, 90)] * 2, np.ones((1, 1, 4)))
     pk = PotentialKernel(area2(), [_random_measure(5, 3, 91)])
     for method in (pk.evaluate_batch, pk.gradient_batch):
-        with pytest.raises(ValueError, match="dimension 4 of the queries differs from 3 of slot 0"):
+        with pytest.raises(ValueError,
+                           match="point dimension 4 does not match dimension 3 of the measures"):
             method(np.full((2, 2, 4), 0.5))
 
 

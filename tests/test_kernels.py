@@ -8,17 +8,27 @@ import numpy as np
 import pytest
 
 from multipot import (
+    OptimizerConfig,
     PointConfiguration,
+    PotentialKernel,
     area2,
     basis_vector,
     cpd_shift,
     discrete_energy,
+    energy_gradient,
     frame2,
+    inequality_suite,
     inner,
+    mc_energy_uniform,
+    mutual_energy,
     neg_area2,
     neg_vol2,
+    npd_test,
+    optimize_discrete,
     parse_kernel,
+    pd_test_2input,
     pin,
+    potential,
     prod_f_uvt,
     prod_lift,
     quad_a,
@@ -28,6 +38,7 @@ from multipot import (
     s100,
     sample_sphere,
     sum_lift,
+    uniform_surrogate,
     uvt,
     vol2,
 )
@@ -241,6 +252,58 @@ def test_pin_count_bounds():
         pin(vol2(), np.stack([E1, E2]))     # would leave one slot
     with pytest.raises(ValueError):
         pin(inner(), E1)                    # two-input kernels cannot be pinned
+
+
+def _fixed_in_r3():
+    """P = pin(sum_lift(riesz(1), 4), e1) and S = cpd_shift(riesz(1), e1), e1 in R^3:
+    combinations, since riesz is no pair polynomial; and a measure mu in R^3."""
+    p, s = pin(sum_lift(riesz(1.0), 4), E1), cpd_shift(riesz(1.0), E1)
+    return p, s, uniform_surrogate(3, 5, 1)
+
+
+def test_dimension_is_that_of_the_fixed_points():
+    catalog = [factory() for name, factory in KERNEL_REGISTRY.items()
+               if name not in ("riesz", "prod_f_uvt", "quad_a")]
+    catalog += [riesz(0.5), prod_f_uvt(f="exp"), prod_f_uvt(coeffs=[1.0, 2.0]), quad_a(0.5)]
+    for kernel in catalog:
+        lifts = [sum_lift(kernel, kernel.arity + 1), prod_lift(kernel, kernel.arity + 1)]
+        assert [k.dimension for k in (kernel, *lifts)] == [None] * 3
+    p, s, mu = _fixed_in_r3()
+    nested = PotentialKernel(PotentialKernel(sum_lift(area2(), 5), [mu]), [mu])
+    for kernel in (pin(vol2(), E1), p, s, PotentialKernel(area2(), [mu]), nested):
+        assert kernel.dimension == 3
+    with pytest.raises(AttributeError):
+        p.dimension = 4
+    e4 = basis_vector(0, 4)
+    with pytest.raises(ValueError, match=re.escape("fixes points of dimensions [3, 4]")):
+        pin(vol2(), E1) + pin(vol2(), e4)
+    with pytest.raises(ValueError, match=re.escape("fixes points of dimensions [3, 4]")):
+        p * pin(sum_lift(riesz(1.0), 4), e4)
+
+
+def test_points_of_another_dimension_are_rejected_on_every_path():
+    # every call meets points of R^4 and names both dimensions
+    p, s, mu = _fixed_in_r3()
+    e4, mu4, config4 = basis_vector(0, 4), uniform_surrogate(4, 5, 2), sample_sphere(4, 6, 3)
+    fixed = "point dimension 4 does not match dimension 3 of the fixed points"
+    table = [
+        (lambda: npd_test(p, 4), fixed),
+        (lambda: discrete_energy(p, config4), fixed),
+        (lambda: energy_gradient(p, config4, 0), fixed),
+        (lambda: optimize_discrete(p, 6, 4, OptimizerConfig(steps=2)), fixed),
+        (lambda: mc_energy_uniform(p, 4, 1000, 1), fixed),
+        (lambda: inequality_suite(p, 4, trials=2), fixed),
+        (lambda: mutual_energy(s, [mu4, mu4]), fixed),
+        (lambda: potential(s, [mu4], e4), fixed),
+        (lambda: pd_test_2input(s, 4), fixed),
+        (lambda: s(e4, e4), fixed),
+        (lambda: pin(pin(sum_lift(riesz(1.0), 5), E1), e4), fixed),
+        (lambda: pin(PotentialKernel(sum_lift(area2(), 5), [mu]), e4),
+         "point dimension 4 does not match dimension 3 of the measures"),
+    ]
+    for call, tail in table:
+        with pytest.raises(ValueError, match=re.escape(tail) + "$"):
+            call()
 
 
 def test_cpd_shift_identity_for_vanishing_anchor_row():

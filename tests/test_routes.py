@@ -246,3 +246,24 @@ def test_only_the_energy_module_sees_routes_and_programs():
     leaks = {path.name: sorted(_names(path) & _ENERGY_INTERNALS)
              for path in sorted(package.glob("*.py")) if path.name != "energy.py"}
     assert {name: used for name, used in leaks.items() if used} == {}
+
+
+def _empty_probes(source: str) -> list:
+    """The lines of the calls to ``_check_points`` that pass it an ``np.empty(...)``."""
+    def named(node, name):
+        return getattr(node, "attr", getattr(node, "id", None)) == name
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and named(node.func, "_check_points")
+            and any(isinstance(sub, ast.Call) and named(sub.func, "empty")
+                    for arg in node.args for sub in ast.walk(arg))]
+
+
+def test_no_kernel_check_is_probed_with_an_empty_array():
+    # a kernel's arity and dimension are checked on a shape (Kernel._check_shape),
+    # not on an array allocated to carry one
+    assert _empty_probes("kernel._check_points(np.empty((kernel.arity, d)))") == [1]
+    assert _empty_probes("kernel._check_shape((kernel.arity, d))") == []
+    package = pathlib.Path(multipot.__file__).parent
+    probes = {path.name: _empty_probes(path.read_text(encoding="utf-8"))
+              for path in sorted(package.rglob("*.py"))}
+    assert {name: lines for name, lines in probes.items() if lines} == {}

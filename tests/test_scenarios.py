@@ -71,6 +71,20 @@ def _run_cli(*args, **kwargs):
                           capture_output=True, text=True, **kwargs)
 
 
+def test_package_all_names_what_it_imports():
+    # every public name of the package, once, and each one resolves
+    import types
+
+    import multipot
+    namespace = {}
+    exec("from multipot import *", namespace)
+    assert len(set(multipot.__all__)) == len(multipot.__all__)
+    assert all(namespace[name] is getattr(multipot, name) for name in multipot.__all__)
+    public = {name for name, value in vars(multipot).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(multipot.__all__) == public
+
+
 def test_package_runs_as_a_module():
     # python -m multipot is the multipot command, with no install
     out = subprocess.run([sys.executable, "-m", "multipot", "scenarios"],
@@ -197,44 +211,31 @@ def test_cli_usage_error_codes():
 
 
 def test_cli_usage_errors_say_why(tmp_path, capsys):
+    # (arguments, the text after "multipot: error: " on stderr); each exits with 64
     from multipot.cli import main
 
     measure = tmp_path / "mu.csv"
     write_measure_csv(measure, DiscreteMeasure.dirac(basis_vector(0, 3)))
-    points = tmp_path / "at.csv"
-    write_points_csv(points, sample_sphere(3, 2, 1))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["potential", "--kernel", "uvt", "--measure", str(measure),
-              "--measure", str(measure), "--order", "1", "--at", str(points)])
-    assert exit_info.value.code == 64
-    assert "multipot: error: --order 1" in capsys.readouterr().err
-
-    write_points_csv(points, sample_sphere(3, 3, 1))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["potential", "--kernel", "uvt", "--measure", str(measure),
-              "--order", "1", "--at", str(points)])
-    assert exit_info.value.code == 64
-    assert "multipot: error: --at rows must group into tuples of 2" in capsys.readouterr().err
-
-    with pytest.raises(SystemExit) as exit_info:
-        main(["convexity", "--kernel", "area2", "--mu", "uniform:50", "--nu", "uniform:50"])
-    assert exit_info.value.code == 64
-    assert "multipot: error: uniform:M measures need --d" in capsys.readouterr().err
-
-    with pytest.raises(SystemExit) as exit_info:
-        main(["verify", "--scenario", "nope"])
-    assert exit_info.value.code == 64
-    assert "multipot: error: unknown scenario 'nope'" in capsys.readouterr().err
-
+    pairs, triples = tmp_path / "pairs.csv", tmp_path / "triples.csv"
+    write_points_csv(pairs, sample_sphere(3, 2, 1))
+    write_points_csv(triples, sample_sphere(3, 3, 1))
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("seed=3\nscenario bcr-shift\n")
-    with pytest.raises(SystemExit) as exit_info:
-        main(["verify", "--config", str(cfg)])
-    assert exit_info.value.code == 64
-    err = capsys.readouterr().err
-    assert "multipot: error:" in err and ":2: expected key=value" in err
-
-    with pytest.raises(SystemExit) as exit_info:
-        main(["energy-int", "--kernel", "sum_lift:base=riesz,n=3", "--d", "3"])
-    assert exit_info.value.code == 64
-    assert "multipot: error: bad parameters for kernel 'riesz'" in capsys.readouterr().err
+    uvt_potential = ["potential", "--kernel", "uvt", "--measure", str(measure), "--order", "1"]
+    convexity = ["convexity", "--kernel", "area2", "--nu", "uniform:50"]
+    table = [
+        (uvt_potential + ["--measure", str(measure), "--at", str(pairs)], "--order 1"),
+        (uvt_potential + ["--at", str(triples)], "--at rows must group into tuples of 2"),
+        (convexity + ["--mu", "uniform:50"], "uniform:M measures need --d"),
+        (convexity + ["--mu", "uniform:abc", "--d", "3"],
+         "measure 'uniform:abc': M in uniform:M must be an integer"),
+        (["verify", "--scenario", "nope"], "unknown scenario 'nope'"),
+        (["verify", "--config", str(cfg)], f"{cfg}:2: expected key=value"),
+        (["energy-int", "--kernel", "sum_lift:base=riesz,n=3", "--d", "3"],
+         "bad parameters for kernel 'riesz'"),
+    ]
+    for argv, text in table:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 64, argv
+        assert "multipot: error: " + text in capsys.readouterr().err, argv
