@@ -16,8 +16,7 @@ seed fixes every report whatever the block size; the block is then
 normalised, evaluated and decomposed in one pass: one
 :meth:`Kernel.evaluate_grid` call per kernel over its slot arrays (a pair
 polynomial takes it from their inner products, a combination such as the
-anchor shift from its terms' grids, any other kernel from a coordinate
-grid, with the same bits) and one stacked ``eigvalsh``.  The block size
+anchor shift from its terms' grids) and one stacked ``eigvalsh``.  The block size
 weighs a block's fixed cost, some eight suite trials' worth, against the
 size of its arrays: an arity-3 suite block holds 49 trials, and a PD test
 of five 40-point sets is one block.  Eigenvectors (``eigh``) are

@@ -4,11 +4,11 @@ Exact energies of atomic measures are weighted sums of kernel values over
 all atom tuples.  Two routes compute them:
 
 * the dense route enumerates the tuples; it is the reference for the other
-  route.  Every dense value comes from :meth:`Kernel.evaluate_grid` on slot
-  arrays (only gradients build coordinate grids), cut by one block rule,
-  :func:`_spans`, into blocks of at most ``_BLOCK_TUPLES`` tuples whatever
-  the grid's shape.  Sums run as over the whole grid, so no block boundary
-  moves a bit;
+  route.  Every dense value and gradient comes from
+  :meth:`Kernel.evaluate_grid` or :meth:`Kernel.gradient_grid` on slot
+  arrays, cut by one block rule, :func:`_spans`, into blocks of at most
+  ``_BLOCK_TUPLES`` tuples whatever the grid's shape.  Sums run as over the
+  whole grid, so no block boundary moves a bit;
 * the power-moment route serves pair-polynomial kernels.  A monomial
   prod <x_a, x_b>^e factors through tensor powers: an integrated slot
   becomes the moment tensor M_E = sum_i w_i x_i^{(x)E} (anchor factors
@@ -54,7 +54,7 @@ import numpy as np
 
 from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _check_on_sphere,
                        _random_directions)
-from .kernels import Kernel, _grid, _tuple_shape
+from .kernels import Kernel, _grid, _point_slots, _tuple_shape
 
 __all__ = [
     "EnergyEstimate",
@@ -500,7 +500,7 @@ def _bind(kernel: Kernel, pts: np.ndarray):
             # it, in tuple order and on across blocks, so no block boundary moves a bit
             lead, shares = x.ndim - 2, [np.zeros_like(x) for _ in range(arity)]
             for index, block in _grid_blocks([x] * arity):
-                g = kernel.gradient_batch(_grid(block))
+                g = kernel.gradient_grid(block)
                 for s, share in enumerate(shares):
                     part = np.moveaxis(g[..., s, :], lead + s, -2)
                     part = part.reshape(part.shape[:lead] + (-1,) + part.shape[-2:])
@@ -603,26 +603,28 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     The chunks run on threads, at most one per CPU the process may use (a
     one-chunk call runs inline), and are merged in chunk order, so the result
     does not depend on the CPU count, bit for bit.  Kernels are therefore
-    evaluated from worker threads: ``evaluate_batch`` must be re-entrant.
+    evaluated from worker threads, each tuple as the grid of its one-point slot
+    arrays: ``evaluate_grid`` must be re-entrant.
 
     An unanchored pair polynomial sees only inner products, so K(x_1..x_n) has
     the law of K(x_1..x_{n-1}, e_1) (rotate x_n to e_1): it draws n-1 points per
-    tuple, with the bits of ``evaluate_batch`` on them plus e_1, and its stderr
+    tuple, with the bits of ``evaluate_grid`` on them plus e_1, and its stderr
     stays honest.  Other kernels (anchored, riesz, exp(uvt), potentials) draw n.
     """
     _check_count("dimension", d, 2)
     _check_count("tuples", tuples, 100)
     n, poly = kernel.arity, kernel.pair_poly
-    evaluate, drawn = kernel.evaluate_batch, n
+    evaluate, drawn = kernel.evaluate_grid, n
     if poly is not None and not poly.n_anchors:     # pin the last slot at e_1
-        evaluate, drawn = poly.viewed([*range(n - 1), np.eye(d)[0]], n - 1).evaluate, n - 1
+        evaluate, drawn = poly.viewed([*range(n - 1), np.eye(d)[0]], n - 1).evaluate_grid, n - 1
     spans = list(_spans(tuples, n, _SAMPLE_POINTS))
     streams = np.random.SeedSequence(seed).spawn(len(spans))
 
     def chunk(span, stream):
         """The chunk's sum, and its squared deviations about its own mean."""
         count = span[1] - span[0]
-        vals = evaluate(_random_directions(np.random.default_rng(stream), (count, drawn, d)))
+        pts = _random_directions(np.random.default_rng(stream), (count, drawn, d))
+        vals = evaluate(_point_slots(pts)).reshape(count)
         total = float(vals.sum())
         return total, float(np.sum((vals - total / count) ** 2))
 
@@ -732,6 +734,7 @@ class PotentialKernel(Kernel):
         self._base = base
         self._measures = _check_measures(measures)
         self._dimension = self._measures[0].dimension
+        base._check_shape((base.arity, self._dimension))
 
     @property
     def base(self) -> Kernel:
@@ -741,21 +744,22 @@ class PotentialKernel(Kernel):
     def measures(self) -> list:
         return list(self._measures)
 
-    def evaluate_batch(self, pts):
-        """The potential at each tuple; unlike :func:`potential`, any finite
-        point is accepted, as by every other kernel: a kernel is a function on
-        the ambient space, where its Euclidean gradient is taken."""
-        pts = self._check_points(pts)
-        flat = pts.reshape((-1,) + pts.shape[-2:])
-        return np.asarray(_sum(self._base, self._measures, flat)).reshape(pts.shape[:-2])
+    def evaluate_grid(self, arrays):
+        """The potential at each tuple of the grid, its queries; unlike
+        :func:`potential`, any finite point is accepted, as by every other
+        kernel: a kernel is a function on the ambient space, where its
+        Euclidean gradient is taken."""
+        grid = _grid(self._check_arrays(arrays))
+        values = _sum(self._base, self._measures, grid.reshape((-1,) + grid.shape[-2:]))
+        return np.asarray(values).reshape(grid.shape[:-2])
 
-    def gradient_batch(self, pts):
+    def gradient_grid(self, arrays):
         """Gradient with respect to the free slots, by a dense sum of the
         base kernel's gradient over the integrated atoms."""
-        pts = self._check_points(pts)
-        flat = pts.reshape((-1,) + pts.shape[-2:])
-        _route(self._base, self._measures, flat)    # evaluate_batch's checks
+        grid = _grid(self._check_arrays(arrays))
+        queries = grid.reshape((-1,) + grid.shape[-2:])
+        _route(self._base, self._measures, queries)    # evaluate_grid's checks
         j = len(self._measures)
-        grads = _dense_potential(lambda a: self._base.gradient_batch(_grid(a))[..., j:, :],
-                                 self._measures, flat)
-        return grads.reshape(pts.shape)
+        grads = _dense_potential(lambda a: self._base.gradient_grid(a)[..., j:, :],
+                                 self._measures, queries)
+        return grads.reshape(grid.shape)

@@ -1,22 +1,26 @@
 """Catalog of symmetric n-input kernels plus lifting constructions.
 
-Most kernels here are polynomials in the pairwise inner products of their
-arguments; :class:`PairPolynomial` is the shared backbone that stores such
-polynomials over a set of free slots and optional fixed anchor points.  It
-supports exact evaluation on batches and analytic gradients, and evaluates
-a product grid of slot arrays from their inner products alone; its
-constructor is the one place that puts monomials in canonical form, and
-:meth:`PairPolynomial.viewed` the one index map behind pins and lifts.
+Every kernel evaluates on the product grid of point arrays, one per slot
+(:func:`_grid`): :meth:`Kernel.evaluate_grid` gives its values there and
+:meth:`Kernel.gradient_grid` its Euclidean gradient in every slot, and a
+batch of tuples is the grid of its one-point slot arrays.  Most kernels
+here are polynomials in the pairwise inner products of their arguments;
+:class:`PairPolynomial` is the shared backbone that stores such
+polynomials over a set of free slots and optional fixed anchor points, and
+evaluates them and their analytic gradients from the slot arrays' inner
+products alone; its constructor is the one place that puts monomials in
+canonical form, and :meth:`PairPolynomial.viewed` the one index map behind
+pins and lifts.
 
 Every derived kernel (sums, products and multiples of other kernels, pins
 and subset lifts) is the sum or the product of terms c * base(view), where
 a view feeds each base slot an input slot or a fixed point.  One builder,
 :func:`_derived`, turns such terms into a single pair polynomial when every
 base is one, and otherwise into the private combination class, which
-evaluates the terms separately (on a product grid, each from its base's own
-grid evaluation); the anchor shift is always a combination.
-A combination's gradient follows from the product rule, so every kernel
-built here has an analytic gradient.  A kernel with fixed points (pins,
+evaluates the terms separately, each from its base's own grid methods; the
+anchor shift is always a combination.  A combination's gradient follows
+from the product rule, so every kernel built here has an analytic
+gradient.  A kernel with fixed points (pins,
 anchors, or a potential kernel's measures) has their ``dimension``, checked
 to agree when it is built and against every input it evaluates.
 
@@ -24,9 +28,9 @@ Gram-variable naming for three inputs (x, y, z):
 
     u = <x, y>,   v = <y, z>,   t = <z, x>.
 
-Kernels evaluate on raw coordinate vectors, so they remain usable for any
-embedded point set, although the catalog semantics (e.g. squared triangle
-area) assume unit vectors.
+Kernels accept any finite points, so they remain usable for any embedded
+point set, although the catalog semantics (e.g. squared triangle area)
+assume unit vectors.
 """
 from __future__ import annotations
 
@@ -83,9 +87,21 @@ def _grid(arrays) -> np.ndarray:
     k, d = len(arrays), arrays[0].shape[-1]
     grid = np.empty(_tuple_shape(arrays) + (k, d))
     for s, a in enumerate(arrays):
-        grid[..., s, :] = a.reshape(a.shape[:-2] + (1,) * s + a.shape[-2:-1]
-                                    + (1,) * (k - 1 - s) + (d,))
+        grid[..., s, :] = _on_axis(a, s, k)
     return grid
+
+
+def _on_axis(a: np.ndarray, s: int, k: int) -> np.ndarray:
+    """Slot s's point array (..., n_s, d) shaped to broadcast over the grid
+    of k slot arrays: (..., 1, ..., n_s, ..., 1, d), n_s on slot axis s."""
+    return a.reshape(a.shape[:-2] + (1,) * s + a.shape[-2:-1] + (1,) * (k - 1 - s)
+                     + a.shape[-1:])
+
+
+def _point_slots(pts: np.ndarray) -> list:
+    """Tuples of points (..., n, d) as n one-point slot arrays (..., 1, d),
+    whose grid is shaped like the tuples' index with n size-1 axes."""
+    return [pts[..., s, None, :] for s in range(pts.shape[-2])]
 
 
 def _tuple_shape(arrays) -> tuple:
@@ -135,25 +151,12 @@ class PairPolynomial:
     def n_anchors(self) -> int:
         return self.anchors.shape[0]
 
-    def _vector(self, idx: int, pts: np.ndarray):
-        if idx < self.nslots:
-            return pts[..., idx, :]
-        return self.anchors[idx - self.nslots]
-
-    def _pair_values(self, pts: np.ndarray) -> dict:
-        pairs = {p for mono in self.terms for p, _ in mono}
-        out = {}
-        for a, b in pairs:
-            va, vb = self._vector(a, pts), self._vector(b, pts)
-            out[(a, b)] = np.einsum("...d,...d->...", va, np.broadcast_to(vb, va.shape))
-        return out
-
     # -- evaluation ----------------------------------------------------------
 
     def _grid_pair_values(self, arrays) -> dict:
-        """The pair values of :meth:`_pair_values` over the grid of the slot
-        arrays (..., n_s, d), from their inner products alone: each one is
-        shaped to broadcast over the grid's tuple index."""
+        """The inner product of each pair of the terms over the grid of the
+        slot arrays (..., n_s, d), from the arrays' inner products alone:
+        each one is shaped to broadcast over the grid's tuple index."""
         k = len(arrays)
         out = {}
         for a, b in {p for mono in self.terms for p, _ in mono}:
@@ -191,38 +194,31 @@ class PairPolynomial:
             np.add(total, term, out=total)
         return total if batch else total[()]
 
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate on points of shape (..., nslots, d)."""
-        return self._sum_monomials(self._pair_values(pts), pts.shape[:-2])
-
     def evaluate_grid(self, arrays) -> np.ndarray:
-        """:meth:`evaluate` over the grid of the slot arrays (see
-        :func:`_grid`), with the same bits, built from the arrays' inner
-        products instead of the grid's coordinates."""
+        """The polynomial over the grid of the slot arrays (see :func:`_grid`),
+        from the arrays' inner products instead of the grid's coordinates."""
         return self._sum_monomials(self._grid_pair_values(arrays), _tuple_shape(arrays))
 
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        """Euclidean gradient with respect to every slot: (..., nslots, d)."""
-        batch = pts.shape[:-2]
-        vals = self._pair_values(pts)
-        grad = np.zeros(batch + (self.nslots, pts.shape[-1]))
+    def gradient_grid(self, arrays) -> np.ndarray:
+        """Euclidean gradient with respect to every slot over the grid of the
+        slot arrays: the tuple index, then (nslots, d).  Only a pair's second
+        endpoint may be an anchor: the constructor folds anchor pairs away."""
+        batch, k = _tuple_shape(arrays), len(arrays)
+        vals = self._grid_pair_values(arrays)
+        grad = np.zeros(batch + (self.nslots, arrays[0].shape[-1]))
         for mono, coeff in self.terms.items():
             factors = [vals[pair] ** e for pair, e in mono]
-            for k, (pair, e) in enumerate(mono):
+            for i, (pair, e) in enumerate(mono):
                 partial = np.full(batch, coeff * e)
                 for j, f in enumerate(factors):
-                    if j != k:
+                    if j != i:
                         partial = partial * f
                 partial = partial * vals[pair] ** (e - 1)
                 a, b = pair
-                if a < self.nslots:
-                    grad[..., a, :] += partial[..., None] * np.broadcast_to(
-                        self._vector(b, pts), pts[..., a, :].shape
-                    )
-                if b < self.nslots:
-                    grad[..., b, :] += partial[..., None] * np.broadcast_to(
-                        self._vector(a, pts), pts[..., b, :].shape
-                    )
+                vb = _on_axis(arrays[b], b, k) if b < k else self.anchors[b - k]
+                grad[..., a, :] += partial[..., None] * vb
+                if b < k:
+                    grad[..., b, :] += partial[..., None] * _on_axis(arrays[a], a, k)
         return grad
 
     # -- algebra ------------------------------------------------------------
@@ -269,12 +265,11 @@ class PairPolynomial:
 class Kernel:
     """A symmetric continuous kernel of fixed arity.
 
-    Subclasses implement :meth:`evaluate_batch` and :meth:`gradient_batch`
+    Subclasses implement :meth:`evaluate_grid` and :meth:`gradient_grid`
     (every kernel this module builds has an analytic gradient); scalar
-    convenience calls, the arithmetic and :meth:`evaluate_grid` (by default
-    ``evaluate_batch`` on a coordinate grid) live here.  ``pair_poly`` is set
-    when the kernel is an explicit pair-inner-product polynomial, which
-    unlocks fast exact energies.
+    convenience calls, batches of tuples and the arithmetic live here.
+    ``pair_poly`` is set when the kernel is an explicit pair-inner-product
+    polynomial, which unlocks fast exact energies.
     """
 
     # The dimension of the points fixed into the kernel, set when a kernel
@@ -299,22 +294,38 @@ class Kernel:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient_batch(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"kernel '{self.name}' has no analytic gradient")
-
     def evaluate_grid(self, arrays) -> np.ndarray:
         """The kernel over the product grid of point arrays (..., n_s, d), one
-        per slot (:func:`_grid`): shaped like the grid's tuple index, with
-        the values of ``evaluate_batch`` on the grid's coordinates."""
-        return self.evaluate_batch(_grid(arrays))
+        per slot (:func:`_grid`), shaped like the grid's tuple index."""
+        raise NotImplementedError
+
+    def gradient_grid(self, arrays) -> np.ndarray:
+        """The Euclidean gradient with respect to every slot over the grid of
+        the slot arrays: the grid's tuple index, then (arity, d)."""
+        raise NotImplementedError
+
+    def evaluate_batch(self, pts) -> np.ndarray:
+        """The kernel at each tuple of points (..., arity, d): the grid of the
+        one-point slot arrays ``pts[..., s, None, :]``."""
+        pts = self._check_points(pts)
+        return self.evaluate_grid(_point_slots(pts)).reshape(pts.shape[:-2])
+
+    def gradient_batch(self, pts) -> np.ndarray:
+        """The gradient at each tuple of points, shaped like ``pts``."""
+        pts = self._check_points(pts)
+        return self.gradient_grid(_point_slots(pts)).reshape(pts.shape)
 
     def _check_points(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         self._check_shape(pts.shape)
         return pts
+
+    def _check_arrays(self, arrays) -> list:
+        """The slot arrays (..., n_s, d) as float arrays, one per slot, of
+        the kernel's dimension."""
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        self._check_shape((len(arrays), arrays[0].shape[-1]))
+        return arrays
 
     def _check_shape(self, shape: tuple) -> None:
         """Reject points of ``shape`` (..., n, d) unless n is the arity and d
@@ -399,18 +410,11 @@ class PolynomialKernel(Kernel):
         if poly.n_anchors:
             self._dimension = poly.anchors.shape[1]
 
-    def evaluate_batch(self, pts):
-        return self.pair_poly.evaluate(self._check_points(pts))
-
-    def gradient_batch(self, pts):
-        return self.pair_poly.gradient(self._check_points(pts))
-
     def evaluate_grid(self, arrays):
-        """The kernel over the grid of the slot arrays, from their inner
-        products: no coordinate grid is built."""
-        arrays = [np.asarray(a, dtype=float) for a in arrays]
-        self._check_shape((len(arrays), arrays[0].shape[-1]))
-        return self.pair_poly.evaluate_grid(arrays)
+        return self.pair_poly.evaluate_grid(self._check_arrays(arrays))
+
+    def gradient_grid(self, arrays):
+        return self.pair_poly.gradient_grid(self._check_arrays(arrays))
 
 
 class _Combination(Kernel):
@@ -437,38 +441,14 @@ class _Combination(Kernel):
         self._dimension = _fixed_dimension(name, terms)
 
     @staticmethod
-    def _view(layout, pts):
+    def _grid_view(values, layout, arrays):
+        """base(view) over the grid of the input slot arrays, from ``values``,
+        the base's own grid evaluation or gradient: a fixed point is a one-row
+        slot array, and the base's slot axes are moved to input-slot order,
+        with size-1 axes for the inputs the view leaves out; a gradient's
+        trailing axes stay last."""
         if layout is None:
-            return pts
-        inputs, fixed = layout
-        out = np.empty(pts.shape[:-2] + (len(inputs) + len(fixed), pts.shape[-1]))
-        for k, s in inputs:
-            out[..., k, :] = pts[..., s, :]
-        for k, point in fixed:
-            out[..., k, :] = point
-        return out
-
-    def _values(self, pts):
-        return [c * base.evaluate_batch(self._view(layout, pts))
-                for c, base, layout in self._terms]
-
-    def _combine(self, vals):
-        out = vals[0] if self._const is None else self._const + vals[0]
-        for v in vals[1:]:
-            out = self._op(out, v)
-        return out
-
-    def evaluate_batch(self, pts):
-        return self._combine(self._values(self._check_points(pts)))
-
-    @staticmethod
-    def _grid_view(base, layout, arrays):
-        """base(view) over the grid of the input slot arrays, from the base's
-        own grid evaluation: a fixed point is a one-row slot array, and the
-        base's slot axes are moved to input-slot order, with size-1 axes for
-        the inputs the view leaves out."""
-        if layout is None:
-            return base.evaluate_grid(arrays)
+            return values(arrays)
         inputs, fixed = layout
         slots = [None] * (len(inputs) + len(fixed))
         keep = [slice(None)] * len(slots)      # a fixed point's axis is dropped
@@ -476,40 +456,47 @@ class _Combination(Kernel):
             slots[k] = arrays[s]
         for k, point in fixed:
             slots[k], keep[k] = point[None, :], 0
-        vals = base.evaluate_grid(slots)[(..., *keep)]
-        lead = vals.ndim - len(inputs)
+        lead = max(a.ndim for a in slots) - 2
+        vals = values(slots)[(slice(None),) * lead + tuple(keep)]
         order = np.argsort([s for _, s in inputs])
-        vals = vals.transpose(*range(lead), *(lead + i for i in order))
+        vals = vals.transpose(*range(lead), *(lead + i for i in order),
+                              *range(lead + len(inputs), vals.ndim))
         used = {s for _, s in inputs}
         return vals.reshape(vals.shape[:lead] + tuple(
-            a.shape[-2] if s in used else 1 for s, a in enumerate(arrays)))
+            a.shape[-2] if s in used else 1 for s, a in enumerate(arrays))
+            + vals.shape[lead + len(inputs):])
+
+    def _values(self, arrays):
+        return [c * self._grid_view(base.evaluate_grid, layout, arrays)
+                for c, base, layout in self._terms]
 
     def evaluate_grid(self, arrays):
-        """The kernel over the grid of the slot arrays, from each term's
-        :meth:`Kernel.evaluate_grid` on its view's slot arrays, combined in
-        the order of :meth:`evaluate_batch`: the same bits, and no coordinate
-        grid unless a base builds one."""
-        arrays = [np.asarray(a, dtype=float) for a in arrays]
-        self._check_shape((len(arrays), arrays[0].shape[-1]))
-        return self._combine([c * self._grid_view(base, layout, arrays)
-                              for c, base, layout in self._terms])
+        """The kernel over the grid of the slot arrays: the constant, if any,
+        plus each term's values from its base's :meth:`Kernel.evaluate_grid`
+        on its view's slot arrays, combined left to right."""
+        vals = self._values(self._check_arrays(arrays))
+        out = vals[0] if self._const is None else self._const + vals[0]
+        for v in vals[1:]:
+            out = self._op(out, v)
+        return out
 
-    def gradient_batch(self, pts):
-        pts = self._check_points(pts)
+    def gradient_grid(self, arrays):
+        arrays = self._check_arrays(arrays)
+        shape = _tuple_shape(arrays) + (self.arity, arrays[0].shape[-1])
         grads = []
         for c, base, layout in self._terms:
-            part = c * base.gradient_batch(self._view(layout, pts))
+            part = c * self._grid_view(base.gradient_grid, layout, arrays)
             if layout is None:
                 grads.append(part)
             else:   # fixed points are constants: only the input slots get gradient
-                grads.append(np.zeros_like(pts))
+                grads.append(np.zeros(shape))
                 for k, s in layout[0]:
                     grads[-1][..., s, :] = part[..., k, :]
         if self._op is np.add:
             return sum(grads)
-        vals = self._values(pts)    # product rule: sum_i (prod_{j != i} v_j) grad v_i
-        return sum(np.prod(vals[:i] + vals[i + 1:], axis=0)[..., None, None] * g
-                   for i, g in enumerate(grads))
+        vals = self._values(arrays)    # product rule: sum_i (prod_{j != i} v_j) grad v_i
+        return sum(functools.reduce(np.multiply, vals[:i] + vals[i + 1:], np.ones(()))
+                   [..., None, None] * g for i, g in enumerate(grads))
 
 
 def _fixed_dimension(name: str, terms) -> int | None:
@@ -553,21 +540,24 @@ class RieszKernel(Kernel):
         super().__init__("riesz", 2, params={"s": s}, nonnegative=True)
         self.s = float(s)
 
-    def evaluate_batch(self, pts):
-        pts = self._check_points(pts)
-        dist = np.linalg.norm(pts[..., 0, :] - pts[..., 1, :], axis=-1)
+    def _differences(self, arrays):
+        """x - y over the grid of the slot arrays x and y, and its norms."""
+        x, y = self._check_arrays(arrays)
+        diff = x[..., :, None, :] - y[..., None, :, :]
+        return diff, np.linalg.norm(diff, axis=-1)
+
+    def evaluate_grid(self, arrays):
+        dist = self._differences(arrays)[1]
         return np.where(dist > GEOMETRIC_TOL, dist ** self.s, 0.0)
 
-    def gradient_batch(self, pts):
+    def gradient_grid(self, arrays):
         # grad_x ||x-y||^s = s ||x-y||^{s-2} (x-y), singular at x = y when s < 1.
         # A pair at most GEOMETRIC_TOL apart counts as coincident and gets no
         # gradient, so every kernel built from this one shares the rule.
-        pts = self._check_points(pts)
-        diff = pts[..., 0, :] - pts[..., 1, :]
-        dist = np.linalg.norm(diff, axis=-1)
+        diff, dist = self._differences(arrays)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(dist > GEOMETRIC_TOL, self.s * dist ** (self.s - 2.0), 0.0)
-        g = np.zeros_like(pts)
+        g = np.empty(dist.shape + (2, diff.shape[-1]))
         g[..., 0, :] = scale[..., None] * diff
         g[..., 1, :] = -scale[..., None] * diff
         return g
@@ -580,20 +570,13 @@ class ExpUvtKernel(Kernel):
         super().__init__("prod_f_uvt", 3, params={"f": "exp"}, nonnegative=True)
         self._uvt = uvt().pair_poly
 
-    def evaluate_batch(self, pts):
-        return np.exp(self._uvt.evaluate(self._check_points(pts)))
-
     def evaluate_grid(self, arrays):
-        """The kernel over the grid of the slot arrays, from their inner
-        products: no coordinate grid is built."""
-        arrays = [np.asarray(a, dtype=float) for a in arrays]
-        self._check_shape((len(arrays), arrays[0].shape[-1]))
-        return np.exp(self._uvt.evaluate_grid(arrays))
+        return np.exp(self._uvt.evaluate_grid(self._check_arrays(arrays)))
 
-    def gradient_batch(self, pts):
-        pts = self._check_points(pts)
-        val = np.exp(self._uvt.evaluate(pts))
-        return val[..., None, None] * self._uvt.gradient(pts)
+    def gradient_grid(self, arrays):
+        arrays = self._check_arrays(arrays)
+        val = np.exp(self._uvt.evaluate_grid(arrays))
+        return val[..., None, None] * self._uvt.gradient_grid(arrays)
 
 
 # --- catalog -----------------------------------------------------------------

@@ -176,10 +176,69 @@ def inequality_suite_loop(kernel, d, trials, seed, violation_tol=1e-10):
 
 def grid_values_by_coordinates(kernel, arrays):
     """The kernel over the product grid of the point arrays, from the
-    grid's coordinates: ``evaluate_batch`` on the grid ``_grid`` builds."""
+    coordinates of the grid ``_grid`` builds, through no evaluation method
+    of the library's kernels: see :func:`values_by_coordinates`."""
     from multipot.kernels import _grid
 
-    return kernel.evaluate_batch(_grid(arrays))
+    return values_by_coordinates(kernel, _grid(arrays))
+
+
+def values_by_coordinates(kernel, pts):
+    """The kernel at each tuple of coordinates (..., n, d): a pair polynomial
+    from the inner products of the tuple's vectors and anchors, summed by
+    :func:`sum_monomials_out_of_place`; riesz as the norm of the coordinate
+    differences; exp(uvt) as the exponential of uvt; and a combination term
+    by term, each on its view of the coordinates, in the library's order
+    (the constant, if any, plus the first term, then left to right)."""
+    from multipot import kernels
+    from multipot.config import GEOMETRIC_TOL
+
+    if isinstance(kernel, kernels._Combination):
+        vals = [c * values_by_coordinates(base, _coordinate_view(layout, pts))
+                for c, base, layout in kernel._terms]
+        out = vals[0] if kernel._const is None else kernel._const + vals[0]
+        for v in vals[1:]:
+            out = kernel._op(out, v)
+        return out
+    if isinstance(kernel, kernels.RieszKernel):
+        dist = np.linalg.norm(pts[..., 0, :] - pts[..., 1, :], axis=-1)
+        return np.where(dist > GEOMETRIC_TOL, dist ** kernel.s, 0.0)
+    if isinstance(kernel, kernels.ExpUvtKernel):
+        return np.exp(_polynomial_by_coordinates(kernel._uvt, pts))
+    return _polynomial_by_coordinates(kernel.pair_poly, pts)
+
+
+def _coordinate_view(layout, pts):
+    """The tuples (..., n, d) as a view (see ``kernels._layout``) feeds them
+    to a base kernel: each base slot an input slot's coordinates or a fixed
+    point."""
+    if layout is None:
+        return pts
+    inputs, fixed = layout
+    out = np.empty(pts.shape[:-2] + (len(inputs) + len(fixed), pts.shape[-1]))
+    for k, s in inputs:
+        out[..., k, :] = pts[..., s, :]
+    for k, point in fixed:
+        out[..., k, :] = point
+    return out
+
+
+def _pair_values_by_coordinates(poly, pts):
+    """Each pair's inner product at each tuple of coordinates (..., n, d), by
+    ``einsum`` over the coordinates; an index past the slots is an anchor."""
+    def vector(i):
+        return pts[..., i, :] if i < poly.nslots else poly.anchors[i - poly.nslots]
+
+    out = {}
+    for a, b in {p for mono in poly.terms for p, _ in mono}:
+        va = vector(a)
+        out[(a, b)] = np.einsum("...d,...d->...", va, np.broadcast_to(vector(b), va.shape))
+    return out
+
+
+def _polynomial_by_coordinates(poly, pts):
+    return sum_monomials_out_of_place(poly, _pair_values_by_coordinates(poly, pts),
+                                      pts.shape[:-2])
 
 
 def sum_monomials_out_of_place(poly, vals, batch):

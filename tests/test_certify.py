@@ -929,18 +929,17 @@ _MONOMIAL_KERNELS = {
 @pytest.mark.parametrize("name", sorted(_MONOMIAL_KERNELS))
 def test_in_place_monomial_sum_matches_the_plain_expression(name):
     # the suite's padded grid, grid pair values that broadcast, and a
-    # Monte-Carlo-sized batch of tuples
+    # Monte-Carlo-sized batch of tuples as one-point slot arrays
     d, rng = 3, np.random.default_rng(7)
     poly = _MONOMIAL_KERNELS[name](d).pair_poly
     n = poly.nslots
     atoms = _draw_trials(rng, 7, n, d)[0]
     leads = [(3, 1), (1, 4), (4,), ()]
     for arrays in ([atoms[:, s] for s in range(n)],
-                   [_random_directions(rng, leads[s] + (s + 2, d)) for s in range(n)]):
+                   [_random_directions(rng, leads[s] + (s + 2, d)) for s in range(n)],
+                   kernels._point_slots(_random_directions(rng, (66666, n, d)))):
         vals = poly._grid_pair_values(arrays)
         _check_monomial_sum(poly, vals, kernels._tuple_shape(arrays))
-    pts = _random_directions(rng, (66666, n, d))
-    _check_monomial_sum(poly, poly._pair_values(pts), pts.shape[:-2])
 
 
 def _check_monomial_sum(poly, vals, batch):
@@ -971,16 +970,18 @@ def test_pair_polynomial_batteries_build_no_coordinate_grid(monkeypatch):
     assert shift_equivalence_battery(pin(s011(), E1), 3, trials=3, set_size=8)["trials"] == 3
     for kernel in (quad_a(0.5), sum_lift(inner(), 4), inner()):
         assert inequality_suite(kernel, 3, trials=5).trials == 5
-    # the anchor shift of a pair polynomial takes its terms from their grids too
+    # the anchor shift of a pair polynomial takes its terms from their grids
+    # too, and riesz takes its grid from the slot arrays' differences
     assert pd_test_2input(cpd_shift(inner(), E1), 3, trials=1, set_size=4).passed
     for kernel in (riesz(1.0), -riesz(1.0), cpd_shift(-riesz(1.0), E1)):
-        with pytest.raises(AssertionError, match="coordinate grid"):
-            pd_test_2input(kernel, 3, trials=1, set_size=4)
-    # nor do the energy module's dense sums
+        assert pd_test_2input(kernel, 3, trials=1, set_size=4).trials_run == 1
+    # nor do the energy module's dense sums and gradients
     mu, pts = uniform_surrogate(3, 12, 1), sample_sphere(3, 4, 2).points
     for kernel in (area2(), pin(vol2(), E1)):
         _dense_mutual(kernel, [mu] * kernel.arity)
         _dense_potential(kernel.evaluate_grid, [mu] * (kernel.arity - 1), pts[:, None, :])
+    for kernel in (riesz(0.5), prod_f_uvt(f="exp")):
+        assert energy_mod._bind(kernel, pts)[1](pts).shape == pts.shape
 
 
 @pytest.mark.parametrize("name", sorted(_BATTERY_KERNELS))

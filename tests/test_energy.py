@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import multipot.energy as energy_mod
-from multipot.kernels import PairPolynomial, PolynomialKernel
+from multipot.kernels import PairPolynomial, PolynomialKernel, _tuple_shape
 from multipot import (
     DiscreteMeasure,
     OptimizerConfig,
@@ -204,9 +204,8 @@ def test_pinned_dimension_is_checked_on_every_route():
         potential(pinned, [m], basis_vector(0, 4))
     with pytest.raises(ValueError, match="pinned points"):
         discrete_energy(pinned, sample_sphere(4, 6, 84))
-    kernel = PotentialKernel(pin(sum_lift(inner(), 4), E1), [m])
     with pytest.raises(ValueError, match="pinned points"):
-        kernel.evaluate_batch(sample_sphere(4, 4, 85).points.reshape(2, 2, 4))
+        PotentialKernel(pin(sum_lift(inner(), 4), E1), [m])
 
 
 def test_empty_measures_are_rejected():
@@ -484,10 +483,10 @@ def test_dense_grids_keep_their_block_bound(limit, monkeypatch):
     default = run()
     seen = []
     for kernel in (exp3, r05):
-        for name in ("evaluate_batch", "gradient_batch"):
-            def spy(pts, _method=getattr(kernel, name)):
-                seen.append(math.prod(pts.shape[:-2]))
-                return _method(pts)
+        for name in ("evaluate_grid", "gradient_grid"):
+            def spy(arrays, _method=getattr(kernel, name)):
+                seen.append(math.prod(_tuple_shape(arrays)))
+                return _method(arrays)
             monkeypatch.setattr(kernel, name, spy)
     monkeypatch.setattr(energy_mod, "_BLOCK_TUPLES", limit)
     assert run() == default
@@ -595,7 +594,7 @@ _CHUNKED_TUPLES = 4 * (energy_mod._SAMPLE_POINTS // 3) + 17
 def test_mc_energy_bits_do_not_depend_on_the_worker_count(kernel, monkeypatch):
     # each chunk draws from its own stream and the merge runs in chunk order,
     # so 1, 2 or 3 threads give the same bits; pin(area2) and riesz(1) call
-    # evaluate_batch from the worker threads
+    # evaluate_grid from the worker threads
     results = set()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(energy_mod, "_cpus", lambda: cpus)
@@ -606,14 +605,14 @@ def test_mc_energy_bits_do_not_depend_on_the_worker_count(kernel, monkeypatch):
 
 class _Failing(PolynomialKernel):
     """pin(area2(), e1), whose every evaluation raises ``error``; it has an
-    anchor, so the sampler calls its ``evaluate_batch`` in the workers."""
+    anchor, so the sampler calls its ``evaluate_grid`` in the workers."""
 
     error = ArithmeticError("raised inside a worker")
 
     def __init__(self):
         super().__init__("failing", area2().pair_poly.viewed([0, 1, E1], 2))
 
-    def evaluate_batch(self, pts):
+    def evaluate_grid(self, arrays):
         raise self.error
 
 
@@ -804,7 +803,7 @@ def test_potential_of_potential_kernel_unfolds(monkeypatch):
     def pointwise(self, pts):
         raise AssertionError("the potential kernel was evaluated pointwise")
 
-    monkeypatch.setattr(PotentialKernel, "evaluate_batch", pointwise)
+    monkeypatch.setattr(PotentialKernel, "evaluate_grid", pointwise)
     unfolded = potential(PotentialKernel(area2(), [mu]), [nu], queries)
     np.testing.assert_allclose(unfolded, direct, rtol=0.0, atol=1e-12)
 

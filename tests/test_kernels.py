@@ -42,7 +42,7 @@ from multipot import (
     uvt,
     vol2,
 )
-from multipot.kernels import KERNEL_REGISTRY, PairPolynomial
+from multipot.kernels import KERNEL_REGISTRY, PairPolynomial, _grid
 from multipot.geometry import _random_directions
 from oracles import (grid_values_by_coordinates, lift_fn, pin_fn, product_fn, scaled_fn, shift_fn,
                      sum_fn)
@@ -408,6 +408,22 @@ def test_exp_kernel_grid_matches_coordinates_bitwise():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="takes 3 points"):
         exp.evaluate_grid(arrays[:2])
+
+
+def test_gradient_grid_matches_each_tuples_gradient_bitwise():
+    # a gradient over slot arrays of different sizes, whose leading axes
+    # broadcast, is each grid tuple's gradient as a batch of one tuple; views
+    # (pins, lifts, shifts) move their base's slot axes, which equal slot
+    # arrays of a symmetric kernel would not show
+    exp, rng = prod_f_uvt(f="exp"), np.random.default_rng(19)
+    for kernel in (area2(), pin(vol2(), E1), riesz(0.5), exp, pin(exp, E1), sum_lift(exp, 4),
+                   prod_lift(riesz(1.0), 3), cpd_shift(-riesz(1.0), E1), riesz(1.5) * inner(),
+                   PotentialKernel(exp, [uniform_surrogate(3, 5, 1)])):
+        n, leads = kernel.arity, [(3, 1), (1, 4), (4,), ()]
+        arrays = [_random_directions(rng, leads[s] + (s + 2, 3)) for s in range(n)]
+        got, want = kernel.gradient_grid(arrays), kernel.gradient_batch(_grid(arrays))
+        assert got.shape == (3, 4) + tuple(s + 2 for s in range(n)) + (n, 3), kernel.name
+        assert want.shape == got.shape and got.tobytes() == want.tobytes(), kernel.name
 
 
 def test_prod_f_uvt_coefficient_checks():

@@ -267,3 +267,23 @@ def test_no_kernel_check_is_probed_with_an_empty_array():
     probes = {path.name: _empty_probes(path.read_text(encoding="utf-8"))
               for path in sorted(package.rglob("*.py"))}
     assert {name: lines for name, lines in probes.items() if lines} == {}
+
+
+def _batch_definitions(source: str) -> list:
+    """(class, method) for each ``evaluate_batch`` or ``gradient_batch`` a class defines."""
+    return [(node.name, item.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and item.name in ("evaluate_batch", "gradient_batch")]
+
+
+def test_only_the_base_kernel_evaluates_batches():
+    # every kernel implements the grid methods alone; a batch of tuples is the
+    # grid of its one-point slot arrays, defined once on Kernel
+    assert _batch_definitions("class K:\n    def gradient_batch(self): pass") == [
+        ("K", "gradient_batch")]
+    package = pathlib.Path(multipot.__file__).parent
+    found = [(path.name, *d) for path in sorted(package.rglob("*.py"))
+             for d in _batch_definitions(path.read_text(encoding="utf-8"))]
+    assert found == [("kernels.py", "Kernel", "evaluate_batch"),
+                     ("kernels.py", "Kernel", "gradient_batch")]
