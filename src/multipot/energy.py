@@ -7,28 +7,26 @@ all atom tuples.  Two routes compute them:
   route.  Every dense value and gradient comes from
   :meth:`Kernel.evaluate_grid` or :meth:`Kernel.gradient_grid` on slot
   arrays, cut by one block rule, :func:`_spans`, into blocks of at most
-  ``_BLOCK_TUPLES`` tuples whatever the grid's shape.  Sums run as over the
-  whole grid, so no block boundary moves a bit;
+  ``_BLOCK_TUPLES`` tuples (doubles, for a gradient of :func:`_bind`)
+  whatever the grid's shape.  Sums run as over the whole grid, so no block
+  boundary moves a bit;
 * the power-moment route serves pair-polynomial kernels.  A monomial
   prod <x_a, x_b>^e factors through tensor powers: an integrated slot
   becomes the moment tensor M_E = sum_i w_i x_i^{(x)E} (anchor factors
-  folded into the weights), a free slot the tensor power of its query
-  point, and one einsum with a letter per unit exponent contracts them.
+  folded into the weights), summed over spans of atoms whose powers hold
+  at most ``_SPAN_ENTRIES`` entries, whatever the measure's size; a free
+  slot becomes the tensor power of its query point, and one einsum with a
+  letter per unit exponent contracts them.
   The gradient of a discrete energy contracts all slots but one and
   differentiates the result against x^{(x)E}, in O(N d^E) work; the
   measures of a potential kernel are fixed slots in these contractions.
   All of this is planned once per polynomial and call layout, and cached
-  as a program: the moment keys each measure or query slot needs, every
-  einsum spec with its operands, and the axis orders of the gradient.
-  The layout is what the call's arguments decide: which slots are
-  integrated or queried, which integrated slots hold equal measures,
-  and which hold a stack.  A call only computes its tensors and runs the
-  program.  A program lists each distinct environment contraction once
-  (by spec, kept axes and operands; a product of two operands also
-  matches its swapped form), and each environment adds its coefficient
-  times that contraction in the order the monomials give.  A particle
-  descent binds its engine once (:func:`_bind`): route, layout and
-  program are resolved before its first step, not on every call.
+  as a program (:class:`_Program`, each distinct environment contraction
+  once).  The layout is what the call's arguments decide: which slots are
+  integrated or queried, which integrated slots hold equal measures, and
+  which hold a stack.  A call only computes its tensors and runs the
+  program.  A particle descent binds its engine once (:func:`_bind`):
+  route, layout and program are resolved before its first step.
 
 A stack (B, N, d) of configurations in place of one (N, d) gets B energies
 or gradients, each with the bits it gets alone: from one set of contractions
@@ -36,10 +34,11 @@ per span, or on the dense route from tuple grids of several configurations
 per kernel call.  One rule, :func:`_route`, picks the route by kernel type: a
 pair polynomial takes the moment route whenever its program exists and one
 configuration or query fits ``_WORK_LIMIT`` entries with its measures'
-tensors; every other call takes the dense route, which raises past
-``_WORK_LIMIT`` tuples per configuration or query.  Past the limit, stacks
-and moment-route query arrays run in spans (:func:`_spanned`).  No other
-bound caps an exact sum, whatever its arity.
+moment tensors and one span of their powers (a gradient's configuration
+counts all its powers); every other call takes the dense route, which
+raises past ``_WORK_LIMIT`` tuples per configuration or query.  Past the
+limit, stacks and moment-route query arrays run in spans (:func:`_spanned`).
+No other bound caps an exact sum, whatever its arity or its measures' size.
 """
 from __future__ import annotations
 
@@ -67,8 +66,9 @@ __all__ = [
     "mixture_polynomial",
 ]
 
-_WORK_LIMIT = 20_000_000               # dense tuples, or moment-route array entries
-_BLOCK_TUPLES = 2_000_000              # tuples per dense grid block: bounds every grid's memory
+_WORK_LIMIT = 20_000_000               # dense tuples, or moment-route entries held at once
+_BLOCK_TUPLES = 2_000_000              # tuples per dense grid block (doubles, for a _bind gradient)
+_SPAN_ENTRIES = 2**17                  # power entries per span of a measure's atoms (1 MiB)
 # A Monte-Carlo chunk holds _SAMPLE_POINTS // n tuples, at most this many points (0.6 MiB
 # at d = 3; 16,666 at arity 3 if n - 1 are drawn per tuple): small enough to stay in cache,
 # one chunk's arrays per worker thread; fixed, so the draws do not depend on the machine.
@@ -99,11 +99,10 @@ class EnergyEstimate:
 # --- dense tuple grids -----------------------------------------------------------
 
 
-def _spans(count: int, per: int, limit: int | None = None):
+def _spans(count: int, per: int, limit: int):
     """The block rule: consecutive (start, stop) ranges over ``count`` items of
-    ``per`` tuples (or points) each, max(1, limit // per) items to a range;
-    ``limit`` defaults to ``_BLOCK_TUPLES``."""
-    step = max(1, (_BLOCK_TUPLES if limit is None else limit) // max(per, 1))
+    ``per`` tuples (or points, or entries) each, max(1, limit // per) to a range."""
+    step = max(1, limit // max(per, 1))
     for start in range(0, count, step):
         yield start, min(start + step, count)
 
@@ -119,21 +118,22 @@ def _spanned(run, per: int, limit: int):
     return spanned
 
 
-def _grid_blocks(arrays):
-    """The point arrays in blocks of at most ``_BLOCK_TUPLES`` grid tuples: the
-    block rule along the outermost axis of the tuple index whose trailing
-    sub-grid fits, so each block is a contiguous range of the C-ordered index.
-    Yields (index, slot arrays), index being the block's slices of the leading
-    tuple axes (the others are whole)."""
-    shape = _tuple_shape(arrays)
-    if math.prod(shape) <= _BLOCK_TUPLES:
+def _grid_blocks(arrays, width: int = 1):
+    """The point arrays in blocks of at most ``_BLOCK_TUPLES // width`` grid
+    tuples, ``width`` being the doubles a tuple's result holds: the block rule
+    along the outermost axis of the tuple index whose trailing sub-grid fits,
+    so each block is a contiguous range of the C-ordered index.  Yields (index,
+    slot arrays), index being the block's slices of the leading tuple axes (the
+    others are whole)."""
+    shape, limit = _tuple_shape(arrays), max(1, _BLOCK_TUPLES // width)
+    if math.prod(shape) <= limit:
         yield (), arrays
         return
     lead = len(shape) - len(arrays)
     arrays = [np.broadcast_to(a, shape[:lead] + a.shape[-2:]) for a in arrays]
-    axis = next(a for a in range(len(shape)) if math.prod(shape[a + 1:]) <= _BLOCK_TUPLES)
+    axis = next(a for a in range(len(shape)) if math.prod(shape[a + 1:]) <= limit)
     for outer in np.ndindex(*shape[:axis]):
-        for start, stop in _spans(shape[axis], math.prod(shape[axis + 1:])):
+        for start, stop in _spans(shape[axis], math.prod(shape[axis + 1:]), limit):
             index = (*(slice(i, i + 1) for i in outer), slice(start, stop))
             yield index, [a[index[:lead] + index[lead + s:lead + s + 1]]
                           for s, a in enumerate(arrays)]
@@ -295,17 +295,19 @@ def _canonical(spec: str, keep, operands):
     return min((spec, keep, operands), (f"{second},{first}->{out}", keep, operands[::-1]))
 
 
-def _route(kernel: Kernel, slots, queries: np.ndarray | None = None):
+def _route(kernel: Kernel, slots, queries: np.ndarray | None = None, keep: bool = False):
     """The one routing rule, by kernel type, for every exact sum, potential and
     gradient; ``slots`` carry the integrated atoms, and each query tuple (Q, r,
     d) fills the other slots.  A pair polynomial takes the moment route whenever
     its program exists and one item (a configuration of a stack (B, N, d), or a
     query) fits ``_WORK_LIMIT`` with the measures' tensors: (program, work per
-    item, work limit of a span), whatever the item count.  The work counts the
-    tensor powers of each distinct measure or query slot, a d-vector pass over
-    its rows per anchor factor of each key, and a contraction per monomial.
-    All else takes the dense route (None), which raises past ``_WORK_LIMIT``
-    atom tuples per item; so do slot, query or kernel dimensions other than slot 0's."""
+    item, work limit of a span), whatever the item count.  The work counts what
+    a call holds at once: a contraction per monomial, a measure's moment tensors
+    and at most one span of its powers (:func:`_operands`), all the powers of a
+    query, a stack or, with ``keep`` (for a gradient), the last slot, plus a
+    d-vector per row and anchor factor.  All else takes the dense route (None),
+    which raises past ``_WORK_LIMIT`` atom tuples per item; so do slot, query
+    or kernel dimensions other than slot 0's."""
     d = slots[0].atoms.shape[-1]
     for s, x in enumerate([slot.atoms for slot in slots] + [queries]):
         if x is not None and x.shape[-1] != d:
@@ -317,9 +319,12 @@ def _route(kernel: Kernel, slots, queries: np.ndarray | None = None):
     if prog is not None:
         work = [0, sum(d**k for k in prog.letters)]     # shared by all items, and per item
         for queried, pos, keys in prog.tensors:
-            rows = 1 if queried else slots[pos].atoms.shape[-2]
-            work[queried or slots[pos].atoms.ndim == 3] += rows * sum(
-                d**e + d * len(anchored) for e, anchored in keys)
+            x = None if queried else slots[pos].atoms
+            if queried or x.ndim == 3 or keep and x is slots[-1].atoms:     # all powers at once
+                rows = 1 if queried else x.shape[-2]
+                work[queried or x.ndim == 3] += rows * sum(d**e + d * len(a) for e, a in keys)
+            else:   # the moment tensors, and at most one span of powers
+                work[0] += sum(d**e for e, _ in keys) + max(_power_entries(d, keys), _SPAN_ENTRIES)
         if sum(work) <= _WORK_LIMIT:
             return prog, work[1], _WORK_LIMIT - work[0]
     tuples = math.prod(s.atoms.shape[-2] for s in slots)
@@ -331,14 +336,18 @@ def _route(kernel: Kernel, slots, queries: np.ndarray | None = None):
 
 def _powers(x: np.ndarray, keys) -> list:
     """Tensor powers x^{(x)e} of the rows of x (..., N, d) up to the top degree
-    of the keys (e, anchor powers), as (..., d**e, N) arrays; power 0 (ones) is
-    None unless a key has degree 0."""
+    of the keys (e, anchor powers), as (..., d**e, N) arrays from power 0 (ones)."""
     xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
-    p = [np.ones_like(xt[..., :1, :]) if any(e == 0 for e, _ in keys) else None, xt]
+    p = [np.ones_like(xt[..., :1, :]), xt]
     for _ in range(max(e for e, _ in keys) - 1):
         p.append((p[-1][..., :, None, :] * xt[..., None, :, :]).reshape(
             xt.shape[:-2] + (p[-1].shape[-2] * xt.shape[-2], xt.shape[-1])))
     return p
+
+
+def _power_entries(d: int, keys) -> int:
+    """The entries per atom of the powers :func:`_powers` gives for the keys."""
+    return sum(d**k for k in range(max(e for e, _ in keys) + 1))
 
 
 def _anchor_factor(x: np.ndarray, anchors: np.ndarray, anchored) -> np.ndarray:
@@ -358,25 +367,31 @@ def _anchor_gradient(x: np.ndarray, anchors: np.ndarray, anchored) -> np.ndarray
     return g
 
 
-def _operands(prog: _Program, poly, slots, queries: np.ndarray | None = None):
-    """The program's operands, and the powers of the last slot's atoms.  A
-    query slot gives a(x) x^{(x)e} by key at each of its points x, shape (d,
-    ..., d, Q); a measure its moment tensors sum_i w_i a(x_i) x_i^{(x)e}, shape
-    (..., d, ..., d), all of them before the next measure's powers (holding
-    several measures' powers raised the peak memory on 100k-atom measures)."""
+def _operands(prog: _Program, poly, slots, queries: np.ndarray | None = None, keep: bool = False):
+    """The program's operands, and with ``keep`` the powers of the last slot's
+    atoms.  A query slot gives a(x) x^{(x)e} by key at each of its points x,
+    shape (d, ..., d, Q); a measure its moment tensors sum_i w_i a(x_i)
+    x_i^{(x)e}, shape (..., d, ..., d), summed in atom order over spans of
+    its atoms whose powers hold at most ``_SPAN_ENTRIES`` entries per
+    configuration; with ``keep``, the last slot's atoms form one span."""
     ops, last = [], None
     for queried, pos, keys in prog.tensors:
         x = queries[:, pos] if queried else slots[pos].atoms
-        p = _powers(x, keys)
         if queried:
+            p = _powers(x, keys)
             ops += [(p[e] * _anchor_factor(x, poly.anchors, anchored) if anchored else p[e])
                     .reshape((x.shape[1],) * e + (x.shape[0],)) for e, anchored in keys]
             continue
-        w = slots[pos].weights
-        last = p if x is slots[-1].atoms else last
-        for e, anchored in keys:
-            wa = w * _anchor_factor(x, poly.anchors, anchored) if anchored else w
-            ops.append((p[e] @ wa[..., None])[..., 0].reshape(x.shape[:-2] + (x.shape[-1],) * e))
+        w, n, whole = slots[pos].weights, x.shape[-2], keep and x is slots[-1].atoms
+        per = _power_entries(x.shape[-1], keys)
+        for a, b in _spans(n, per, n * per if whole else _SPAN_ENTRIES):
+            xs, ws = x[..., a:b, :], w[..., a:b]
+            p = _powers(xs, keys)
+            parts = [(p[e] @ (ws * _anchor_factor(xs, poly.anchors, anchored) if anchored
+                              else ws)[..., None])[..., 0] for e, anchored in keys]
+            moments = parts if a == 0 else [m + q for m, q in zip(moments, parts)]
+            last, p = (p if whole else last), None      # one span's powers at a time
+        ops += [m.reshape(x.shape[:-2] + (x.shape[-1],) * e) for m, (e, _) in zip(moments, keys)]
     return ops, last
 
 
@@ -417,7 +432,7 @@ def _moment_gradient(poly, slot, fixed=(), prog: _Program | None = None) -> np.n
     slots = list(fixed) + [slot] * (poly.nslots - j)
     if prog is None:
         prog = _program(poly, _layout(slots))
-    ops, p = _operands(prog, poly, slots)
+    ops, p = _operands(prog, poly, slots, keep=True)
     done, envs = [None] * len(prog.contractions), {}
     for s, coeff, c, key in prog.environments:
         if s >= j:
@@ -426,8 +441,6 @@ def _moment_gradient(poly, slot, fixed=(), prog: _Program | None = None) -> np.n
                 done[c] = _term(1.0, spec, keep, [ops[i] for i in operands])
             env = done[c] if coeff == 1.0 else coeff * done[c]
             envs[key] = envs[key] + env if key in envs else env
-    if any(e <= 1 for e, _ in envs) and p[0] is None:
-        p[0] = np.ones_like(p[1][..., :1, :])
     grad = np.zeros(lead + (d, x.shape[-2]))
     for (e, anchored), env in envs.items():
         # d/dx <env, x^{(x)e}> contracts x into every position but one
@@ -474,13 +487,14 @@ def _bind(kernel: Kernel, pts: np.ndarray):
     length B with one energy and one gradient per configuration, run in spans
     of configurations (:func:`_spanned`): on the moment route of the work its
     route gives, on the dense route of ``_WORK_LIMIT`` atom tuples.  The route
-    (:func:`_route`) and program are resolved once, here; a potential kernel's
-    measures are fixed slots of its base."""
+    (:func:`_route`, counting every power of the points, which the gradient
+    holds) and program are resolved once, here; a potential kernel's measures
+    are fixed slots of its base."""
     n, arity = pts.shape[-2], kernel.arity
     weights = np.full(n, 1.0 / n)
     base, fixed = _unfolded(kernel, [])
     slots = fixed + [_Atoms(pts, weights)] * arity
-    route = _route(base, slots)
+    route = _route(base, slots, None, True)
     if route is not None:
         poly, (prog, per, limit) = base.pair_poly, route
 
@@ -499,7 +513,7 @@ def _bind(kernel: Kernel, pts: np.ndarray):
             # per slot, a point's share sums the slot's gradient over the tuples holding
             # it, in tuple order and on across blocks, so no block boundary moves a bit
             lead, shares = x.ndim - 2, [np.zeros_like(x) for _ in range(arity)]
-            for index, block in _grid_blocks([x] * arity):
+            for index, block in _grid_blocks([x] * arity, arity * x.shape[-1]):
                 g = kernel.gradient_grid(block)
                 for s, share in enumerate(shares):
                     part = np.moveaxis(g[..., s, :], lead + s, -2)

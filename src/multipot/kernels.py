@@ -72,8 +72,13 @@ _MAX_TERMS = 600
 def _layout(view, nslots: int):
     """How a view (as in :class:`_Combination`) feeds a base from ``nslots``
     inputs: None for the identity view, else its (base slot, input slot) and
-    its (base slot, fixed point) pairs, each in base-slot order."""
+    its (base slot, fixed point) pairs, each in base-slot order.  The input
+    slots must ascend in base-slot order, so that a base's grid axes are
+    already in input order; a ValueError names a view whose slots do not."""
     inputs = [(k, v) for k, v in enumerate(view) if isinstance(v, int)]
+    if any(s >= t for (_, s), (_, t) in zip(inputs, inputs[1:])):
+        shown = ", ".join(str(v) if isinstance(v, int) else "point" for v in view)
+        raise ValueError(f"the view [{shown}] does not list its input slots in ascending order")
     if len(inputs) == len(view) == nslots and all(k == v for k, v in inputs):
         return None
     fixed = [(k, np.asarray(v, dtype=float)) for k, v in enumerate(view) if not isinstance(v, int)]
@@ -423,10 +428,10 @@ class _Combination(Kernel):
 
     A view lists, for each slot of ``base``, either the index of one of
     the ``arity`` input slots or a fixed point, and names each input slot
-    at most once.  K + L, K * L, c * K, pins, subset lifts and the anchor
-    shift are all built this way when they are not pair polynomials.  A
-    value is the constant (if any) plus the terms, or their product, taken
-    left to right.
+    at most once, in ascending order.  K + L, K * L, c * K, pins, subset
+    lifts and the anchor shift are all built this way when they are not
+    pair polynomials.  A value is the constant (if any) plus the terms, or
+    their product, taken left to right.
     """
 
     _fixed = "the fixed points"
@@ -444,9 +449,9 @@ class _Combination(Kernel):
     def _grid_view(values, layout, arrays):
         """base(view) over the grid of the input slot arrays, from ``values``,
         the base's own grid evaluation or gradient: a fixed point is a one-row
-        slot array, and the base's slot axes are moved to input-slot order,
-        with size-1 axes for the inputs the view leaves out; a gradient's
-        trailing axes stay last."""
+        slot array, and the base's slot axes, in input-slot order (see
+        :func:`_layout`), get size-1 axes for the inputs the view leaves out;
+        a gradient's trailing axes stay last."""
         if layout is None:
             return values(arrays)
         inputs, fixed = layout
@@ -458,9 +463,6 @@ class _Combination(Kernel):
             slots[k], keep[k] = point[None, :], 0
         lead = max(a.ndim for a in slots) - 2
         vals = values(slots)[(slice(None),) * lead + tuple(keep)]
-        order = np.argsort([s for _, s in inputs])
-        vals = vals.transpose(*range(lead), *(lead + i for i in order),
-                              *range(lead + len(inputs), vals.ndim))
         used = {s for _, s in inputs}
         return vals.reshape(vals.shape[:lead] + tuple(
             a.shape[-2] if s in used else 1 for s, a in enumerate(arrays))

@@ -8,6 +8,7 @@ import itertools
 import math
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,121 @@ def test_bound_energy_of_a_long_stack_runs_in_spans(monkeypatch):
         assert np.array_equal(gradient(stack), default[1])
         assert energy(stack).tolist() == [energy(p[None])[0] for p in stack]
         monkeypatch.undo()
+
+
+def _pinned_lift_fn(x, y, z):
+    """pin(sum_lift(area2(), 4), E1) by tuple enumeration."""
+    return sum(area2_fn(*t) for t in itertools.combinations((E1, x, y, z), 3))
+
+
+@pytest.mark.parametrize("kernel, fn", [
+    (area2(), area2_fn), (s011(), s011_fn), (pin(sum_lift(area2(), 4), E1), _pinned_lift_fn),
+], ids=["area2", "s011", "pin(sum_lift(area2,4),e1)"])
+def test_moment_sums_over_atom_spans(kernel, fn, monkeypatch):
+    # spans of 3 atoms (13 power entries each at d = 3) against the one span of
+    # the default and tuple enumeration: every public exact sum, a stack's
+    # energies, and a potential kernel's energies and gradients on a stack
+    mu, nu = _random_measure(14, 3, 120), _random_measure(11, 3, 121)
+    signed = _random_measure(9, 3, 122, probability=False)
+    points, pairs = sample_sphere(3, 3, 123).points, sample_sphere(3, 6, 124).points
+    config = sample_sphere(3, 10, 125)
+    stack = np.stack([sample_sphere(3, 10, 126 + b).points for b in range(3)])
+    folded = PotentialKernel(kernel, [mu])
+
+    def run():
+        energy, gradient = energy_mod._bind(folded, stack)
+        return [mutual_energy(kernel, [mu, nu, signed]).value,
+                potential(kernel, [mu, signed], points),
+                potential(kernel, [nu], pairs.reshape(3, 2, 3)),
+                discrete_energy(kernel, config).value,
+                mixture_polynomial(kernel, mu, nu).coefficients,
+                energy_mod._bind(kernel, stack)[0](stack), energy(stack), gradient(stack)]
+
+    default = run()
+    rows, powers = [], energy_mod._powers
+    monkeypatch.setattr(energy_mod, "_SPAN_ENTRIES", 40)
+    monkeypatch.setattr(energy_mod, "_powers", lambda x, keys: rows.append(x.shape[-2])
+                        or powers(x, keys))
+    spanned = run()
+    assert {1, 2, 3} <= set(rows) and 14 not in rows    # the last span of mu holds 2 atoms
+    for value, ref in zip(spanned, default):
+        np.testing.assert_allclose(value, ref, rtol=1e-12, atol=1e-12)
+    as_pairs = [measure_as_pairs(m) for m in (mu, nu, signed)]
+    mutual, at_points, at_pairs, discrete, mixture, energies, folded_energies, _ = spanned
+    assert mutual == pytest.approx(brute_mutual(fn, as_pairs), abs=1e-12)
+    for value, x in zip(at_points, points):
+        expected = brute_mutual(lambda a, b: fn(a, b, x), [as_pairs[0], as_pairs[2]])
+        assert value == pytest.approx(expected, abs=1e-12)
+    for value, (y, z) in zip(at_pairs, pairs.reshape(3, 2, 3)):
+        assert value == pytest.approx(brute_mutual(lambda a: fn(a, y, z), as_pairs[1:2]), abs=1e-12)
+    assert discrete == pytest.approx(brute_discrete(fn, list(config.points)), abs=1e-12)
+    for k, value in enumerate(mixture):
+        expected = brute_mutual(fn, [as_pairs[0]] * (3 - k) + [as_pairs[1]] * k)
+        assert value == pytest.approx(expected, abs=1e-12)
+    for value, folded_value, pts in zip(energies, folded_energies, stack):
+        assert value == pytest.approx(brute_discrete(fn, list(pts)), abs=1e-12)
+        expected = brute_discrete(lambda y, z: brute_mutual(lambda a: fn(a, y, z), as_pairs[:1]),
+                                  list(pts))
+        assert folded_value == pytest.approx(expected, abs=1e-12)
+
+
+def test_a_measure_past_the_work_limit_keeps_the_moment_route(monkeypatch):
+    # a measure counts its moment tensors and one span of its powers, not its
+    # rows times their powers; the points of a bound gradient still count in full
+    mu, pts = uniform_surrogate(3, 2000, 140), sample_sphere(3, 2000, 141).points
+    default = mutual_energy(area2(), [mu] * 3).value
+    monkeypatch.setattr(energy_mod, "_SPAN_ENTRIES", 40)
+    monkeypatch.setattr(energy_mod, "_WORK_LIMIT", 1000)     # below 2000 atoms x 13 powers
+    assert energy_mod._route(area2(), [mu] * 3) is not None
+    assert mutual_energy(area2(), [mu] * 3).value == pytest.approx(default, rel=1e-12, abs=1e-12)
+    slots = [energy_mod._Atoms(pts, np.full(2000, 1 / 2000))] * 3
+    assert energy_mod._route(area2(), slots) is not None
+    for bind in (lambda: energy_mod._route(area2(), slots, None, True),
+                 lambda: energy_mod._bind(area2(), pts)):
+        with pytest.raises(ValueError, match="8000000000 atom tuples exceed the dense limit"):
+            bind()
+
+
+def test_a_large_measure_is_no_refusal_on_the_moment_route():
+    # 60k atoms x 729 powers (degree 6 per slot) pass the work limit, which
+    # refused this potential when a measure counted all its powers at once
+    kernel, mu = prod_lift(frame2(), 4), uniform_surrogate(3, 60_000, 142)
+    points = sample_sphere(3, 5, 143).points
+    assert mu.n_atoms * 3**6 > energy_mod._WORK_LIMIT
+    assert energy_mod._route(kernel, [mu] * 3, points[:, None, :]) is not None
+    assert np.all(np.isfinite(potential(kernel, [mu] * 3, points)))
+
+
+def test_moment_route_memory_does_not_grow_with_the_measure():
+    # an s011 potential holds one span of powers whatever the measure's size;
+    # the measures are built before tracing, so their own arrays are not counted
+    queries, peaks = sample_sphere(3, 40, 150).points.reshape(20, 2, 3), []
+    for atoms in (10_000, 80_000):
+        mu = uniform_surrogate(3, atoms, 151)
+        potential(s011(), [mu], queries)        # the program is cached before tracing
+        tracemalloc.start()
+        try:
+            potential(s011(), [mu], queries)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**16, peaks
+
+
+def test_dense_gradient_blocks_bound_their_doubles(monkeypatch):
+    # a block of a bound dense gradient holds arity * d doubles per tuple, at
+    # most _BLOCK_TUPLES of them, and any block size gives the same bits
+    exp3 = prod_f_uvt(f="exp")
+    stack = np.stack([sample_sphere(3, 7, 160 + b).points for b in range(2)])
+    default = energy_mod._bind(exp3, stack)[1](stack)
+    seen, gradient_grid = [], exp3.gradient_grid
+    monkeypatch.setattr(exp3, "gradient_grid", lambda arrays: seen.append(
+        math.prod(_tuple_shape(arrays))) or gradient_grid(arrays))
+    for limit in (9 * 5, 9 * 40):
+        monkeypatch.setattr(energy_mod, "_BLOCK_TUPLES", limit)
+        seen.clear()
+        assert np.array_equal(energy_mod._bind(exp3, stack)[1](stack), default)
+        assert len(seen) > 1 and 9 * max(seen) <= limit
 
 
 def test_empty_query_batches_give_empty_arrays():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import multipot.kernels as kernels_mod
 from multipot import (
     OptimizerConfig,
     PointConfiguration,
@@ -304,6 +305,34 @@ def test_points_of_another_dimension_are_rejected_on_every_path():
     for call, tail in table:
         with pytest.raises(ValueError, match=re.escape(tail) + "$"):
             call()
+
+
+def test_every_builder_lists_view_inputs_in_ascending_order(monkeypatch):
+    # pins, lifts, shifts, sums, products and scalings pass every view through
+    # kernels._layout, which refuses input slots out of ascending order, so a
+    # base's grid axes never need reordering; on combinations (riesz) and on
+    # pair polynomials (PairPolynomial.viewed) alike
+    builders = {
+        "pin": lambda k2, k3: pin(k3, E1), "sum_lift": lambda k2, k3: sum_lift(k2, 3),
+        "prod_lift": lambda k2, k3: prod_lift(k2, 3), "cpd_shift": lambda k2, k3: cpd_shift(k2, E1),
+        "+": lambda k2, k3: k2 + k2, "*": lambda k2, k3: k2 * k2, "c *": lambda k2, k3: 2.0 * k2,
+    }
+    views, layout = [], kernels_mod._layout
+    monkeypatch.setattr(kernels_mod, "_layout", lambda view, nslots: views.append(
+        [v for v in view if isinstance(v, int)]) or layout(view, nslots))
+    for k2, k3 in ((riesz(1.0), sum_lift(riesz(1.0), 3)), (inner(), vol2())):
+        for name, build in builders.items():
+            views.clear()
+            build(k2, k3)
+            assert views and all(v == sorted(set(v)) for v in views), (name, views)
+
+
+def test_a_view_out_of_order_is_refused():
+    message = "the view [{}] does not list its input slots in ascending order"
+    with pytest.raises(ValueError, match=re.escape(message.format("1, 0"))):
+        kernels_mod._Combination("swap", 2, "sum", [(1.0, riesz(1.0), [1, 0])])
+    with pytest.raises(ValueError, match=re.escape(message.format("point, 2, 0"))):
+        area2().pair_poly.viewed([E1, 2, 0], 3)
 
 
 def test_cpd_shift_identity_for_vanishing_anchor_row():

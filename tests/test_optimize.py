@@ -557,8 +557,8 @@ def test_dense_block_search_stays_within_the_work_limit(monkeypatch):
     reference, _ = serial_descent(kernel, stack, cfg)
     monkeypatch.setattr(energy_mod, "_WORK_LIMIT", 3 * stack.shape[1] ** kernel.arity)
     stacks, grid_blocks = [], energy_mod._grid_blocks
-    monkeypatch.setattr(energy_mod, "_grid_blocks", lambda arrays: stacks.append(
-        len(arrays[-1]) if arrays[-1].ndim == 3 else 1) or grid_blocks(arrays))
+    monkeypatch.setattr(energy_mod, "_grid_blocks", lambda arrays, *width: stacks.append(
+        len(arrays[-1]) if arrays[-1].ndim == 3 else 1) or grid_blocks(arrays, *width))
     log = _count_bind(monkeypatch)
     traces = optimize_mod._descend(kernel, stack, cfg)
     assert all(_same_trace(trace, ref) for trace, ref in zip(traces, reference))

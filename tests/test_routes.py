@@ -2,8 +2,9 @@
 
 Seeded random polynomials -- arity 2-4, random monomials and exponents,
 anchor points, signed coefficients -- are summed by the power-moment
-route, the dense tuple grid and the plain-Python oracles, for mutual
-energies and for potentials with one and two free slots.  Analytic
+route (also over spans of one atom), the dense tuple grid and the
+plain-Python oracles, for mutual energies and for potentials with one and
+two free slots.  Analytic
 gradients are checked against central differences of the oracle, and the
 moment route's cached programs against freshly built ones.
 """
@@ -75,6 +76,35 @@ def test_potential_routes_agree(seed, free):
     routed = potential(kernel, measures[:j], queries)
     for values in (moment, dense, routed):
         assert all(_close(v, r) for v, r in zip(values, ref))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_moment_tensors_summed_one_atom_at_a_time(seed, monkeypatch):
+    # spans of one atom sum every measure's moment tensors: mutual energies and
+    # potentials match the oracle, and gradients on fixed measures match the
+    # gradients from one span; the gradient's own points always form one span
+    kernel, fn, measures, rng = _random_case(seed, min_arity=3)
+    poly, j, d = kernel.pair_poly, kernel.arity - 1, measures[0].dimension
+    queries = _unit_rows(rng, 2, d)[:, None, :]
+    slot = energy_mod._Atoms(_unit_rows(rng, 4, d), np.full(4, 0.25))
+
+    def run():
+        return [energy_mod._moment_sum(poly, measures),
+                energy_mod._moment_sum(poly, measures[:j], queries),
+                energy_mod._moment_gradient(poly, slot, measures[:1])]
+
+    default = run()
+    rows, powers = [], energy_mod._powers
+    monkeypatch.setattr(energy_mod, "_SPAN_ENTRIES", 1)
+    monkeypatch.setattr(energy_mod, "_powers", lambda x, keys: rows.append(len(x))
+                        or powers(x, keys))
+    energy, values, gradient = run()
+    pairs = [measure_as_pairs(m) for m in measures]
+    assert _close(energy, brute_mutual(fn, pairs))
+    for value, q in zip(values, queries):
+        assert _close(value, brute_mutual(lambda *xs: fn(*xs, *q), pairs[:j]))
+    np.testing.assert_allclose(gradient, default[2], rtol=1e-12, atol=1e-12)
+    assert set(rows) == {1, 2, 4}     # measure spans, the queries, the gradient's points
 
 
 @pytest.mark.parametrize("seed", SEEDS)
