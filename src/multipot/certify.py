@@ -41,9 +41,12 @@ from .config import EIGENVALUE_TOL, RESIDUAL_TOL
 from .geometry import (
     DiscreteMeasure,
     _check_count,
-    _check_on_sphere,
+    _check_measures,
+    _check_points,
+    _check_tol,
     _normalize_rows,
     _random_directions,
+    _rng,
     basis_vector,
 )
 from .kernels import Kernel, cpd_shift, pin
@@ -173,11 +176,6 @@ def _build_witness(pts, coeffs, mat, conditional) -> Witness:
     return Witness((), DiscreteMeasure(pts[keep], c), float(c @ sub @ c))
 
 
-def _check_tol(tol) -> None:
-    if tol is not None and not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-
-
 def _random_sets(rng, count: int, fixed: np.ndarray, m: int) -> np.ndarray:
     """``count`` point sets (count, m, d): the rows of ``fixed`` followed by
     random directions, drawn as one (count, m - |fixed|, d) block."""
@@ -220,15 +218,10 @@ def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
     _check_tol(tol)
     fixed = np.zeros((0, d))
     if include_points is not None:
-        fixed = np.atleast_2d(np.asarray(include_points, dtype=float))
-        if fixed.ndim != 2 or fixed.shape[1] != d:
-            raise ValueError(f"included points must be rows of dimension {d}, "
-                             f"got shape {fixed.shape}")
-        _check_on_sphere(fixed, "included points")
-        if fixed.shape[0] > set_size:
-            raise ValueError("more included points than the set size")
-
-    rng = np.random.default_rng(seed)
+        fixed = np.atleast_2d(_check_points(include_points, "include_points", d))
+        if len(fixed) > set_size:
+            raise ValueError(f"include_points has {len(fixed)} rows, more than set_size {set_size}")
+    rng = _rng(seed)
     mode = "conditional" if conditional else "pd"
     min_eig = np.inf
     witness = None
@@ -281,9 +274,7 @@ def npd_test(kernel: Kernel, d: int, *, conditional: bool = False,
     _check_count("dimension d", d, 2)
     _check_count("pin_trials", pin_trials, 1)
     _check_count("inner_trials", inner_trials, 1)
-    _check_count("set_size", set_size, 2)
-    _check_tol(tol)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     mode = "conditional" if conditional else "pd"
     min_eig = np.inf
     witness = None
@@ -327,8 +318,6 @@ class ConvexityReport:
 def convexity_probe(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure,
                     grid: int = 1000) -> ConvexityReport:
     """Probe convexity of the energy along the segment from mu to nu."""
-    if not (mu.is_probability and nu.is_probability):
-        raise ValueError("convexity probes are defined for probability measures")
     _check_count("grid", grid, 2)
     g = mixture_polynomial(kernel, mu, nu)
 
@@ -390,11 +379,10 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
     The standard error comes from the potentials of contiguous folds of mu
     (:func:`_potential_stderr`), for a kernel of any arity.
     """
-    if mu.n_atoms < 1:
-        raise ValueError("measure needs at least one atom")
-    pts = np.atleast_2d(np.asarray(getattr(test_points, "points", test_points), dtype=float))
-    if pts.size == 0:
+    mu = _check_measures([mu], ["mu"])[0]
+    if not len(test_points):
         raise ValueError("need at least one test point")
+    pts = _check_points(test_points, "test_points", mu.dimension)
     values = potential(kernel, [mu] * (kernel.arity - 1), pts)
     mean = float(np.mean(values))
     max_dev = float(np.max(np.abs(values - mean)))
@@ -519,7 +507,7 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
     per = (n + 1) * _MAX_ATOMS**n
     if per > _BLOCK_TUPLES:
         raise ValueError(f"arity {n}: a trial's {per} tuples exceed a grid block's {_BLOCK_TUPLES}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     worst = dict.fromkeys(("am", "gm", "lower", "diagonal"), -np.inf)
     bad = dict.fromkeys(worst, 0)
     gm_trials = 0
@@ -566,14 +554,11 @@ def shift_equivalence_battery(kernel: Kernel, d: int, *, trials: int = 10,
     stack of matrices and one stacked ``eigvalsh`` per kernel; no
     eigenvector is computed.
     """
-    if kernel.arity != 2:
-        raise ValueError("the shift battery applies to two-input kernels")
-    _check_count("dimension d", d, 2)
+    x0 = basis_vector(0, d)
+    shifted = cpd_shift(kernel, x0)     # refuses an arity other than 2
     _check_count("trials", trials, 1)
     _check_count("set_size", set_size, 2)
-    x0 = basis_vector(0, d)
-    shifted = cpd_shift(kernel, x0)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     agree = disagree = borderline = 0
     pairs = []
     for start, stop in _spans(trials, set_size**2, _CHUNK_TUPLES):

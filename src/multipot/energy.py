@@ -7,8 +7,8 @@ all atom tuples.  Two routes compute them:
   route.  Every dense value and gradient comes from
   :meth:`Kernel.evaluate_grid` or :meth:`Kernel.gradient_grid` on slot
   arrays, cut by one block rule, :func:`_spans`, into blocks of at most
-  ``_BLOCK_TUPLES`` tuples (doubles, for a gradient of :func:`_bind`)
-  whatever the grid's shape.  Sums run as over the whole grid, so no block
+  ``_BLOCK_TUPLES`` tuples (doubles, for a gradient of :func:`_bind` or of a
+  potential kernel) whatever the grid's shape.  Sums run as over the whole grid, so no block
   boundary moves a bit;
 * the power-moment route serves pair-polynomial kernels.  A monomial
   prod <x_a, x_b>^e factors through tensor powers: an integrated slot
@@ -26,7 +26,8 @@ all atom tuples.  Two routes compute them:
   integrated or queried, which integrated slots hold equal measures, and
   which hold a stack.  A call only computes its tensors and runs the
   program.  A particle descent binds its engine once (:func:`_bind`):
-  route, layout and program are resolved before its first step.
+  route, layout and program are resolved before its first step.  A discrete
+  energy alone is the mutual energy of its empirical measure.
 
 A stack (B, N, d) of configurations in place of one (N, d) gets B energies
 or gradients, each with the bits it gets alone: from one set of contractions
@@ -51,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _check_on_sphere,
-                       _random_directions)
+from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _check_measures,
+                       _check_points, _check_type, _random_directions)
 from .kernels import Kernel, _grid, _point_slots, _tuple_shape
 
 __all__ = [
@@ -67,7 +68,7 @@ __all__ = [
 ]
 
 _WORK_LIMIT = 20_000_000               # dense tuples, or moment-route entries held at once
-_BLOCK_TUPLES = 2_000_000              # tuples per dense grid block (doubles, for a _bind gradient)
+_BLOCK_TUPLES = 2_000_000              # tuples per dense grid block (doubles, for a gradient)
 _SPAN_ENTRIES = 2**17                  # power entries per span of a measure's atoms (1 MiB)
 # A Monte-Carlo chunk holds _SAMPLE_POINTS // n tuples, at most this many points (0.6 MiB
 # at d = 3; 16,666 at arity 3 if n - 1 are drawn per tuple): small enough to stay in cache,
@@ -139,12 +140,12 @@ def _grid_blocks(arrays, width: int = 1):
                           for s, a in enumerate(arrays)]
 
 
-def _grid_values(values, arrays) -> np.ndarray:
-    """``values`` (a kernel's ``evaluate_grid``, or any map from slot arrays to
-    one value or array per grid tuple) over the grid of the point arrays, block
-    by block: shaped like the tuple index, plus the trailing axes it gives."""
+def _grid_values(values, arrays, width: int = 1) -> np.ndarray:
+    """``values`` (a kernel's ``evaluate_grid``, or any map from slot arrays to one
+    value or array of ``width`` doubles per grid tuple) over the grid of the point
+    arrays, block by block: shaped like the tuple index, plus its trailing axes."""
     shape, out = _tuple_shape(arrays), None
-    for index, block in _grid_blocks(arrays):
+    for index, block in _grid_blocks(arrays, width):
         vals = values(block)
         if not index:       # the whole grid in one block
             return vals
@@ -166,20 +167,21 @@ def _dense_mutual(kernel: Kernel, slots):
     return sums.reshape(lead) if lead else float(sums[0])
 
 
-def _dense_potential(values, measures, queries: np.ndarray) -> np.ndarray:
+def _dense_potential(values, measures, queries: np.ndarray, width: int = 1) -> np.ndarray:
     """Potential by a dense sum over the atom tuples (queries fill the last
     slots), one einsum per span of whole queries.  ``values`` maps slot arrays
-    to one value per grid tuple (a kernel's ``evaluate_grid``) or to one array
-    per tuple, such as the gradient in the free slots, whose axes are kept."""
+    to one value per grid tuple (a kernel's ``evaluate_grid``) or to ``width``
+    doubles per tuple, such as the gradient in the free slots, whose axes are kept."""
     j, r = len(measures), queries.shape[1]
     sizes = tuple(m.atoms.shape[0] for m in measures)
     spec = _QUERY + _LETTERS[:j] + "...," + ",".join(_LETTERS[:j]) + "->" + _QUERY + "..."
 
     def run(q):
-        vals = _grid_values(values, [m.atoms for m in measures] + [q[:, t:t + 1] for t in range(r)])
+        vals = _grid_values(values, [m.atoms for m in measures] + [q[:, t:t + 1] for t in range(r)],
+                            width)
         vals = vals.reshape((len(q),) + sizes + vals.shape[1 + j + r:])
         return np.einsum(spec, vals, *[m.weights for m in measures])
-    return _spanned(run, math.prod(sizes), _BLOCK_TUPLES)(queries)
+    return _spanned(run, math.prod(sizes) * width, _BLOCK_TUPLES)(queries)
 
 
 # --- power-moment route --------------------------------------------------------
@@ -306,14 +308,9 @@ def _route(kernel: Kernel, slots, queries: np.ndarray | None = None, keep: bool 
     and at most one span of its powers (:func:`_operands`), all the powers of a
     query, a stack or, with ``keep`` (for a gradient), the last slot, plus a
     d-vector per row and anchor factor.  All else takes the dense route (None),
-    which raises past ``_WORK_LIMIT`` atom tuples per item; so do slot, query
-    or kernel dimensions other than slot 0's."""
+    which raises past ``_WORK_LIMIT`` atom tuples per item.  The public calls
+    have checked the arguments: one dimension, the kernel's."""
     d = slots[0].atoms.shape[-1]
-    for s, x in enumerate([slot.atoms for slot in slots] + [queries]):
-        if x is not None and x.shape[-1] != d:
-            what = "the queries" if s == len(slots) else f"slot {s}"
-            raise ValueError(f"dimension {x.shape[-1]} of {what} differs from {d} of slot 0")
-    kernel._check_shape((kernel.arity, d))
     layout = _layout(slots, queries=0 if queries is None else queries.shape[1])
     prog = None if kernel.pair_poly is None else _program(kernel.pair_poly, layout)
     if prog is not None:
@@ -467,8 +464,7 @@ def _unfolded(kernel: Kernel, slots):
 def _sum(kernel: Kernel, slots, queries: np.ndarray | None = None):
     """Exact weighted sum of the kernel over the atom tuples of the leading slots, the
     others at each query tuple (Q, r, d): a float without queries, else Q values.  A
-    potential kernel unfolds into its base's.  Discrete energies of point arrays
-    go through :func:`_bind`."""
+    potential kernel unfolds into its base's."""
     kernel, slots = _unfolded(kernel, slots)
     route = _route(kernel, slots, queries)
     if route is None:
@@ -488,8 +484,8 @@ def _bind(kernel: Kernel, pts: np.ndarray):
     of configurations (:func:`_spanned`): on the moment route of the work its
     route gives, on the dense route of ``_WORK_LIMIT`` atom tuples.  The route
     (:func:`_route`, counting every power of the points, which the gradient
-    holds) and program are resolved once, here; a potential kernel's measures
-    are fixed slots of its base."""
+    holds) and program of a descent are resolved once, here; a potential
+    kernel's measures are fixed slots of its base."""
     n, arity = pts.shape[-2], kernel.arity
     weights = np.full(n, 1.0 / n)
     base, fixed = _unfolded(kernel, [])
@@ -530,52 +526,29 @@ def _bind(kernel: Kernel, pts: np.ndarray):
 # --- public operations -----------------------------------------------------------
 
 
-def _check_measures(measures) -> list[DiscreteMeasure]:
-    """The measures as a list, each with an atom, all of one dimension."""
-    measures = list(measures)
-    for s, m in enumerate(measures):
-        if m.n_atoms == 0:
-            raise ValueError(f"the measure in slot {s} has no atoms")
-    if len({m.dimension for m in measures}) != 1:
-        raise ValueError("measures must share a dimension")
-    return measures
-
-
 def mutual_energy(kernel: Kernel, measures) -> EnergyEstimate:
     """Exact mutual energy of a tuple of atomic measures.
 
     Computes the full weighted sum of kernel values over all atom tuples,
     one measure per kernel slot.  Exact, so stderr is 0.
     """
-    measures = list(measures)
+    measures = _check_measures(measures)
     if len(measures) != kernel.arity:
         raise ValueError(f"kernel '{kernel.name}' has arity {kernel.arity}, "
                          f"got {len(measures)} measures")
-    return EnergyEstimate(_sum(kernel, _check_measures(measures)), 0.0,
-                          math.prod(m.n_atoms for m in measures), True)
+    kernel._check_shape((kernel.arity, measures[0].dimension))
+    return EnergyEstimate(_sum(kernel, measures), 0.0, math.prod(m.n_atoms for m in measures), True)
 
 
 def discrete_energy(kernel: Kernel, config: PointConfiguration) -> EnergyEstimate:
     """Discrete energy of an N-point multiset: the average of the kernel
-    over all N^n ordered tuples, repeats included."""
-    return EnergyEstimate(_bind(kernel, config.points)[0](config.points), 0.0,
+    over all N^n ordered tuples, repeats included, which is the mutual
+    energy of its empirical measure in every slot."""
+    _check_type("config", config, PointConfiguration)
+    kernel._check_shape((kernel.arity, config.dimension))
+    empirical = _Atoms(config.points, np.full(config.n_points, 1.0 / config.n_points))
+    return EnergyEstimate(_sum(kernel, [empirical] * kernel.arity), 0.0,
                           config.n_points ** kernel.arity, True)
-
-
-def _coerce_queries(r: int, at) -> np.ndarray:
-    if isinstance(at, PointConfiguration):
-        at = at.points
-    q = np.asarray(at, dtype=float)
-    if q.ndim == 1:
-        q = q[None, :]
-    if q.ndim == 2:
-        if r != 1:
-            raise ValueError(f"this potential leaves {r} free slots; "
-                             f"pass query tuples of shape (Q, {r}, d)")
-        q = q[:, None, :]
-    if q.ndim != 3 or q.shape[1] != r:
-        raise ValueError(f"queries must have shape (Q, {r}, d)")
-    return q
 
 
 def potential(kernel: Kernel, measures, at) -> np.ndarray:
@@ -586,15 +559,18 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
     returned; for smaller j pass query tuples of shape (Q, arity-j, d).
     Query points must be finite and of unit norm to within GEOMETRIC_TOL.
     """
-    measures, n = list(measures), kernel.arity
-    j = len(measures)
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"number of integrated slots must be in [1, {n - 1}], got {j}")
-    measures = _check_measures(measures)
-    queries = _coerce_queries(n - j, at)
-    if not np.all(np.isfinite(queries)):
-        raise ValueError("query points must be finite")
-    _check_on_sphere(queries, "query points")
+    measures, n = _check_measures(measures), kernel.arity
+    r = n - len(measures)
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"number of integrated slots must be in [1, {n - 1}], got {n - r}")
+    d = measures[0].dimension
+    kernel._check_shape((n, d))
+    queries = _check_points(at, "query points (at)", d)
+    if r == 1 and queries.ndim < 3:
+        queries = queries.reshape((-1, 1, d))
+    if queries.ndim != 3 or queries.shape[1] != r:
+        raise ValueError(f"this potential leaves {r} free slots: query points (at) must have "
+                         f"shape (Q, {r}, d), got {queries.shape}")
     return np.asarray(_sum(kernel, measures, queries))
 
 
@@ -627,7 +603,9 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     """
     _check_count("dimension", d, 2)
     _check_count("tuples", tuples, 100)
+    _check_count("seed", seed, 0)
     n, poly = kernel.arity, kernel.pair_poly
+    kernel._check_shape((n, d))
     evaluate, drawn = kernel.evaluate_grid, n
     if poly is not None and not poly.n_anchors:     # pin the last slot at e_1
         evaluate, drawn = poly.viewed([*range(n - 1), np.eye(d)[0]], n - 1).evaluate_grid, n - 1
@@ -721,13 +699,13 @@ class MixturePolynomial:
 
 def mixture_polynomial(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure) -> MixturePolynomial:
     """Exact mixed energies of (1-t) mu + t nu, as a Bernstein polynomial."""
+    mu, nu = _check_measures((mu, nu), ("mu", "nu"))
     if not (mu.is_probability and nu.is_probability):
         raise ValueError("mixture polynomials are defined for probability measures")
     n = kernel.arity
-    coeffs = np.array([
-        mutual_energy(kernel, [mu] * (n - k) + [nu] * k).value for k in range(n + 1)
-    ])
-    return MixturePolynomial(coeffs)
+    kernel._check_shape((n, mu.dimension))
+    return MixturePolynomial(np.array([_sum(kernel, [mu] * (n - k) + [nu] * k)
+                                       for k in range(n + 1)]))
 
 
 class PotentialKernel(Kernel):
@@ -738,17 +716,16 @@ class PotentialKernel(Kernel):
     _fixed = "the measures"
 
     def __init__(self, base: Kernel, measures):
-        measures = list(measures)
+        measures = _check_measures(measures)
         j = len(measures)
         if not 1 <= j <= base.arity - 2:
             raise ValueError("potential kernels need 1 <= j <= arity - 2 integrated slots")
+        base._check_shape((base.arity, measures[0].dimension))
         super().__init__(f"potential({base.name},j={j})", base.arity - j)
         if isinstance(base, PotentialKernel):   # a potential of a potential: one flat level
             base, measures = base.base, base.measures + measures
-        self._base = base
-        self._measures = _check_measures(measures)
-        self._dimension = self._measures[0].dimension
-        base._check_shape((base.arity, self._dimension))
+        self._base, self._measures = base, measures
+        self._dimension = measures[0].dimension
 
     @property
     def base(self) -> Kernel:
@@ -758,22 +735,22 @@ class PotentialKernel(Kernel):
     def measures(self) -> list:
         return list(self._measures)
 
-    def evaluate_grid(self, arrays):
+    def _evaluate_grid(self, arrays):
         """The potential at each tuple of the grid, its queries; unlike
         :func:`potential`, any finite point is accepted, as by every other
         kernel: a kernel is a function on the ambient space, where its
         Euclidean gradient is taken."""
-        grid = _grid(self._check_arrays(arrays))
+        grid = _grid(arrays)
         values = _sum(self._base, self._measures, grid.reshape((-1,) + grid.shape[-2:]))
         return np.asarray(values).reshape(grid.shape[:-2])
 
-    def gradient_grid(self, arrays):
-        """Gradient with respect to the free slots, by a dense sum of the
-        base kernel's gradient over the integrated atoms."""
-        grid = _grid(self._check_arrays(arrays))
+    def _gradient_grid(self, arrays):
+        """Gradient with respect to the free slots, by a dense sum of the base
+        kernel's gradient over the integrated atoms, blocked by its doubles."""
+        grid = _grid(arrays)
         queries = grid.reshape((-1,) + grid.shape[-2:])
-        _route(self._base, self._measures, queries)    # evaluate_grid's checks
+        _route(self._base, self._measures, queries)    # evaluate_grid's dense limit
         j = len(self._measures)
         grads = _dense_potential(lambda a: self._base.gradient_grid(a)[..., j:, :],
-                                 self._measures, queries)
+                                 self._measures, queries, self.arity * grid.shape[-1])
         return grads.reshape(grid.shape)

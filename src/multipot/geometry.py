@@ -48,48 +48,98 @@ class DegenerateRetraction(ValueError):
     """Raised when a retraction target is too close to the origin."""
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2:
-        raise ValueError(f"expected a (N, d) point array, got shape {pts.shape}")
-    if pts.shape[1] < 2:
-        raise ValueError(f"ambient dimension must be >= 2, got {pts.shape[1]}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point coordinates must be finite")
+# --- argument checks: each public call's, once; a message names its argument ---
+
+
+def _check_points(points, name: str, d: int | None = None, *, ndim: int | None = None,
+                  sphere: bool = True) -> np.ndarray:
+    """``points`` (a :class:`PointConfiguration`, or anything numpy reads as
+    floats) as a float array (..., d).  Rejected, naming ``name``: a ragged array,
+    one of other than ``ndim`` axes or of a dimension below 2 or other than ``d``,
+    and a point off the unit sphere (|norm - 1| above GEOMETRIC_TOL, or NaN: the
+    worst and its row) or, without ``sphere`` (for a kernel), a non-finite one."""
+    try:
+        pts = np.asarray(getattr(points, "points", points), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name} must be an array of point coordinates: {exc}") from None
+    if (pts.ndim != (ndim or max(pts.ndim, 1)) or pts.shape[-1] < 2
+            or d not in (None, pts.shape[-1])):
+        form = {1: "(d,)", 2: "(N, d)"}.get(ndim, "(..., d)")
+        raise ValueError(f"{name} must have shape {form} and dimension {d or '>= 2'}, "
+                         f"got shape {pts.shape}")
+    if not sphere:
+        _check_finite(pts, name)
+        return pts
+    off = np.atleast_1d(np.abs(np.linalg.norm(pts, axis=-1) - 1))
+    worst = np.max(off, initial=0.0)
+    if not worst <= GEOMETRIC_TOL:
+        row = np.unravel_index(np.argmax(off), off.shape)[0]
+        raise ValueError(f"{name} must {'' if np.isfinite(worst) else 'be finite and must '}"
+                         f"lie on the unit sphere (tol {GEOMETRIC_TOL:g}): "
+                         f"|norm - 1| = {worst:.3e} at row {row}")
     return pts
 
 
-def _check_on_sphere(points: np.ndarray, what: str) -> None:
-    """Reject points (the last axis) whose |norm - 1| exceeds GEOMETRIC_TOL or is
-    NaN, naming the worst one and its row (index along the first axis)."""
-    off = np.atleast_1d(np.abs(np.linalg.norm(points, axis=-1 if points.ndim > 1 else None) - 1))
-    if not np.max(off, initial=0.0) <= GEOMETRIC_TOL:
-        row = np.unravel_index(np.argmax(off), off.shape)[0]
-        raise ValueError(f"{what} must lie on the unit sphere (tol {GEOMETRIC_TOL:g}): "
-                         f"|norm - 1| = {np.max(off):.3e} at row {row}")
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Reject a non-finite entry of ``values``, naming one: one sum tests them all,
+    and only a sum that is not finite (or overflows) has them looked at one by one."""
+    if not np.isfinite(values.sum()):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"{what} must be finite, got {bad.flat[0]}")
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Reject, naming the value, a count that is no integer or is below ``least``."""
+def _check_count(name: str, value, least: int, most: float = np.inf) -> None:
+    """Reject, naming the value, a count that is no integer or is outside [least, most]."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"need {name} >= {least}, got {value!r}")
+    if value > most:
+        raise ValueError(f"need {name} <= {most}, got {value!r}")
+
+
+def _check_tol(tol) -> None:
+    """Reject a tolerance ``tol`` that is neither None nor finite and nonnegative."""
+    if tol is not None and not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _check_type(name: str, value, cls) -> None:
+    """Reject, with a TypeError, a ``value`` that is no ``cls``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
+def _check_measures(measures, names=None) -> list:
+    """The measures as a list of DiscreteMeasures (else a TypeError), each with an atom,
+    all of one dimension; a message names each by ``names``, or by its slot."""
+    measures = list(measures)
+    for s, m in enumerate(measures):
+        name = names[s] if names else f"the measure in slot {s}"
+        _check_type(name, m, DiscreteMeasure)
+        if m.n_atoms == 0:
+            raise ValueError(f"{name} has no atoms")
+    if len({m.dimension for m in measures}) > 1:
+        raise ValueError(f"measures must share a dimension, got {[m.dimension for m in measures]}")
+    return measures
+
+
+def _rng(seed) -> np.random.Generator:
+    """The generator of ``seed``, a nonnegative integer."""
+    _check_count("seed", seed, 0)
+    return np.random.default_rng(seed)
 
 
 def unit_vector(coords) -> np.ndarray:
     """Validate and return a point on S^{d-1} as a (d,) float array."""
-    x = np.asarray(coords, dtype=float).reshape(-1)
-    if x.size < 2:
-        raise ValueError("unit vectors need dimension >= 2")
-    _check_on_sphere(x, "a unit vector")
-    return x
+    return _check_points(coords, "a unit vector", ndim=1)
 
 
 def basis_vector(i: int, d: int) -> np.ndarray:
     """The i-th standard basis vector in R^d (0-indexed)."""
-    if not 0 <= i < d:
-        raise ValueError(f"basis index {i} out of range for dimension {d}")
+    _check_count("dimension d", d, 2)
+    _check_count("basis index i", i, 0, d - 1)
     v = np.zeros(d)
     v[i] = 1.0
     return v
@@ -110,10 +160,9 @@ class PointConfiguration:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _as_points(self.points)
+        pts = _check_points(self.points, "all points", ndim=2)
         if pts.shape[0] < 1:
             raise ValueError("a point configuration needs at least one point")
-        _check_on_sphere(pts, "all points")
         _freeze(self, points=pts)
 
     @property
@@ -142,16 +191,14 @@ class DiscreteMeasure:
     weights: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        atoms = _as_points(self.atoms)
-        _check_on_sphere(atoms, "all atoms")
+        atoms = _check_points(self.atoms, "all atoms", ndim=2)
         if self.weights is None:
             w = np.full(atoms.shape[0], 1.0 / max(atoms.shape[0], 1))
         else:
             w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != atoms.shape[0]:
             raise ValueError("atoms and weights must have matching lengths")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+        _check_finite(w, "weights")
         _freeze(self, atoms=atoms, weights=w)
 
     @property
@@ -177,14 +224,12 @@ class DiscreteMeasure:
     @classmethod
     def dirac(cls, point) -> "DiscreteMeasure":
         """Unit point mass at ``point``."""
-        x = unit_vector(point)
-        return cls(x[None, :], np.array([1.0]))
+        return cls([point], np.array([1.0]))
 
     @classmethod
     def from_configuration(cls, config: PointConfiguration) -> "DiscreteMeasure":
         """Empirical measure of a configuration: weight 1/N at each point."""
-        n = config.n_points
-        return cls(config.points, np.full(n, 1.0 / n))
+        return cls(config.points)
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(n_atoms={self.n_atoms}, dimension={self.dimension}, total_mass={self.total_mass:.6g})"
@@ -198,7 +243,7 @@ def sample_sphere(d: int, m: int, seed: int) -> PointConfiguration:
     """
     _check_count("dimension d", d, 2)
     _check_count("sample count m", m, 1)
-    return PointConfiguration(_random_directions(np.random.default_rng(seed), (m, d)))
+    return PointConfiguration(_random_directions(_rng(seed), (m, d)))
 
 
 # Rows from which d column passes beat one reduce over a short last axis
@@ -253,18 +298,8 @@ def uniform_surrogate(d: int, m: int, seed: int) -> DiscreteMeasure:
 
 def gram(config: PointConfiguration | np.ndarray) -> np.ndarray:
     """Gram matrix of pairwise inner products; unit diagonal, PSD."""
-    pts = config.points if isinstance(config, PointConfiguration) else _as_points(config)
+    pts = _check_points(config, "config", ndim=2)
     return pts @ pts.T
-
-
-def _check_finite(values: np.ndarray, what: str) -> None:
-    """Reject a non-finite entry of the per-row ``values``, naming one.  One
-    sum tests them all; only when it is not finite (a sum of finite values
-    may overflow too) are they looked at one by one."""
-    if not np.isfinite(values.sum()):
-        bad = values[~np.isfinite(values)]
-        if bad.size:
-            raise ValueError(f"{what} must be finite, got {bad.flat[0]}")
 
 
 def project_tangent(x, g) -> np.ndarray:
@@ -273,6 +308,8 @@ def project_tangent(x, g) -> np.ndarray:
     broadcast against each other.  Raises ValueError if a row's <g, x> is
     not finite (a non-finite entry, or overflow)."""
     x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=float)
+    if g.shape[-1:] != x.shape[-1:]:
+        raise ValueError(f"g must have the dimension of x (shape {x.shape}), got shape {g.shape}")
     dots = np.add.reduce(g * x, -1)
     _check_finite(dots, "<g, x>")
     return g - dots[..., None] * x
@@ -284,6 +321,9 @@ def retract(x, v) -> np.ndarray:
     each other.  Raises ValueError if a row's norm is not finite (a
     non-finite entry, or overflow), and :class:`DegenerateRetraction` if it
     is below 1e-14."""
+    if np.shape(v)[-1:] != np.shape(x)[-1:]:
+        raise ValueError(f"v must have the dimension of x (shape {np.shape(x)}), "
+                         f"got shape {np.shape(v)}")
     target = np.add(x, v, dtype=float)
     norms = np.sqrt(_squared_norms(target))
     _check_finite(norms, "||x + v||")
@@ -298,15 +338,15 @@ def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
     Atom lists are concatenated (zero weights kept); for probability inputs
     and t in [0, 1] the result is again a probability measure.
     """
+    mixed = combine(mu, nu, 1.0 - t, t)
     if mu.is_probability and nu.is_probability and not 0.0 <= t <= 1.0:
-        raise ValueError(f"mixture parameter must lie in [0, 1], got {t}")
-    return combine(mu, nu, 1.0 - t, t)
+        raise ValueError(f"mixture parameter t must lie in [0, 1], got {t}")
+    return mixed
 
 
 def combine(mu: DiscreteMeasure, nu: DiscreteMeasure, a: float, b: float) -> DiscreteMeasure:
     """Signed combination a*mu + b*nu."""
-    if mu.dimension != nu.dimension:
-        raise ValueError("measures must share a dimension")
+    mu, nu = _check_measures((mu, nu), ("mu", "nu"))
     atoms = np.vstack([mu.atoms, nu.atoms])
     weights = np.concatenate([a * mu.weights, b * nu.weights])
     return DiscreteMeasure(atoms, weights)
@@ -315,8 +355,7 @@ def combine(mu: DiscreteMeasure, nu: DiscreteMeasure, a: float, b: float) -> Dis
 def random_rotation(d: int, seed: int) -> np.ndarray:
     """A Haar-random rotation matrix in SO(d) (QR with sign fix)."""
     _check_count("dimension d", d, 2)
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q, r = np.linalg.qr(_rng(seed).standard_normal((d, d)))
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
@@ -374,11 +413,13 @@ def _format_rows(weights, points) -> str:
 
 
 def write_measure_csv(path, measure: DiscreteMeasure) -> None:
+    _check_type("measure", measure, DiscreteMeasure)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_format_rows(measure.weights, measure.atoms))
 
 
 def write_points_csv(path, config: PointConfiguration) -> None:
+    _check_type("config", config, PointConfiguration)
     n = config.n_points
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_format_rows(np.full(n, 1.0 / n), config.points))

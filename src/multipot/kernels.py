@@ -30,7 +30,9 @@ Gram-variable naming for three inputs (x, y, z):
 
 Kernels accept any finite points, so they remain usable for any embedded
 point set, although the catalog semantics (e.g. squared triangle area)
-assume unit vectors.
+assume unit vectors.  A tuple or batch with a non-finite coordinate is
+refused (``geometry._check_points``); the grid methods check only the
+arity and dimension (:meth:`Kernel._check_shape`) of their slot arrays.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import warnings
 import numpy as np
 
 from .config import GEOMETRIC_TOL
-from .geometry import _check_on_sphere
+from .geometry import _check_count, _check_points
 
 __all__ = [
     "Kernel",
@@ -254,8 +256,6 @@ class PairPolynomial:
         """self + other (mode "sum") or self * other ("prod"); other's
         anchors, of the same dimension as self's, follow self's."""
         ns, shift = self.nslots, self.n_anchors
-        if other.nslots != ns:
-            raise ValueError("polynomials must share slot count")
         others = [(tuple(((a, b if b < ns else b + shift), e) for (a, b), e in mono), c)
                   for mono, c in other.terms.items()]
         if mode == "sum":
@@ -270,8 +270,9 @@ class PairPolynomial:
 class Kernel:
     """A symmetric continuous kernel of fixed arity.
 
-    Subclasses implement :meth:`evaluate_grid` and :meth:`gradient_grid`
-    (every kernel this module builds has an analytic gradient); scalar
+    Subclasses implement ``_evaluate_grid`` and ``_gradient_grid``, which
+    :meth:`evaluate_grid` and :meth:`gradient_grid` call on checked slot
+    arrays (every kernel this module builds has an analytic gradient); scalar
     convenience calls, batches of tuples and the arithmetic live here.
     ``pair_poly`` is set when the kernel is an explicit pair-inner-product
     polynomial, which unlocks fast exact energies.
@@ -302,35 +303,27 @@ class Kernel:
     def evaluate_grid(self, arrays) -> np.ndarray:
         """The kernel over the product grid of point arrays (..., n_s, d), one
         per slot (:func:`_grid`), shaped like the grid's tuple index."""
-        raise NotImplementedError
+        self._check_shape((len(arrays), arrays[0].shape[-1]))
+        return self._evaluate_grid(arrays)
 
     def gradient_grid(self, arrays) -> np.ndarray:
         """The Euclidean gradient with respect to every slot over the grid of
         the slot arrays: the grid's tuple index, then (arity, d)."""
-        raise NotImplementedError
+        self._check_shape((len(arrays), arrays[0].shape[-1]))
+        return self._gradient_grid(arrays)
 
     def evaluate_batch(self, pts) -> np.ndarray:
-        """The kernel at each tuple of points (..., arity, d): the grid of the
-        one-point slot arrays ``pts[..., s, None, :]``."""
-        pts = self._check_points(pts)
+        """The kernel at each tuple of finite points (..., arity, d): the grid
+        of the one-point slot arrays ``pts[..., s, None, :]``."""
+        pts = _check_points(pts, "points", sphere=False)
+        self._check_shape(pts.shape)
         return self.evaluate_grid(_point_slots(pts)).reshape(pts.shape[:-2])
 
     def gradient_batch(self, pts) -> np.ndarray:
-        """The gradient at each tuple of points, shaped like ``pts``."""
-        pts = self._check_points(pts)
-        return self.gradient_grid(_point_slots(pts)).reshape(pts.shape)
-
-    def _check_points(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
+        """The gradient at each tuple of finite points, shaped like ``pts``."""
+        pts = _check_points(pts, "points", sphere=False)
         self._check_shape(pts.shape)
-        return pts
-
-    def _check_arrays(self, arrays) -> list:
-        """The slot arrays (..., n_s, d) as float arrays, one per slot, of
-        the kernel's dimension."""
-        arrays = [np.asarray(a, dtype=float) for a in arrays]
-        self._check_shape((len(arrays), arrays[0].shape[-1]))
-        return arrays
+        return self.gradient_grid(_point_slots(pts)).reshape(pts.shape)
 
     def _check_shape(self, shape: tuple) -> None:
         """Reject points of ``shape`` (..., n, d) unless n is the arity and d
@@ -342,12 +335,12 @@ class Kernel:
                              f"{self._dimension} of {self._fixed}")
 
     def evaluate(self, pts) -> float:
-        """Evaluate on one n-tuple of points given as an (n, d) array."""
-        pts = self._check_points(pts)
-        return float(self.evaluate_batch(pts[None, ...])[0])
+        """Evaluate on one n-tuple of finite points given as an (n, d) array."""
+        pts = _check_points(pts, "points", ndim=2, sphere=False)
+        return float(self.evaluate_grid(_point_slots(pts))[(0,) * self.arity])
 
     def __call__(self, *points) -> float:
-        return self.evaluate(np.stack([np.asarray(p, dtype=float) for p in points]))
+        return self.evaluate(points)
 
     # -- algebra --------------------------------------------------------------
 
@@ -415,11 +408,11 @@ class PolynomialKernel(Kernel):
         if poly.n_anchors:
             self._dimension = poly.anchors.shape[1]
 
-    def evaluate_grid(self, arrays):
-        return self.pair_poly.evaluate_grid(self._check_arrays(arrays))
+    def _evaluate_grid(self, arrays):
+        return self.pair_poly.evaluate_grid(arrays)
 
-    def gradient_grid(self, arrays):
-        return self.pair_poly.gradient_grid(self._check_arrays(arrays))
+    def _gradient_grid(self, arrays):
+        return self.pair_poly.gradient_grid(arrays)
 
 
 class _Combination(Kernel):
@@ -472,18 +465,17 @@ class _Combination(Kernel):
         return [c * self._grid_view(base.evaluate_grid, layout, arrays)
                 for c, base, layout in self._terms]
 
-    def evaluate_grid(self, arrays):
+    def _evaluate_grid(self, arrays):
         """The kernel over the grid of the slot arrays: the constant, if any,
         plus each term's values from its base's :meth:`Kernel.evaluate_grid`
         on its view's slot arrays, combined left to right."""
-        vals = self._values(self._check_arrays(arrays))
+        vals = self._values(arrays)
         out = vals[0] if self._const is None else self._const + vals[0]
         for v in vals[1:]:
             out = self._op(out, v)
         return out
 
-    def gradient_grid(self, arrays):
-        arrays = self._check_arrays(arrays)
+    def _gradient_grid(self, arrays):
         shape = _tuple_shape(arrays) + (self.arity, arrays[0].shape[-1])
         grads = []
         for c, base, layout in self._terms:
@@ -544,15 +536,15 @@ class RieszKernel(Kernel):
 
     def _differences(self, arrays):
         """x - y over the grid of the slot arrays x and y, and its norms."""
-        x, y = self._check_arrays(arrays)
+        x, y = arrays
         diff = x[..., :, None, :] - y[..., None, :, :]
         return diff, np.linalg.norm(diff, axis=-1)
 
-    def evaluate_grid(self, arrays):
+    def _evaluate_grid(self, arrays):
         dist = self._differences(arrays)[1]
         return np.where(dist > GEOMETRIC_TOL, dist ** self.s, 0.0)
 
-    def gradient_grid(self, arrays):
+    def _gradient_grid(self, arrays):
         # grad_x ||x-y||^s = s ||x-y||^{s-2} (x-y), singular at x = y when s < 1.
         # A pair at most GEOMETRIC_TOL apart counts as coincident and gets no
         # gradient, so every kernel built from this one shares the rule.
@@ -572,11 +564,10 @@ class ExpUvtKernel(Kernel):
         super().__init__("prod_f_uvt", 3, params={"f": "exp"}, nonnegative=True)
         self._uvt = uvt().pair_poly
 
-    def evaluate_grid(self, arrays):
-        return np.exp(self._uvt.evaluate_grid(self._check_arrays(arrays)))
+    def _evaluate_grid(self, arrays):
+        return np.exp(self._uvt.evaluate_grid(arrays))
 
-    def gradient_grid(self, arrays):
-        arrays = self._check_arrays(arrays)
+    def _gradient_grid(self, arrays):
         val = np.exp(self._uvt.evaluate_grid(arrays))
         return val[..., None, None] * self._uvt.gradient_grid(arrays)
 
@@ -699,8 +690,7 @@ def _lift(base: Kernel, n: int, mode: str) -> Kernel:
     """The sum or the product of ``base`` over all arity(base)-subsets of
     n inputs."""
     m = base.arity
-    if not 2 <= m <= n - 1:
-        raise ValueError(f"lift requires 2 <= arity(base) <= n-1, got arity {m}, n {n}")
+    _check_count(f"lift arity n (base arity {m})", n, m + 1)
     return _derived(f"{mode}_lift({base.name},n={n})", n, mode,
                     [(1.0, base, s) for s in itertools.combinations(range(n), m)],
                     params={"base": base.name, "n": n}, nonnegative=base.nonnegative)
@@ -713,13 +703,14 @@ def sum_lift(base: Kernel, n: int) -> Kernel:
 
 def prod_lift(base: Kernel, n: int) -> Kernel:
     """Product of ``base`` over all arity(base)-subsets of n inputs."""
+    lifted = _lift(base, n, "prod")
     if not base.nonnegative and base.arity < n - 1:
         warnings.warn(
             "product lift of a possibly-negative kernel with arity < n-1 "
             "need not preserve positive definiteness",
             stacklevel=2,
         )
-    return _lift(base, n, "prod")
+    return lifted
 
 
 def pin(kernel: Kernel, pins) -> Kernel:
@@ -730,12 +721,11 @@ def pin(kernel: Kernel, pins) -> Kernel:
     Requires 1 <= m <= n-2 so the result keeps at least two inputs, and
     pins on the unit sphere (the kernel itself accepts any finite point).
     """
-    pins = np.atleast_2d(np.asarray(pins, dtype=float))
+    pins = np.atleast_2d(_check_points(pins, "pins"))
     m, n = pins.shape[0], kernel.arity
     if not 1 <= m <= n - 2:
         raise ValueError(f"pin count must satisfy 1 <= m <= arity-2, got {m} for arity {n}")
-    _check_on_sphere(pins, "pins")
-    kernel._check_shape((n, pins.shape[1]))
+    kernel._check_shape((n, pins.shape[-1]))
     return _derived(f"pin({kernel.name})", n - m, "prod", [(1.0, kernel, [*pins, *range(n - m)])],
                     params=dict(kernel.params, pins=m))
 
@@ -748,8 +738,7 @@ def cpd_shift(kernel: Kernel, x0, variant: str = "standard") -> Kernel:
     """
     if kernel.arity != 2:
         raise ValueError("cpd_shift applies to two-input kernels")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _check_on_sphere(x0, "the anchor x0")
+    x0 = _check_points(x0, "the anchor x0", ndim=1)
     diag = kernel(x0, x0)
     if variant == "zero" and diag > 0:
         raise ValueError("zero-variant shift requires G(x0, x0) <= 0")

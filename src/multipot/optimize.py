@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _squared_norms,
-                       project_tangent, retract, sample_sphere)
+from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _check_measures,
+                       _check_type, _squared_norms, project_tangent, retract, sample_sphere)
 from .config import RESIDUAL_TOL
 from .kernels import Kernel
 from .energy import MixturePolynomial, _bind, mixture_polynomial
@@ -72,6 +72,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _check_count("steps", self.steps, 0)
+        _check_count("seed", self.seed, 0)
+        if not isinstance(self.maximize, (bool, np.bool_)):
+            raise ValueError(f"maximize must be a bool, got {self.maximize!r}")
         if not 0 < self.step_size < math.inf:
             raise ValueError(f"step size must be positive and finite, got {self.step_size!r}")
         if not self.stop_tol >= 0:
@@ -101,10 +104,10 @@ class OptimizationTrace:
 def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int) -> np.ndarray:
     """Tangent-space gradient of the discrete energy with respect to the
     i-th point, exact from the energy module."""
+    _check_type("config", config, PointConfiguration)
+    _check_count("point index i", i, 0, config.n_points - 1)
+    kernel._check_shape((kernel.arity, config.dimension))
     stack = config.points[None]
-    _check_count("point index i", i, 0)
-    if i >= stack.shape[1]:
-        raise ValueError(f"point index {i} out of range")
     return project_tangent(stack, _bind(kernel, stack)[1](stack))[0, i]
 
 
@@ -206,8 +209,10 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
     """
     if initial is None:
         return multistart(kernel, n_points, d, cfg, starts=1)
+    _check_type("cfg", cfg, OptimizerConfig)
     _check_count("n_points", n_points, 1)
     _check_count("dimension d", d, 2)
+    kernel._check_shape((kernel.arity, d))
     pts = np.array(getattr(initial, "points", initial), dtype=float)
     if pts.shape != (n_points, d):
         raise ValueError(f"initial configuration must have shape ({n_points}, {d}), "
@@ -231,9 +236,10 @@ def multistart(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfig,
                starts: int = 4) -> OptimizationTrace:
     """Best-of-k restarts from the seeds seed, seed + 1, ... (ties go to
     the earlier seed), run as one batched descent."""
+    _check_type("cfg", cfg, OptimizerConfig)
     _check_count("starts", starts, 1)
     _check_count("n_points", n_points, 1)
-    _check_count("dimension d", d, 2)
+    kernel._check_shape((kernel.arity, d))
     stack = np.stack([sample_sphere(d, n_points, cfg.seed + k).points for k in range(starts)])
     return (max if cfg.maximize else min)(_descend(kernel, stack, cfg),
                                           key=lambda trace: trace.final_energy)
@@ -258,16 +264,13 @@ def local_min_probe(kernel: Kernel, mu: DiscreteMeasure, directions) -> list[Dir
     (nonpositive residual certifies the averaged upper bound on the mixed
     energy).
     """
-    if not mu.is_probability:
-        raise ValueError("the base measure must be a probability measure")
+    if not _check_measures([mu], ["mu"])[0].is_probability:
+        raise ValueError("the base measure mu must be a probability measure")
     ts = np.linspace(0.0, 1.0, 201)
     alphas = np.linspace(0.0, 1.0, 101)[1:-1]
     out = []
     for nu in directions:
-        if not isinstance(nu, DiscreteMeasure):
-            raise TypeError(f"directions must be DiscreteMeasures, got {type(nu).__name__}")
-        if not nu.is_probability:
-            raise ValueError("probe directions must be probability measures")
+        _check_type("directions", nu, DiscreteMeasure)
         g = mixture_polynomial(kernel, mu, nu)
         gap = float(np.min(g(ts) - g(0.0)))
         c = g.coefficients

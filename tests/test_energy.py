@@ -508,6 +508,68 @@ def test_dense_gradient_blocks_bound_their_doubles(monkeypatch):
         assert len(seen) > 1 and 9 * max(seen) <= limit
 
 
+def test_potential_kernel_gradient_blocks_bound_their_doubles(monkeypatch):
+    # a potential kernel's gradient holds free slots * d doubles per tuple: its
+    # query spans and grid blocks hold at most _BLOCK_TUPLES of them, with the
+    # bits of one block (the parent spanned by tuples: 12,000 per block, 1.9 MB)
+    kernel = PotentialKernel(prod_f_uvt(f="exp"), [uniform_surrogate(3, 200, 170)])
+    pairs = sample_sphere(3, 200, 171).points.reshape(100, 2, 3)
+    default = kernel.gradient_batch(pairs)
+    seen, gradient_grid = [], kernel.base.gradient_grid
+    monkeypatch.setattr(kernel.base, "gradient_grid", lambda arrays: seen.append(
+        math.prod(_tuple_shape(arrays))) or gradient_grid(arrays))
+    monkeypatch.setattr(energy_mod, "_BLOCK_TUPLES", 12_000)
+    assert np.array_equal(kernel.gradient_batch(pairs), default)
+    assert len(seen) == 10 and 6 * max(seen) <= 12_000
+    tracemalloc.start()
+    try:
+        kernel.gradient_batch(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * 12_000, peak
+
+
+_EMPIRICAL_KERNELS = {
+    "area2": lambda mu: area2(),
+    "vol2": lambda mu: vol2(),
+    "s011": lambda mu: s011(),
+    "riesz(0.5)": lambda mu: riesz(0.5),
+    "exp(uvt)": lambda mu: prod_f_uvt(f="exp"),
+    "pin(sum_lift(area2,4))": lambda mu: pin(sum_lift(area2(), 4), E1),
+    "potential(area2)": lambda mu: PotentialKernel(area2(), [mu]),
+    "sum_lift(riesz(1),3)": lambda mu: sum_lift(riesz(1.0), 3),
+    "prod_lift(area2,4)": lambda mu: prod_lift(area2(), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPIRICAL_KERNELS))
+def test_discrete_energy_is_the_bound_energy(name):
+    # discrete_energy sums the empirical measure on the energy route; a descent's
+    # bound energy gets the same bits from the same route and program
+    kernel = _EMPIRICAL_KERNELS[name](uniform_surrogate(3, 6, 172))
+    config = sample_sphere(3, 9, 173)
+    value = discrete_energy(kernel, config).value
+    assert value == energy_mod._bind(kernel, config.points)[0](config.points)
+    empirical = DiscreteMeasure.from_configuration(config)
+    assert value == mutual_energy(kernel, [empirical] * kernel.arity).value
+
+
+def test_discrete_energy_past_the_work_limit_keeps_the_moment_route(monkeypatch):
+    # a discrete energy, which holds no gradient, counts one span of its points'
+    # powers, as the mutual energy of its empirical measure does; the bound
+    # engine of a descent counts them all and still refuses the points
+    config = sample_sphere(3, 2000, 174)
+    default = discrete_energy(area2(), config).value
+    monkeypatch.setattr(energy_mod, "_SPAN_ENTRIES", 40)
+    monkeypatch.setattr(energy_mod, "_WORK_LIMIT", 1000)     # below 2000 points x 13 powers
+    value = discrete_energy(area2(), config).value
+    assert value == mutual_energy(area2(), [DiscreteMeasure.from_configuration(config)] * 3).value
+    assert value == pytest.approx(default, rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError, match="8000000000 atom tuples exceed the dense limit"):
+        energy_mod._bind(area2(), config.points)
+
+
 def test_empty_query_batches_give_empty_arrays():
     mu = uniform_surrogate(3, 7, 1)
     for base in (area2(), prod_f_uvt(f="exp")):
@@ -521,7 +583,7 @@ def test_measures_of_another_dimension_are_rejected():
     # a potential kernel whose measures live in R^3, on points in R^4
     kernel = PotentialKernel(sum_lift(inner(), 4), [_random_measure(5, 3, 87)])
     m4, config = _random_measure(5, 4, 88), sample_sphere(4, 6, 89)
-    message = "dimension 4 of slot 1 differs from 3 of slot 0"
+    message = "point dimension 4 does not match dimension 3 of the measures"
     with pytest.raises(ValueError, match=message):
         discrete_energy(kernel, config)
     with pytest.raises(ValueError, match=message):
@@ -530,8 +592,9 @@ def test_measures_of_another_dimension_are_rejected():
         potential(kernel, [m4, m4], basis_vector(0, 4))
     with pytest.raises(ValueError, match=message):
         optimize_discrete(kernel, 6, 4, OptimizerConfig(steps=2), initial=config)
-    with pytest.raises(ValueError, match="dimension 4 of the queries"):
-        energy_mod._route(area2(), [_random_measure(5, 3, 90)] * 2, np.ones((1, 1, 4)))
+    with pytest.raises(ValueError, match=re.escape(
+            "query points (at) must have shape (..., d) and dimension 3, got shape (1, 1, 4)")):
+        potential(area2(), [_random_measure(5, 3, 90)] * 2, np.full((1, 1, 4), 0.5))
     pk = PotentialKernel(area2(), [_random_measure(5, 3, 91)])
     for method in (pk.evaluate_batch, pk.gradient_batch):
         with pytest.raises(ValueError,

@@ -291,7 +291,7 @@ def test_local_min_probe_requires_probability():
 
 def test_local_min_probe_requires_measures_as_directions():
     mu = uniform_surrogate(3, 50, 16)
-    with pytest.raises(TypeError, match="directions must be DiscreteMeasures, got ndarray"):
+    with pytest.raises(TypeError, match="directions must be of type DiscreteMeasure, got ndarray"):
         local_min_probe(area2(), mu, [mu.atoms])
 
 

@@ -317,3 +317,32 @@ def test_only_the_base_kernel_evaluates_batches():
              for d in _batch_definitions(path.read_text(encoding="utf-8"))]
     assert found == [("kernels.py", "Kernel", "evaluate_batch"),
                      ("kernels.py", "Kernel", "gradient_batch")]
+
+
+_VALIDATOR_PREFIXES = ("_check_", "_as_", "_coerce_")
+
+
+def _validators(source: str) -> list:
+    """(class or None, name) for each function or method the source defines
+    whose name starts with one of the validator prefixes."""
+    tree, owner = ast.parse(source), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            owner.update({id(item): node.name for item in node.body})
+    return [(owner.get(id(node)), node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith(_VALIDATOR_PREFIXES)]
+
+
+def test_argument_checks_live_in_geometry():
+    # every private validator is defined in geometry.py, the one home of the
+    # argument checks; a kernel's dimension contract, Kernel._check_shape, is the
+    # one method exempt
+    assert _validators("def _coerce_x(): pass\nclass K:\n    def _as_y(self): pass") == [
+        (None, "_coerce_x"), ("K", "_as_y")]
+    package = pathlib.Path(multipot.__file__).parent
+    assert {name for _, name in _validators((package / "geometry.py").read_text())} >= {
+        "_check_points", "_check_measures", "_check_count"}
+    found = [(path.name, *v) for path in sorted(package.rglob("*.py")) if path.name != "geometry.py"
+             for v in _validators(path.read_text(encoding="utf-8"))]
+    assert found == [("kernels.py", "Kernel", "_check_shape")]
