@@ -10,9 +10,14 @@ can be recomputed independently.
 The randomized batteries (:func:`pd_test_2input`, :func:`npd_test`,
 :func:`shift_equivalence_battery`, :func:`inequality_suite`) run their
 trials in blocks of at most ``_CHUNK_TUPLES`` = 24,576 kernel tuples (one
-trial at least), cut by the energy module's block rule.  A block makes the
-same generator calls, in the same order, as one trial at a time would, so a
-seed fixes every report whatever the block size; the block is then
+trial at least), cut by the energy module's block rule.  A block draws each
+random quantity in one call from a stream of its own, which it reads in
+order, so its draws are those of one trial at a time and a seed fixes every
+report whatever the block size: the PD tests' points come from the one
+generator of the seed, and the inequality suite's atom counts, atoms,
+weights and probes from four children of ``SeedSequence(seed)``.  A drawn
+row of norm below 1e-12 (probability zero) is redrawn from its stream at
+the end of its block's draws, so none reaches a kernel.  The block is then
 normalised, evaluated and decomposed in one pass: one
 :meth:`Kernel.evaluate_grid` call per kernel over its slot arrays (a pair
 polynomial takes it from their inner products, a combination such as the
@@ -21,9 +26,7 @@ weighs a block's fixed cost, some eight suite trials' worth, against the
 size of its arrays: an arity-3 suite block holds 49 trials, and a PD test
 of five 40-point sets is one block.  Eigenvectors (``eigh``) are
 computed only for a trial whose least eigenvalue makes it a witness
-candidate.  The one exception to the draw order has probability zero: a
-drawn row of norm below 1e-12 is redrawn at the end of its block's draws
-rather than at once, so no such row ever reaches a kernel.
+candidate.
 
 Exact sums and potentials, the fold potentials of the constancy check's
 noise estimate among them, come from :mod:`multipot.energy`, which alone
@@ -44,9 +47,11 @@ from .geometry import (
     _check_measures,
     _check_points,
     _check_tol,
+    _check_type,
     _normalize_rows,
     _random_directions,
     _rng,
+    _streams,
     basis_vector,
 )
 from .kernels import Kernel, cpd_shift, pin
@@ -210,6 +215,7 @@ def pd_test_2input(kernel: Kernel, d: int, *, conditional: bool = False,
     (probability zero) is redrawn at the end of its block's draw, so none
     reaches the kernel.
     """
+    _check_type("kernel", kernel, Kernel)
     if kernel.arity != 2:
         raise ValueError("pd_test_2input expects a two-input kernel")
     _check_count("dimension d", d, 2)
@@ -268,6 +274,7 @@ def npd_test(kernel: Kernel, d: int, *, conditional: bool = False,
     probe set (basis vectors and -e_1) so that standard counterexamples
     are found reproducibly.
     """
+    _check_type("kernel", kernel, Kernel)
     n = kernel.arity
     if n < 3:
         raise ValueError("npd_test expects arity >= 3; use pd_test_2input")
@@ -318,6 +325,7 @@ class ConvexityReport:
 def convexity_probe(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure,
                     grid: int = 1000) -> ConvexityReport:
     """Probe convexity of the energy along the segment from mu to nu."""
+    _check_type("kernel", kernel, Kernel)
     _check_count("grid", grid, 2)
     g = mixture_polynomial(kernel, mu, nu)
 
@@ -379,6 +387,7 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
     The standard error comes from the potentials of contiguous folds of mu
     (:func:`_potential_stderr`), for a kernel of any arity.
     """
+    _check_type("kernel", kernel, Kernel)
     mu = _check_measures([mu], ["mu"])[0]
     if not len(test_points):
         raise ValueError("need at least one test point")
@@ -408,45 +417,31 @@ class InequalityReport:
         return asdict(self)
 
 
-def _random_atoms(rng, d: int):
-    """Atoms and probability weights of one random measure with
-    2.._MAX_ATOMS atoms on S^{d-1}, drawn as integers(2, _MAX_ATOMS + 1),
-    then standard_normal((k, d)), then random(k).  :func:`_draw_trials`
-    makes the same calls for a block of measures."""
-    k = int(rng.integers(2, _MAX_ATOMS + 1))
-    atoms = _random_directions(rng, (k, d))
-    w = rng.random(k) + 1e-3
-    return atoms, w / w.sum()
+def _draw_trials(streams, count: int, n: int, d: int):
+    """The random inputs of ``count`` trials: atoms (count, n, K, d), weights
+    (count, n, K) and diagonal probes (count, n, d), K = _MAX_ATOMS.
 
-
-def _draw_trials(rng, count: int, n: int, d: int):
-    """The random inputs of ``count`` trials, in the suite's draw order.
-
-    Returns atoms (count, n, K, d), weights (count, n, K) and diagonal
-    probes (count, n, d), K = _MAX_ATOMS.  Each trial makes the generator
-    calls of n :func:`_random_atoms` and then ``standard_normal((n, d))``,
-    drawing straight into these arrays; the norms, divisions and weight
-    sums then run once over the block, with the bits of the per-measure
-    arithmetic.  A measure with fewer than K atoms is padded with copies of
-    its first atom carrying weight 0.  A row of norm below 1e-12 is redrawn
-    after all of the block's draws (atoms first, then probes).
+    ``streams`` are the generators of the atom counts, the atoms, the
+    weights and the probes; each draws its quantity for the whole block in
+    one call: counts ``2 + floor((K - 1) * random((count, n)))``, atoms
+    ``standard_normal((count, n, K, d))``, weights ``random((count, n, K)) +
+    1e-3`` and probes ``standard_normal((count, n, d))``.  A measure of k < K
+    atoms keeps the first k; its other slots hold its first atom at weight 0.
+    A row of norm below 1e-12 is redrawn from its stream after all of the
+    block's draws (atoms first, then probes).
     """
-    atoms = np.empty((count, n, _MAX_ATOMS, d))
-    weights = np.zeros((count, n, _MAX_ATOMS))
-    probes = np.empty((count, n, d))
-    sizes = np.empty((count, n), dtype=np.intp)
-    for t in range(count):
-        for s in range(n):
-            k = sizes[t, s] = rng.integers(2, _MAX_ATOMS + 1)
-            rng.standard_normal(out=atoms[t, s, :k])
-            rng.random(out=weights[t, s, :k])
-        rng.standard_normal(out=probes[t])
+    counts, atom_rng, weight_rng, probe_rng = streams
+    sizes = 2 + ((_MAX_ATOMS - 1) * counts.random((count, n))).astype(np.intp)
+    atoms = atom_rng.standard_normal((count, n, _MAX_ATOMS, d))
+    weights = weight_rng.random((count, n, _MAX_ATOMS)) + 1e-3
+    probes = probe_rng.standard_normal((count, n, d))
+    _normalize_rows(atom_rng, atoms)                # both in place
+    _normalize_rows(probe_rng, probes)
     real = np.arange(_MAX_ATOMS) < sizes[..., None]
-    atoms[real] = _normalize_rows(rng, atoms[real])
-    atoms[~real] = np.broadcast_to(atoms[:, :, :1], atoms.shape)[~real]
-    np.add(weights, 1e-3, out=weights, where=real)
+    atoms = np.where(real[..., None], atoms, atoms[:, :, :1])
+    weights = np.where(real, weights, 0.0)
     weights /= weights.sum(axis=-1, keepdims=True)
-    return atoms, weights, _normalize_rows(rng, probes)
+    return atoms, weights, probes
 
 
 def _trial_energies(kernel: Kernel, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -483,36 +478,33 @@ def inequality_suite(kernel: Kernel, d: int, trials: int = 200,
     energy is nonnegative, where it is defined), the mean lower bound,
     and the diagonal maximum bound on raw kernel values.
 
-    Each trial draws, from one generator seeded with ``seed`` and in this
-    order, n measures (per measure: the atom count in [2, 5], the atoms,
-    the weights) and then n diagonal probe points, so a seed fixes the
-    report whatever the batching.  Trials run in blocks of about
+    Each trial draws n measures (an atom count in [2, 5], the atoms, the
+    weights) and n diagonal probe points, each quantity from its own child
+    of ``SeedSequence(seed)``.  Trials run in blocks of about
     ``_CHUNK_TUPLES`` kernel tuples, which bounds memory for any number of
-    trials.  A block makes its trials' generator calls in that order,
-    straight into its arrays, and then normalises all their atoms, weights
-    and probes at once, with the bits of the per-measure arithmetic; a
-    drawn row of norm below 1e-12 (probability zero) is redrawn at the end
-    of the block's draws, so none reaches the kernel.  Every measure is
-    padded to 5 atoms with zero-weight copies of its first atom, so the
-    n + 1 energies of every trial in a block come from one grid evaluation
-    and one weighted contraction.  A padded tuple repeats a tuple the
-    unpadded sum already contains, so the kernel is finite there, and its
-    weight 0 leaves each energy unchanged up to summation order.  One
-    trial's (n + 1) * 5^n tuples must fit one dense grid block
-    (``energy._BLOCK_TUPLES``), which admits arity n <= 7.
+    trials; a block draws each quantity in one call (:func:`_draw_trials`),
+    and as each stream is read in order, a seed fixes the report whatever
+    the block size.  Every measure is padded to 5 atoms with zero-weight
+    copies of its first atom, so the n + 1 energies of every trial in a
+    block come from one grid evaluation and one weighted contraction.  A
+    padded tuple repeats a tuple the unpadded sum already contains, so the
+    kernel is finite there, and its weight 0 leaves each energy unchanged up
+    to summation order.  One trial's (n + 1) * 5^n tuples must fit one dense
+    grid block (``energy._BLOCK_TUPLES``), which admits arity n <= 7.
     """
+    _check_type("kernel", kernel, Kernel)
     _check_count("trials", trials, 1)
     _check_count("dimension d", d, 2)
     n = kernel.arity
     per = (n + 1) * _MAX_ATOMS**n
     if per > _BLOCK_TUPLES:
         raise ValueError(f"arity {n}: a trial's {per} tuples exceed a grid block's {_BLOCK_TUPLES}")
-    rng = _rng(seed)
+    streams = _streams(seed, 4)
     worst = dict.fromkeys(("am", "gm", "lower", "diagonal"), -np.inf)
     bad = dict.fromkeys(worst, 0)
     gm_trials = 0
     for start, stop in _spans(trials, per, _CHUNK_TUPLES):
-        atoms, weights, probes = _draw_trials(rng, stop - start, n, d)
+        atoms, weights, probes = _draw_trials(streams, stop - start, n, d)
         energies = _trial_energies(kernel, atoms, weights)
         singles, mixed = energies[:, :n], energies[:, n]
         mean = singles.mean(axis=1)
@@ -554,6 +546,7 @@ def shift_equivalence_battery(kernel: Kernel, d: int, *, trials: int = 10,
     stack of matrices and one stacked ``eigvalsh`` per kernel; no
     eigenvector is computed.
     """
+    _check_type("kernel", kernel, Kernel)
     x0 = basis_vector(0, d)
     shifted = cpd_shift(kernel, x0)     # refuses an arity other than 2
     _check_count("trials", trials, 1)

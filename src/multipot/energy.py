@@ -16,7 +16,8 @@ all atom tuples.  Two routes compute them:
   folded into the weights), summed over spans of atoms whose powers hold
   at most ``_SPAN_ENTRIES`` entries, whatever the measure's size; a free
   slot becomes the tensor power of its query point, and one einsum with a
-  letter per unit exponent contracts them.
+  letter per unit exponent contracts them (along a contraction path when a
+  plain einsum of 10^6 FLOPs or more would cost ten times the path, :func:`_path`).
   The gradient of a discrete energy contracts all slots but one and
   differentiates the result against x^{(x)E}, in O(N d^E) work; the
   measures of a potential kernel are fixed slots in these contractions.
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (DiscreteMeasure, PointConfiguration, _check_count, _check_measures,
-                       _check_points, _check_type, _random_directions)
+                       _check_points, _check_type, _random_directions, _streams)
 from .kernels import Kernel, _grid, _point_slots, _tuple_shape
 
 __all__ = [
@@ -74,6 +75,10 @@ _SPAN_ENTRIES = 2**17                  # power entries per span of a measure's a
 # at d = 3; 16,666 at arity 3 if n - 1 are drawn per tuple): small enough to stay in cache,
 # one chunk's arrays per worker thread; fixed, so the draws do not depend on the machine.
 _SAMPLE_POINTS = 25_000
+# A planned einsum of at least _PATH_FLOPS runs along a contraction path when the
+# path costs at most 1/_PATH_GAIN of it (see _path).
+_PATH_FLOPS = 10**6
+_PATH_GAIN = 10
 _LETTERS = string.ascii_letters[:-2]   # one per unit exponent
 _BATCH = string.ascii_letters[-2]      # the index of a stack of configurations
 _QUERY = string.ascii_letters[-1]      # the query index of free slots
@@ -392,10 +397,31 @@ def _operands(prog: _Program, poly, slots, queries: np.ndarray | None = None, ke
     return ops, last
 
 
+@functools.lru_cache(maxsize=1024)
+def _path(spec: str, shapes: tuple):
+    """How one planned einsum over operands of these shapes runs: False for the
+    plain einsum, or the greedy path of ``np.einsum_path`` (intermediates of at
+    most ``_WORK_LIMIT`` entries) when the plain einsum costs at least
+    ``_PATH_FLOPS`` and the path at most 1/_PATH_GAIN of that.  Planned once per
+    spec and shapes; the plain cost is bounded from the shapes first, so a small
+    einsum is never planned."""
+    sizes = {}
+    for sub, shape in zip(spec.split("->")[0].split(","), shapes):
+        for c, k in zip(sub, shape):
+            sizes[c] = max(sizes.get(c, 1), k)
+    if math.prod(sizes.values()) * len(shapes) < _PATH_FLOPS:
+        return False
+    path, info = np.einsum_path(spec, *(np.broadcast_to(0.0, s) for s in shapes),
+                                optimize=("greedy", _WORK_LIMIT))
+    plain, best = (float(line.split(":")[1]) for line in info.splitlines() if "FLOP count" in line)
+    return path if plain >= _PATH_FLOPS and best * _PATH_GAIN <= plain else False
+
+
 def _term(coeff: float, spec: str, keep, operands) -> np.ndarray:
-    """coeff times one planned einsum, row-summed over its last axes after the
-    first ``keep``; a product by 1.0, which changes no bit, is skipped."""
-    full = np.einsum(spec, *operands)
+    """coeff times one planned einsum (along the contraction path of :func:`_path`,
+    if it has one), row-summed over its last axes after the first ``keep``; a
+    product by 1.0, which changes no bit, is skipped."""
+    full = np.einsum(spec, *operands, optimize=_path(spec, tuple(op.shape for op in operands)))
     if keep is not None:
         full = np.add.reduce(full.reshape(full.shape[:keep] + (-1,)), -1)
     return full if coeff == 1.0 else coeff * full
@@ -532,6 +558,7 @@ def mutual_energy(kernel: Kernel, measures) -> EnergyEstimate:
     Computes the full weighted sum of kernel values over all atom tuples,
     one measure per kernel slot.  Exact, so stderr is 0.
     """
+    _check_type("kernel", kernel, Kernel)
     measures = _check_measures(measures)
     if len(measures) != kernel.arity:
         raise ValueError(f"kernel '{kernel.name}' has arity {kernel.arity}, "
@@ -544,6 +571,7 @@ def discrete_energy(kernel: Kernel, config: PointConfiguration) -> EnergyEstimat
     """Discrete energy of an N-point multiset: the average of the kernel
     over all N^n ordered tuples, repeats included, which is the mutual
     energy of its empirical measure in every slot."""
+    _check_type("kernel", kernel, Kernel)
     _check_type("config", config, PointConfiguration)
     kernel._check_shape((kernel.arity, config.dimension))
     empirical = _Atoms(config.points, np.full(config.n_points, 1.0 / config.n_points))
@@ -559,6 +587,7 @@ def potential(kernel: Kernel, measures, at) -> np.ndarray:
     returned; for smaller j pass query tuples of shape (Q, arity-j, d).
     Query points must be finite and of unit norm to within GEOMETRIC_TOL.
     """
+    _check_type("kernel", kernel, Kernel)
     measures, n = _check_measures(measures), kernel.arity
     r = n - len(measures)
     if not 1 <= r <= n - 1:
@@ -601,21 +630,21 @@ def mc_energy_uniform(kernel: Kernel, d: int, tuples: int, seed: int) -> EnergyE
     tuple, with the bits of ``evaluate_grid`` on them plus e_1, and its stderr
     stays honest.  Other kernels (anchored, riesz, exp(uvt), potentials) draw n.
     """
+    _check_type("kernel", kernel, Kernel)
     _check_count("dimension", d, 2)
     _check_count("tuples", tuples, 100)
-    _check_count("seed", seed, 0)
     n, poly = kernel.arity, kernel.pair_poly
     kernel._check_shape((n, d))
     evaluate, drawn = kernel.evaluate_grid, n
     if poly is not None and not poly.n_anchors:     # pin the last slot at e_1
         evaluate, drawn = poly.viewed([*range(n - 1), np.eye(d)[0]], n - 1).evaluate_grid, n - 1
     spans = list(_spans(tuples, n, _SAMPLE_POINTS))
-    streams = np.random.SeedSequence(seed).spawn(len(spans))
+    streams = _streams(seed, len(spans))
 
     def chunk(span, stream):
         """The chunk's sum, and its squared deviations about its own mean."""
         count = span[1] - span[0]
-        pts = _random_directions(np.random.default_rng(stream), (count, drawn, d))
+        pts = _random_directions(stream, (count, drawn, d))
         vals = evaluate(_point_slots(pts)).reshape(count)
         total = float(vals.sum())
         return total, float(np.sum((vals - total / count) ** 2))
@@ -699,6 +728,7 @@ class MixturePolynomial:
 
 def mixture_polynomial(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure) -> MixturePolynomial:
     """Exact mixed energies of (1-t) mu + t nu, as a Bernstein polynomial."""
+    _check_type("kernel", kernel, Kernel)
     mu, nu = _check_measures((mu, nu), ("mu", "nu"))
     if not (mu.is_probability and nu.is_probability):
         raise ValueError("mixture polynomials are defined for probability measures")
@@ -716,6 +746,7 @@ class PotentialKernel(Kernel):
     _fixed = "the measures"
 
     def __init__(self, base: Kernel, measures):
+        _check_type("base", base, Kernel)
         measures = _check_measures(measures)
         j = len(measures)
         if not 1 <= j <= base.arity - 2:

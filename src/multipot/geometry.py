@@ -70,7 +70,7 @@ def _check_points(points, name: str, d: int | None = None, *, ndim: int | None =
     if not sphere:
         _check_finite(pts, name)
         return pts
-    off = np.atleast_1d(np.abs(np.linalg.norm(pts, axis=-1) - 1))
+    off = np.atleast_1d(np.abs(np.sqrt(_squared_norms(pts)[..., 0]) - 1))
     worst = np.max(off, initial=0.0)
     if not worst <= GEOMETRIC_TOL:
         row = np.unravel_index(np.argmax(off), off.shape)[0]
@@ -131,6 +131,13 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _streams(seed, count: int) -> list:
+    """``count`` independent generators, the children 0, 1, ... of
+    ``SeedSequence(seed)``, ``seed`` a nonnegative integer."""
+    _check_count("seed", seed, 0)
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
 def unit_vector(coords) -> np.ndarray:
     """Validate and return a point on S^{d-1} as a (d,) float array."""
     return _check_points(coords, "a unit vector", ndim=1)
@@ -146,10 +153,13 @@ def basis_vector(i: int, d: int) -> np.ndarray:
 
 
 def _freeze(obj, **arrays) -> None:
-    """Set each field of the frozen dataclass ``obj`` to a read-only copy of its array."""
+    """Set each field of the frozen dataclass ``obj`` to a read-only copy of its
+    array; an array that owns its data and is already read-only (another
+    container's field, or a fresh draw frozen by its maker) is not copied."""
     for name, a in arrays.items():
-        a = a.copy()
-        a.setflags(write=False)
+        if a.base is not None or a.flags.writeable:
+            a = a.copy()
+            a.setflags(write=False)
         object.__setattr__(obj, name, a)
 
 
@@ -194,8 +204,10 @@ class DiscreteMeasure:
         atoms = _check_points(self.atoms, "all atoms", ndim=2)
         if self.weights is None:
             w = np.full(atoms.shape[0], 1.0 / max(atoms.shape[0], 1))
+            w.setflags(write=False)
         else:
-            w = np.asarray(self.weights, dtype=float).reshape(-1)
+            w = np.asarray(self.weights, dtype=float)
+            w = w if w.ndim == 1 else w.reshape(-1)
         if w.shape[0] != atoms.shape[0]:
             raise ValueError("atoms and weights must have matching lengths")
         _check_finite(w, "weights")
@@ -292,8 +304,13 @@ def _squared_norms(pts: np.ndarray) -> np.ndarray:
 
 def uniform_surrogate(d: int, m: int, seed: int) -> DiscreteMeasure:
     """Empirical measure of an M-point uniform sample (a sampled stand-in
-    for the uniform surface measure)."""
-    return DiscreteMeasure.from_configuration(sample_sphere(d, m, seed))
+    for the uniform surface measure): the points of :func:`sample_sphere`,
+    checked and copied once, by the measure."""
+    _check_count("dimension d", d, 2)
+    _check_count("sample count m", m, 1)
+    atoms = _random_directions(_rng(seed), (m, d))
+    atoms.setflags(write=False)
+    return DiscreteMeasure(atoms)
 
 
 def gram(config: PointConfiguration | np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ import warnings
 import numpy as np
 
 from .config import GEOMETRIC_TOL
-from .geometry import _check_count, _check_points
+from .geometry import _check_count, _check_points, _check_type
 
 __all__ = [
     "Kernel",
@@ -689,6 +689,7 @@ def quad_a(a: float, shift: bool = False) -> Kernel:
 def _lift(base: Kernel, n: int, mode: str) -> Kernel:
     """The sum or the product of ``base`` over all arity(base)-subsets of
     n inputs."""
+    _check_type("base", base, Kernel)
     m = base.arity
     _check_count(f"lift arity n (base arity {m})", n, m + 1)
     return _derived(f"{mode}_lift({base.name},n={n})", n, mode,
@@ -721,6 +722,7 @@ def pin(kernel: Kernel, pins) -> Kernel:
     Requires 1 <= m <= n-2 so the result keeps at least two inputs, and
     pins on the unit sphere (the kernel itself accepts any finite point).
     """
+    _check_type("kernel", kernel, Kernel)
     pins = np.atleast_2d(_check_points(pins, "pins"))
     m, n = pins.shape[0], kernel.arity
     if not 1 <= m <= n - 2:
@@ -736,6 +738,7 @@ def cpd_shift(kernel: Kernel, x0, variant: str = "standard") -> Kernel:
     standard: G(x,y) + G(x0,x0) - G(x,x0) - G(x0,y); the 'zero' variant
     drops the diagonal constant and requires G(x0,x0) <= 0.  x0 must be a unit vector.
     """
+    _check_type("kernel", kernel, Kernel)
     if kernel.arity != 2:
         raise ValueError("cpd_shift applies to two-input kernels")
     x0 = _check_points(x0, "the anchor x0", ndim=1)

@@ -104,6 +104,7 @@ class OptimizationTrace:
 def energy_gradient(kernel: Kernel, config: PointConfiguration, i: int) -> np.ndarray:
     """Tangent-space gradient of the discrete energy with respect to the
     i-th point, exact from the energy module."""
+    _check_type("kernel", kernel, Kernel)
     _check_type("config", config, PointConfiguration)
     _check_count("point index i", i, 0, config.n_points - 1)
     kernel._check_shape((kernel.arity, config.dimension))
@@ -207,6 +208,7 @@ def optimize_discrete(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfi
     the infimum (lower bound on the supremum when maximizing); no optimality
     claim is made.  This is :func:`multistart` with one start.
     """
+    _check_type("kernel", kernel, Kernel)
     if initial is None:
         return multistart(kernel, n_points, d, cfg, starts=1)
     _check_type("cfg", cfg, OptimizerConfig)
@@ -236,6 +238,7 @@ def multistart(kernel: Kernel, n_points: int, d: int, cfg: OptimizerConfig,
                starts: int = 4) -> OptimizationTrace:
     """Best-of-k restarts from the seeds seed, seed + 1, ... (ties go to
     the earlier seed), run as one batched descent."""
+    _check_type("kernel", kernel, Kernel)
     _check_type("cfg", cfg, OptimizerConfig)
     _check_count("starts", starts, 1)
     _check_count("n_points", n_points, 1)
@@ -264,6 +267,7 @@ def local_min_probe(kernel: Kernel, mu: DiscreteMeasure, directions) -> list[Dir
     (nonpositive residual certifies the averaged upper bound on the mixed
     energy).
     """
+    _check_type("kernel", kernel, Kernel)
     if not _check_measures([mu], ["mu"])[0].is_probability:
         raise ValueError("the base measure mu must be a probability measure")
     ts = np.linspace(0.0, 1.0, 201)

@@ -27,6 +27,7 @@ from .config import (AGREEMENT_TOL, BOUND_SLACK, EIGENVALUE_FLOOR, GEOMETRIC_TOL
                      MC_SIGMA, RESIDUAL_TOL)
 from .geometry import (
     DiscreteMeasure,
+    _streams,
     basis_vector,
     combine,
     sample_sphere,
@@ -350,7 +351,6 @@ def _potential_mixture(kernel, mu, nu):
 
 
 def _scenario_derivative_identities(seed, tuples, tol_scale, setups_per_arity=25):
-    rng = np.random.default_rng(seed + 11)
     with warnings.catch_warnings():
         # the possibly-negative product lift is used here only as a test
         # function for the derivative identities, not as a PD candidate
@@ -364,13 +364,16 @@ def _scenario_derivative_identities(seed, tuples, tol_scale, setups_per_arity=25
             kernels.s100(), kernels.quad_a(0.7, shift=True)],
         4: four_input,
     }
+    # the suite's draws of two measures per setup, padding sliced off
+    atoms, weights, _ = certify._draw_trials(_streams(seed + 11, 4), 2 * setups_per_arity, 2, 3)
+    pairs = iter([DiscreteMeasure(a[w > 0], w[w > 0]) for a, w in zip(x, y)]
+                 for x, y in zip(atoms, weights))
     worst = 0.0
     count = 0
     for n, bank in kernels_by_arity.items():
         for i in range(setups_per_arity):
             kernel = bank[i % len(bank)]
-            mu = DiscreteMeasure(*certify._random_atoms(rng, 3))
-            nu = DiscreteMeasure(*certify._random_atoms(rng, 3))
+            mu, nu = next(pairs)
             probe = certify.convexity_probe(kernel, mu, nu, grid=5)
             h0, h1, h2 = _potential_mixture(kernel, mu, nu)
             lhs1, rhs1 = 2.0 * (h1 - h0), (2.0 / n) * probe.g_prime_0

@@ -124,21 +124,30 @@ def pair_poly_fn(terms, anchors):
 def inequality_suite_loop(kernel, d, trials, seed, violation_tol=1e-10):
     """The inequality suite one trial at a time, as a dict of report fields.
 
-    Draws from ``certify._random_atoms`` in the suite's order (the draw
-    order is part of the suite's contract) and computes every energy with
-    ``mutual_energy`` on validated measures and every kernel value with
-    ``kernel.evaluate``, so it shares no batching code with the suite.
+    Draws each trial's atom counts, atoms, weights and probes from four
+    generators spawned from ``SeedSequence(seed)``, one call per quantity
+    per trial (the streams are part of the suite's contract), and computes
+    every energy with ``mutual_energy`` on validated measures and every
+    kernel value with ``kernel.evaluate``, so it shares no drawing or
+    batching code with the suite.
     """
     from multipot import DiscreteMeasure, basis_vector, mutual_energy
-    from multipot.certify import _random_atoms
 
     n = kernel.arity
-    rng = np.random.default_rng(seed)
+    counts, atom_rng, weight_rng, probe_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4))
     am_worst = lower_worst = diag_worst = -np.inf
     gm_worst = None
     am_bad = gm_bad = lower_bad = diag_bad = gm_trials = 0
     for _ in range(trials):
-        measures = [DiscreteMeasure(*_random_atoms(rng, d)) for _ in range(n)]
+        sizes = 2 + np.floor(4 * counts.random(n)).astype(int)
+        atoms = atom_rng.standard_normal((n, 5, d))
+        weights = weight_rng.random((n, 5)) + 1e-3
+        measures = []
+        for k, x, w in zip(sizes, atoms, weights):
+            x, w = x[:k], w[:k]
+            measures.append(DiscreteMeasure(x / np.linalg.norm(x, axis=1, keepdims=True),
+                                            w / w.sum()))
         singles = [mutual_energy(kernel, [m] * n).value for m in measures]
         mixed = mutual_energy(kernel, measures).value
         am_res = mixed - float(np.mean(singles))
@@ -153,7 +162,7 @@ def inequality_suite_loop(kernel, d, trials, seed, violation_tol=1e-10):
             gm_worst = gm_res if gm_worst is None else max(gm_worst, gm_res)
             gm_bad += gm_res > violation_tol
 
-        zs = rng.standard_normal((n, d))
+        zs = probe_rng.standard_normal((n, d))
         zs /= np.linalg.norm(zs, axis=1, keepdims=True)
         probes = np.vstack([zs, basis_vector(0, d)[None, :]])
         diag_vals = [kernel.evaluate(np.repeat(z[None, :], n, axis=0)) for z in probes]

@@ -1,4 +1,5 @@
 """Positive-definiteness certification, convexity probes, constancy checks."""
+import collections
 import re
 import tracemalloc
 
@@ -60,7 +61,7 @@ from multipot.certify import (
     _trial_energies,
 )
 from multipot.energy import _dense_mutual, _dense_potential, _spans
-from multipot.geometry import _random_directions
+from multipot.geometry import _random_directions, _streams
 from oracles import (
     grid_values_by_coordinates,
     inequality_suite_loop,
@@ -758,6 +759,43 @@ def test_block_size_changes_no_bit(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+class _CountingStream:
+    """A generator that counts its calls by method name."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_suite_draws_each_quantity_once_per_block(monkeypatch):
+    # the four streams (counts, atoms, weights, probes) are each called once a
+    # block, whatever the block size, and the report does not move
+    trials, per = 120, 4 * _MAX_ATOMS**3
+    reports = []
+    for chunk in (1, 100, _CHUNK_TUPLES):
+        proxies = []
+
+        def counting_streams(seed, count):
+            proxies[:] = [_CountingStream(g) for g in _streams(seed, count)]
+            return proxies
+        monkeypatch.setattr(certify, "_CHUNK_TUPLES", chunk)
+        monkeypatch.setattr(certify, "_streams", counting_streams)
+        reports.append(inequality_suite(uvt(), 3, trials=trials, seed=5).as_dict())
+        blocks = len(list(_spans(trials, per, chunk)))
+        assert blocks == (trials if chunk < per else 3)
+        assert [dict(p.calls) for p in proxies] == [
+            {"random": blocks}, {"standard_normal": blocks}, {"random": blocks},
+            {"standard_normal": blocks}]
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_battery_blocks_stay_within_their_memory_bounds():
     # a block's arrays are allocated once per block: the peak is set by the
     # block size, not by the number of trials
@@ -783,14 +821,11 @@ class _ZeroFirstNormalRow:
         self._rng = np.random.default_rng(seed)
         self.normal_shapes = []
 
-    def integers(self, *args, **kwargs):
-        return self._rng.integers(*args, **kwargs)
+    def random(self, size):
+        return self._rng.random(size)
 
-    def random(self, *args, **kwargs):
-        return self._rng.random(*args, **kwargs)
-
-    def standard_normal(self, size=None, out=None):
-        out = self._rng.standard_normal(size, out=out)
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
         if not self.normal_shapes:
             out.reshape(-1, out.shape[-1])[0] = 0.0
         self.normal_shapes.append(out.shape)
@@ -821,10 +856,11 @@ def _unit_rows_only(kernel, seen):
 
 
 def test_zero_rows_are_redrawn_at_the_end_of_their_block(monkeypatch):
+    # one stub as all four streams: the atoms' draw, the probes' draw, then
+    # the redraw of the zero atom row
     stub = _ZeroFirstNormalRow(5)
-    atoms, weights, probes = _draw_trials(stub, 2, 3, 4)
-    assert stub.normal_shapes[-1] == (1, 4)
-    assert len(stub.normal_shapes) == 2 * 4 + 1
+    atoms, weights, probes = _draw_trials([stub] * 4, 2, 3, 4)
+    assert stub.normal_shapes == [(2, 3, 5, 4), (2, 3, 4), (1, 4)]
     np.testing.assert_allclose(np.linalg.norm(atoms, axis=-1), 1.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(probes, axis=-1), 1.0, rtol=0, atol=1e-15)
     padded = weights[0, 0] == 0.0
@@ -902,7 +938,7 @@ def test_grid_evaluation_matches_coordinates_bitwise(name):
         assert isinstance(kernel, (kernels.PolynomialKernel, kernels._Combination))
         n, rng = kernel.arity, np.random.default_rng(d)
         # the suite's padded 5-atom layout, its energies and its diagonal bounds
-        atoms, weights, probes = _draw_trials(rng, 7, n, d)
+        atoms, weights, probes = _draw_trials([rng] * 4, 7, n, d)
         padded = [atoms[:, s] for s in range(n)]
         assert _same_bits(kernel.evaluate_grid(padded), grid_values_by_coordinates(kernel, padded))
         assert _same_bits(_trial_energies(kernel, atoms, weights),
@@ -933,7 +969,7 @@ def test_in_place_monomial_sum_matches_the_plain_expression(name):
     d, rng = 3, np.random.default_rng(7)
     poly = _MONOMIAL_KERNELS[name](d).pair_poly
     n = poly.nslots
-    atoms = _draw_trials(rng, 7, n, d)[0]
+    atoms = _draw_trials([rng] * 4, 7, n, d)[0]
     leads = [(3, 1), (1, 4), (4,), ()]
     for arrays in ([atoms[:, s] for s in range(n)],
                    [_random_directions(rng, leads[s] + (s + 2, d)) for s in range(n)],

@@ -1,5 +1,6 @@
 """Sphere geometry, atomic measures and CSV interchange."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from multipot import (
     read_points_csv,
     retract,
     sample_sphere,
+    uniform_surrogate,
     unit_vector,
     write_measure_csv,
     write_points_csv,
@@ -110,6 +112,40 @@ def test_sample_sphere_reproducible_bitwise():
     assert np.array_equal(a, b)
     c = sample_sphere(4, 200, 43).points
     assert not np.array_equal(a, c)
+
+
+def test_uniform_surrogate_is_the_empirical_measure_of_sample_sphere():
+    for d, m, seed in [(2, 1, 0), (3, 5000, 4), (9, 300, 7)]:
+        got = uniform_surrogate(d, m, seed)
+        want = DiscreteMeasure.from_configuration(sample_sphere(d, m, seed))
+        assert got.atoms.tobytes() == want.atoms.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        with pytest.raises(ValueError):
+            got.atoms[0, 0] = 2.0
+
+
+def test_uniform_surrogate_holds_its_atoms_once():
+    # beyond the measure it returns, a surrogate's build holds at most two
+    # doubles per atom at once: its atoms are neither copied nor squared whole
+    m = 100_000
+    uniform_surrogate(3, m, 1)
+    tracemalloc.start()
+    try:
+        mu = uniform_surrogate(3, m, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mu.atoms.nbytes + mu.weights.nbytes + 2 * 8 * m, peak
+
+
+def test_measures_copy_writeable_arrays_and_share_frozen_ones():
+    pts = sample_sphere(3, 4, 0).points.copy()
+    mu = DiscreteMeasure(pts)
+    pts[0] = -pts[0]
+    assert not np.array_equal(mu.atoms[0], pts[0])
+    nu = DiscreteMeasure(mu.atoms, mu.weights)
+    assert nu.atoms is mu.atoms and nu.weights is mu.weights
+    assert DiscreteMeasure(mu.atoms[1:]).atoms.base is None     # a view is copied
 
 
 def test_gram_orthonormal_is_identity():

@@ -9,17 +9,20 @@ gradients are checked against central differences of the oracle, and the
 moment route's cached programs against freshly built ones.
 """
 import ast
+import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 import multipot
-from multipot import DiscreteMeasure, area2, mutual_energy, potential, s011, sum_lift, vol2
+from multipot import (DiscreteMeasure, area2, frame2, mutual_energy, potential, prod_lift, s011,
+                      sum_lift, vol2)
 from multipot import energy as energy_mod
 from multipot.energy import PotentialKernel
 from multipot.kernels import PairPolynomial, PolynomialKernel
-from oracles import brute_mutual, measure_as_pairs, pair_poly_fn
+from oracles import brute_mutual, lift_fn, measure_as_pairs, pair_poly_fn
 
 SEEDS = range(24)
 
@@ -346,3 +349,30 @@ def test_argument_checks_live_in_geometry():
     found = [(path.name, *v) for path in sorted(package.rglob("*.py")) if path.name != "geometry.py"
              for v in _validators(path.read_text(encoding="utf-8"))]
     assert found == [("kernels.py", "Kernel", "_check_shape")]
+
+
+def test_a_costly_monomial_runs_along_a_contraction_path(monkeypatch):
+    # prod_lift(frame2, 4) is one monomial of 12 unit exponents: the plain
+    # einsum of a 15-query potential costs 3.2e7 FLOPs, its path 2.6e5
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kernel = prod_lift(frame2(), 4)
+    rng = np.random.default_rng(5)
+    mu = DiscreteMeasure(_unit_rows(rng, 3, 3), rng.random(3) + 0.1)
+    queries = _unit_rows(rng, 15, 3)
+    plan, paths = energy_mod._path, []
+
+    def recording(spec, shapes):
+        paths.append(plan(spec, shapes))
+        return paths[-1]
+    monkeypatch.setattr(energy_mod, "_path", recording)
+    got = potential(kernel, [mu] * 3, queries)
+    assert paths and all(p is not False for p in paths)
+    fn, pairs = lift_fn(frame2(), 4, math.prod), [measure_as_pairs(mu)] * 3
+    for q, value in zip(queries, got):
+        ref = brute_mutual(lambda x, y, z, q=q: fn(x, y, z, q), pairs)
+        assert value == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    # a small einsum is never planned
+    paths.clear()
+    potential(sum_lift(area2(), 4), [mu] * 3, queries)
+    assert paths and not any(paths)

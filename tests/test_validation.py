@@ -1,7 +1,7 @@
 """One sweep over the public surface: every callable name of ``multipot.__all__``
 meets each class of bad input that applies to it -- NaN, inf, off-sphere,
 wrong dimension, wrong arity, no atoms, a non-integer or too-small count or
-seed, and a wrong-type measure, configuration or OptimizerConfig -- and must
+seed, and a wrong-type kernel, measure, configuration or OptimizerConfig -- and must
 raise ValueError or TypeError with a message that names the argument.  A
 name without cases is on the exempt list, with its reason.
 """
@@ -224,16 +224,20 @@ def _cases(tmp_path):
             ("shift type", lambda: quad_a(0.5, shift="no"), "quad_a's shift must be a bool"),
         ],
         "sum_lift": [
+            ("kernel type", lambda: sum_lift("area2", 4), "base must be of type Kernel, got str"),
             ("arity", lambda: sum_lift(area2(), 3), "need lift arity n (base arity 3) >= 4, got 3"),
             ("non-integer arity", lambda: sum_lift(inner(), 3.5),
              "lift arity n (base arity 2) must be an integer, got 3.5"),
         ],
         "prod_lift": [
+            ("kernel type", lambda: prod_lift(None, 4),
+             "base must be of type Kernel, got NoneType"),
             ("arity", lambda: prod_lift(area2(), 2), "need lift arity n (base arity 3) >= 4, got 2"),
             ("non-integer arity", lambda: prod_lift(area2(), 4.5),
              "lift arity n (base arity 3) must be an integer, got 4.5"),
         ],
         "pin": [
+            ("kernel type", lambda: pin("area2", E1), "kernel must be of type Kernel, got str"),
             ("nan", lambda: pin(area2(), NAN), f"pins must be finite and {unit}"),
             ("inf", lambda: pin(area2(), INF), "pins must be finite"),
             ("off-sphere", lambda: pin(area2(), OFF), f"pins {unit}"),
@@ -242,6 +246,8 @@ def _cases(tmp_path):
             ("arity", lambda: pin(area2(), np.stack([E1, E2])), "pin count must satisfy"),
         ],
         "cpd_shift": [
+            ("kernel type", lambda: cpd_shift(inner, E1),
+             "kernel must be of type Kernel, got function"),
             ("nan", lambda: cpd_shift(inner(), NAN), f"the anchor x0 must be finite and {unit}"),
             ("off-sphere", lambda: cpd_shift(inner(), OFF), f"the anchor x0 {unit}"),
             ("dimension", lambda: cpd_shift(pinned, E4), "point dimension 4 does not match dimension 3"),
@@ -255,6 +261,8 @@ def _cases(tmp_path):
             ("arity", lambda: parse_kernel("sum_lift:base=area2,n=3"), "need lift arity n"),
         ],
         "PotentialKernel": [
+            ("kernel type", lambda: PotentialKernel("area2", [mu]),
+             "base must be of type Kernel, got str"),
             ("measure type", lambda: PotentialKernel(area2(), [mu.atoms]),
              "the measure in slot 0 must be of type DiscreteMeasure"),
             ("no atoms", lambda: PotentialKernel(area2(), [empty]), "the measure in slot 0 has no atoms"),
@@ -263,12 +271,16 @@ def _cases(tmp_path):
             ("arity", lambda: PotentialKernel(area2(), [mu, mu]), "1 <= j <= arity - 2"),
         ],
         "discrete_energy": [
+            ("kernel type", lambda: discrete_energy("area2", config),
+             "kernel must be of type Kernel, got str"),
             ("configuration type", lambda: discrete_energy(area2(), config.points),
              "config must be of type PointConfiguration"),
             ("dimension", lambda: discrete_energy(pinned, config4),
              "point dimension 4 does not match dimension 3"),
         ],
         "mutual_energy": [
+            ("kernel type", lambda: mutual_energy("area2", [mu] * 3),
+             "kernel must be of type Kernel, got str"),
             ("measure type", lambda: mutual_energy(area2(), [mu.atoms] * 3),
              "the measure in slot 0 must be of type DiscreteMeasure"),
             ("no atoms", lambda: mutual_energy(area2(), [mu, empty, mu]), "the measure in slot 1 has no atoms"),
@@ -278,6 +290,8 @@ def _cases(tmp_path):
              "measures must share a dimension, got [3, 3, 4]"),
         ],
         "potential": [
+            ("kernel type", lambda: potential(None, [mu, mu], E1),
+             "kernel must be of type Kernel, got NoneType"),
             ("nan", lambda: potential(area2(), [mu, mu], NAN), "query points (at) must be finite"),
             ("inf", lambda: potential(area2(), [mu, mu], INF), "query points (at) must be finite"),
             ("off-sphere", lambda: potential(area2(), [mu, mu], OFF), f"query points (at) {unit}"),
@@ -293,6 +307,8 @@ def _cases(tmp_path):
             ("kernel dimension", lambda: potential(pinned, [mu4], E4), "point dimension 4 does not match"),
         ],
         "mc_energy_uniform": [
+            ("kernel type", lambda: mc_energy_uniform("area2", 3, 1000, 0),
+             "kernel must be of type Kernel, got str"),
             ("dimension", lambda: mc_energy_uniform(area2(), 1, 1000, 0), "need dimension >= 2"),
             ("kernel dimension", lambda: mc_energy_uniform(pinned, 4, 1000, 0),
              "point dimension 4 does not match dimension 3"),
@@ -303,6 +319,8 @@ def _cases(tmp_path):
             ("non-integer seed", lambda: mc_energy_uniform(area2(), 3, 1000, 1.5), "seed must be an integer"),
         ],
         "mixture_polynomial": [
+            ("kernel type", lambda: mixture_polynomial(area2, mu, nu),
+             "kernel must be of type Kernel, got function"),
             ("measure type", lambda: mixture_polynomial(area2(), mu.atoms, nu),
              "mu must be of type DiscreteMeasure"),
             ("no atoms", lambda: mixture_polynomial(area2(), mu, empty), "nu has no atoms"),
@@ -312,6 +330,8 @@ def _cases(tmp_path):
              "point dimension 4 does not match"),
         ],
         "pd_test_2input": [
+            ("kernel type", lambda: pd_test_2input(None, 3),
+             "kernel must be of type Kernel, got NoneType"),
             ("arity", lambda: pd_test_2input(area2(), 3), "pd_test_2input expects a two-input kernel"),
             ("dimension", lambda: pd_test_2input(inner(), 1), "need dimension d >= 2"),
             ("kernel dimension", lambda: pd_test_2input(pinned, 4), "point dimension 4 does not match"),
@@ -329,6 +349,7 @@ def _cases(tmp_path):
              "include_points has 3 rows, more than set_size 2"),
         ],
         "npd_test": [
+            ("kernel type", lambda: npd_test("s011", 3), "kernel must be of type Kernel, got str"),
             ("arity", lambda: npd_test(inner(), 3), "npd_test expects arity >= 3"),
             ("dimension", lambda: npd_test(s011(), 1), "need dimension d >= 2"),
             ("kernel dimension", lambda: npd_test(pin(sum_lift(inner(), 4), E1), 4),
@@ -341,6 +362,8 @@ def _cases(tmp_path):
             ("inf tol", lambda: npd_test(s011(), 3, tol=np.inf), "tol must be finite"),
         ],
         "convexity_probe": [
+            ("kernel type", lambda: convexity_probe("area2", mu, nu),
+             "kernel must be of type Kernel, got str"),
             ("measure type", lambda: convexity_probe(area2(), mu, nu.atoms),
              "nu must be of type DiscreteMeasure"),
             ("no atoms", lambda: convexity_probe(area2(), empty, nu), "mu has no atoms"),
@@ -348,6 +371,8 @@ def _cases(tmp_path):
             ("grid", lambda: convexity_probe(area2(), mu, nu, grid=1), "need grid >= 2"),
         ],
         "potential_constancy_check": [
+            ("kernel type", lambda: potential_constancy_check("area2", sigma, E1),
+             "kernel must be of type Kernel, got str"),
             ("nan", lambda: potential_constancy_check(area2(), sigma, np.stack([E1, NAN])),
              "test_points must be finite"),
             ("inf", lambda: potential_constancy_check(area2(), sigma, INF), "test_points must be finite"),
@@ -361,6 +386,8 @@ def _cases(tmp_path):
             ("no atoms", lambda: potential_constancy_check(area2(), empty, E1), "mu has no atoms"),
         ],
         "inequality_suite": [
+            ("kernel type", lambda: inequality_suite("uvt", 3),
+             "kernel must be of type Kernel, got str"),
             ("dimension", lambda: inequality_suite(area2(), 1), "need dimension d >= 2"),
             ("kernel dimension", lambda: inequality_suite(pinned, 4, trials=1),
              "point dimension 4 does not match"),
@@ -369,6 +396,8 @@ def _cases(tmp_path):
             ("arity", lambda: inequality_suite(sum_lift(inner(), 8), 3), "arity 8: a trial's"),
         ],
         "shift_equivalence_battery": [
+            ("kernel type", lambda: shift_equivalence_battery(None, 3),
+             "kernel must be of type Kernel, got NoneType"),
             ("arity", lambda: shift_equivalence_battery(area2(), 3), "applies to two-input kernels"),
             ("dimension", lambda: shift_equivalence_battery(inner(), 1), "need dimension d >= 2"),
             ("kernel dimension", lambda: shift_equivalence_battery(pinned, 4),
@@ -388,6 +417,8 @@ def _cases(tmp_path):
             ("nan tolerance", lambda: OptimizerConfig(stop_tol=np.nan), "stop tolerance must be nonnegative"),
         ],
         "energy_gradient": [
+            ("kernel type", lambda: energy_gradient("area2", config, 0),
+             "kernel must be of type Kernel, got str"),
             ("configuration type", lambda: energy_gradient(area2(), config.points, 0),
              "config must be of type PointConfiguration"),
             ("negative index", lambda: energy_gradient(area2(), config, -1), "need point index i >= 0"),
@@ -397,6 +428,8 @@ def _cases(tmp_path):
             ("dimension", lambda: energy_gradient(pinned, config4, 0), "point dimension 4 does not match"),
         ],
         "optimize_discrete": [
+            ("kernel type", lambda: optimize_discrete("area2", 3, 3, cfg),
+             "kernel must be of type Kernel, got str"),
             ("config type", lambda: optimize_discrete(area2(), 3, 3, None),
              "cfg must be of type OptimizerConfig"),
             ("config type, initial", lambda: optimize_discrete(area2(), 3, 3, {}, initial=np.eye(3)),
@@ -413,6 +446,8 @@ def _cases(tmp_path):
              "initial configuration must have shape (3, 3)"),
         ],
         "multistart": [
+            ("kernel type", lambda: multistart(None, 3, 3, cfg),
+             "kernel must be of type Kernel, got NoneType"),
             ("config type", lambda: multistart(area2(), 3, 3, "cfg"), "cfg must be of type OptimizerConfig"),
             ("starts", lambda: multistart(area2(), 3, 3, cfg, starts=0), "need starts >= 1"),
             ("non-integer points", lambda: multistart(area2(), 2.5, 3, cfg), "n_points must be an integer"),
@@ -420,6 +455,8 @@ def _cases(tmp_path):
             ("kernel dimension", lambda: multistart(pinned, 3, 4, cfg), "point dimension 4 does not match"),
         ],
         "local_min_probe": [
+            ("kernel type", lambda: local_min_probe("area2", mu, [nu]),
+             "kernel must be of type Kernel, got str"),
             ("measure type", lambda: local_min_probe(area2(), mu.atoms, [nu]),
              "mu must be of type DiscreteMeasure"),
             ("no atoms", lambda: local_min_probe(area2(), empty, []), "mu has no atoms"),
