@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import EIGENVALUE_TOL, RESIDUAL_TOL
+from .config import CONSTANCY_SIGMA, EIGENVALUE_TOL, RESIDUAL_TOL
 from .geometry import (
     DiscreteMeasure,
     _check_count,
@@ -382,8 +382,9 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
     """Check whether the (n-1)-fold potential of mu is constant.
 
     Evaluates U at each test point and compares the worst deviation from
-    the mean against five estimated standard errors of the sampled
-    potential (plus a small floor so exactly-constant potentials pass).
+    the mean against ``CONSTANCY_SIGMA`` = 7.5 estimated standard errors of
+    the sampled potential (plus a small floor so exactly-constant potentials
+    pass).
     The standard error comes from the potentials of contiguous folds of mu
     (:func:`_potential_stderr`), for a kernel of any arity.
     """
@@ -396,7 +397,7 @@ def potential_constancy_check(kernel: Kernel, mu: DiscreteMeasure,
     mean = float(np.mean(values))
     max_dev = float(np.max(np.abs(values - mean)))
     stderr = _potential_stderr(kernel, mu, pts)
-    tol = max(5.0 * stderr, RESIDUAL_TOL * max(1.0, abs(mean)))
+    tol = max(CONSTANCY_SIGMA * stderr, RESIDUAL_TOL * max(1.0, abs(mean)))
     return ConstancyReport(values, mean, max_dev, stderr, float(tol), max_dev <= tol)
 
 

@@ -33,3 +33,10 @@ BOUND_SLACK = 1e-9
 
 # Width of Monte-Carlo acceptance bands, in standard errors.
 MC_SIGMA = 4.0
+
+# Width of the potential-constancy band, in the fold estimate's standard
+# errors.  That estimate has Student-t tails with certify._FOLDS - 1 = 15
+# degrees of freedom, and the check takes the worst of its test points:
+# t_15 exceeds 7.46 with probability 1e-6, so over both tails of 50 test
+# points (Bonferroni) a constant potential fails at most 1e-4 of its checks.
+CONSTANCY_SIGMA = 7.5

@@ -355,6 +355,7 @@ def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
     Atom lists are concatenated (zero weights kept); for probability inputs
     and t in [0, 1] the result is again a probability measure.
     """
+    _check_finite(np.asarray(t, dtype=float), "t")
     mixed = combine(mu, nu, 1.0 - t, t)
     if mu.is_probability and nu.is_probability and not 0.0 <= t <= 1.0:
         raise ValueError(f"mixture parameter t must lie in [0, 1], got {t}")
@@ -364,6 +365,8 @@ def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
 def combine(mu: DiscreteMeasure, nu: DiscreteMeasure, a: float, b: float) -> DiscreteMeasure:
     """Signed combination a*mu + b*nu."""
     mu, nu = _check_measures((mu, nu), ("mu", "nu"))
+    for name, value in (("a", a), ("b", b)):
+        _check_finite(np.asarray(value, dtype=float), name)
     atoms = np.vstack([mu.atoms, nu.atoms])
     weights = np.concatenate([a * mu.weights, b * nu.weights])
     return DiscreteMeasure(atoms, weights)

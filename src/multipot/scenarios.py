@@ -1,7 +1,14 @@
 """Scenario runner reproducing the library's numeric reference claims.
 
-Each scenario executes a fixed, seeded experiment and emits a report of
-assertions.  Every assertion records how its expected value was obtained:
+Each scenario executes a fixed, seeded experiment: it is a function of
+``seed`` and keyword-only parameters, takes only the parameters it uses and
+returns its list of assertions.  :func:`run_scenario` alone turns that into a
+report: it fills in ``seed``, ``tuples`` and ``tol_scale``, binds the
+overrides to the scenario's signature and records the bound keyword
+parameters, in signature order, as the report's ``parameters``.  Scenarios
+that share a body are one function, registered with its data by
+``functools.partial``.  Every assertion records how its expected value was
+obtained:
 
 * ``closed-form`` -- a known closed-form constant (the ``formula`` field
   holds the expression, machine-checkable);
@@ -19,6 +26,7 @@ import inspect
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -104,8 +112,7 @@ def report_to_json(report: dict) -> str:
 # --- Monte-Carlo estimates against closed forms --------------------------------
 
 
-def _mc_scenario(kernel_factory, dims, target, formula, seed, tuples, tol_scale,
-                 source="closed-form"):
+def _mc_scenario(kernel_factory, target, formula, source, seed, *, tuples, dims, tol_scale):
     assertions = []
     for i, d in enumerate(dims):
         est = energy.mc_energy_uniform(kernel_factory(), d, tuples, seed + 101 * i)
@@ -122,10 +129,10 @@ def _mc_scenario(kernel_factory, dims, target, formula, seed, tuples, tol_scale,
     return assertions
 
 
-def _scenario_area2_sigma(seed, tuples, tol_scale, dims=(2, 3, 5), surrogate_size=20000):
+def _scenario_area2_sigma(seed, *, tuples, dims=(2, 3, 5), tol_scale, surrogate_size=20000):
     assertions = _mc_scenario(
-        kernels.area2, dims,
-        lambda d: 0.75 * (d - 1) / d, "3*(d-1)/(4*d)", seed, tuples, tol_scale,
+        kernels.area2, lambda d: 0.75 * (d - 1) / d, "3*(d-1)/(4*d)", "closed-form", seed,
+        tuples=tuples, dims=dims, tol_scale=tol_scale,
     )
     for i, d in enumerate(dims):
         mu = uniform_surrogate(d, surrogate_size, seed + 211 * i)
@@ -135,29 +142,7 @@ def _scenario_area2_sigma(seed, tuples, tol_scale, dims=(2, 3, 5), surrogate_siz
             f"two-fold potential constant over a {surrogate_size}-atom uniform surrogate, d={d}",
             check.passed, True, None, "closed-form", "U(x) = const on the sphere",
         ))
-    return _report("area2-sigma", seed,
-                   {"tuples": tuples, "dims": list(dims), "tol_scale": tol_scale,
-                    "surrogate_size": surrogate_size}, assertions)
-
-
-def _scenario_vol2_sigma(seed, tuples, tol_scale, dims=(3, 4)):
-    # target precomputed from the moment oracle E[u^2] = 1/d, E[uvt] = 1/d^2
-    assertions = _mc_scenario(
-        kernels.vol2, dims,
-        lambda d: (d - 1) * (d - 2) / d**2, None, seed, tuples, tol_scale,
-        source="oracle",
-    )
-    return _report("vol2-sigma", seed,
-                   {"tuples": tuples, "dims": list(dims), "tol_scale": tol_scale}, assertions)
-
-
-def _scenario_frame_bound(seed, tuples, tol_scale, dims=(2, 3, 4, 5, 6)):
-    assertions = _mc_scenario(
-        kernels.frame2, dims,
-        lambda d: 1.0 / d, "1/d", seed, tuples, tol_scale,
-    )
-    return _report("frame-bound", seed,
-                   {"tuples": tuples, "dims": list(dims), "tol_scale": tol_scale}, assertions)
+    return assertions
 
 
 # --- exact counterexamples -------------------------------------------------------
@@ -184,50 +169,26 @@ def _witness_assertions(kernel, d, seed, label):
     return out
 
 
-def _scenario_s011_counterexample(seed, tuples, tol_scale):
-    e1, e2 = basis_vector(0, 3), basis_vector(1, 3)
-    mu = combine(DiscreteMeasure.dirac(e2), DiscreteMeasure.dirac(-e1), 1.0, -1.0)
-    value = energy.mutual_energy(
-        kernels.s011(), [DiscreteMeasure.dirac(e1), mu, mu]).value
-    assertions = [_assertion(
-        "pinned energy of the balanced pair measure", value, -1.0,
-        AGREEMENT_TOL * tol_scale, "closed-form", "I(delta_e1, mu, mu) = -1",
-    )]
-    assertions += _witness_assertions(kernels.s011(), 3, seed + 13, "s011")
-    return _report("s011-counterexample", seed, {"tol_scale": tol_scale}, assertions)
-
-
-def _scenario_negvol2_not_cpd(seed, tuples, tol_scale):
-    e1, e2, e3 = (basis_vector(i, 3) for i in range(3))
-    nu = combine(DiscreteMeasure.dirac(e2), DiscreteMeasure.dirac(e3), 1.0, 1.0)
-    value = energy.mutual_energy(
-        kernels.neg_vol2(), [DiscreteMeasure.dirac(e1), nu, nu]).value
-    assertions = [_assertion(
-        "pinned energy of the basis-pair measure", value, -2.0,
-        AGREEMENT_TOL * tol_scale, "closed-form", "I(delta_e1, nu, nu) = -2",
-    )]
-    assertions += _witness_assertions(kernels.neg_vol2(), 3, seed + 17, "neg_vol2")
-    return _report("negvol2-not-cpd", seed, {"tol_scale": tol_scale}, assertions)
-
-
-def _scenario_negarea2_not_cpd(seed, tuples, tol_scale):
-    e1, e2 = basis_vector(0, 3), basis_vector(1, 3)
-    nu = combine(DiscreteMeasure.dirac(e2), DiscreteMeasure.dirac(-e1), 1.0, 1.0)
-    value = energy.mutual_energy(
-        kernels.neg_area2(), [DiscreteMeasure.dirac(e1), nu, nu]).value
-    assertions = [_assertion(
-        "pinned energy of the antipodal-pair measure", value, -2.0,
-        AGREEMENT_TOL * tol_scale, "closed-form", "I(delta_e1, nu, nu) = -2",
-    )]
-    assertions += _witness_assertions(kernels.neg_area2(), 3, seed + 19, "neg_area2")
-    return _report("negarea2-not-cpd", seed, {"tol_scale": tol_scale}, assertions)
+def _pinned_counterexample(kernel_factory, atom, weight, expected, word, offset, label,
+                           seed, *, tol_scale):
+    """The energy of the kernel pinned at e1 on the pair measure
+    delta_e2 + weight * delta_atom (named mu when a negative weight balances
+    it, nu otherwise), then the witness of a conditional test at seed + offset."""
+    kernel, e1 = kernel_factory(), basis_vector(0, 3)
+    nu = combine(DiscreteMeasure.dirac(basis_vector(1, 3)), DiscreteMeasure.dirac(atom),
+                 1.0, weight)
+    value = energy.mutual_energy(kernel, [DiscreteMeasure.dirac(e1), nu, nu]).value
+    name = "mu" if weight < 0 else "nu"
+    return [_assertion(
+        f"pinned energy of the {word} measure", value, expected,
+        AGREEMENT_TOL * tol_scale, "closed-form", f"I(delta_e1, {name}, {name}) = {expected:g}",
+    )] + _witness_assertions(kernel, 3, seed + offset, label)
 
 
 # --- potentials against closed forms -----------------------------------------------
 
 
-def _scenario_s011_potential(seed, tuples, tol_scale, d=3, surrogate_size=100_000,
-                             queries=20):
+def _scenario_s011_potential(seed, *, d=3, surrogate_size=100_000, queries=20, tol_scale):
     kernel = kernels.s011()
     surrogate = uniform_surrogate(d, surrogate_size, seed + 3)
     pairs = sample_sphere(d, 2 * queries, seed + 5).points.reshape(queries, 2, d)
@@ -251,9 +212,7 @@ def _scenario_s011_potential(seed, tuples, tol_scale, d=3, surrogate_size=100_00
         f"max |U - <x,y>/d| over {queries} query pairs, in 4-stderr units",
         worst <= 1.0, True, None, "closed-form", "U(x,y) = <x,y>/d",
     ))
-    return _report("s011-potential", seed,
-                   {"d": d, "surrogate_size": surrogate_size, "queries": queries,
-                    "tol_scale": tol_scale}, assertions)
+    return assertions
 
 
 # --- positive definiteness batteries -------------------------------------------------
@@ -279,30 +238,27 @@ def _pd_pass_assertions(kernel, dims, conditional, seed, label, pin_trials=10,
     return out
 
 
-def _scenario_uvt_pd(seed, tuples, tol_scale, dims=(3, 4)):
-    assertions = _pd_pass_assertions(kernels.uvt(), dims, False, seed, "uvt")
-    return _report("uvt-pd", seed, {"dims": list(dims)}, assertions)
+def _scenario_uvt_pd(seed, *, dims=(3, 4)):
+    return _pd_pass_assertions(kernels.uvt(), dims, False, seed, "uvt")
 
 
-def _scenario_quad_a_pd(seed, tuples, tol_scale, dims=(3, 4), values=(-1.0, 0.0, 0.5, 0.9)):
+def _scenario_quad_a_pd(seed, *, dims=(3, 4), a_values=(-1.0, 0.0, 0.5, 0.9)):
     assertions = []
-    for j, a in enumerate(values):
+    for j, a in enumerate(a_values):
         assertions += _pd_pass_assertions(
             kernels.quad_a(a, shift=True), dims, False, seed + 1000 * j,
             f"quad_a(a={a}, shifted)",
         )
-    return _report("quad-a-pd", seed, {"dims": list(dims), "a_values": list(values)},
-                   assertions)
+    return assertions
 
 
-def _scenario_sumlift_cpd(seed, tuples, tol_scale, dims=(3, 4)):
-    assertions = _pd_pass_assertions(
+def _scenario_sumlift_cpd(seed, *, dims=(3, 4)):
+    return _pd_pass_assertions(
         kernels.sum_lift(kernels.inner(), 3), dims, True, seed, "sum_lift(inner,3)",
     )
-    return _report("sumlift-cpd", seed, {"dims": list(dims)}, assertions)
 
 
-def _scenario_prodlift_pd(seed, tuples, tol_scale, dims=(3, 4)):
+def _scenario_prodlift_pd(seed, *, dims=(3, 4)):
     assertions = _pd_pass_assertions(
         kernels.prod_lift(kernels.inner(), 3), dims, False, seed, "prod_lift(inner,3)",
     )
@@ -310,13 +266,13 @@ def _scenario_prodlift_pd(seed, tuples, tol_scale, dims=(3, 4)):
         kernels.prod_lift(kernels.frame2(), 3), dims, False, seed + 7777,
         "prod_lift(frame2,3)",
     )
-    return _report("prodlift-pd", seed, {"dims": list(dims)}, assertions)
+    return assertions
 
 
 # --- convexity ------------------------------------------------------------------------
 
 
-def _scenario_s100_nonconvex(seed, tuples, tol_scale, d=3, surrogate_size=20000):
+def _scenario_s100_nonconvex(seed, *, d=3, surrogate_size=20000, tol_scale):
     kernel = kernels.s100()
     sigma = uniform_surrogate(d, surrogate_size, seed + 2)
     delta = DiscreteMeasure.dirac(basis_vector(0, d))
@@ -333,10 +289,7 @@ def _scenario_s100_nonconvex(seed, tuples, tol_scale, d=3, surrogate_size=20000)
         _assertion("a chord violation location is reported",
                    probe.violation_t is not None, True, None, "definition"),
     ]
-    assertions += _witness_assertions(kernel, d, seed + 23, "s100")
-    return _report("s100-nonconvex", seed,
-                   {"d": d, "surrogate_size": surrogate_size, "tol_scale": tol_scale},
-                   assertions)
+    return assertions + _witness_assertions(kernel, d, seed + 23, "s100")
 
 
 def _potential_mixture(kernel, mu, nu):
@@ -350,7 +303,7 @@ def _potential_mixture(kernel, mu, nu):
             float(nu.weights @ vals[k:, k:] @ nu.weights))
 
 
-def _scenario_derivative_identities(seed, tuples, tol_scale, setups_per_arity=25):
+def _scenario_derivative_identities(seed, *, setups_per_arity=25, tol_scale):
     with warnings.catch_warnings():
         # the possibly-negative product lift is used here only as a test
         # function for the derivative identities, not as a PD candidate
@@ -382,18 +335,15 @@ def _scenario_derivative_identities(seed, tuples, tol_scale, setups_per_arity=25
             rel2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-3)
             worst = max(worst, rel1, rel2)
             count += 1
-    assertions = [_assertion(
+    return [_assertion(
         f"first and second derivative identities over {count} random setups "
         "(worst relative residual)",
         worst <= 1e-8 * tol_scale, True, None, "closed-form",
         "h'(0) = (2/n) g'(0);  h''(0) = 2/(n(n-1)) g''(0)",
     )]
-    return _report("derivative-identities", seed,
-                   {"setups_per_arity": setups_per_arity, "tol_scale": tol_scale},
-                   assertions)
 
 
-def _scenario_bcr_shift(seed, tuples, tol_scale, trials=20, set_size=12):
+def _scenario_bcr_shift(seed, *, trials=20, set_size=12):
     e1 = basis_vector(0, 3)
     battery = [
         ("pin(neg_vol2,e1)", kernels.pin(kernels.neg_vol2(), e1)),
@@ -433,10 +383,10 @@ def _scenario_bcr_shift(seed, tuples, tol_scale, trials=20, set_size=12):
         "zero-variant shift of -||x-y||^2 equals 2<x-e1, y-e1>", diff0, 0.0, AGREEMENT_TOL,
         "oracle",
     ))
-    return _report("bcr-shift", seed, {"trials": trials, "set_size": set_size}, assertions)
+    return assertions
 
 
-def _scenario_inequality_suite(seed, tuples, tol_scale, trials=1000):
+def _scenario_inequality_suite(seed, *, trials=1000, tol_scale):
     assertions = []
     rep = certify.inequality_suite(kernels.uvt(), 3, trials=trials, seed=seed + 1)
     assertions.append(_assertion(
@@ -472,70 +422,54 @@ def _scenario_inequality_suite(seed, tuples, tol_scale, trials=1000):
         rep_s.am_violations > 0, True, None, "closed-form",
         "s100 is not conditionally positive definite",
     ))
-    return _report("inequality-suite", seed, {"trials": trials, "tol_scale": tol_scale},
-                   assertions)
+    return assertions
 
 
 # --- optimization targets ----------------------------------------------------------
 
 
-def _scenario_maximize_area2(seed, tuples, tol_scale, n_points=30, d=3, steps=2000,
-                             starts=4):
+def _maximize(kernel_factory, reach, reach_text, supremum, source, formulas, seed, *,
+              n_points=30, d=3, steps=2000, starts=4):
+    """Multistart ascent that reaches ``reach`` and never passes ``supremum(d)``."""
     cfg = optimize.OptimizerConfig(steps=steps, step_size=1.0, seed=seed,
                                    maximize=True, stop_tol=1e-9)
-    trace = optimize.multistart(kernels.area2(), n_points, d, cfg, starts=starts)
-    assertions = [
-        _assertion(f"best energy over {starts} starts reaches 0.45",
-                   trace.final_energy >= 0.45, True, None, "closed-form",
-                   "sup over measures is 3*(d-1)/(4*d) = 0.5 at d=3"),
+    trace = optimize.multistart(kernel_factory(), n_points, d, cfg, starts=starts)
+    return [
+        _assertion(reach_text.format(starts=starts), trace.final_energy >= reach, True, None,
+                   source, formulas[0]),
         _assertion("energy never exceeds the measure supremum",
-                   trace.final_energy <= 0.5 + BOUND_SLACK, True, None, "closed-form",
-                   "3*(d-1)/(4*d)"),
+                   trace.final_energy <= supremum(d) + BOUND_SLACK, True, None,
+                   source, formulas[1]),
     ]
-    return _report("maximize-area2", seed,
-                   {"n_points": n_points, "d": d, "steps": steps, "starts": starts},
-                   assertions)
 
 
-def _scenario_maximize_vol2(seed, tuples, tol_scale, n_points=30, d=3, steps=2000,
-                            starts=4):
-    cfg = optimize.OptimizerConfig(steps=steps, step_size=1.0, seed=seed,
-                                   maximize=True, stop_tol=1e-9)
-    trace = optimize.multistart(kernels.vol2(), n_points, d, cfg, starts=starts)
-    assertions = [
-        _assertion("best energy reaches 0.19 (supremum 2/9 at d=3)",
-                   trace.final_energy >= 0.19, True, None, "oracle"),
-        _assertion("energy never exceeds the measure supremum",
-                   trace.final_energy <= (d - 1) * (d - 2) / d**2 + BOUND_SLACK, True, None,
-                   "oracle"),
-    ]
-    return _report("maximize-vol2", seed,
-                   {"n_points": n_points, "d": d, "steps": steps, "starts": starts},
-                   assertions)
-
-
-def _scenario_minimize_s011(seed, tuples, tol_scale, n_points=2, d=3, steps=2000):
+def _scenario_minimize_s011(seed, *, n_points=2, d=3, steps=2000):
     cfg = optimize.OptimizerConfig(steps=steps, step_size=0.5, seed=seed,
                                    maximize=False, stop_tol=1e-12)
     trace = optimize.multistart(kernels.s011(), n_points, d, cfg, starts=4)
-    assertions = [
+    return [
         _assertion("antipodal pair drives the energy to zero",
                    trace.final_energy <= 1e-6, True, None, "closed-form",
                    "I >= 0 with equality at mean-zero configurations"),
         _assertion("optimizer never undershoots the closed-form infimum",
                    trace.final_energy >= -BOUND_SLACK, True, None, "closed-form", "inf I = 0"),
     ]
-    return _report("minimize-s011", seed,
-                   {"n_points": n_points, "d": d, "steps": steps}, assertions)
 
 
+# name -> a function of seed and keyword-only parameters returning assertions
 _REGISTRY = {
     "area2-sigma": _scenario_area2_sigma,
-    "vol2-sigma": _scenario_vol2_sigma,
-    "frame-bound": _scenario_frame_bound,
-    "s011-counterexample": _scenario_s011_counterexample,
-    "negvol2-not-cpd": _scenario_negvol2_not_cpd,
-    "negarea2-not-cpd": _scenario_negarea2_not_cpd,
+    # vol2's target comes from the moment oracle E[u^2] = 1/d, E[uvt] = 1/d^2
+    "vol2-sigma": partial(_mc_scenario, kernels.vol2, lambda d: (d - 1) * (d - 2) / d**2,
+                          None, "oracle", dims=(3, 4)),
+    "frame-bound": partial(_mc_scenario, kernels.frame2, lambda d: 1.0 / d, "1/d",
+                           "closed-form", dims=(2, 3, 4, 5, 6)),
+    "s011-counterexample": partial(_pinned_counterexample, kernels.s011, -basis_vector(0, 3),
+                                   -1.0, -1.0, "balanced pair", 13, "s011"),
+    "negvol2-not-cpd": partial(_pinned_counterexample, kernels.neg_vol2, basis_vector(2, 3),
+                               1.0, -2.0, "basis-pair", 17, "neg_vol2"),
+    "negarea2-not-cpd": partial(_pinned_counterexample, kernels.neg_area2, -basis_vector(0, 3),
+                                1.0, -2.0, "antipodal-pair", 19, "neg_area2"),
     "s011-potential": _scenario_s011_potential,
     "uvt-pd": _scenario_uvt_pd,
     "quad-a-pd": _scenario_quad_a_pd,
@@ -545,8 +479,13 @@ _REGISTRY = {
     "derivative-identities": _scenario_derivative_identities,
     "bcr-shift": _scenario_bcr_shift,
     "inequality-suite": _scenario_inequality_suite,
-    "maximize-area2": _scenario_maximize_area2,
-    "maximize-vol2": _scenario_maximize_vol2,
+    "maximize-area2": partial(
+        _maximize, kernels.area2, 0.45, "best energy over {starts} starts reaches 0.45",
+        lambda d: 0.75 * (d - 1) / d, "closed-form",
+        ("sup over measures is 3*(d-1)/(4*d) = 0.5 at d=3", "3*(d-1)/(4*d)")),
+    "maximize-vol2": partial(
+        _maximize, kernels.vol2, 0.19, "best energy reaches 0.19 (supremum 2/9 at d=3)",
+        lambda d: (d - 1) * (d - 2) / d**2, "oracle", (None, None)),
     "minimize-s011": _scenario_minimize_s011,
 }
 
@@ -559,8 +498,13 @@ def list_scenarios() -> list[str]:
 def run_scenario(name: str, overrides: dict | None = None) -> dict:
     """Run one scenario and return its report dictionary.
 
-    Recognized overrides: ``seed``, ``tuples``, ``tol_scale``, plus any
-    scenario-specific keyword (e.g. ``dims``).
+    ``overrides`` may set ``seed``, ``tuples`` and ``tol_scale``, which every
+    scenario accepts, and any keyword parameter of the scenario; ``d`` stands
+    for a one-entry ``dims`` in a scenario that takes ``dims`` but not ``d``.
+    ``tuples`` and ``tol_scale`` reach only a scenario whose signature takes
+    them.  The report's ``parameters`` are the scenario's keyword parameters,
+    defaults applied, in signature order.  A key the scenario does not take
+    raises ValueError.
     """
     if name not in _REGISTRY:
         raise UnknownScenario(
@@ -568,10 +512,19 @@ def run_scenario(name: str, overrides: dict | None = None) -> dict:
         )
     overrides = dict(overrides or {})
     seed = int(overrides.pop("seed", DEFAULT_SEED))
-    tuples = int(overrides.pop("tuples", DEFAULT_TUPLES))
-    tol_scale = float(overrides.pop("tol_scale", 1.0))
-    runner = _REGISTRY[name]
-    params = inspect.signature(runner).parameters
+    shared = {"tuples": int(overrides.pop("tuples", DEFAULT_TUPLES)),
+              "tol_scale": float(overrides.pop("tol_scale", 1.0))}
+    scenario = _REGISTRY[name]
+    signature = inspect.signature(scenario)
+    params = [p for p in signature.parameters if p != "seed"]
     if "d" in overrides and "d" not in params and "dims" in params:
         overrides["dims"] = [int(overrides.pop("d"))]
-    return runner(seed, tuples, tol_scale, **overrides)
+    unknown = sorted(set(overrides) - set(params))
+    if unknown:
+        raise ValueError(f"scenario '{name}' takes no parameter {', '.join(unknown)}; "
+                         f"its parameters: {', '.join(params)}")
+    overrides.update((key, value) for key, value in shared.items() if key in params)
+    bound = signature.bind(seed, **overrides)
+    bound.apply_defaults()
+    parameters = {key: value for key, value in bound.arguments.items() if key != "seed"}
+    return _report(name, seed, _jsonify(parameters), scenario(seed, **parameters))

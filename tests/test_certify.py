@@ -60,6 +60,7 @@ from multipot.certify import (
     _restricted,
     _trial_energies,
 )
+from multipot.config import CONSTANCY_SIGMA
 from multipot.energy import _dense_mutual, _dense_potential, _spans
 from multipot.geometry import _random_directions, _streams
 from oracles import (
@@ -471,6 +472,15 @@ def test_constancy_fails_for_a_point_mass_in_a_surrogate():
         assert potential_constancy_check(kernel, sigma, pts).passed, kernel.name
         report = potential_constancy_check(kernel, biased, pts)
         assert report.stderr_estimate > 0 and not report.passed, kernel.name
+
+
+def test_constancy_band_holds_a_sigma_surrogate_at_five_stderrs():
+    # area2-sigma's d = 5 check at seed 32005: the worst of 50 test points
+    # sits 5.32 fold stderrs from the mean, inside the t_15 band
+    report = potential_constancy_check(area2(), uniform_surrogate(5, 20_000, 32427),
+                                       sample_sphere(5, 50, 32619))
+    assert 5.3 < report.max_deviation / report.stderr_estimate < CONSTANCY_SIGMA
+    assert report.passed
 
 
 @pytest.mark.parametrize("atoms", [5, 12])

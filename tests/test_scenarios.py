@@ -1,4 +1,6 @@
 """Scenario registry, report schema, determinism, and the CLI surface."""
+import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 from multipot import sample_sphere, write_measure_csv, write_points_csv
 from multipot.geometry import DiscreteMeasure, basis_vector
 from multipot.scenarios import (
+    _REGISTRY,
     UnknownScenario,
     list_scenarios,
     report_to_json,
@@ -53,7 +56,32 @@ def test_report_schema():
         assert isinstance(entry["passed"], bool)
 
 
+# sha256 of each reduced-budget report's JSON, recorded before the scenarios
+# shared one report builder; a refactor of the runner must not move a byte
+REDUCED_BUDGET_DIGESTS = {
+    "area2-sigma": "b54672c6703167bab588f8aa331c8f76916affe934a1b5969b1099b688692855",
+    "bcr-shift": "df8031aafa1bc334f0d7aa6fbd33d1c3a943ecfe36f5e660b0b71ffce820bd55",
+    "derivative-identities": "059b3aa8ec3ae6c1f8d92a8106f9158dc62918403981f3327ec45b622d27cd87",
+    "frame-bound": "6bd69974a285b58485cd72dc05f7f8090d63baf1f4d45d3459312fa5617e50e5",
+    "inequality-suite": "ae29f79ba1bc5bd80a486a5dc417485f36655591387048c259149f1adf96c418",
+    "maximize-area2": "e89e3e842b7d2cc9476755b8449f8ec63ce7911eaba80842afb25c6c1693c8dc",
+    "maximize-vol2": "133ca4ba2957652fdb8cb72edcd8bc923253dda940dc30e46828eece361fbc69",
+    "minimize-s011": "d2ce1ed313b9e6107a50740329a93f16a78800f31190a47f1ff743556a04aadf",
+    "negarea2-not-cpd": "d708e7fb950c7df761ac02535f84c14f82cd53776798eb88dbb79a46f0fbe08f",
+    "negvol2-not-cpd": "3923e4756dbfbbeb4a6d21b3e6eaff18c7a09c9a1606a823c40f7ad77a382c0e",
+    "prodlift-pd": "f67c9c133e1e333a1851420c9cc6e0b93f529d1b1a3b9906ef95912a380b9682",
+    "quad-a-pd": "aeba2b002c909846957995d5a0842e2de37fc0fd98f0d2a79684b3a76500a03c",
+    "s011-counterexample": "bcd47550a2b71ffae5f09ca073753033a347d64a2afdca77b69450e50698158d",
+    "s011-potential": "54defd71e6cfd56a84244075d7e93b75748b26ba0a716d360b5274a40b9fed8e",
+    "s100-nonconvex": "eff73268b55807e09baaaf349806940adb98e628cc0e45eba0c94e4b15ad6e3f",
+    "sumlift-cpd": "d92aede84ff61984caacbeb162847583f0da8c750550b2c26b6d72901d025b71",
+    "uvt-pd": "fe0a05514eb3e2a9496311bf2d897f90d93e2af20a84ab7403034d7c7c5223d8",
+    "vol2-sigma": "7f16e8c073427f812d07ca0213f2f30b1baf7a0344a153a2615d75b16ab729cb",
+}
+
+
 def test_every_scenario_passes_at_reduced_budget():
+    assert list_scenarios() == sorted(REDUCED_BUDGET_DIGESTS)
     for name in list_scenarios():
         overrides = dict(tuples=20_000)
         if name in ("area2-sigma", "s100-nonconvex"):
@@ -61,6 +89,30 @@ def test_every_scenario_passes_at_reduced_budget():
         report = run_scenario(name, overrides)
         failed = [a["description"] for a in report["assertions"] if not a["passed"]]
         assert report["passed"], f"{name}: {failed}"
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == REDUCED_BUDGET_DIGESTS[name], name
+        # a report lists exactly its scenario's keyword parameters
+        keywords = list(inspect.signature(_REGISTRY[name]).parameters)[1:]
+        assert list(report["parameters"]) == keywords, name
+
+
+def test_shared_overrides_reach_only_the_scenarios_that_take_them():
+    report = run_scenario("uvt-pd", {"tuples": 5, "tol_scale": 2.0})
+    assert report["parameters"] == {"dims": [3, 4]}
+    assert report["passed"]
+
+
+def test_an_override_the_scenario_does_not_take_is_refused():
+    with pytest.raises(ValueError, match="takes no parameter surrogate_size; "
+                                         "its parameters: dims"):
+        run_scenario("uvt-pd", {"surrogate_size": 5})
+
+
+def test_maximize_area2_bounds_by_the_supremum_at_its_dimension():
+    # the supremum 3(d-1)/(4d) is 0.5625 at d = 4, above the d = 3 value 0.5
+    report = run_scenario("maximize-area2", {"d": 4})
+    assert report["parameters"] == {"n_points": 30, "d": 4, "steps": 2000, "starts": 4}
+    assert report["passed"]
 
 
 # --- CLI ------------------------------------------------------------------------------

@@ -165,11 +165,15 @@ def _cases(tmp_path):
             ("no atoms", lambda: mix(mu, empty, 0.5), "nu has no atoms"),
             ("dimension", lambda: mix(mu, mu4, 0.5), "measures must share a dimension"),
             ("parameter", lambda: mix(mu, nu, 1.5), "mixture parameter t must lie in [0, 1]"),
+            ("nan parameter", lambda: mix(mu, nu, np.nan), "t must be finite, got nan"),
+            ("inf parameter", lambda: mix(mu, nu, np.inf), "t must be finite, got inf"),
         ],
         "combine": [
             ("measure type", lambda: combine(mu, config, 1.0, 1.0), "nu must be of type DiscreteMeasure"),
             ("no atoms", lambda: combine(empty, nu, 1.0, 1.0), "mu has no atoms"),
             ("dimension", lambda: combine(mu, mu4, 1.0, 1.0), "measures must share a dimension"),
+            ("nan a", lambda: combine(mu, nu, np.nan, 1.0), "a must be finite, got nan"),
+            ("inf b", lambda: combine(mu, nu, 1.0, -np.inf), "b must be finite, got -inf"),
         ],
         "random_rotation": [
             ("dimension", lambda: random_rotation(1, 0), "need dimension d >= 2"),
